@@ -9,6 +9,18 @@ cargo build --release --workspace
 echo "=== tests ==="
 cargo test -q --workspace
 
+echo "=== perfbench self-tests ==="
+# The repository benchmark's own checks: metric names against
+# BENCHMARK.json, digests, capture/replay divergence detection.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
+echo "=== engine differential + zero-allocation suites (release) ==="
+# Naive vs event engine byte-identity under back-pressure (classic and
+# sharded runtimes) and the counting-allocator proof that the per-tick
+# path never allocates, at the optimization level the benchmarks run.
+cargo test --release -q -p dg-system --test determinism --test zero_alloc
+cargo test --release -q -p dg-shard --test determinism
+
 echo "=== format ==="
 cargo fmt --all --check
 

@@ -136,7 +136,9 @@ impl Core for ProbeCore {
             };
         }
         if self.pending_send.is_some() {
-            return Some(now); // retrying a back-pressured probe
+            // Retrying a refused probe is all a tick does: parked until a
+            // memory event (the refusals in between are settled by warps).
+            return None;
         }
         if self.outstanding.is_none() {
             return Some(self.next_issue.max(now));

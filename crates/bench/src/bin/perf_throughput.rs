@@ -26,9 +26,10 @@
 //! stopping early once the ratio clears the CI target, otherwise
 //! sampling for a time budget (quick 150 s / full 300 s) chosen to
 //! straddle a regime change. A 2-thread pure-compute calibration
-//! (`parallel_scaling_2t` in the host record, maxed over the same
-//! window) is recorded alongside so downstream gates can tell "the
-//! runtime doesn't scale" apart from "the host can't scale anything".
+//! (`parallel_scaling_2t` in the host record, taken once before the
+//! sampling and bounded by the thread count) is recorded alongside so
+//! downstream gates can tell "the runtime doesn't scale" apart from "the
+//! host can't scale anything".
 //! There the "naive" column is the 1-thread wall clock and "fast" is the
 //! multi-thread one; byte-identity of sharded vs unsharded reports is
 //! enforced by the dg-shard differential suite and the CI gate.
@@ -140,28 +141,74 @@ fn run_scale64(parties: Option<usize>, stream: u64) -> Timed {
     }
 }
 
-/// Measures how well this host scales two threads of pure register
-/// compute right now — the ceiling any 2-thread parallel runtime can
-/// reach. Shared hosts with co-tenant load report well under 2.0 (and
-/// under 1.0 when a co-tenant burst lands mid-measurement).
-fn host_parallel_scaling() -> f64 {
-    fn burn(n: u64) -> u64 {
-        let mut x = 1u64;
-        for i in 0..n {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        x
+/// Register-only compute with no memory traffic.
+fn burn(n: u64) -> u64 {
+    let mut x = 1u64;
+    for i in 0..n {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
     }
-    const N: u64 = 150_000_000;
-    let t0 = Instant::now();
-    std::hint::black_box(burn(N));
-    let serial = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let h = std::thread::spawn(move || std::hint::black_box(burn(N)));
-    std::hint::black_box(burn(N));
-    h.join().expect("calibration thread");
-    let par = t1.elapsed().as_secs_f64();
-    2.0 * serial / par.max(1e-12)
+    x
+}
+
+/// Work units of one calibration leg.
+const CALIBRATION_N: u64 = 50_000_000;
+/// Back-to-back serial/parallel pairs per calibration.
+const CALIBRATION_TRIALS: usize = 3;
+/// Calibrations taken before an implausible ratio is reported as an error.
+const CALIBRATION_TAKES: usize = 5;
+
+/// One calibration of how well this host scales two threads of pure
+/// register compute right now — the ceiling any 2-thread parallel
+/// runtime can reach. Each trial times `2N` units on one thread and,
+/// right after, `N` units on each of two concurrent threads: the work is
+/// equal, so the true ratio cannot exceed 2. Shared hosts with co-tenant
+/// load report well under 2.0.
+fn host_parallel_scaling() -> f64 {
+    let mut serial = Vec::with_capacity(CALIBRATION_TRIALS);
+    let mut parallel = Vec::with_capacity(CALIBRATION_TRIALS);
+    for _ in 0..CALIBRATION_TRIALS {
+        let t0 = Instant::now();
+        std::hint::black_box(burn(2 * CALIBRATION_N));
+        serial.push(t0.elapsed().as_secs_f64());
+        let t1 = Instant::now();
+        let h = std::thread::spawn(|| std::hint::black_box(burn(CALIBRATION_N)));
+        std::hint::black_box(burn(CALIBRATION_N));
+        h.join().expect("calibration thread");
+        parallel.push(t1.elapsed().as_secs_f64());
+    }
+    scaling_ratio(&serial, &parallel)
+}
+
+/// The 2-thread scaling of one calibration: each leg at its least
+/// disturbed trial (host noise only ever adds time), serial over parallel.
+fn scaling_ratio(serial_s: &[f64], parallel_s: &[f64]) -> f64 {
+    let fastest = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+    fastest(serial_s) / fastest(parallel_s).max(1e-12)
+}
+
+/// Whether a 2-thread scaling ratio is physically possible.
+fn plausible_scaling(ratio: f64) -> bool {
+    ratio > 0.0 && ratio <= 2.0
+}
+
+/// Takes calibrations until one is plausible, at most
+/// [`CALIBRATION_TAKES`] times. A co-tenant that slows every serial trial
+/// can push one take past 2.0; one that persists means the measurement
+/// itself is broken, which is an error (the last ratio), not a ceiling.
+fn calibrate(mut take: impl FnMut() -> f64) -> Result<f64, f64> {
+    let mut ratio = take();
+    for _ in 1..CALIBRATION_TAKES {
+        if plausible_scaling(ratio) {
+            break;
+        }
+        eprintln!("warning: implausible 2-thread scaling {ratio:.3}, retaking");
+        ratio = take();
+    }
+    if plausible_scaling(ratio) {
+        Ok(ratio)
+    } else {
+        Err(ratio)
+    }
 }
 
 fn run_engine(kind: &MemoryKind, load: &Load, skip: bool) -> Timed {
@@ -294,9 +341,13 @@ fn main() {
     // pairs and the per-side minima compared; sampling stops as soon as
     // the ratio clears the CI target with margin, and otherwise keeps
     // going for a time budget long enough to straddle a regime change.
-    // The calibration ceiling is re-measured each pair and maxed, so it
-    // describes the best regime the sampling window actually saw.
-    let mut host_scaling = host_parallel_scaling();
+    let host_scaling = calibrate(host_parallel_scaling).unwrap_or_else(|ratio| {
+        eprintln!(
+            "error: 2-thread calibration stayed implausible ({ratio:.3} > 2.0) \
+             over {CALIBRATION_TAKES} takes"
+        );
+        std::process::exit(1);
+    });
     {
         let stream = if full { 8_000 } else { 2_000 };
         let budget = std::time::Duration::from_secs(if full { 300 } else { 150 });
@@ -320,7 +371,6 @@ fn main() {
             if best_single / best_sharded >= 1.55 {
                 break;
             }
-            host_scaling = host_scaling.max(host_parallel_scaling());
             if pair >= min_pairs && sampling.elapsed() >= budget {
                 break;
             }
@@ -486,4 +536,52 @@ fn append_run(path: &str, run_json: &str) -> Result<String, String> {
         "{{\n  \"runs\": [\n{}\n  ]\n}}\n",
         runs.join(",\n")
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scaling_ratio_takes_each_leg_at_its_fastest() {
+        // Ideal 2-thread host: 2N serial in 2 s, two N legs in 1 s.
+        assert_eq!(scaling_ratio(&[2.0, 2.5, 3.0], &[1.4, 1.0, 1.2]), 2.0);
+        // A co-tenant on one side only ever slows that side down.
+        assert_eq!(scaling_ratio(&[2.0], &[2.0]), 1.0);
+    }
+
+    #[test]
+    fn scaling_bound_is_the_thread_count() {
+        assert!(plausible_scaling(2.0));
+        assert!(plausible_scaling(1.3));
+        assert!(!plausible_scaling(2.01));
+        assert!(!plausible_scaling(3.62));
+        assert!(!plausible_scaling(0.0));
+        assert!(!plausible_scaling(f64::NAN));
+    }
+
+    #[test]
+    fn calibration_retakes_implausible_ratios_and_fails_when_they_persist() {
+        let mut takes = [2.59, 3.62, 1.8].into_iter();
+        assert_eq!(calibrate(|| takes.next().unwrap()), Ok(1.8));
+        let mut n = 0;
+        assert_eq!(
+            calibrate(|| {
+                n += 1;
+                2.4
+            }),
+            Err(2.4)
+        );
+        assert_eq!(n, CALIBRATION_TAKES);
+        // A plausible first take is kept, never maxed against later ones.
+        let mut n = 0;
+        assert_eq!(
+            calibrate(|| {
+                n += 1;
+                1.1
+            }),
+            Ok(1.1)
+        );
+        assert_eq!(n, 1);
+    }
 }

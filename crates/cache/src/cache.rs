@@ -4,23 +4,6 @@ use dg_sim::config::CacheLevelConfig;
 use dg_sim::types::Addr;
 use serde::{Deserialize, Serialize};
 
-/// One cache line's bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU stamp: larger = more recently used.
-    lru: u64,
-}
-
-const INVALID: Line = Line {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    lru: 0,
-};
-
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AccessOutcome {
@@ -34,13 +17,21 @@ pub struct AccessOutcome {
 ///
 /// Writes allocate (a write miss fills the line, then dirties it); dirty
 /// victims are reported for the caller to push down the hierarchy.
+///
+/// Line state lives in three parallel, zero-initialized arrays (indexed
+/// `set * ways + way`), so a new cache costs no memory until its sets are
+/// touched: an LRU stamp of 0 marks an invalid line, since every access
+/// stamps its line with a count that starts at 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SetAssocCache {
     name: &'static str,
     sets: u64,
     ways: usize,
     line_bytes: u64,
-    lines: Vec<Line>,
+    tags: Vec<u64>,
+    /// LRU stamp: larger = more recently used; 0 = invalid.
+    lru: Vec<u64>,
+    dirty: Vec<bool>,
     stamp: u64,
     hits: u64,
     misses: u64,
@@ -56,12 +47,15 @@ impl SetAssocCache {
         let sets = cfg.sets();
         assert!(sets > 0, "{name}: zero sets");
         assert!(cfg.ways > 0, "{name}: zero ways");
+        let lines = (sets * u64::from(cfg.ways)) as usize;
         Self {
             name,
             sets,
             ways: cfg.ways as usize,
             line_bytes: cfg.line_bytes,
-            lines: vec![INVALID; (sets * u64::from(cfg.ways)) as usize],
+            tags: vec![0; lines],
+            lru: vec![0; lines],
+            dirty: vec![false; lines],
             stamp: 0,
             hits: 0,
             misses: 0,
@@ -98,9 +92,16 @@ impl SetAssocCache {
         (line % self.sets, line / self.sets)
     }
 
-    fn set_slice(&mut self, set: u64) -> &mut [Line] {
+    /// The line indices of `set`.
+    fn set_range(&self, set: u64) -> std::ops::Range<usize> {
         let start = (set as usize) * self.ways;
-        &mut self.lines[start..start + self.ways]
+        start..start + self.ways
+    }
+
+    /// The way of `set` holding `tag`, as a line index.
+    fn find(&self, set: u64, tag: u64) -> Option<usize> {
+        self.set_range(set)
+            .find(|&i| self.lru[i] != 0 && self.tags[i] == tag)
     }
 
     /// Accesses `addr`; on a miss the line is filled (allocate-on-miss) and
@@ -109,13 +110,10 @@ impl SetAssocCache {
         self.stamp += 1;
         let stamp = self.stamp;
         let (set, tag) = self.index(addr);
-        let line_bytes = self.line_bytes;
-        let sets = self.sets;
-        let ways = self.set_slice(set);
 
-        if let Some(l) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            l.lru = stamp;
-            l.dirty |= is_write;
+        if let Some(i) = self.find(set, tag) {
+            self.lru[i] = stamp;
+            self.dirty[i] |= is_write;
             self.hits += 1;
             return AccessOutcome {
                 hit: true,
@@ -123,22 +121,23 @@ impl SetAssocCache {
             };
         }
 
-        // Miss: pick the LRU way (preferring invalid ones, which carry the
-        // smallest stamps).
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
-            .expect("ways > 0");
-        let writeback = (victim.valid && victim.dirty).then(|| {
+        // Miss: pick the LRU way (invalid ones carry the smallest stamp, 0;
+        // the first of equals wins).
+        let range = self.set_range(set);
+        let victim = range.start
+            + self.lru[range]
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &lru)| lru)
+                .map(|(way, _)| way)
+                .expect("ways > 0");
+        let writeback = (self.lru[victim] != 0 && self.dirty[victim]).then(|| {
             // Reconstruct the victim's address from its tag and set.
-            (victim.tag * sets + set) * line_bytes
+            (self.tags[victim] * self.sets + set) * self.line_bytes
         });
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            lru: stamp,
-        };
+        self.tags[victim] = tag;
+        self.lru[victim] = stamp;
+        self.dirty[victim] = is_write;
         self.misses += 1;
         AccessOutcome {
             hit: false,
@@ -148,17 +147,15 @@ impl SetAssocCache {
 
     /// Probes for presence without updating replacement state.
     pub fn contains(&self, addr: Addr) -> bool {
-        let line = addr / self.line_bytes;
-        let (set, tag) = (line % self.sets, line / self.sets);
-        let start = (set as usize) * self.ways;
-        self.lines[start..start + self.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        let (set, tag) = self.index(addr);
+        self.find(set, tag).is_some()
     }
 
     /// Invalidates everything (e.g. between experiment phases).
     pub fn flush(&mut self) {
-        self.lines.fill(INVALID);
+        self.tags.fill(0);
+        self.lru.fill(0);
+        self.dirty.fill(false);
     }
 }
 

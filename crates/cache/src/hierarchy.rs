@@ -20,18 +20,49 @@ pub enum HitLevel {
     Memory,
 }
 
-/// Outcome of pushing one access through the hierarchy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Outcome of pushing one access through the hierarchy. Held inline (no
+/// heap), since every core tick that reaches a memory operation makes one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyOutcome {
     /// Where the access hit.
     pub level: HitLevel,
     /// Round-trip latency charged for the cache portion (for a memory miss
     /// this is the L3 lookup cost; DRAM latency accrues separately).
     pub latency: Cycle,
-    /// Line fills that must be requested from memory (the demand miss).
-    pub memory_reads: Vec<Addr>,
+    /// The line fill that must be requested from memory: the demand
+    /// address on a full miss.
+    pub memory_read: Option<Addr>,
+    /// Dirty L3 victims, at most one per level the access walked through.
+    writebacks: [Addr; 3],
+    n_writebacks: usize,
+}
+
+impl HierarchyOutcome {
+    fn new() -> Self {
+        Self {
+            level: HitLevel::L1,
+            latency: 0,
+            memory_read: None,
+            writebacks: [0; 3],
+            n_writebacks: 0,
+        }
+    }
+
+    fn push_writeback(&mut self, addr: Addr) {
+        self.writebacks[self.n_writebacks] = addr;
+        self.n_writebacks += 1;
+    }
+
     /// Dirty lines evicted out of the L3 that must be written to memory.
-    pub memory_writes: Vec<Addr>,
+    pub fn memory_writes(&self) -> &[Addr] {
+        &self.writebacks[..self.n_writebacks]
+    }
+
+    fn hit(mut self, level: HitLevel, latency: Cycle) -> Self {
+        self.level = level;
+        self.latency = latency;
+        self
+    }
 }
 
 /// A core's private L1/L2 feeding a shared L3 (passed per call, since it is
@@ -78,16 +109,11 @@ impl CacheHierarchy {
         is_write: bool,
         l3: &mut SetAssocCache,
     ) -> HierarchyOutcome {
-        let mut memory_writes = Vec::new();
+        let mut out = HierarchyOutcome::new();
 
         let o1 = self.l1.access(addr, is_write);
         if o1.hit {
-            return HierarchyOutcome {
-                level: HitLevel::L1,
-                latency: self.l1_latency,
-                memory_reads: Vec::new(),
-                memory_writes,
-            };
+            return out.hit(HitLevel::L1, self.l1_latency);
         }
         // L1 victim write-back goes to L2 (as a write).
         if let Some(wb) = o1.writeback {
@@ -95,46 +121,31 @@ impl CacheHierarchy {
             if let Some(wb2) = o.writeback {
                 let o3 = l3.access(wb2, true);
                 if let Some(wb3) = o3.writeback {
-                    memory_writes.push(wb3);
+                    out.push_writeback(wb3);
                 }
             }
         }
 
         let o2 = self.l2.access(addr, false);
         if o2.hit {
-            return HierarchyOutcome {
-                level: HitLevel::L2,
-                latency: self.l2_latency,
-                memory_reads: Vec::new(),
-                memory_writes,
-            };
+            return out.hit(HitLevel::L2, self.l2_latency);
         }
         if let Some(wb) = o2.writeback {
             let o3 = l3.access(wb, true);
             if let Some(wb3) = o3.writeback {
-                memory_writes.push(wb3);
+                out.push_writeback(wb3);
             }
         }
 
         let o3 = l3.access(addr, false);
         if o3.hit {
-            return HierarchyOutcome {
-                level: HitLevel::L3,
-                latency: self.l3_latency,
-                memory_reads: Vec::new(),
-                memory_writes,
-            };
+            return out.hit(HitLevel::L3, self.l3_latency);
         }
         if let Some(wb3) = o3.writeback {
-            memory_writes.push(wb3);
+            out.push_writeback(wb3);
         }
-
-        HierarchyOutcome {
-            level: HitLevel::Memory,
-            latency: self.l3_latency,
-            memory_reads: vec![addr],
-            memory_writes,
-        }
+        out.memory_read = Some(addr);
+        out.hit(HitLevel::Memory, self.l3_latency)
     }
 }
 
@@ -180,8 +191,8 @@ mod tests {
         let (mut h, mut l3) = setup();
         let out = h.access(0x1000, false, &mut l3);
         assert_eq!(out.level, HitLevel::Memory);
-        assert_eq!(out.memory_reads, vec![0x1000]);
-        assert!(out.memory_writes.is_empty());
+        assert_eq!(out.memory_read, Some(0x1000));
+        assert!(out.memory_writes().is_empty());
     }
 
     #[test]
@@ -191,7 +202,7 @@ mod tests {
         let out = h.access(0x1000, false, &mut l3);
         assert_eq!(out.level, HitLevel::L1);
         assert_eq!(out.latency, 4);
-        assert!(out.memory_reads.is_empty());
+        assert!(out.memory_read.is_none());
     }
 
     #[test]
@@ -228,7 +239,7 @@ mod tests {
         let mut writes = Vec::new();
         for i in 1..64u64 {
             let out = h.access(i * 64, false, &mut l3);
-            writes.extend(out.memory_writes);
+            writes.extend_from_slice(out.memory_writes());
         }
         assert!(
             writes.contains(&0x0),
@@ -242,7 +253,7 @@ mod tests {
         let mut reads = 0;
         for i in 0..100u64 {
             let out = h.access(i * 64 * 17, false, &mut l3);
-            reads += out.memory_reads.len();
+            reads += usize::from(out.memory_read.is_some());
         }
         assert_eq!(reads, 100, "non-reused stream misses everywhere");
     }

@@ -21,9 +21,9 @@
 //! let mut l3 = SetAssocCache::new(cfg.l3_per_core, "L3");
 //! let mut h = CacheHierarchy::new(&cfg);
 //! let first = h.access(0x1000, false, &mut l3);
-//! assert!(first.memory_reads.len() == 1); // cold miss goes to memory
+//! assert_eq!(first.memory_read, Some(0x1000)); // cold miss goes to memory
 //! let again = h.access(0x1000, false, &mut l3);
-//! assert!(again.memory_reads.is_empty()); // now an L1 hit
+//! assert!(again.memory_read.is_none()); // now an L1 hit
 //! ```
 
 pub mod cache;

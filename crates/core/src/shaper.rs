@@ -298,6 +298,22 @@ impl DomainShaper for Shaper {
         self.executor.earliest_due().map(|at| at.max(now))
     }
 
+    fn settle_refusals(&mut self, req: &MemRequest, from: Cycle, to: Cycle) {
+        debug_assert!(
+            self.queue.len() >= self.config.queue_capacity,
+            "settled refusals against a private queue with room"
+        );
+        self.stats.rejected += to.saturating_sub(from);
+        if self.tracer.enabled() {
+            for now in from..to {
+                self.tracer.record(now, || EventKind::ShaperReject {
+                    id: req.id,
+                    domain: req.domain,
+                });
+            }
+        }
+    }
+
     fn on_response(&mut self, resp: &MemResponse, now: Cycle) -> Option<MemResponse> {
         let inflight = self
             .in_flight

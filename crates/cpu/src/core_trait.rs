@@ -14,6 +14,16 @@ pub trait Core: Send {
 
     /// Advances one CPU cycle. The core may look up the shared `l3` and
     /// issue requests into `mem`.
+    ///
+    /// **Back-pressure contract:** a refused request is retried every tick
+    /// until accepted. The first request `mem` refuses during a tick is
+    /// offered again, first, on the next tick; on a tick that
+    /// [`Core::next_event_at`] declares idle, that single retry is the
+    /// core's only call into `mem`. The event engine relies on this: a
+    /// core whose only work is the retry may report itself parked
+    /// (`None`), and the run loop credits the retries of the cycles it
+    /// skips to the memory path ([`MemorySubsystem::settle_warp`]) instead
+    /// of ticking them.
     fn tick(&mut self, now: Cycle, l3: &mut SetAssocCache, mem: &mut dyn MemorySubsystem);
 
     /// Delivers a completed memory response belonging to this core.
@@ -54,6 +64,9 @@ pub trait Core: Send {
     /// - `Some(now)`: the core is active this cycle; no skipping.
     /// - `None`: the core advances only when [`Core::on_response`] is
     ///   called (or has nothing left to do); it schedules no event itself.
+    ///   A core whose only per-cycle work is retrying a refused request is
+    ///   parked too: the memory accepts the retry only at one of its own
+    ///   events, which the engine never skips.
     ///
     /// The conservative default declares the core always active, which is
     /// correct for any implementation.

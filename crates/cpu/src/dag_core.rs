@@ -72,8 +72,8 @@ impl DagWorkload {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReqState {
-    /// Some dependency has not completed yet.
-    Blocked,
+    /// This many distinct dependencies have not completed yet.
+    Blocked(u32),
     /// Dependencies done; emission due at the stored cycle.
     Ready(Cycle),
     /// In flight.
@@ -90,6 +90,15 @@ pub struct DagCore {
     domain: DomainId,
     workload: DagWorkload,
     state: Vec<ReqState>,
+    /// Reverse dependencies in CSR form: the distinct dependents of
+    /// request `i` are `dependents[dependents_at[i]..dependents_at[i + 1]]`.
+    dependents_at: Vec<u32>,
+    dependents: Vec<u32>,
+    /// The frontier: indices of `Ready` requests, ascending (the issue
+    /// order among requests due on the same cycle).
+    ready: Vec<u32>,
+    /// Requests in state `Done`.
+    done: usize,
     max_outstanding: usize,
     outstanding: usize,
     send_backlog: VecDeque<(usize, MemRequest)>,
@@ -117,16 +126,52 @@ impl DagCore {
     pub fn new(domain: DomainId, workload: DagWorkload, cfg: &SystemConfig) -> Self {
         workload.validate().expect("workload must be a DAG");
         let n = workload.reqs.len();
-        let mut state = vec![ReqState::Blocked; n];
+        // The distinct dependencies of request `i` (a repeated entry in
+        // `deps` is the same edge).
+        let distinct = |i: usize| {
+            let deps = &workload.reqs[i].deps;
+            deps.iter()
+                .enumerate()
+                .filter(move |&(j, d)| !deps[..j].contains(d))
+                .map(|(_, &d)| d as usize)
+        };
+        // Counting pass, then a reverse fill pass that walks each
+        // dependency's end offset back to its start: the ranges are carved
+        // out of one flat array with no scratch copy.
+        let mut dependents_at = vec![0u32; n + 1];
+        let mut state = Vec::with_capacity(n);
+        let mut ready = Vec::new();
         for (i, r) in workload.reqs.iter().enumerate() {
-            if r.deps.is_empty() {
-                state[i] = ReqState::Ready(r.gap);
+            let mut blocking = 0;
+            for d in distinct(i) {
+                dependents_at[d] += 1;
+                blocking += 1;
+            }
+            state.push(if blocking == 0 {
+                ready.push(i as u32);
+                ReqState::Ready(r.gap)
+            } else {
+                ReqState::Blocked(blocking)
+            });
+        }
+        for i in 1..=n {
+            dependents_at[i] += dependents_at[i - 1];
+        }
+        let mut dependents = vec![0u32; dependents_at[n] as usize];
+        for i in (0..n).rev() {
+            for d in distinct(i) {
+                dependents_at[d] -= 1;
+                dependents[dependents_at[d] as usize] = i as u32;
             }
         }
         Self {
             domain,
             workload,
             state,
+            dependents_at,
+            dependents,
+            ready,
+            done: 0,
             max_outstanding: cfg.core.max_outstanding_misses as usize,
             outstanding: 0,
             send_backlog: VecDeque::new(),
@@ -134,7 +179,8 @@ impl DagCore {
             next_seq: 0,
             instrs_done: 0,
             finished_at: None,
-            emissions: Vec::new(),
+            // Every request is emitted exactly once.
+            emissions: Vec::with_capacity(n),
             completions: vec![None; n],
             completion_gaps: dg_prof::LogHistogram::new(),
             last_completion: 0,
@@ -146,22 +192,23 @@ impl DagCore {
         ReqId::compose(self.domain, self.next_seq)
     }
 
+    /// Releases the dependents whose last outstanding dependency was
+    /// `completed`: they become due `gap` cycles from now.
     fn unblock_dependents(&mut self, completed: usize, now: Cycle) {
-        for i in 0..self.workload.reqs.len() {
-            if self.state[i] != ReqState::Blocked {
-                continue;
-            }
-            let r = &self.workload.reqs[i];
-            if !r.deps.iter().any(|&d| d as usize == completed) {
-                continue;
-            }
-            let all_done = r
-                .deps
-                .iter()
-                .all(|&d| self.state[d as usize] == ReqState::Done);
-            if all_done {
-                self.state[i] = ReqState::Ready(now + r.gap);
-            }
+        let span =
+            self.dependents_at[completed] as usize..self.dependents_at[completed + 1] as usize;
+        for k in span {
+            let i = self.dependents[k] as usize;
+            let ReqState::Blocked(left) = self.state[i] else {
+                unreachable!("a dependent waits until its dependencies are done");
+            };
+            self.state[i] = if left == 1 {
+                let at = self.ready.partition_point(|&j| (j as usize) < i);
+                self.ready.insert(at, i as u32);
+                ReqState::Ready(now + self.workload.reqs[i].gap)
+            } else {
+                ReqState::Blocked(left - 1)
+            };
         }
     }
 }
@@ -189,41 +236,47 @@ impl Core for DagCore {
             }
         }
 
-        for i in 0..self.state.len() {
+        // Due frontier requests issue in ascending index order.
+        let mut k = 0;
+        while k < self.ready.len() {
             if self.outstanding >= self.max_outstanding {
                 break;
             }
-            if let ReqState::Ready(at) = self.state[i] {
-                if at > now {
-                    continue;
+            let i = self.ready[k] as usize;
+            let ReqState::Ready(at) = self.state[i] else {
+                unreachable!("the frontier holds only ready requests");
+            };
+            if at > now {
+                k += 1;
+                continue;
+            }
+            self.ready.remove(k);
+            let (addr, is_write) = {
+                let r = &self.workload.reqs[i];
+                (r.addr, r.is_write)
+            };
+            let id = self.alloc_id();
+            let req = if is_write {
+                MemRequest::write(self.domain, addr, now).with_id(id)
+            } else {
+                MemRequest::read(self.domain, addr, now).with_id(id)
+            };
+            self.id_to_idx.push((id, i));
+            self.outstanding += 1;
+            match mem.try_send(req, now) {
+                Ok(()) => {
+                    self.emissions.push((now, req.addr));
+                    self.state[i] = ReqState::Issued;
                 }
-                let (addr, is_write) = {
-                    let r = &self.workload.reqs[i];
-                    (r.addr, r.is_write)
-                };
-                let id = self.alloc_id();
-                let req = if is_write {
-                    MemRequest::write(self.domain, addr, now).with_id(id)
-                } else {
-                    MemRequest::read(self.domain, addr, now).with_id(id)
-                };
-                self.id_to_idx.push((id, i));
-                self.outstanding += 1;
-                match mem.try_send(req, now) {
-                    Ok(()) => {
-                        self.emissions.push((now, req.addr));
-                        self.state[i] = ReqState::Issued;
-                    }
-                    Err(back) => {
-                        self.send_backlog.push_back((i, back));
-                        // Mark issued-pending so we do not re-enqueue.
-                        self.state[i] = ReqState::Issued;
-                    }
+                Err(back) => {
+                    self.send_backlog.push_back((i, back));
+                    // Mark issued-pending so we do not re-enqueue.
+                    self.state[i] = ReqState::Issued;
                 }
             }
         }
 
-        if self.state.iter().all(|s| *s == ReqState::Done) {
+        if self.done == self.state.len() {
             self.finished_at = Some(now);
         }
     }
@@ -234,6 +287,7 @@ impl Core for DagCore {
         };
         let (_, idx) = self.id_to_idx.swap_remove(pos);
         self.state[idx] = ReqState::Done;
+        self.done += 1;
         self.completions[idx] = Some(now);
         self.outstanding -= 1;
         self.instrs_done += self.workload.reqs[idx].instrs;
@@ -259,24 +313,24 @@ impl Core for DagCore {
     }
 
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
+        // A non-empty send backlog changes nothing here: retrying its
+        // refused head is all a tick does for it until a memory event, and
+        // a warp settles the refusals in between (the `Core` contract).
         if self.finished_at.is_some() {
             return None;
         }
-        if !self.send_backlog.is_empty() {
-            return Some(now); // retrying back-pressured sends
-        }
-        if self.state.iter().all(|s| *s == ReqState::Done) {
+        if self.done == self.state.len() {
             return Some(now); // tick sets finished_at
         }
         if self.outstanding >= self.max_outstanding {
             return None; // MLP-limited: woken by on_response
         }
-        // The next emission is the earliest Ready deadline; Blocked and
+        // The next emission is the earliest frontier deadline; Blocked and
         // Issued requests advance only via on_response.
-        self.state
+        self.ready
             .iter()
-            .filter_map(|s| match s {
-                ReqState::Ready(at) => Some((*at).max(now)),
+            .filter_map(|&i| match self.state[i as usize] {
+                ReqState::Ready(at) => Some(at.max(now)),
                 _ => None,
             })
             .min()
@@ -428,6 +482,54 @@ mod tests {
             t_slow > t_fast,
             "contention must slow the chain: {t_slow} vs {t_fast}"
         );
+    }
+
+    fn req(addr: u64, deps: Vec<u32>, gap: Cycle) -> DagReq {
+        DagReq {
+            addr,
+            is_write: false,
+            deps,
+            gap,
+            instrs: 1,
+        }
+    }
+
+    #[test]
+    fn repeated_dependencies_are_one_edge() {
+        let c = cfg();
+        // 1 lists 0 twice; 2 lists 1 twice and 0 once.
+        let w = DagWorkload {
+            reqs: vec![
+                req(0, vec![], 0),
+                req(64, vec![0, 0], 3),
+                req(128, vec![1, 0, 1], 0),
+            ],
+        };
+        let mut core = DagCore::new(DomainId(0), w, &c);
+        run(&mut core, &c, 100_000);
+        let t = |i: usize| core.completions[i].unwrap();
+        assert!(t(0) < t(1) && t(1) < t(2));
+    }
+
+    #[test]
+    fn frontier_stays_in_index_order() {
+        // 3 is released before 2; the frontier (the issue order among
+        // requests due on one cycle) must still list 2 first.
+        let w = DagWorkload {
+            reqs: vec![
+                req(0, vec![], 0),
+                req(64, vec![], 0),
+                req(128, vec![1], 0),
+                req(192, vec![0], 0),
+            ],
+        };
+        let mut core = DagCore::new(DomainId(0), w, &cfg());
+        assert_eq!(core.ready, vec![0, 1]);
+        core.ready.clear();
+        core.unblock_dependents(0, 10);
+        core.unblock_dependents(1, 10);
+        assert_eq!(core.ready, vec![2, 3]);
+        assert_eq!(core.state[2], ReqState::Ready(10));
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl Core for TraceCore {
         let out = self.hierarchy.access(op.addr, op.is_write, l3);
         // Dirty LLC victims become memory writes (fire-and-forget, but
         // tracked so the run only ends once they complete).
-        for wb in &out.memory_writes {
+        for wb in out.memory_writes() {
             let id = self.alloc_id();
             let req = MemRequest::write(self.domain, *wb, now).with_id(id);
             self.tracer.record(now, || EventKind::Issue {
@@ -265,20 +265,22 @@ impl Core for TraceCore {
         // could, given the caches/memory) reports `Some(now)`; branches
         // that provably return without effect report the cycle at which
         // that changes, or `None` when only a response can unblock us.
+        //
+        // A non-empty send backlog changes nothing here: its head was
+        // refused, and retrying it is the only work a tick does for it. The
+        // memory can accept it again only at one of its own events, and a
+        // warp settles the refusals in between (the `Core` contract).
         if self.finished_at.is_some() {
             return None;
-        }
-        if !self.send_backlog.is_empty() {
-            // flush_backlog may succeed as soon as downstream space frees
-            // up, which we cannot see from here: stay active.
-            return Some(now);
         }
         if self.pos >= self.trace.len() && self.compute_left == 0 {
             if !self.loaded_compute {
                 return Some(now); // tick loads tail compute
             }
             if self.outstanding.is_empty() {
-                return Some(now); // tick sets finished_at
+                // Backlogged requests are outstanding, so the backlog is
+                // empty too: tick sets finished_at.
+                return Some(now);
             }
             return None; // draining misses: woken by on_response
         }
@@ -288,9 +290,14 @@ impl Core for TraceCore {
         if self.compute_left > 0 {
             return Some(now); // retiring compute every cycle
         }
-        if self.trace.ops().get(self.pos).is_none() || !self.loaded_compute {
+        let Some(op) = self.trace.ops().get(self.pos) else {
             return Some(now);
+        };
+        if !self.loaded_compute && op.instrs_before > 0 {
+            return Some(now); // tick loads compute to retire
         }
+        // With no compute before the op, loading it is not observable: the
+        // tick goes straight on to the hazard check below.
         if self.outstanding.len() >= self.max_outstanding || self.rob_blocked() {
             return None; // structural hazard: woken by on_response
         }

@@ -177,43 +177,48 @@ impl DramDevice {
     /// occupancy). Pure observation: never mutates device state, so
     /// attribution layers can call it freely without perturbing timing.
     pub fn blocking_reason(&self, cmd: DramCommand, now: Cycle) -> Option<BlockReason> {
-        if self.earliest(cmd, now) <= now {
-            return None;
-        }
-        // Priority order for ties: refresh first (it also pushes bank
-        // horizons, and "refresh" is the more informative answer), then the
-        // command-specific constraints, then generic command-bus occupancy.
-        let mut cands: Vec<(Cycle, BlockReason)> = vec![(self.refresh_until, BlockReason::Refresh)];
+        // The horizons are exactly those `earliest` takes the maximum of.
+        // Keep the latest horizon, considered in tie-priority order: `>`
+        // keeps the earlier entry on ties, so refresh beats the bank
+        // horizons it also pushed ("refresh" is the more informative
+        // answer) and the command-specific constraints beat generic
+        // command-bus occupancy.
+        let mut best = (self.refresh_until, BlockReason::Refresh);
+        let mut consider = |t: Cycle, r: BlockReason| {
+            if t > best.0 {
+                best = (t, r);
+            }
+        };
         match cmd {
             DramCommand::Activate { bank, .. } => {
-                cands.push((
+                consider(
                     self.banks[bank as usize].earliest_activate(),
                     BlockReason::Bank,
-                ));
-                cands.push((self.next_act_any, BlockReason::Rrd));
-                cands.push((self.faw_horizon(), BlockReason::Faw));
+                );
+                consider(self.next_act_any, BlockReason::Rrd);
+                consider(self.faw_horizon(), BlockReason::Faw);
             }
             DramCommand::Read { bank, .. } => {
-                cands.push((
+                consider(
                     self.banks[bank as usize].earliest_column(),
                     BlockReason::Bank,
-                ));
-                cands.push((self.next_col_any, BlockReason::Bus));
-                cands.push((self.read_turnaround(), BlockReason::Bus));
+                );
+                consider(self.next_col_any, BlockReason::Bus);
+                consider(self.read_turnaround(), BlockReason::Bus);
             }
             DramCommand::Write { bank, .. } => {
-                cands.push((
+                consider(
                     self.banks[bank as usize].earliest_column(),
                     BlockReason::Bank,
-                ));
-                cands.push((self.next_col_any, BlockReason::Bus));
-                cands.push((self.write_turnaround(), BlockReason::Bus));
+                );
+                consider(self.next_col_any, BlockReason::Bus);
+                consider(self.write_turnaround(), BlockReason::Bus);
             }
             DramCommand::Precharge { bank } => {
-                cands.push((
+                consider(
                     self.banks[bank as usize].earliest_precharge(),
                     BlockReason::Bank,
-                ));
+                );
             }
             DramCommand::Refresh => {
                 let all_pre = self
@@ -222,20 +227,14 @@ impl DramDevice {
                     .map(|b| b.earliest_activate())
                     .max()
                     .unwrap_or(0);
-                cands.push((all_pre, BlockReason::Bank));
+                consider(all_pre, BlockReason::Bank);
             }
         }
-        cands.push((self.next_cmd, BlockReason::CmdBus));
-        // Pick the latest horizon; `>` keeps the earliest-listed entry on
-        // ties, so refresh beats the bank horizons it also pushed and the
-        // specific reasons beat generic command-bus occupancy.
-        let mut best = cands[0];
-        for &(t, r) in &cands[1..] {
-            if t > best.0 {
-                best = (t, r);
-            }
-        }
-        Some(best.1)
+        consider(self.next_cmd, BlockReason::CmdBus);
+        // Legal now (`earliest(cmd, now) == now`) iff every horizon has
+        // passed and `now` is a bus edge.
+        let legal = best.0 <= now && now.is_multiple_of(self.timing.cmd_cycle);
+        (!legal).then_some(best.1)
     }
 
     /// Earliest ACT as constrained by the four-activate window.

@@ -190,6 +190,20 @@ impl MemorySubsystem for MultiChannelMemory {
             .fold(None, |ev, l| earliest_event(ev, l.next_event_at(now)))
     }
 
+    fn settle_warp(&mut self, from: Cycle, to: Cycle, refused: &[MemRequest]) {
+        for lane in &mut self.lanes {
+            lane.settle_warp(from, to, &[]);
+        }
+        // One refusal at a time, in core order: lane bookkeeping is already
+        // settled, so each call only credits its request.
+        for req in refused {
+            let mut local = *req;
+            local.addr = self.map.to_local(req.addr);
+            let ch = self.map.channel_of(req.addr) as usize;
+            self.lanes[ch].settle_warp(from, to, std::slice::from_ref(&local));
+        }
+    }
+
     fn stats(&self) -> &MemStats {
         &self.merged
     }

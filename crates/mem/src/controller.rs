@@ -97,6 +97,14 @@ pub struct MemoryController {
     /// `None` while precharged.
     bank_open_since: Vec<Option<Cycle>>,
     leak: LeakTrack,
+    /// Earliest `done` among issued transactions (`Cycle::MAX` when none):
+    /// collection is a no-op before it.
+    next_done: Cycle,
+    /// Every command-bus edge before this cycle has had its stalls
+    /// attributed, by a tick or by [`MemorySubsystem::settle_warp`].
+    settled_until: Cycle,
+    /// Stall-attribution scratch: the oldest pending owner of each bank.
+    bank_head: Vec<Option<DomainId>>,
 }
 
 impl MemoryController {
@@ -126,6 +134,9 @@ impl MemoryController {
             tracer: Tracer::noop(),
             bank_open_since: vec![None; banks],
             leak: LeakTrack::new(domains, banks),
+            next_done: Cycle::MAX,
+            settled_until: 0,
+            bank_head: vec![None; banks],
         }
     }
 
@@ -282,18 +293,7 @@ impl MemoryController {
     }
 
     fn column_cmd(&self, txn: &Txn) -> DramCommand {
-        let auto_precharge = self.auto_precharge();
-        if txn.req.req_type.is_write() {
-            DramCommand::Write {
-                bank: txn.loc.bank,
-                auto_precharge,
-            }
-        } else {
-            DramCommand::Read {
-                bank: txn.loc.bank,
-                auto_precharge,
-            }
-        }
+        column_cmd(txn, self.auto_precharge())
     }
 
     fn issue_column(&mut self, idx: usize, now: Cycle) {
@@ -314,6 +314,7 @@ impl MemoryController {
             .expect("column returns data time");
         self.note_cmd(cmd, now, Some(domain));
         self.txq[idx].state = TxnState::Issued { done };
+        self.next_done = self.next_done.min(done);
     }
 
     fn schedule_fcfs(&mut self, now: Cycle) {
@@ -422,15 +423,27 @@ impl MemoryController {
         }
     }
 
-    /// Charges this command-bus edge's wait time for every pending
-    /// transaction to the domain whose earlier command made the blocking
-    /// resource busy. Runs after [`MemoryController::schedule`] on each bus
-    /// edge; purely observational (reads device horizons, never issues).
-    fn attribute_stalls(&mut self, now: Cycle) {
-        let cmd_cycle = self.device.timing().cmd_cycle;
-        let mut bank_head: Vec<Option<DomainId>> = vec![None; self.device.bank_count() as usize];
-        let mut charges: Vec<(u16, Option<u16>, StallCause)> = Vec::new();
-        for txn in &self.txq {
+    /// Charges `edges` command-bus edges' wait time, starting at `now`, for
+    /// every pending transaction to the domain whose earlier command made
+    /// the blocking resource busy. Runs after [`MemoryController::schedule`]
+    /// on each bus edge, and over whole warped spans from
+    /// [`MemorySubsystem::settle_warp`]; purely observational (reads device
+    /// horizons, never issues) and allocation-free.
+    fn attribute_stalls(&mut self, now: Cycle, edges: u64) {
+        let span = self.device.timing().cmd_cycle * edges;
+        let auto_precharge = self.auto_precharge();
+        let Self {
+            txq,
+            device,
+            leak,
+            stats,
+            bank_head,
+            refresh_pending,
+            ..
+        } = self;
+        bank_head.fill(None);
+        let as_u16 = |d: Option<DomainId>| d.map(|d| d.0);
+        for txn in txq.iter() {
             if !matches!(txn.state, TxnState::Pending) {
                 continue;
             }
@@ -439,62 +452,109 @@ impl MemoryController {
             // FCFS within a bank: a transaction behind an older same-bank
             // transaction waits on that owner, whatever the device says.
             if let Some(owner) = bank_head[b] {
-                charges.push((victim, Some(owner.0), StallCause::QueueWait));
+                leak.matrix
+                    .charge(victim, Some(owner.0), StallCause::QueueWait, span);
                 continue;
             }
             bank_head[b] = Some(txn.req.domain);
             // This transaction heads its bank: what command does it need,
             // and which device horizon holds that command back?
-            let cmd = match self.device.bank(txn.loc.bank).open_row() {
-                Some(row) if row == txn.loc.row => self.column_cmd(txn),
-                Some(_) => DramCommand::Precharge { bank: txn.loc.bank },
-                None => DramCommand::Activate {
-                    bank: txn.loc.bank,
-                    row: txn.loc.row,
-                },
-            };
-            let as_u16 = |d: Option<DomainId>| d.map(|d| d.0);
-            match self.device.blocking_reason(cmd, now) {
-                Some(BlockReason::Bank) => {
-                    charges.push((victim, as_u16(self.leak.bank_user[b]), StallCause::BankBusy));
-                }
+            let cmd = required_cmd(device, txn, auto_precharge);
+            let charge = match device.blocking_reason(cmd, now) {
+                Some(BlockReason::Bank) => Some((as_u16(leak.bank_user[b]), StallCause::BankBusy)),
                 Some(BlockReason::Rrd) => {
-                    let culprit = self.leak.act_users.back().copied().flatten();
-                    charges.push((victim, culprit.map(|d| d.0), StallCause::ActWindow));
+                    let culprit = leak.act_users.back().copied().flatten();
+                    Some((as_u16(culprit), StallCause::ActWindow))
                 }
                 Some(BlockReason::Faw) => {
                     // tFAW binds to the oldest ACT in the window.
-                    let culprit = self.leak.act_users.front().copied().flatten();
-                    charges.push((victim, culprit.map(|d| d.0), StallCause::ActWindow));
-                    self.stats.banks[b].faw_stall_cycles += cmd_cycle;
+                    let culprit = leak.act_users.front().copied().flatten();
+                    stats.banks[b].faw_stall_cycles += span;
+                    Some((as_u16(culprit), StallCause::ActWindow))
                 }
-                Some(BlockReason::Bus) => {
-                    charges.push((victim, as_u16(self.leak.col_user), StallCause::BusConflict));
-                }
-                Some(BlockReason::CmdBus) => {
-                    charges.push((victim, as_u16(self.leak.cmd_user), StallCause::BusConflict));
-                }
-                Some(BlockReason::Refresh) => {
-                    charges.push((victim, None, StallCause::Refresh));
-                }
+                Some(BlockReason::Bus) => Some((as_u16(leak.col_user), StallCause::BusConflict)),
+                Some(BlockReason::CmdBus) => Some((as_u16(leak.cmd_user), StallCause::BusConflict)),
+                Some(BlockReason::Refresh) => Some((None, StallCause::Refresh)),
                 None => {
                     // Legal this edge but not picked: lost arbitration to
                     // whichever command did issue, or held back by the
-                    // refresh drain.
-                    if let Some(winner) = self.leak.issued_this_edge {
-                        charges.push((victim, as_u16(winner), StallCause::BusConflict));
-                    } else if self.refresh_pending {
-                        charges.push((victim, None, StallCause::Refresh));
+                    // refresh drain (neither happens on a warped edge).
+                    if let Some(winner) = leak.issued_this_edge {
+                        Some((as_u16(winner), StallCause::BusConflict))
+                    } else if *refresh_pending {
+                        Some((None, StallCause::Refresh))
+                    } else {
+                        None
                     }
                 }
+            };
+            if let Some((culprit, cause)) = charge {
+                leak.matrix.charge(victim, culprit, cause, span);
             }
-        }
-        for (victim, culprit, cause) in charges {
-            self.leak.matrix.charge(victim, culprit, cause, cmd_cycle);
         }
     }
 
+    /// The first command-bus edge `>= now` at which a tick could act on
+    /// the pending transactions, or `None` with none pending. Device
+    /// horizons move only when a command issues, so until then:
+    ///
+    /// - the scheduler issues nothing before the first edge at which one of
+    ///   the commands it would pick becomes legal — a row-hit column
+    ///   access, an ACT for the oldest transaction of an idle bank, or
+    ///   (open rows) the PRE of the oldest conflict with no hit waiting
+    ///   (FCFS: the oldest transaction's command);
+    /// - every bank head is charged the same stall on each edge, except
+    ///   when its command turns legal (the charge lapses).
+    ///
+    /// The edges before this one repeat identical charges, which
+    /// [`MemorySubsystem::settle_warp`] replays.
+    fn next_issue_edge(&self, now: Cycle) -> Option<Cycle> {
+        let first_edge = now.next_multiple_of(self.device.timing().cmd_cycle);
+        let auto_precharge = self.auto_precharge();
+        let mut wake: Option<Cycle> = None;
+        let mut fold = |t: Cycle| wake = Some(wake.map_or(t, |w| w.min(t)));
+        let (mut heads, mut hit_banks) = (0u64, 0u64);
+        let mut oldest_conflict: Option<u32> = None;
+        let mut oldest = true;
+        for txn in self.txq.iter() {
+            if !matches!(txn.state, TxnState::Pending) {
+                continue;
+            }
+            let bank_bit = 1u64 << txn.loc.bank;
+            let head = heads & bank_bit == 0;
+            heads |= bank_bit;
+            let cmd = required_cmd(&self.device, txn, auto_precharge);
+            let at = self.device.earliest(cmd, now);
+            if head && at > first_edge {
+                fold(at);
+            }
+            match (self.policy, cmd) {
+                (SchedPolicy::Fcfs, _) if oldest => fold(at),
+                (SchedPolicy::Fcfs, _) => {}
+                (_, DramCommand::Read { .. } | DramCommand::Write { .. }) => {
+                    hit_banks |= bank_bit;
+                    fold(at);
+                }
+                (_, DramCommand::Activate { .. }) if head => fold(at),
+                (_, DramCommand::Precharge { bank }) if oldest_conflict.is_none() => {
+                    oldest_conflict = Some(bank);
+                }
+                _ => {}
+            }
+            oldest = false;
+        }
+        if let Some(bank) = oldest_conflict {
+            if self.row_policy == RowPolicy::Open && hit_banks & (1u64 << bank) == 0 {
+                fold(self.device.earliest(DramCommand::Precharge { bank }, now));
+            }
+        }
+        wake
+    }
+
     fn collect_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
+        if now < self.next_done {
+            return;
+        }
         let mut i = 0;
         while i < self.txq.len() {
             if let TxnState::Issued { done: d } = self.txq[i].state {
@@ -525,6 +585,43 @@ impl MemoryController {
             }
             i += 1;
         }
+        self.next_done = self
+            .txq
+            .iter()
+            .filter_map(|t| match t.state {
+                TxnState::Issued { done } => Some(done),
+                TxnState::Pending => None,
+            })
+            .min()
+            .unwrap_or(Cycle::MAX);
+    }
+}
+
+/// The column command serving `txn`.
+fn column_cmd(txn: &Txn, auto_precharge: bool) -> DramCommand {
+    if txn.req.req_type.is_write() {
+        DramCommand::Write {
+            bank: txn.loc.bank,
+            auto_precharge,
+        }
+    } else {
+        DramCommand::Read {
+            bank: txn.loc.bank,
+            auto_precharge,
+        }
+    }
+}
+
+/// The next command pending `txn` needs given its bank's row buffer: its
+/// column access on a row hit, PRE on a conflict, ACT on an idle bank.
+fn required_cmd(device: &DramDevice, txn: &Txn, auto_precharge: bool) -> DramCommand {
+    match device.bank(txn.loc.bank).open_row() {
+        Some(row) if row == txn.loc.row => column_cmd(txn, auto_precharge),
+        Some(_) => DramCommand::Precharge { bank: txn.loc.bank },
+        None => DramCommand::Activate {
+            bank: txn.loc.bank,
+            row: txn.loc.row,
+        },
     }
 }
 
@@ -558,30 +655,24 @@ impl MemorySubsystem for MemoryController {
             let _prof = dg_prof::span("dram_device");
             self.leak.issued_this_edge = None;
             self.schedule(now);
-            self.attribute_stalls(now);
+            self.attribute_stalls(now, 1);
         }
+        self.settled_until = now + 1;
     }
 
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         let cmd_cycle = self.device.timing().cmd_cycle;
-        let edge = now.next_multiple_of(cmd_cycle);
-        let mut ev: Option<Cycle> = None;
-        let mut pending = false;
-        for txn in &self.txq {
-            match txn.state {
-                // Completions are collected the cycle `done` is reached.
-                TxnState::Issued { done } => {
-                    ev = dg_sim::clock::earliest_event(ev, Some(done.max(now)));
-                }
-                TxnState::Pending => pending = true,
-            }
-        }
-        // While any transaction is pending (or a refresh drain is under
-        // way), every command-bus edge matters: the scheduler may issue and
-        // attribute_stalls charges the interference matrix per edge.
-        if pending || self.refresh_pending {
-            ev = dg_sim::clock::earliest_event(ev, Some(edge));
-        }
+        // Completions are collected the cycle `done` is reached.
+        let mut ev = (self.next_done != Cycle::MAX).then(|| self.next_done.max(now));
+        // A refresh drain acts on every command-bus edge; otherwise the
+        // next edge that can act is the issue edge, and the edges before it
+        // only repeat the same stall charges, which `settle_warp` replays.
+        let issue = if self.refresh_pending {
+            Some(now.next_multiple_of(cmd_cycle))
+        } else {
+            self.next_issue_edge(now)
+        };
+        ev = dg_sim::clock::earliest_event(ev, issue);
         // Refresh maintenance wakes the controller even when fully idle:
         // the first edge at or after the deadline flips `refresh_pending`.
         let refresh_edge = self
@@ -590,6 +681,24 @@ impl MemorySubsystem for MemoryController {
             .max(now)
             .next_multiple_of(cmd_cycle);
         dg_sim::clock::earliest_event(ev, Some(refresh_edge))
+    }
+
+    /// Charges the skipped command-bus edges of `[from, to)`. No command
+    /// issues inside a warped span, so every pending transaction's blocking
+    /// reason is the same on each of its edges as on the first: one
+    /// evaluation scaled by the edge count is exact. Edges already
+    /// attributed are skipped, so overlapping calls charge each edge once.
+    fn settle_warp(&mut self, from: Cycle, to: Cycle, _refused: &[MemRequest]) {
+        let cmd_cycle = self.device.timing().cmd_cycle;
+        let first = from.max(self.settled_until).next_multiple_of(cmd_cycle);
+        self.settled_until = self.settled_until.max(to);
+        if first >= to {
+            return;
+        }
+        debug_assert!(!self.refresh_pending, "warped across a refresh drain");
+        let edges = (to - first).div_ceil(cmd_cycle);
+        self.leak.issued_this_edge = None;
+        self.attribute_stalls(first, edges);
     }
 
     fn stats(&self) -> &MemStats {
@@ -922,6 +1031,97 @@ mod tests {
             mc.tick(now);
         }
         assert_eq!(mc.interference().unwrap().total_stall_cycles, 0);
+    }
+
+    /// Drives `mc` through `sends` (sorted by cycle; refused requests are
+    /// dropped) for `horizon` cycles and returns the responses. With
+    /// `skipping`, it ticks only the cycles `next_event_at` or a send asks
+    /// for and settles the spans in between.
+    fn drive(
+        mc: &mut MemoryController,
+        sends: &[(Cycle, MemRequest)],
+        horizon: Cycle,
+        skipping: bool,
+    ) -> (Vec<(Cycle, u64)>, u64) {
+        let (mut out, mut ticks, mut next_send) = (Vec::new(), 0, 0);
+        let mut now = 0;
+        while now < horizon {
+            out.extend(mc.tick(now).iter().map(|r| (now, r.id.0)));
+            ticks += 1;
+            while next_send < sends.len() && sends[next_send].0 == now {
+                let _ = mc.try_send(sends[next_send].1, now);
+                next_send += 1;
+            }
+            let mut next = now + 1;
+            if skipping {
+                let send_at = sends.get(next_send).map_or(horizon, |s| s.0);
+                next = mc
+                    .next_event_at(next)
+                    .map_or(horizon, |t| t.min(horizon))
+                    .min(send_at);
+                mc.settle_warp(now + 1, next, &[]);
+            }
+            now = next;
+        }
+        (out, ticks)
+    }
+
+    #[test]
+    fn event_driven_ticking_with_settlement_matches_every_cycle() {
+        // Bursts of two domains' requests spread over every bank (tRRD and
+        // tFAW bind), piled onto one bank (bank busy, queue waits), and
+        // mixing reads and writes (bus turnaround), across two refreshes.
+        // The default clock ratio spaces command-bus edges several CPU
+        // cycles apart, so settlement must count edges, not cycles.
+        let mut sends = Vec::new();
+        let mut id = 0u64;
+        for burst in 0..120u64 {
+            let at = burst * 500 + burst % 7;
+            for k in 0..12u64 {
+                id += 1;
+                let bank = if burst % 3 == 0 { 0 } else { k % 8 };
+                let addr = bank * 64 + (id % 50) * 8192 * 8;
+                let domain = DomainId((k % 2) as u16);
+                let req = if k % 5 == 4 {
+                    MemRequest::write(domain, addr, at)
+                } else {
+                    MemRequest::read(domain, addr, at)
+                };
+                sends.push((at + k % 3, req.with_id(ReqId(id))));
+            }
+        }
+        sends.sort_by_key(|s| s.0);
+        for (policy, row) in [
+            (SchedPolicy::FrFcfs, RowPolicy::Closed),
+            (SchedPolicy::FrFcfs, RowPolicy::Open),
+            (SchedPolicy::Fcfs, RowPolicy::Open),
+        ] {
+            let c = SystemConfig::two_core().with_row_policy(row);
+            let horizon = 62_000;
+            let mut every = MemoryController::new(&c, policy);
+            let mut evented = MemoryController::new(&c, policy);
+            let (out_every, ticks_every) = drive(&mut every, &sends, horizon, false);
+            let (out_evented, ticks_evented) = drive(&mut evented, &sends, horizon, true);
+            let what = format!("{policy:?}/{row:?}");
+            assert_eq!(out_every, out_evented, "{what}: responses");
+            assert_eq!(
+                every.interference_report(),
+                evented.interference_report(),
+                "{what}: interference"
+            );
+            assert_eq!(every.stats().banks, evented.stats().banks, "{what}: banks");
+            assert!(every.device.refreshes() >= 2, "{what}: refreshes ran");
+            assert!(
+                ticks_evented * 4 < ticks_every,
+                "{what}: {ticks_evented} of {ticks_every} cycles ticked"
+            );
+            let report = every.interference_report();
+            assert!(report.total_stall_cycles > 0, "{what}: stalls charged");
+            if row == RowPolicy::Closed {
+                let faw: u64 = every.stats().banks.iter().map(|b| b.faw_stall_cycles).sum();
+                assert!(faw > 0, "{what}: tFAW must bind");
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,24 @@ pub trait MemorySubsystem: Send {
         Some(now)
     }
 
+    /// Settles the per-cycle bookkeeping of a warped span `[from, to)`:
+    /// cycles the event engine skipped because no component had an event
+    /// in them. Nothing changes state inside such a span, but two kinds of
+    /// per-cycle accounting still happen in the naive loop and must be
+    /// replayed here to keep both engines byte-identical:
+    ///
+    /// - a controller charges every pending transaction's stall on each
+    ///   command-bus edge (interference matrix, tFAW stall cycles);
+    /// - every back-pressured core offers its refused request again on
+    ///   each cycle. `refused` lists those requests in core order, one per
+    ///   core, and each layer credits the refusals it would have counted
+    ///   (DAGguise shapers count `rejected` and trace `ShaperReject`).
+    ///
+    /// Settling is idempotent for a layer's own bookkeeping, so composites
+    /// may call a nested layer more than once over a span. Layers with no
+    /// per-cycle accounting keep the default no-op.
+    fn settle_warp(&mut self, _from: Cycle, _to: Cycle, _refused: &[MemRequest]) {}
+
     /// Aggregate statistics.
     fn stats(&self) -> &MemStats;
 
@@ -129,6 +147,12 @@ pub trait DomainShaper: Send {
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }
+
+    /// Credits the refusals of `req`, which a back-pressured core offered
+    /// again on every cycle of the warped span `[from, to)` and this shaper
+    /// refused each time (see [`MemorySubsystem::settle_warp`]). Shapers
+    /// that count nothing on refusal keep the default no-op.
+    fn settle_refusals(&mut self, _req: &MemRequest, _from: Cycle, _to: Cycle) {}
 
     /// Observes a completed transaction belonging to this domain. Returns
     /// the response to forward to the core (`None` for fake requests, whose
@@ -318,11 +342,26 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         // The assembly acts whenever the controller acts (completions feed
         // shaper executors the same cycle) or any shaper wants to emit.
+        // With the transaction queue full no shaper can emit, so their due
+        // slots wait for the completion that frees a slot — a controller
+        // event.
         let mut ev = self.inner.next_event_at(now);
-        for s in &self.shapers {
-            ev = dg_sim::clock::earliest_event(ev, s.next_event_at(now));
+        if self.inner.free_slots() > 0 {
+            for s in &self.shapers {
+                ev = dg_sim::clock::earliest_event(ev, s.next_event_at(now));
+            }
         }
         ev
+    }
+
+    fn settle_warp(&mut self, from: Cycle, to: Cycle, refused: &[MemRequest]) {
+        // Core requests stop at the shapers, so the refusals are theirs.
+        self.inner.settle_warp(from, to, &[]);
+        for req in refused {
+            if let Some(s) = self.shapers.get_mut(req.domain.0 as usize) {
+                s.settle_refusals(req, from, to);
+            }
+        }
     }
 
     fn stats(&self) -> &MemStats {

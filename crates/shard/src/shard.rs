@@ -67,6 +67,12 @@ pub(crate) struct ShardChannel {
     /// Requests awaiting delivery, sorted by `(deliver_at, core, seq)` —
     /// the router appends sorted, non-overlapping batches.
     ingress: VecDeque<StampedReq>,
+    /// The ingress head the channel refused on the last ticked cycle (in
+    /// channel-local form), unless the channel acted after refusing it.
+    /// Injection retries it every cycle until the channel accepts it, which
+    /// only a channel event can bring about, so it wakes nothing; warps
+    /// settle its refusals instead.
+    refused: Option<MemRequest>,
     /// Next response sequence number.
     resp_seq: u64,
 }
@@ -120,6 +126,17 @@ impl MemorySubsystem for EgressPort<'_> {
 
     fn free_slots(&self) -> usize {
         (self.window - *self.sent) as usize
+    }
+}
+
+impl ShardChannel {
+    /// When the NoC ingress next needs a tick: its head's delivery cycle,
+    /// unless the channel refused that head (see [`ShardChannel::refused`]).
+    fn ingress_event(&self, now: Cycle) -> Option<Cycle> {
+        match self.ingress.front() {
+            Some(front) if self.refused.is_none() => Some(front.deliver_at.max(now)),
+            _ => None,
+        }
     }
 }
 
@@ -195,6 +212,7 @@ impl Shard {
                     gidx,
                     mem,
                     ingress: VecDeque::new(),
+                    refused: None,
                     resp_seq: 0,
                 })
                 .collect(),
@@ -286,6 +304,7 @@ impl Shard {
         //    addresses. A full channel blocks its queue head (and only its
         //    own queue) until slots free up.
         for ch in channels.iter_mut() {
+            ch.refused = None;
             while let Some(front) = ch.ingress.front() {
                 if front.deliver_at > now {
                     break;
@@ -296,7 +315,10 @@ impl Shard {
                     Ok(()) => {
                         ch.ingress.pop_front();
                     }
-                    Err(_) => break,
+                    Err(_) => {
+                        ch.refused = Some(req);
+                        break;
+                    }
                 }
             }
         }
@@ -304,6 +326,11 @@ impl Shard {
         // 2. Tick channels; completions are stamped with their delivery
         //    cycle and global address and head for the router.
         for ch in channels.iter_mut() {
+            // Injection precedes the tick, so a refused head can be taken
+            // on the cycle after the channel acts: make it due again then.
+            if ch.refused.is_some() && ch.mem.next_event_at(now) == Some(now) {
+                ch.refused = None;
+            }
             resp_buf.clear();
             ch.mem.tick_into(now, resp_buf);
             for resp in resp_buf.iter() {
@@ -359,9 +386,7 @@ impl Shard {
         for ch in &self.channels {
             self.engine.poll(chan_poll_name(ch.gidx));
             ev = earliest_event(ev, ch.mem.next_event_at(now));
-            if let Some(front) = ch.ingress.front() {
-                ev = earliest_event(ev, Some(front.deliver_at.max(now)));
-            }
+            ev = earliest_event(ev, ch.ingress_event(now));
         }
         if let Some(front) = self.resp_ingress.front() {
             ev = earliest_event(ev, Some(front.deliver_at.max(now)));
@@ -385,6 +410,7 @@ impl Shard {
         if target > now {
             self.engine.warp(target - now);
             self.warp_fail_streak = 0;
+            self.settle_warp(now, target);
             target
         } else {
             self.engine.failed_scans += 1;
@@ -405,9 +431,7 @@ impl Shard {
         for ch in &self.channels {
             self.engine.poll(chan_poll_name(ch.gidx));
             ev = earliest_event(ev, ch.mem.next_event_at(end));
-            if let Some(front) = ch.ingress.front() {
-                ev = earliest_event(ev, Some(front.deliver_at.max(end)));
-            }
+            ev = earliest_event(ev, ch.ingress_event(end));
         }
         if let Some(front) = self.resp_ingress.front() {
             ev = earliest_event(ev, Some(front.deliver_at.max(end)));
@@ -415,8 +439,23 @@ impl Shard {
         for c in &self.cores {
             self.engine.poll(core_poll_name(c.gidx));
             ev = earliest_event(ev, c.core.next_event_at(end));
+            // A core that used up its link window may be parked on a
+            // refusal only the next superstep lifts (the window resets at
+            // its start), not a memory event: wake it there.
+            if c.sent_this_step >= self.link_window {
+                ev = earliest_event(ev, Some(end));
+            }
         }
         ev.map(|t| t.max(end))
+    }
+
+    /// Settles the per-cycle bookkeeping of the skipped span `[from, to)`
+    /// in every owned channel, including the refusals of a parked ingress
+    /// head ([`MemorySubsystem::settle_warp`]).
+    pub fn settle_warp(&mut self, from: Cycle, to: Cycle) {
+        for ch in &mut self.channels {
+            ch.mem.settle_warp(from, to, ch.refused.as_slice());
+        }
     }
 
     /// Drains everything the shard emitted this superstep into the

@@ -557,6 +557,11 @@ impl ShardedSystem {
                 }
                 let before_hint = now;
                 now = hint.map_or(limit, |t| t.clamp(now, limit));
+                if now > before_hint {
+                    for m in shards.iter() {
+                        lock(m).settle_warp(before_hint, now);
+                    }
+                }
                 skipped_total += now - before_hint;
                 if let Some(p) = &probe {
                     p.record(now, steps, skipped_total);

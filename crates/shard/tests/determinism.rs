@@ -186,3 +186,42 @@ fn single_core_single_channel_degenerates_cleanly() {
     assert!(report.cores[0].finished);
     assert!(report.domains[0].reads > 0);
 }
+
+#[test]
+fn back_pressured_dagguise_matches_naive_engine_at_one_and_two_shards() {
+    // Two trace cores stream row-missing loads with no compute between
+    // them: the protected domain's private queue stays full, so each
+    // channel's NoC ingress keeps retrying a refused head while the
+    // controllers are busy. Every shard count and both engines must agree,
+    // rejection counts and interference attribution included.
+    let kind = MemoryKind::Dagguise {
+        protected: vec![Some(RdagTemplate::new(4, 100, 0.01)), None],
+    };
+    let mut jsons = Vec::new();
+    for shards in [1usize, 2] {
+        for naive in [false, true] {
+            let mut cfg = SystemConfig::two_core();
+            cfg.dram_org.channels = 2;
+            let mut sys = ShardedSystemBuilder::new(cfg, ShardConfig::with_shards(shards))
+                .trace_core(stream(1_500, 0, 64 * 131, 0))
+                .trace_core(stream(1_500, 1 << 30, 64 * 131, 0))
+                .memory(kind.clone())
+                .build();
+            sys.set_event_skipping(!naive);
+            sys.run_until_finished(100_000_000).unwrap();
+            let report = sys.report("back-pressure");
+            assert!(
+                report.shapers.iter().map(|s| s.rejected).sum::<u64>() > 0,
+                "{shards} shards: the protected domain must be back-pressured"
+            );
+            jsons.push((
+                (shards, naive),
+                normalized_report_json(&sys, "back-pressure"),
+            ));
+        }
+    }
+    let (_, reference) = &jsons[0];
+    for (run, json) in &jsons[1..] {
+        assert_eq!(json, reference, "(shards, naive) = {run:?} diverged");
+    }
+}

@@ -4,7 +4,7 @@ use dg_cache::SetAssocCache;
 use dg_cpu::Core;
 use dg_dram::power::PowerParams;
 use dg_fault::SimFaultKind;
-use dg_mem::MemorySubsystem;
+use dg_mem::{MemStats, MemorySubsystem};
 use dg_obs::{
     BankReport, CoreReport, DomainReport, DramReport, EnergyReport, HistogramSnapshot,
     IntervalSampler, RunMeta, RunReport, TraceSummary, Tracer,
@@ -13,7 +13,7 @@ use dg_prof::EngineCounters;
 use dg_sim::clock::{earliest_event, Cycle};
 use dg_sim::config::SystemConfig;
 use dg_sim::error::SimError;
-use dg_sim::types::MemResponse;
+use dg_sim::types::{MemRequest, MemResponse};
 
 /// Static poll-count labels for the quiescence scan (one per core index;
 /// larger systems share the last label rather than allocating).
@@ -41,6 +41,45 @@ struct FaultState {
     seen_primary: u64,
 }
 
+/// The memory path as one core sees it during its tick: every call is
+/// forwarded, and the first request the memory refuses is remembered. By
+/// the [`Core`] contract that request is offered again on every later tick
+/// until accepted, which is what a warp settles ([`System::warp_to`]).
+struct RefusalTap<'a> {
+    mem: &'a mut dyn MemorySubsystem,
+    first_refused: Option<MemRequest>,
+}
+
+impl MemorySubsystem for RefusalTap<'_> {
+    fn try_send(&mut self, req: MemRequest, now: Cycle) -> Result<(), MemRequest> {
+        let r = self.mem.try_send(req, now);
+        if r.is_err() && self.first_refused.is_none() {
+            self.first_refused = Some(req);
+        }
+        r
+    }
+
+    fn tick_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
+        self.mem.tick_into(now, out);
+    }
+
+    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
+        self.mem.next_event_at(now)
+    }
+
+    fn stats(&self) -> &MemStats {
+        self.mem.stats()
+    }
+
+    fn stats_mut(&mut self) -> &mut MemStats {
+        self.mem.stats_mut()
+    }
+
+    fn free_slots(&self) -> usize {
+        self.mem.free_slots()
+    }
+}
+
 /// A complete simulated system.
 ///
 /// Cores are indexed by their [`dg_sim::types::DomainId`]: core `i` is
@@ -62,6 +101,11 @@ pub struct System {
     resp_buf: Vec<MemResponse>,
     instr_buf: Vec<u64>,
     bytes_buf: Vec<u64>,
+    /// Per core, the first request the memory refused during its last
+    /// tick: the request it retries on every cycle a warp skips.
+    refused: Vec<Option<MemRequest>>,
+    /// Scratch: the refused requests of a warp, in core order.
+    refused_buf: Vec<MemRequest>,
     /// Remaining ticks before the next warp attempt. A failed attempt
     /// (some component active right now) costs a component scan; backing
     /// off keeps that overhead negligible under saturation while delaying
@@ -94,6 +138,7 @@ impl System {
         let no_skip = std::env::var("DG_NO_SKIP")
             .map(|v| v != "0" && !v.is_empty())
             .unwrap_or(false);
+        let n = cores.len();
         Self {
             cfg,
             cores,
@@ -107,6 +152,8 @@ impl System {
             resp_buf: Vec::new(),
             instr_buf: Vec::new(),
             bytes_buf: Vec::new(),
+            refused: vec![None; n],
+            refused_buf: Vec::with_capacity(n),
             warp_backoff: 0,
             warp_fail_streak: 0,
             engine: EngineCounters::default(),
@@ -322,8 +369,13 @@ impl System {
         }
         {
             let _prof = dg_prof::span("core_tick");
-            for core in &mut self.cores {
-                core.tick(now, &mut self.l3, self.mem.as_mut());
+            for (core, refused) in self.cores.iter_mut().zip(&mut self.refused) {
+                let mut tap = RefusalTap {
+                    mem: self.mem.as_mut(),
+                    first_refused: None,
+                };
+                core.tick(now, &mut self.l3, &mut tap);
+                *refused = tap.first_refused;
             }
         }
         self.now += 1;
@@ -401,8 +453,9 @@ impl System {
         }
     }
 
-    /// Warps simulation time forward to `target`, replaying any interval
-    /// -sampler window boundaries the skipped cycles would have produced.
+    /// Warps simulation time forward to `target`, settling the per-cycle
+    /// bookkeeping of the skipped span in the memory path and replaying
+    /// any interval-sampler window boundaries it would have produced.
     /// Only provably quiescent spans may be warped over: every counter a
     /// replayed sample reads is unchanged across the span, so the samples
     /// are byte-identical to the naive loop's zero-delta windows.
@@ -410,6 +463,7 @@ impl System {
         if target <= self.now {
             return;
         }
+        self.settle(self.now, target);
         let _prof = dg_prof::span("sampler_replay");
         if self.sampler.is_some() {
             self.refresh_sampler_inputs();
@@ -424,6 +478,25 @@ impl System {
             }
         }
         self.now = target;
+    }
+
+    /// Settles the warped span `[from, to)` in the memory path
+    /// ([`MemorySubsystem::settle_warp`]): stall charges of the skipped
+    /// bus edges, and one refusal per skipped cycle for every core whose
+    /// last tick was refused. With tracing on, cycle by cycle, so the
+    /// replayed trace events interleave across cores as the naive loop
+    /// records them.
+    fn settle(&mut self, from: Cycle, to: Cycle) {
+        let _prof = dg_prof::span("warp_settle");
+        self.refused_buf.clear();
+        self.refused_buf.extend(self.refused.iter().flatten());
+        if self.tracer.enabled() && !self.refused_buf.is_empty() {
+            for now in from..to {
+                self.mem.settle_warp(now, now + 1, &self.refused_buf);
+            }
+        } else {
+            self.mem.settle_warp(from, to, &self.refused_buf);
+        }
     }
 
     /// Runs until every core finishes.
