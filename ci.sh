@@ -173,7 +173,22 @@ DG_SHARDS=4 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
   --escalation 1000 --out "$SMOKE_DIR/sharded4.json"
 cmp "$SMOKE_DIR/sharded1.json" "$SMOKE_DIR/sharded4.json" \
   || { echo "sharded: 4-shard report differs from 1-shard reference"; exit 1; }
-echo "sharded: 1-shard and 4-shard merged reports byte-identical"
+# The same 4-shard sweep under live monitoring and the stall watchdog drives
+# the sharded runtime's probe/abort path; it must not change the report.
+DG_SHARDS=4 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
+  --escalation 1000 --live --events "$SMOKE_DIR/sharded4_events.jsonl" --stall-s 120 \
+  --out "$SMOKE_DIR/sharded4_live.json"
+cmp "$SMOKE_DIR/sharded4.json" "$SMOKE_DIR/sharded4_live.json" \
+  || { echo "sharded: monitored 4-shard report differs from the bare one"; exit 1; }
+# Data-plane faults (stuck bank, dropped response) exist only on the classic
+# runtime: a shard count meeting a fault plan that draws one is a usage
+# error (exit class 2), refused before any job runs.
+rc=0
+DG_SHARDS=4 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --fault-seed 7 --fault-rate 1 \
+  --out "$SMOKE_DIR/sharded_faulted.json" || rc=$?
+[ "$rc" -eq 2 ] \
+  || { echo "sharded: expected exit class 2 for a data-plane fault plan, got $rc"; exit 1; }
+echo "sharded: 1-shard, 4-shard and monitored 4-shard reports byte-identical; data-plane faults refused"
 
 echo "=== perf smoke (event-driven engine vs naive loop) ==="
 # The event-driven engine must hold a real wall-clock win on the idle-heavy

@@ -8,8 +8,9 @@ use std::hint::black_box;
 use dg_attacks::{figure1_scenario, Figure1Scenario};
 use dg_cpu::MemTrace;
 use dg_rdag::template::RdagTemplate;
+use dg_shard::{run_colocation, RunOpts};
 use dg_sim::config::SystemConfig;
-use dg_system::{run_colocation, MemoryKind};
+use dg_system::MemoryKind;
 
 fn small_victim() -> MemTrace {
     let mut t = MemTrace::new();
@@ -64,7 +65,7 @@ fn bench_colocation(c: &mut Criterion) {
                         &cfg,
                         vec![small_victim(), small_corunner()],
                         kind.clone(),
-                        200_000_000,
+                        RunOpts::new(200_000_000),
                     )
                     .expect("run finished"),
                 )

@@ -8,8 +8,10 @@
 //! prints the co-runner's achieved bandwidth and IPC under each scheme,
 //! plus the fake-traffic overhead DAGguise pays in exchange.
 
+use dg_runner::material::{docdist_defense, spec_trace};
+use dg_shard::{run_colocation, RunOpts};
 use dg_sim::config::SystemConfig;
-use dg_system::{run_colocation, MemoryKind};
+use dg_system::MemoryKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -33,9 +35,9 @@ fn main() {
         victim.load((i % 4096) * 64 * 131, 1000);
     }
     // ...against a bandwidth-hungry streaming co-runner.
-    let co = dg_bench::workloads::spec_trace(&scale, "lbm", 9);
+    let co = spec_trace(&scale, "lbm", 9);
 
-    let defense = dg_bench::workloads::docdist_defense();
+    let defense = docdist_defense();
     let schemes: Vec<(&str, MemoryKind)> = vec![
         ("insecure", MemoryKind::Insecure),
         ("FS-BTA", MemoryKind::FsBta),
@@ -57,8 +59,10 @@ fn main() {
     let mut rows = Vec::new();
     let mut data = Vec::new();
     for (name, kind) in schemes {
-        let r = run_colocation(&cfg, vec![victim.clone(), co.clone()], kind, scale.budget)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let traces = vec![victim.clone(), co.clone()];
+        let r = run_colocation(&cfg, traces, kind, RunOpts::new(scale.budget))
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .result;
         rows.push(vec![
             name.to_string(),
             format!("{:.3}", r.cores[0].ipc),
@@ -103,19 +107,15 @@ fn main() {
     // Representative observed run for --metrics / --trace: the DAGguise
     // scheme from the table above.
     if args.observing() {
-        match dg_system::run_colocation_observed(
+        args.export_run(
             &cfg,
             vec![victim, co],
             MemoryKind::Dagguise {
-                protected: vec![Some(dg_bench::workloads::docdist_defense()), None],
+                protected: vec![Some(docdist_defense()), None],
             },
             scale.budget,
             "ablation_adaptivity",
-            &args.obs_config(),
-        ) {
-            Ok((_, report, events)) => args.export(&report, &events),
-            Err(e) => eprintln!("warning: observed run failed: {e}"),
-        }
+        );
     }
 
     args.export_profile();

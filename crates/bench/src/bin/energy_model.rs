@@ -9,6 +9,7 @@
 
 use dg_dram::power::PowerParams;
 use dg_rdag::template::RdagTemplate;
+use dg_runner::material::docdist_trace;
 use dg_sim::config::SystemConfig;
 use dg_sim::types::DomainId;
 use dg_system::{MemoryKind, SystemBuilder};
@@ -30,7 +31,7 @@ fn main() {
     let scale = args.scale;
     let cfg = SystemConfig::two_core();
     let p = PowerParams::default();
-    let victim = dg_bench::workloads::docdist_trace(&scale, 0);
+    let victim = docdist_trace(&scale, 0);
 
     let mut rows = Vec::new();
     let mut data = Vec::new();
@@ -94,7 +95,7 @@ fn main() {
     // defense rDAG from the sweep (most fake traffic, hence the most
     // interesting energy split).
     if args.observing() {
-        match dg_system::run_colocation_observed(
+        args.export_run(
             &cfg,
             vec![victim],
             MemoryKind::Dagguise {
@@ -102,11 +103,7 @@ fn main() {
             },
             scale.budget,
             "energy_model",
-            &args.obs_config(),
-        ) {
-            Ok((_, report, events)) => args.export(&report, &events),
-            Err(e) => eprintln!("warning: observed run failed: {e}"),
-        }
+        );
     }
 
     args.export_profile();

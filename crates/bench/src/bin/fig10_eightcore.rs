@@ -9,10 +9,13 @@
 //! One sweep job per SPEC app, driven by `dg-runner` (work stealing,
 //! `--jobs`, `--journal`/`--resume` checkpointing, retries).
 
+use dg_runner::material::{dna_defense, dna_trace, docdist_defense, docdist_trace, spec_trace};
+use dg_runner::scale::Scale;
 use dg_runner::{run_sweep, JobDesc};
+use dg_shard::{run_colocation, RunOpts};
 use dg_sim::config::SystemConfig;
 use dg_sim::stats::geomean;
-use dg_system::{run_colocation, MemoryKind};
+use dg_system::MemoryKind;
 use dg_workloads::spec_names;
 use serde::{Deserialize, Serialize};
 
@@ -46,19 +49,19 @@ fn main() {
     let args = dg_bench::parse_harness_args();
     let mut scale = args.scale;
     // Eight-core runs cost ~4x a two-core run; trim the quick preset.
-    if scale == dg_bench::Scale::quick() {
+    if scale == Scale::quick() {
         scale.docdist_words /= 2;
         scale.dna_read /= 2;
         scale.spec_instructions /= 2;
     }
     let cfg = SystemConfig::eight_core();
 
-    let doc0 = dg_bench::workloads::docdist_trace(&scale, 0);
-    let doc1 = dg_bench::workloads::docdist_trace(&scale, 1);
-    let dna0 = dg_bench::workloads::dna_trace(&scale, 0);
-    let dna1 = dg_bench::workloads::dna_trace(&scale, 1);
-    let doc_def = dg_bench::workloads::docdist_defense();
-    let dna_def = dg_bench::workloads::dna_defense();
+    let doc0 = docdist_trace(&scale, 0);
+    let doc1 = docdist_trace(&scale, 1);
+    let dna0 = dna_trace(&scale, 0);
+    let dna1 = dna_trace(&scale, 1);
+    let doc_def = docdist_defense();
+    let dna_def = dna_defense();
 
     let jobs: Vec<AppJob> = spec_names()
         .iter()
@@ -78,10 +81,10 @@ fn main() {
                 doc1.clone(),
                 dna0.clone(),
                 dna1.clone(),
-                dg_bench::workloads::spec_trace(&scale, job.app, job.slot * 4),
-                dg_bench::workloads::spec_trace(&scale, job.app, job.slot * 4 + 1),
-                dg_bench::workloads::spec_trace(&scale, job.app, job.slot * 4 + 2),
-                dg_bench::workloads::spec_trace(&scale, job.app, job.slot * 4 + 3),
+                spec_trace(&scale, job.app, job.slot * 4),
+                spec_trace(&scale, job.app, job.slot * 4 + 1),
+                spec_trace(&scale, job.app, job.slot * 4 + 2),
+                spec_trace(&scale, job.app, job.slot * 4 + 3),
             ]
         };
         let protection = vec![
@@ -95,7 +98,9 @@ fn main() {
             None,
         ];
         let budget = ctx.budget(scale.budget);
-        let run = |kind: MemoryKind| run_colocation(&cfg, traces(), kind, budget);
+        let run = |kind: MemoryKind| {
+            run_colocation(&cfg, traces(), kind, RunOpts::new(budget)).map(|o| o.result)
+        };
         let insecure = run(MemoryKind::Insecure)?;
         let fs = run(MemoryKind::FsBta)?;
         let dag = run(MemoryKind::Dagguise {
@@ -175,10 +180,10 @@ fn main() {
             doc1,
             dna0,
             dna1,
-            dg_bench::workloads::spec_trace(&scale, app0, 0),
-            dg_bench::workloads::spec_trace(&scale, app0, 1),
-            dg_bench::workloads::spec_trace(&scale, app0, 2),
-            dg_bench::workloads::spec_trace(&scale, app0, 3),
+            spec_trace(&scale, app0, 0),
+            spec_trace(&scale, app0, 1),
+            spec_trace(&scale, app0, 2),
+            spec_trace(&scale, app0, 3),
         ];
         let protection = vec![
             Some(doc_def),
@@ -190,7 +195,7 @@ fn main() {
             None,
             None,
         ];
-        match dg_system::run_colocation_observed(
+        args.export_run(
             &cfg,
             traces,
             MemoryKind::Dagguise {
@@ -198,11 +203,7 @@ fn main() {
             },
             scale.budget,
             "fig10_eightcore",
-            &args.obs_config(),
-        ) {
-            Ok((_, report, events)) => args.export(&report, &events),
-            Err(e) => eprintln!("warning: observed run failed: {e}"),
-        }
+        );
     }
 
     args.export_profile();

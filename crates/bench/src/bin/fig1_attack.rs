@@ -76,17 +76,13 @@ fn main() {
         for i in 0..500u64 {
             victim.load((1 << 30) + (i % 64) * 64 * 131, 50);
         }
-        match dg_system::run_colocation_observed(
+        args.export_run(
             &cfg,
             vec![probe, victim],
             dg_system::MemoryKind::Insecure,
             100_000_000,
             "fig1_attack",
-            &args.obs_config(),
-        ) {
-            Ok((_, report, events)) => args.export(&report, &events),
-            Err(e) => eprintln!("warning: observed run failed: {e}"),
-        }
+        );
     }
 
     // Leakage-observed run for --leak: the Figure 1 channel quantified as

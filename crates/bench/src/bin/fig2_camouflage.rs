@@ -217,7 +217,7 @@ fn main() {
         for i in 0..2000u64 {
             co.load((1 << 30) + (i % 512) * 64, 30);
         }
-        match dg_system::run_colocation_observed(
+        args.export_run(
             &cfg,
             vec![victim, co],
             dg_system::MemoryKind::Camouflage {
@@ -225,11 +225,7 @@ fn main() {
             },
             100_000_000,
             "fig2_camouflage",
-            &args.obs_config(),
-        ) {
-            Ok((_, report, events)) => args.export(&report, &events),
-            Err(e) => eprintln!("warning: observed run failed: {e}"),
-        }
+        );
     }
 
     // Leakage-observed run for --leak: covert capacity through a

@@ -16,7 +16,7 @@ use dg_rdag::template::RdagTemplate;
 use dg_sim::clock::Cycle;
 use dg_sim::config::{RowPolicy, SystemConfig};
 use dg_sim::types::{DomainId, MemRequest, ReqId};
-use dg_system::{run_colocation_observed, MemoryKind};
+use dg_system::MemoryKind;
 use serde::Serialize;
 
 fn cfg() -> SystemConfig {
@@ -215,17 +215,7 @@ fn main() {
         let kind = MemoryKind::Dagguise {
             protected: vec![Some(RdagTemplate::new(1, 150, 0.0)), None],
         };
-        match run_colocation_observed(
-            &cfg(),
-            vec![victim, co],
-            kind,
-            100_000_000,
-            "fig5_example",
-            &args.obs_config(),
-        ) {
-            Ok((_, report, events)) => args.export(&report, &events),
-            Err(e) => eprintln!("warning: observed run failed: {e}"),
-        }
+        args.export_run(&cfg(), vec![victim, co], kind, 100_000_000, "fig5_example");
     }
 
     args.export_profile();

@@ -12,6 +12,7 @@
 //! budget before being reported as failures.
 
 use dg_rdag::template::RdagTemplate;
+use dg_runner::material::docdist_trace;
 use dg_runner::{run_sweep, JobDesc};
 use dg_sim::config::SystemConfig;
 use dg_system::profile::{baseline_alone, profile_victim, select_defense_rdag, ProfilePoint};
@@ -40,7 +41,7 @@ fn main() {
     let args = dg_bench::parse_harness_args();
     let scale = args.scale;
     let cfg = SystemConfig::two_core();
-    let victim = dg_bench::workloads::docdist_trace(&scale, 0);
+    let victim = docdist_trace(&scale, 0);
 
     let baseline =
         baseline_alone(&cfg, victim.clone(), scale.budget).expect("baseline run finished");
@@ -135,7 +136,7 @@ fn main() {
     // Representative observed run for --metrics / --trace: the victim
     // alone under the selected defense rDAG.
     if args.observing() {
-        match dg_system::run_colocation_observed(
+        args.export_run(
             &cfg,
             vec![victim],
             dg_system::MemoryKind::Dagguise {
@@ -143,11 +144,7 @@ fn main() {
             },
             scale.budget,
             "fig7_profiling",
-            &args.obs_config(),
-        ) {
-            Ok((_, report, events)) => args.export(&report, &events),
-            Err(e) => eprintln!("warning: observed run failed: {e}"),
-        }
+        );
     }
 
     args.export_profile();

@@ -9,10 +9,12 @@
 //! One sweep job per SPEC app, driven by `dg-runner` (work stealing,
 //! `--jobs`, `--journal`/`--resume` checkpointing, retries).
 
+use dg_runner::material::{docdist_defense, docdist_trace, spec_trace};
 use dg_runner::{run_sweep, JobDesc};
+use dg_shard::{run_colocation, RunOpts};
 use dg_sim::config::SystemConfig;
 use dg_sim::stats::geomean;
-use dg_system::{run_colocation, MemoryKind};
+use dg_system::MemoryKind;
 use dg_workloads::spec_names;
 use serde::{Deserialize, Serialize};
 
@@ -50,8 +52,8 @@ fn main() {
     let args = dg_bench::parse_harness_args();
     let scale = args.scale;
     let cfg = SystemConfig::two_core();
-    let victim = dg_bench::workloads::docdist_trace(&scale, 0);
-    let defense = dg_bench::workloads::docdist_defense();
+    let victim = docdist_trace(&scale, 0);
+    let defense = docdist_defense();
 
     let jobs: Vec<AppJob> = spec_names()
         .iter()
@@ -64,10 +66,12 @@ fn main() {
         .collect();
 
     let outcome = run_sweep(&args.runner_config(), &jobs, |job, ctx| {
-        let co = dg_bench::workloads::spec_trace(&scale, job.app, job.slot);
+        let co = spec_trace(&scale, job.app, job.slot);
         let budget = ctx.budget(scale.budget);
-        let run =
-            |kind: MemoryKind| run_colocation(&cfg, vec![victim.clone(), co.clone()], kind, budget);
+        let run = |kind: MemoryKind| {
+            let traces = vec![victim.clone(), co.clone()];
+            run_colocation(&cfg, traces, kind, RunOpts::new(budget)).map(|o| o.result)
+        };
         let insecure = run(MemoryKind::Insecure)?;
         let fs = run(MemoryKind::FsBta)?;
         let dag = run(MemoryKind::Dagguise {
@@ -160,8 +164,8 @@ fn main() {
     // Representative observed run for --metrics / --trace: the DocDist
     // victim against the first SPEC app under DAGguise.
     if args.observing() {
-        let co = dg_bench::workloads::spec_trace(&scale, spec_names()[0], 0);
-        match dg_system::run_colocation_observed(
+        let co = spec_trace(&scale, spec_names()[0], 0);
+        args.export_run(
             &cfg,
             vec![victim, co],
             MemoryKind::Dagguise {
@@ -169,11 +173,7 @@ fn main() {
             },
             scale.budget,
             "fig9_twocore",
-            &args.obs_config(),
-        ) {
-            Ok((_, report, events)) => args.export(&report, &events),
-            Err(e) => eprintln!("warning: observed run failed: {e}"),
-        }
+        );
     }
 
     args.export_profile();

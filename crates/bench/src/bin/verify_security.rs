@@ -30,7 +30,7 @@ fn main() {
             "note: verify_security is a model checker (no simulation); --metrics/--trace ignored"
         );
     }
-    let full = args.scale == dg_bench::Scale::paper();
+    let full = args.scale == dg_runner::scale::Scale::paper();
     let base_max_k = if full { 6 } else { 4 };
 
     let dag = ModelConfig::paper(ShaperKind::Dagguise);

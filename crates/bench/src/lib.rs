@@ -19,16 +19,16 @@
 //! is the default so the whole suite runs in minutes) and writes its raw
 //! series as JSON under `results/`.
 
-use dg_obs::{chrome_trace_json, Event, LeakReport, RunReport};
+use dg_cpu::MemTrace;
+use dg_obs::{chrome_trace_json, LeakReport};
+use dg_runner::scale::Scale;
 use dg_runner::RunnerConfig;
-use dg_system::ObsConfig;
+use dg_shard::{run_colocation, RunOpts};
+use dg_sim::clock::Cycle;
+use dg_sim::config::SystemConfig;
+use dg_system::MemoryKind;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
-
-pub mod scale;
-pub mod workloads;
-
-pub use scale::Scale;
 
 /// Ring-buffer capacity used when `--trace` is given (enough to hold the
 /// tail of any quick-scale run without unbounded memory).
@@ -53,7 +53,7 @@ pub fn parse_args() -> Scale {
 /// Every `fig*`/experiment binary accepts:
 ///
 /// * `--full` — paper-scale workloads (quick scale is the default);
-/// * `--metrics <path>` — write the run's [`RunReport`] JSON there;
+/// * `--metrics <path>` — write the run's [`RunReport`](dg_obs::RunReport) JSON there;
 /// * `--trace <path>` — write a Chrome `trace_event` JSON there
 ///   (load it in Perfetto / `chrome://tracing`);
 /// * `--leak <path>` — write the covert-channel leakage report
@@ -63,9 +63,6 @@ pub fn parse_args() -> Scale {
 ///   collapsed-stack `.folded` sibling for flamegraphs);
 /// * `--jobs N` — worker threads for the sweep (falls back to the
 ///   `DG_JOBS` environment variable, then host parallelism);
-/// * `--shards N` — run on the conservative-PDES sharded runtime with N
-///   shards (falls back to the `DG_SHARDS` environment variable), on
-///   harnesses that support it;
 /// * `--journal <path>` — append per-job checkpoints there;
 /// * `--resume <path>` — skip jobs already completed in that journal
 ///   (typically the same path as `--journal`);
@@ -86,9 +83,6 @@ pub struct HarnessArgs {
     pub profile: Option<PathBuf>,
     /// Explicit `--jobs` worker-count override.
     pub jobs: Option<usize>,
-    /// Shard count from `--shards` (default: the `DG_SHARDS` environment
-    /// variable; `None` = the classic single-threaded system).
-    pub shards: Option<usize>,
     /// Journal path from `--journal`.
     pub journal: Option<PathBuf>,
     /// Resume journal path from `--resume`.
@@ -101,18 +95,6 @@ impl HarnessArgs {
     /// Whether any observability artifact was requested.
     pub fn observing(&self) -> bool {
         self.metrics.is_some() || self.trace.is_some()
-    }
-
-    /// The [`ObsConfig`] matching the requested artifacts: event tracing
-    /// only when `--trace` was given, interval sampling and shaper
-    /// timelines only with `--metrics`.
-    pub fn obs_config(&self) -> ObsConfig {
-        ObsConfig {
-            trace_capacity: self.trace.is_some().then_some(DEFAULT_TRACE_CAPACITY),
-            interval_window: self.metrics.is_some().then_some(DEFAULT_INTERVAL_WINDOW),
-            shaper_timeline_window: self.metrics.is_some().then_some(DEFAULT_INTERVAL_WINDOW),
-            naive_engine: false,
-        }
     }
 
     /// The sweep-orchestration config matching the parsed flags.
@@ -129,19 +111,40 @@ impl HarnessArgs {
         cfg
     }
 
-    /// Writes the requested artifacts. Like [`write_results`], failures
-    /// warn but do not abort — the printed tables stay the primary output.
-    pub fn export(&self, report: &RunReport, events: &[Event]) {
-        if let Some(path) = &self.metrics {
-            write_artifact(path, &report.to_json());
-        }
-        if let Some(path) = &self.trace {
-            write_artifact(path, &chrome_trace_json(events));
+    /// Runs the harness's representative co-location with the requested
+    /// observability — event tracing only with `--trace`, interval
+    /// sampling and shaper timelines only with `--metrics` — and writes
+    /// the artifacts. Like [`write_results`], failures warn but do not
+    /// abort: the printed tables stay the primary output.
+    pub fn export_run(
+        &self,
+        cfg: &SystemConfig,
+        traces: Vec<MemTrace>,
+        kind: MemoryKind,
+        budget: Cycle,
+        name: &str,
+    ) {
+        let opts = RunOpts {
+            trace_capacity: self.trace.is_some().then_some(DEFAULT_TRACE_CAPACITY),
+            metrics_window: self.metrics.is_some().then_some(DEFAULT_INTERVAL_WINDOW),
+            name,
+            ..RunOpts::new(budget)
+        };
+        match run_colocation(cfg, traces, kind, opts) {
+            Ok(out) => {
+                if let Some(path) = &self.metrics {
+                    write_artifact(path, &out.report.to_json());
+                }
+                if let Some(path) = &self.trace {
+                    write_artifact(path, &chrome_trace_json(&out.events));
+                }
+            }
+            Err(e) => eprintln!("warning: observed run failed: {e}"),
         }
     }
 
     /// Writes the leakage capacity-over-time report when `--leak` was
-    /// given. Same failure policy as [`export`](Self::export).
+    /// given. Same failure policy as [`export_run`](Self::export_run).
     pub fn export_leak(&self, report: &LeakReport) {
         if let Some(path) = &self.leak {
             match serde_json::to_string_pretty(report) {
@@ -156,7 +159,7 @@ impl HarnessArgs {
     /// plus its collapsed-stack `.folded` sibling, printing the top
     /// self-time components. Harnesses call this last — including before
     /// any early `std::process::exit`. Same failure policy as
-    /// [`export`](Self::export); a no-op without `--profile`.
+    /// [`export_run`](Self::export_run); a no-op without `--profile`.
     pub fn export_profile(&self) {
         let Some(path) = &self.profile else {
             return;
@@ -224,13 +227,6 @@ pub fn parse_harness_args() -> HarnessArgs {
                     std::process::exit(2);
                 }
             },
-            "--shards" => match value("--shards").parse::<usize>() {
-                Ok(n) if n > 0 => out.shards = Some(n),
-                _ => {
-                    eprintln!("error: --shards must be a positive integer");
-                    std::process::exit(2);
-                }
-            },
             "--retries" => match value("--retries").parse::<u32>() {
                 Ok(n) => out.retries = Some(n),
                 Err(_) => {
@@ -240,9 +236,6 @@ pub fn parse_harness_args() -> HarnessArgs {
             },
             _ => {}
         }
-    }
-    if out.shards.is_none() {
-        out.shards = dg_shard::shards_from_env();
     }
     if out.profile.is_some() {
         dg_prof::start();

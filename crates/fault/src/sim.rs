@@ -60,9 +60,9 @@ pub enum SimFaultKind {
 }
 
 impl SimFaultKind {
-    /// Whether this fault needs the reference (unsharded) data plane:
+    /// Whether this fault needs the classic (unsharded) data plane:
     /// bank/response faults live inside the single-`System` memory tick
-    /// and are not modeled by the sharded runtime.
+    /// and are not modeled by the sharded runtime, which rejects them.
     pub fn needs_reference_runtime(self) -> bool {
         matches!(
             self,

@@ -16,10 +16,11 @@ use dg_defenses::IntervalDistribution;
 use dg_fault::{draw_sim_fault, SimFault};
 use dg_obs::LeakSummary;
 use dg_rdag::template::RdagTemplate;
+use dg_shard::{run_colocation, RunOpts};
 use dg_sim::config::SystemConfig;
 use dg_sim::error::SimError;
 use dg_sim::types::DomainId;
-use dg_system::{build_memory, run_colocation, ColocationResult, MemoryKind};
+use dg_system::{build_memory, ColocationResult, MemoryKind};
 use dg_workloads::SpecPreset;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::io;
@@ -453,8 +454,8 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// `InvalidInput` when the filter matches no job, else [`run_sweep`]
-    /// I/O errors.
+    /// `InvalidInput` when the filter matches no job or a sharded job
+    /// draws a data-plane sim fault, else [`run_sweep`] I/O errors.
     pub fn run_filtered(
         &self,
         cfg: &RunnerConfig,
@@ -474,6 +475,20 @@ impl ExperimentSpec {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
                     format!("--only `{pat}` matches no job in spec `{}`", self.name),
+                ));
+            }
+        }
+        // A sharded job drawing a fault the sharded runtime cannot model
+        // is refused before anything runs.
+        for j in &jobs {
+            let shards = j.shards.or_else(dg_shard::shards_from_env);
+            if let Err(e) = dg_shard::check_fault(shards, j.fault.map(|f| f.kind)) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "job `{}`: {e}: drop the shard count or the fault plan",
+                        j.id
+                    ),
                 ));
             }
         }
@@ -506,10 +521,10 @@ pub struct ColocationJob {
     /// `DG_SHARDS` as a per-process fallback at execution time).
     pub shards: Option<usize>,
     /// Deterministic simulation fault drawn from the spec's fault plan
-    /// (`None` when the plan is disarmed or skipped this job). Faults
-    /// whose kind [`needs_reference_runtime`](dg_fault::SimFaultKind::needs_reference_runtime)
-    /// pin the job onto the unsharded [`dg_system::System`] regardless of
-    /// `shards`/`DG_SHARDS`.
+    /// (`None` when the plan is disarmed or skipped this job). Kinds that
+    /// [`dg_shard::check_fault`] rejects cannot run sharded:
+    /// [`ExperimentSpec::run_filtered`] refuses such a job when
+    /// `shards`/`DG_SHARDS` is set.
     pub fault: Option<SimFault>,
 }
 
@@ -536,9 +551,6 @@ impl JobDesc for ColocationJob {
         ])
     }
 }
-
-/// Cycles per supervision slice when a wall-clock timeout is active.
-const SUPERVISION_CHUNK: u64 = 2_000_000;
 
 /// Salt separating the leakage probe's RNG stream from the job's.
 const LEAK_PROBE_SALT: u64 = 0x6c65_616b_2d70_7262; // "leak-prb"
@@ -676,53 +688,22 @@ fn execute_job_inner(job: &ColocationJob, ctx: &JobCtx) -> Result<ColocationResu
         .map(|f| f.kind);
     // Spec/CLI shard counts win; `DG_SHARDS` switches a whole process onto
     // the sharded runtime (the differential-oracle CI gate relies on this).
-    // Data-plane faults (stuck bank, dropped response) exist only in the
-    // unsharded reference system, so they pin the job there.
-    let shards = job
-        .shards
-        .or_else(dg_shard::shards_from_env)
-        .filter(|_| !fault.is_some_and(|k| k.needs_reference_runtime()));
-    // Supervision engages for a wall-clock timeout OR a live monitor: the
-    // monitored paths publish heartbeats between supervision slices and
-    // poll `ctx.expired()` so the stall watchdog can cancel the attempt.
-    // An armed fault also routes through the supervised paths — those are
-    // the only ones with injection hooks.
-    let supervised = ctx.deadline.is_some() || ctx.monitor.is_some();
-    let mut result = if let Some(shards) = shards {
-        if supervised || fault.is_some() {
-            dg_shard::run_colocation_sharded_faulted(
-                &cfg,
-                vec![victim, corunner],
-                kind.clone(),
-                shards,
-                budget,
-                &mut || ctx.expired(),
-                ctx.monitor.as_ref(),
-                fault,
-            )
-        } else {
-            dg_shard::run_colocation_sharded(
-                &cfg,
-                vec![victim, corunner],
-                kind.clone(),
-                shards,
-                budget,
-            )
-        }
-    } else if supervised || fault.is_some() {
-        dg_system::run_colocation_faulted(
-            &cfg,
-            vec![victim, corunner],
-            kind.clone(),
-            budget,
-            SUPERVISION_CHUNK,
-            &mut || ctx.expired(),
-            ctx.monitor.as_ref(),
+    // Supervision is always on: `ctx.expired()` is false without a
+    // wall-clock timeout or a live monitor, and supervised runs are
+    // identical to unsupervised ones.
+    let mut result = run_colocation(
+        &cfg,
+        vec![victim, corunner],
+        kind.clone(),
+        RunOpts {
+            shards: job.shards.or_else(dg_shard::shards_from_env),
+            abort: Some(&mut || ctx.expired()),
+            probe: ctx.monitor.as_ref(),
             fault,
-        )
-    } else {
-        run_colocation(&cfg, vec![victim, corunner], kind.clone(), budget)
-    }?;
+            ..RunOpts::new(budget)
+        },
+    )?
+    .result;
     if job.leak {
         result.leakage = Some(run_leak_probe(&cfg, &kind, ctx.seed));
     }
@@ -863,6 +844,21 @@ budget = 1234
         assert!(err.contains("rate"), "{err}");
         let bad_key = format!("{SPEC}\n[fault]\nseed = 7\nblast_radius = 3\n");
         assert!(ExperimentSpec::from_toml_str(&bad_key).is_err());
+    }
+
+    #[test]
+    fn sharded_sweeps_refuse_data_plane_faults() {
+        let armed = format!("shards = 2\n{SPEC}\n[fault]\nseed = 7\n");
+        let spec = ExperimentSpec::from_toml_str(&armed).unwrap();
+        assert!(
+            spec.expand()
+                .iter()
+                .any(|j| j.fault.is_some_and(|f| f.kind.needs_reference_runtime())),
+            "the plan must draw a data-plane fault for this test to bite"
+        );
+        let err = spec.run(&RunnerConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("data-plane"), "{err}");
     }
 
     #[test]

@@ -29,10 +29,7 @@ pub mod shard;
 pub mod system;
 
 pub use barrier::SpinBarrier;
-pub use experiment::{
-    run_colocation_sharded, run_colocation_sharded_faulted, run_colocation_sharded_monitored,
-    run_colocation_sharded_observed, run_colocation_sharded_supervised, shards_from_env,
-};
+pub use experiment::{check_fault, run_colocation, shards_from_env, RunOpts, RunOutput};
 pub use fragment::{ChannelFragment, ShardReportFragment};
 pub use lookahead::{
     check_lookahead_contract, replay_naive, replay_skipping, LookaheadViolation, Schedule,

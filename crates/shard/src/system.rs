@@ -24,17 +24,13 @@ use std::sync::Mutex;
 
 use dg_cache::SetAssocCache;
 use dg_cpu::{Core, MemTrace, TraceCore};
-use dg_dram::power::PowerParams;
 use dg_mem::{merge_interference, ChannelMap, MemStats, MemorySubsystem};
-use dg_obs::{
-    BankReport, DomainReport, DramReport, EnergyReport, HistogramSnapshot, RunMeta, RunReport,
-    TraceSummary,
-};
+use dg_obs::{RunMeta, RunReport, TraceSummary};
 use dg_sim::clock::{earliest_event, Cycle};
 use dg_sim::config::SystemConfig;
 use dg_sim::error::SimError;
 use dg_sim::types::DomainId;
-use dg_system::{build_channel_memories, ColocationResult, CoreResult, MemoryKind};
+use dg_system::{build_channel_memories, memory_sections, MemoryKind};
 
 use crate::barrier::SpinBarrier;
 use crate::fragment::ShardReportFragment;
@@ -266,6 +262,11 @@ impl ShardedSystem {
     /// Number of cores.
     pub fn cores(&self) -> usize {
         self.n_cores
+    }
+
+    /// Whether core `domain` has finished.
+    pub(crate) fn core_finished(&self, domain: usize) -> bool {
+        self.stop_value(&StopWhen::CoreFinished(domain)).is_some()
     }
 
     /// Enables or disables intra-superstep quiescent-cycle skipping on
@@ -610,37 +611,7 @@ impl ShardedSystem {
         let stats = Self::merged_stats(&fragment, end);
 
         let cores: Vec<_> = fragment.cores.iter().map(|(_, r)| r.clone()).collect();
-        let domains = stats
-            .domains()
-            .iter()
-            .enumerate()
-            .filter(|(i, d)| *i < self.n_cores || d.total() > 0)
-            .map(|(i, d)| DomainReport {
-                domain: i as u16,
-                reads: d.reads,
-                writes: d.writes,
-                fakes: d.fakes,
-                bandwidth_gbps: d.bandwidth.gbps(clock_hz),
-                mean_latency: d.mean_latency(),
-                latency_p50: d.latency.percentile(50.0),
-                latency_p95: d.latency.percentile(95.0),
-                latency_p99: d.latency.percentile(99.0),
-                latency_hist: HistogramSnapshot {
-                    bucket_width: d.latency.bucket_width(),
-                    nonzero: d
-                        .latency
-                        .buckets()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &c)| c > 0)
-                        .map(|(idx, &c)| (idx, c))
-                        .collect(),
-                    total: d.latency.total(),
-                },
-                latency_hdr: d.latency_hdr.snapshot(),
-            })
-            .collect();
-
+        let (domains, dram, banks) = memory_sections(&stats, self.n_cores, clock_hz);
         let interference_parts: Vec<_> = fragment
             .channels
             .iter()
@@ -666,28 +637,13 @@ impl ShardedSystem {
                 .iter()
                 .flat_map(|c| c.timelines.clone())
                 .collect(),
-            dram: DramReport {
-                refreshes: stats.refreshes,
-                dropped_responses: stats.dropped,
-                energy: EnergyReport::from_counter(&stats.energy, &PowerParams::default()),
-            },
-            banks: stats
-                .banks
-                .iter()
-                .enumerate()
-                .map(|(i, b)| BankReport {
-                    bank: i as u32,
-                    acts: b.acts,
-                    row_hits: b.row_hits,
-                    row_misses: b.row_misses,
-                    precharges: b.precharges,
-                    faw_stall_cycles: b.faw_stall_cycles,
-                })
-                .collect(),
+            dram,
+            banks,
             interference: merge_interference(interference_parts),
             // Interval sampling and event tracing are not supported in
-            // sharded mode; the fields stay at their empty defaults so
-            // reports remain schema-compatible.
+            // sharded mode (`run_colocation` rejects requests for them);
+            // the fields stay at their empty defaults so reports remain
+            // schema-compatible.
             interval_window: 0,
             intervals: Vec::new(),
             trace: TraceSummary {
@@ -695,38 +651,6 @@ impl ShardedSystem {
                 events_dropped: 0,
             },
             engine: fragment.engine.snapshot(),
-        }
-    }
-
-    /// The co-location result view of the run, field-compatible with the
-    /// single-system `run_colocation` path (and byte-identical for any
-    /// shard count).
-    pub fn colocation_result(&self) -> ColocationResult {
-        let fragment = self.merged_fragment();
-        let stats = Self::merged_stats(&fragment, self.now);
-        let clock_hz = self.cfg.core.clock_hz;
-        let cores = fragment
-            .cores
-            .iter()
-            .map(|(_, r)| CoreResult {
-                instructions: r.instructions,
-                cycles: r.cycles,
-                ipc: r.ipc,
-                finished: r.finished,
-            })
-            .collect();
-        let bandwidth_gbps = (0..self.n_cores)
-            .map(|i| stats.domain(DomainId(i as u16)).bandwidth.gbps(clock_hz))
-            .collect();
-        let latency = (0..self.n_cores)
-            .map(|i| stats.domain(DomainId(i as u16)).latency_hdr.snapshot())
-            .collect();
-        ColocationResult {
-            cores,
-            bandwidth_gbps,
-            total_cycles: self.now,
-            latency,
-            leakage: None,
         }
     }
 }

@@ -4,53 +4,13 @@
 //! engines legitimately cover simulated time differently (tick/warp/poll
 //! schedules), while every simulation-outcome field must match exactly.
 
-use dg_cpu::MemTrace;
+mod common;
+
+use common::{four_traces, kinds, stream};
 use dg_rdag::template::RdagTemplate;
-use dg_shard::{
-    run_colocation_sharded, run_colocation_sharded_supervised, ShardConfig, ShardedSystem,
-    ShardedSystemBuilder,
-};
+use dg_shard::{ShardConfig, ShardedSystem, ShardedSystemBuilder};
 use dg_sim::config::SystemConfig;
-use dg_sim::error::SimError;
 use dg_system::MemoryKind;
-
-fn stream(n: u64, base: u64, stride: u64, gap: u64) -> MemTrace {
-    let mut t = MemTrace::new();
-    for i in 0..n {
-        if i % 5 == 4 {
-            t.store(base + i * stride, gap);
-        } else {
-            t.load(base + i * stride, gap);
-        }
-    }
-    t
-}
-
-fn four_traces() -> Vec<MemTrace> {
-    vec![
-        stream(200, 0, 64 * 97, 10),
-        stream(400, 1 << 30, 64 * 131, 5),
-        stream(150, 2 << 30, 64 * 193, 25),
-        stream(300, 3 << 30, 64 * 61, 15),
-    ]
-}
-
-fn kinds() -> Vec<MemoryKind> {
-    vec![
-        MemoryKind::Insecure,
-        MemoryKind::Dagguise {
-            protected: vec![Some(RdagTemplate::new(4, 100, 0.001)), None, None, None],
-        },
-        MemoryKind::Camouflage {
-            protected: vec![
-                Some(dg_defenses::IntervalDistribution::figure2()),
-                None,
-                None,
-                None,
-            ],
-        },
-    ]
-}
 
 fn build(kind: &MemoryKind, channels: u32, shards: usize) -> ShardedSystem {
     let mut cfg = SystemConfig::two_core();
@@ -101,7 +61,6 @@ fn four_channels_and_nondivisor_shards_match_reference() {
         normalized_report_json(&sharded, "oracle"),
         normalized_report_json(&reference, "oracle"),
     );
-    assert_eq!(sharded.colocation_result(), reference.colocation_result());
 }
 
 #[test]
@@ -131,45 +90,6 @@ fn more_shards_than_cores_leaves_empty_shards_harmless() {
         normalized_report_json(&oversharded, "oracle"),
         normalized_report_json(&reference, "oracle"),
     );
-}
-
-#[test]
-fn colocation_helper_matches_across_shard_counts() {
-    let mut cfg = SystemConfig::two_core();
-    cfg.dram_org.channels = 2;
-    let kind = MemoryKind::Insecure;
-    let one = run_colocation_sharded(&cfg, four_traces(), kind.clone(), 1, 100_000_000).unwrap();
-    let four = run_colocation_sharded(&cfg, four_traces(), kind, 4, 100_000_000).unwrap();
-    assert_eq!(one, four);
-    assert!(one.cores[0].finished);
-    assert!(one.mean_ipc() > 0.0);
-}
-
-#[test]
-fn supervised_abort_surfaces() {
-    let mut cfg = SystemConfig::two_core();
-    cfg.dram_org.channels = 2;
-    let mut checks = 0u32;
-    let r = run_colocation_sharded_supervised(
-        &cfg,
-        four_traces(),
-        MemoryKind::Insecure,
-        2,
-        100_000_000,
-        &mut || {
-            checks += 1;
-            checks > 3
-        },
-    );
-    assert!(matches!(r, Err(SimError::Aborted(_))), "got {r:?}");
-}
-
-#[test]
-fn deadline_surfaces_with_full_budget() {
-    let mut cfg = SystemConfig::two_core();
-    cfg.dram_org.channels = 2;
-    let r = run_colocation_sharded(&cfg, four_traces(), MemoryKind::Insecure, 2, 500);
-    assert_eq!(r.unwrap_err(), SimError::Deadline { budget: 500 });
 }
 
 #[test]

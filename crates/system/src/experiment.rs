@@ -1,15 +1,10 @@
-//! Co-location experiment runner (Figures 9 and 10).
+//! Co-location experiment results (Figures 9 and 10). The entry point
+//! that produces them, over both runtimes, is `dg_shard::run_colocation`.
 
-use dg_cpu::MemTrace;
-use dg_obs::{Event, LeakSummary, RunReport, Tracer};
+use dg_obs::{LeakSummary, RunReport};
 use dg_prof::HistSnapshot;
 use dg_sim::clock::Cycle;
-use dg_sim::config::SystemConfig;
-use dg_sim::error::SimError;
-use dg_sim::types::DomainId;
 use serde::{Deserialize, Serialize};
-
-use crate::builder::{MemoryKind, SystemBuilder};
 
 /// Per-core outcome of a co-location run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -49,393 +44,27 @@ impl ColocationResult {
     pub fn mean_ipc(&self) -> f64 {
         self.cores.iter().map(|c| c.ipc).sum::<f64>() / self.cores.len().max(1) as f64
     }
-}
 
-/// Runs the given traces co-located on one system with the given memory
-/// path, until the *primary* core (domain 0) finishes — the paper's
-/// victim-centric measurement interval — or all cores finish, whichever is
-/// later, bounded by `budget`.
-///
-/// # Errors
-///
-/// Returns [`SimError::Deadline`] when the budget is exhausted before the
-/// primary core finishes.
-pub fn run_colocation(
-    cfg: &SystemConfig,
-    traces: Vec<MemTrace>,
-    kind: MemoryKind,
-    budget: Cycle,
-) -> Result<ColocationResult, SimError> {
-    run_colocation_observed(
-        cfg,
-        traces,
-        kind,
-        budget,
-        "colocation",
-        &ObsConfig::default(),
-    )
-    .map(|(result, _, _)| result)
-}
-
-/// Observability options for [`run_colocation_observed`].
-#[derive(Debug, Clone, Default)]
-pub struct ObsConfig {
-    /// Event-trace ring-buffer capacity (`None` = tracing off).
-    pub trace_capacity: Option<usize>,
-    /// Interval sampling window in CPU cycles (`None` = sampling off).
-    pub interval_window: Option<Cycle>,
-    /// Shaper telemetry window in CPU cycles (`None` = timelines off).
-    pub shaper_timeline_window: Option<Cycle>,
-    /// Force the naive per-cycle engine instead of event-driven skipping.
-    /// Used by differential tests; both engines produce byte-identical
-    /// reports.
-    pub naive_engine: bool,
-}
-
-/// [`run_colocation`] with observability: optionally records an event trace
-/// and interval samples, and always assembles the end-of-run [`RunReport`].
-///
-/// # Errors
-///
-/// Returns [`SimError::Deadline`] when the budget is exhausted before the
-/// primary core finishes.
-pub fn run_colocation_observed(
-    cfg: &SystemConfig,
-    traces: Vec<MemTrace>,
-    kind: MemoryKind,
-    budget: Cycle,
-    name: &str,
-    obs: &ObsConfig,
-) -> Result<(ColocationResult, RunReport, Vec<Event>), SimError> {
-    let (mut sys, n) = {
-        let _prof = dg_prof::span("setup");
-        build_system(cfg, traces, kind, obs)
-    };
-    {
-        let _prof = dg_prof::span("sim");
-        sys.run_until_core_finished(0, budget)?;
-    }
-    let _prof = dg_prof::span("report");
-    let result = collect_results(cfg, &mut sys, n);
-    let report = sys.report(name);
-    let events = sys.tracer().snapshot();
-    Ok((result, report, events))
-}
-
-/// [`run_colocation`] under cooperative supervision: the simulation runs in
-/// `chunk`-cycle slices, calling `should_abort` between slices so a caller
-/// can enforce a wall-clock timeout (or any other external cancellation)
-/// without a watchdog thread.
-///
-/// Results are *identical* to an unsupervised [`run_colocation`] with the
-/// same `budget` when no abort fires: chunked `run_until_core_finished`
-/// calls compose exactly, and the abort check does not touch simulation
-/// state.
-///
-/// # Errors
-///
-/// Returns [`SimError::Aborted`] when `should_abort` reports true, and
-/// [`SimError::Deadline`] when `budget` is exhausted first.
-pub fn run_colocation_supervised(
-    cfg: &SystemConfig,
-    traces: Vec<MemTrace>,
-    kind: MemoryKind,
-    budget: Cycle,
-    chunk: Cycle,
-    should_abort: &mut dyn FnMut() -> bool,
-) -> Result<ColocationResult, SimError> {
-    run_colocation_monitored(cfg, traces, kind, budget, chunk, should_abort, None)
-}
-
-/// [`run_colocation_supervised`] with a live-progress heartbeat: between
-/// supervision slices (and once at the end) the current simulated cycle
-/// and the engine's warp-skipped cycles are published into `probe`, so a
-/// monitor thread can watch the simulated clock advance and a stall
-/// watchdog can tell livelock from "slow but alive".
-///
-/// The probe is write-only from the simulation's perspective — publishing
-/// never reads back into simulation state — so results are byte-identical
-/// with or without it (the runner's observer-effect test enforces this).
-///
-/// # Errors
-///
-/// Returns [`SimError::Aborted`] when `should_abort` reports true, and
-/// [`SimError::Deadline`] when `budget` is exhausted first.
-pub fn run_colocation_monitored(
-    cfg: &SystemConfig,
-    traces: Vec<MemTrace>,
-    kind: MemoryKind,
-    budget: Cycle,
-    chunk: Cycle,
-    should_abort: &mut dyn FnMut() -> bool,
-    probe: Option<&dg_mon::ProgressProbe>,
-) -> Result<ColocationResult, SimError> {
-    run_colocation_faulted(cfg, traces, kind, budget, chunk, should_abort, probe, None)
-}
-
-/// [`run_colocation_monitored`] with an optional injected simulation fault
-/// (see [`dg_fault::SimFaultKind`]). With `fault = None` this *is*
-/// `run_colocation_monitored` — the fault plane adds no branch to the
-/// unfaulted path, keeping fault-off runs byte-identical.
-///
-/// Data-plane faults (stuck bank, dropped response) are armed on the
-/// [`System`](crate::system::System) itself; `Panic` fires inside the
-/// simulation tick; `FreezeClock` is implemented here, in the supervision
-/// loop: stepping never crosses the freeze cycle, and once the simulated
-/// clock reaches it the loop pins the clock, keeps publishing the frozen
-/// heartbeat into `probe`, and waits for a supervisor to cancel (or for
-/// [`dg_fault::freeze_cap`] to expire) — exactly the livelock signature
-/// the stall watchdog exists to catch.
-///
-/// # Errors
-///
-/// As [`run_colocation_monitored`]; a frozen clock additionally surfaces
-/// as [`SimError::Aborted`] with a diagnosis naming the pinned cycle.
-#[allow(clippy::too_many_arguments)]
-pub fn run_colocation_faulted(
-    cfg: &SystemConfig,
-    traces: Vec<MemTrace>,
-    kind: MemoryKind,
-    budget: Cycle,
-    chunk: Cycle,
-    should_abort: &mut dyn FnMut() -> bool,
-    probe: Option<&dg_mon::ProgressProbe>,
-    fault: Option<dg_fault::SimFaultKind>,
-) -> Result<ColocationResult, SimError> {
-    let (mut sys, n) = {
-        let _prof = dg_prof::span("setup");
-        build_system(cfg, traces, kind, &ObsConfig::default())
-    };
-    if let Some(f) = fault {
-        sys.inject_fault(f);
-    }
-    let freeze_at = match fault {
-        Some(dg_fault::SimFaultKind::FreezeClock { at }) => Some(at),
-        _ => None,
-    };
-    let chunk = chunk.max(1);
-    let mut spent: Cycle = 0;
-    let publish = |sys: &crate::system::System| {
-        if let Some(p) = probe {
-            p.record(sys.now(), 0, sys.engine_counters().warped_cycles);
+    /// The co-location view of a run report: per-core results and the
+    /// core domains' bandwidth and latency (a report lists every core
+    /// domain first, in domain order).
+    pub fn from_report(report: &RunReport) -> Self {
+        let core_domains = &report.domains[..report.cores.len()];
+        Self {
+            cores: report
+                .cores
+                .iter()
+                .map(|c| CoreResult {
+                    instructions: c.instructions,
+                    cycles: c.cycles,
+                    ipc: c.ipc,
+                    finished: c.finished,
+                })
+                .collect(),
+            bandwidth_gbps: core_domains.iter().map(|d| d.bandwidth_gbps).collect(),
+            total_cycles: report.meta.total_cycles,
+            latency: core_domains.iter().map(|d| d.latency_hdr.clone()).collect(),
+            leakage: None,
         }
-    };
-    {
-        let _prof = dg_prof::span("sim");
-        loop {
-            if should_abort() {
-                return Err(SimError::Aborted(format!(
-                    "supervisor cancelled after {spent} cycles"
-                )));
-            }
-            let mut step = chunk.min(budget - spent);
-            if let Some(at) = freeze_at {
-                if sys.now() >= at {
-                    // The simulated clock is pinned: host time passes,
-                    // heartbeats repeat the frozen cycle, and only the
-                    // supervisor (or the host-time cap) ends the run.
-                    let msg = dg_fault::hold_frozen_clock(at, || publish(&sys), &mut *should_abort);
-                    return Err(SimError::Aborted(msg));
-                }
-                step = step.min(at - sys.now());
-            }
-            match sys.run_until_core_finished(0, step) {
-                Ok(_) => break,
-                Err(SimError::Deadline { .. }) => {
-                    spent += step;
-                    publish(&sys);
-                    if spent >= budget {
-                        return Err(SimError::Deadline { budget });
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    publish(&sys);
-    let _prof = dg_prof::span("report");
-    Ok(collect_results(cfg, &mut sys, n))
-}
-
-fn build_system(
-    cfg: &SystemConfig,
-    traces: Vec<MemTrace>,
-    kind: MemoryKind,
-    obs: &ObsConfig,
-) -> (crate::system::System, usize) {
-    let n = traces.len();
-    let mut builder = SystemBuilder::new(cfg.clone());
-    for t in traces {
-        builder = builder.trace_core(t);
-    }
-    let mut sys = builder.memory(kind).build();
-    if let Some(capacity) = obs.trace_capacity {
-        sys.set_tracer(Tracer::ring(capacity));
-    }
-    if let Some(window) = obs.interval_window {
-        sys.enable_interval_sampling(window);
-    }
-    if let Some(window) = obs.shaper_timeline_window {
-        sys.enable_shaper_timelines(window);
-    }
-    if obs.naive_engine {
-        sys.set_event_skipping(false);
-    }
-    (sys, n)
-}
-
-fn collect_results(
-    cfg: &SystemConfig,
-    sys: &mut crate::system::System,
-    n: usize,
-) -> ColocationResult {
-    let end = sys.now();
-    let cores = (0..n)
-        .map(|i| {
-            let c = &sys.cores()[i];
-            let cycles = c.finished_at().unwrap_or(end).max(1);
-            CoreResult {
-                instructions: c.instructions_retired(),
-                cycles,
-                ipc: c.instructions_retired() as f64 / cycles as f64,
-                finished: c.finished(),
-            }
-        })
-        .collect();
-
-    let clock_hz = cfg.core.clock_hz;
-    let stats = sys.memory().stats();
-    let bandwidth_gbps = (0..n)
-        .map(|i| stats.domain(DomainId(i as u16)).bandwidth.gbps(clock_hz))
-        .collect();
-    let latency = (0..n)
-        .map(|i| stats.domain(DomainId(i as u16)).latency_hdr.snapshot())
-        .collect();
-
-    ColocationResult {
-        cores,
-        bandwidth_gbps,
-        total_cycles: end,
-        latency,
-        leakage: None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dg_rdag::template::RdagTemplate;
-
-    fn stream(n: u64, base: u64, gap: u64) -> MemTrace {
-        let mut t = MemTrace::new();
-        for i in 0..n {
-            t.load(base + i * 64, gap);
-        }
-        t
-    }
-
-    #[test]
-    fn insecure_colocation_reports_both_cores() {
-        let cfg = SystemConfig::two_core();
-        let r = run_colocation(
-            &cfg,
-            vec![stream(300, 0, 20), stream(3000, 1 << 30, 20)],
-            MemoryKind::Insecure,
-            100_000_000,
-        )
-        .unwrap();
-        assert_eq!(r.cores.len(), 2);
-        assert!(r.cores[0].finished);
-        assert!(r.cores[0].ipc > 0.0);
-        assert!(r.bandwidth_gbps[0] > 0.0);
-        assert!(r.mean_ipc() > 0.0);
-    }
-
-    #[test]
-    fn dagguise_slows_victim_but_not_catastrophically() {
-        let cfg = SystemConfig::two_core();
-        let victim = stream(300, 0, 20);
-        let co = stream(3000, 1 << 30, 20);
-
-        let insecure = run_colocation(
-            &cfg,
-            vec![victim.clone(), co.clone()],
-            MemoryKind::Insecure,
-            200_000_000,
-        )
-        .unwrap();
-        let protected = run_colocation(
-            &cfg,
-            vec![victim, co],
-            MemoryKind::Dagguise {
-                protected: vec![Some(RdagTemplate::new(4, 100, 0.01)), None],
-            },
-            200_000_000,
-        )
-        .unwrap();
-
-        let norm_victim = protected.cores[0].ipc / insecure.cores[0].ipc;
-        assert!(
-            norm_victim > 0.1 && norm_victim <= 1.5,
-            "victim normalized IPC plausible: {norm_victim}"
-        );
-    }
-
-    #[test]
-    fn deadline_surfaces() {
-        let cfg = SystemConfig::two_core();
-        let r = run_colocation(&cfg, vec![stream(100, 0, 20)], MemoryKind::Insecure, 10);
-        assert!(matches!(r, Err(SimError::Deadline { .. })));
-    }
-
-    #[test]
-    fn supervised_matches_unsupervised_when_no_abort() {
-        let cfg = SystemConfig::two_core();
-        let traces = vec![stream(300, 0, 20), stream(3000, 1 << 30, 20)];
-        let plain =
-            run_colocation(&cfg, traces.clone(), MemoryKind::Insecure, 100_000_000).unwrap();
-        // Deliberately tiny chunk so many slices compose.
-        let supervised = run_colocation_supervised(
-            &cfg,
-            traces,
-            MemoryKind::Insecure,
-            100_000_000,
-            1_000,
-            &mut || false,
-        )
-        .unwrap();
-        assert_eq!(plain, supervised);
-    }
-
-    #[test]
-    fn supervised_abort_surfaces() {
-        let cfg = SystemConfig::two_core();
-        let mut checks = 0u32;
-        let r = run_colocation_supervised(
-            &cfg,
-            vec![stream(10_000, 0, 20)],
-            MemoryKind::Insecure,
-            100_000_000,
-            100,
-            &mut || {
-                checks += 1;
-                checks > 3
-            },
-        );
-        assert!(matches!(r, Err(SimError::Aborted(_))));
-    }
-
-    #[test]
-    fn supervised_deadline_still_reports_full_budget() {
-        let cfg = SystemConfig::two_core();
-        let r = run_colocation_supervised(
-            &cfg,
-            vec![stream(10_000, 0, 20)],
-            MemoryKind::Insecure,
-            500,
-            100,
-            &mut || false,
-        );
-        assert_eq!(r.unwrap_err(), SimError::Deadline { budget: 500 });
     }
 }

@@ -7,8 +7,8 @@
 //! domains, or a Fixed Service / FS-BTA / Temporal Partitioning
 //! controller (`dg-defenses`).
 //!
-//! On top of [`System`] sit the experiment runners used by the figure
-//! harnesses: co-location runs for Figures 9/10 ([`experiment`]) and the
+//! On top of [`System`] sit the co-location results of Figures 9/10
+//! ([`experiment`]; `dg_shard::run_colocation` produces them) and the
 //! offline profiling sweep of Figure 7 ([`profile`]).
 //!
 //! # Example
@@ -36,9 +36,6 @@ pub mod profile;
 pub mod system;
 
 pub use builder::{build_channel_memories, build_memory, MemoryKind, SystemBuilder};
-pub use experiment::{
-    run_colocation, run_colocation_faulted, run_colocation_monitored, run_colocation_observed,
-    run_colocation_supervised, ColocationResult, CoreResult, ObsConfig,
-};
+pub use experiment::{ColocationResult, CoreResult};
 pub use profile::{profile_victim, select_defense_rdag, ProfilePoint};
-pub use system::System;
+pub use system::{memory_sections, System};

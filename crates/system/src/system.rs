@@ -5,6 +5,7 @@ use dg_cpu::Core;
 use dg_dram::power::PowerParams;
 use dg_fault::SimFaultKind;
 use dg_mem::{MemStats, MemorySubsystem};
+use dg_mon::ProgressProbe;
 use dg_obs::{
     BankReport, CoreReport, DomainReport, DramReport, EnergyReport, HistogramSnapshot,
     IntervalSampler, RunMeta, RunReport, TraceSummary, Tracer,
@@ -14,6 +15,10 @@ use dg_sim::clock::{earliest_event, Cycle};
 use dg_sim::config::SystemConfig;
 use dg_sim::error::SimError;
 use dg_sim::types::{MemRequest, MemResponse};
+
+/// Cycles per slice of [`System::run_until_core_finished_supervised`]:
+/// the longest simulated span between two abort checks (and heartbeats).
+const SUPERVISION_CHUNK: Cycle = 2_000_000;
 
 /// Static poll-count labels for the quiescence scan (one per core index;
 /// larger systems share the last label rather than allocating).
@@ -28,9 +33,8 @@ fn core_poll_name(i: usize) -> &'static str {
 /// Live state of an injected simulation fault (see
 /// [`dg_fault::SimFaultKind`]). Data-plane kinds (stuck bank, dropped
 /// response) are modeled here, inside the memory tick; control-plane
-/// kinds (frozen clock, panic) only carry their trigger cycle — the
-/// panic fires at the top of [`System::tick`], and the frozen clock is
-/// implemented by the supervision loop that drives the system.
+/// kinds (frozen clock, panic) are no-ops at this layer — the supervision
+/// loop that drives the system implements them.
 struct FaultState {
     kind: SimFaultKind,
     /// Responses captured while a stuck bank holds its window.
@@ -120,6 +124,10 @@ pub struct System {
     engine: EngineCounters,
     /// Injected simulation fault, if any ([`System::inject_fault`]).
     fault: Option<FaultState>,
+    /// Live-progress heartbeat published between supervision slices
+    /// (`None` when unmonitored). Write-only: never read back into
+    /// simulation state, so results are probe-independent.
+    progress: Option<ProgressProbe>,
 }
 
 impl System {
@@ -158,15 +166,16 @@ impl System {
             warp_fail_streak: 0,
             engine: EngineCounters::default(),
             fault: None,
+            progress: None,
         }
     }
 
     /// Arms a simulation-layer fault. Data-plane kinds (stuck bank,
     /// dropped response) change response delivery inside [`System::tick`];
-    /// `Panic` fires deterministically at its trigger cycle; `FreezeClock`
-    /// is a no-op at this layer (the supervised run loop implements it).
-    /// Without this call the fault plane does not exist — no branch in the
-    /// hot path consults it beyond one `Option` check.
+    /// `FreezeClock` and `Panic` are no-ops at this layer (the supervision
+    /// loop driving the system implements them). Without this call the
+    /// fault plane does not exist — no branch in the hot path consults it
+    /// beyond one `Option` check.
     pub fn inject_fault(&mut self, kind: SimFaultKind) {
         self.fault = Some(FaultState {
             kind,
@@ -336,21 +345,7 @@ impl System {
     }
 
     /// Advances the whole system one CPU cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics deterministically if a [`SimFaultKind::Panic`] fault is armed
-    /// and its trigger cycle has been reached.
     pub fn tick(&mut self) {
-        if let Some(FaultState {
-            kind: SimFaultKind::Panic { at },
-            ..
-        }) = self.fault
-        {
-            if self.now >= at {
-                panic!("injected fault: deterministic panic at cycle {at}");
-            }
-        }
         self.engine.tick();
         let now = self.now;
         // Memory first: completions this cycle unblock cores this cycle.
@@ -408,23 +403,19 @@ impl System {
         }
         // Fault boundaries are events too: a warp must never jump a stuck
         // bank's release cycle (detained responses would stay detained past
-        // their deterministic delivery time) or a planned panic's trigger
-        // cycle. Keeping them in the fold preserves naive/event-engine
-        // byte-identity under injection.
-        if let Some(f) = &self.fault {
-            match f.kind {
-                SimFaultKind::StuckBank { at, hold } => {
-                    if now < at {
-                        ev = earliest_event(ev, Some(at));
-                    }
-                    if !f.held.is_empty() {
-                        ev = earliest_event(ev, Some(at.saturating_add(hold)));
-                    }
-                }
-                SimFaultKind::Panic { at } if now < at => {
-                    ev = earliest_event(ev, Some(at));
-                }
-                _ => {}
+        // their deterministic delivery time). Keeping them in the fold
+        // preserves naive/event-engine byte-identity under injection.
+        if let Some(FaultState {
+            kind: SimFaultKind::StuckBank { at, hold },
+            held,
+            ..
+        }) = &self.fault
+        {
+            if now < *at {
+                ev = earliest_event(ev, Some(*at));
+            }
+            if !held.is_empty() {
+                ev = earliest_event(ev, Some(at.saturating_add(*hold)));
             }
         }
         ev.map_or(limit, |t| t.clamp(now, limit))
@@ -548,6 +539,53 @@ impl System {
         Err(SimError::Deadline { budget })
     }
 
+    /// Installs a live-progress heartbeat: the current cycle and the
+    /// engine's warp-skipped cycles are published into the probe between
+    /// the slices of [`Self::run_until_core_finished_supervised`].
+    pub fn set_progress_probe(&mut self, probe: ProgressProbe) {
+        self.progress = Some(probe);
+    }
+
+    /// [`Self::run_until_core_finished`] under cooperative supervision:
+    /// the run advances in slices of at most `SUPERVISION_CHUNK` cycles,
+    /// evaluating `should_abort` before each and publishing a heartbeat
+    /// after each. Slices compose exactly, so without an abort the outcome
+    /// is identical to one unsliced call with the same budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Aborted`] when `should_abort` reports true, and
+    /// [`SimError::Deadline`] when `budget` is exhausted first.
+    pub fn run_until_core_finished_supervised(
+        &mut self,
+        domain: usize,
+        budget: Cycle,
+        should_abort: &mut dyn FnMut() -> bool,
+    ) -> Result<Cycle, SimError> {
+        let mut spent: Cycle = 0;
+        loop {
+            if should_abort() {
+                return Err(SimError::Aborted(format!(
+                    "supervisor cancelled after {spent} cycles"
+                )));
+            }
+            let step = SUPERVISION_CHUNK.min(budget - spent);
+            let r = self.run_until_core_finished(domain, step);
+            if let Some(p) = &self.progress {
+                p.record(self.now, 0, self.engine.warped_cycles);
+            }
+            match r {
+                Err(SimError::Deadline { .. }) => {
+                    spent += step;
+                    if spent >= budget {
+                        return Err(SimError::Deadline { budget });
+                    }
+                }
+                done => return done,
+            }
+        }
+    }
+
     /// Runs exactly `window` cycles.
     pub fn run_for(&mut self, window: Cycle) {
         let limit = self.now + window;
@@ -591,39 +629,7 @@ impl System {
             })
             .collect();
 
-        // Core domains always appear; reserved/extra domains only when they
-        // actually carried traffic.
-        let domains = stats
-            .domains()
-            .iter()
-            .enumerate()
-            .filter(|(i, d)| *i < self.cores.len() || d.total() > 0)
-            .map(|(i, d)| DomainReport {
-                domain: i as u16,
-                reads: d.reads,
-                writes: d.writes,
-                fakes: d.fakes,
-                bandwidth_gbps: d.bandwidth.gbps(clock_hz),
-                mean_latency: d.mean_latency(),
-                latency_p50: d.latency.percentile(50.0),
-                latency_p95: d.latency.percentile(95.0),
-                latency_p99: d.latency.percentile(99.0),
-                latency_hist: HistogramSnapshot {
-                    bucket_width: d.latency.bucket_width(),
-                    nonzero: d
-                        .latency
-                        .buckets()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &c)| c > 0)
-                        .map(|(idx, &c)| (idx, c))
-                        .collect(),
-                    total: d.latency.total(),
-                },
-                latency_hdr: d.latency_hdr.snapshot(),
-            })
-            .collect();
-
+        let (domains, dram, banks) = memory_sections(stats, self.cores.len(), clock_hz);
         let events = self.tracer.snapshot();
         RunReport {
             meta: RunMeta {
@@ -637,24 +643,8 @@ impl System {
             domains,
             shapers: self.mem.shaper_reports(),
             shaper_timelines: self.mem.shaper_timelines(),
-            dram: DramReport {
-                refreshes: stats.refreshes,
-                dropped_responses: stats.dropped,
-                energy: EnergyReport::from_counter(&stats.energy, &PowerParams::default()),
-            },
-            banks: stats
-                .banks
-                .iter()
-                .enumerate()
-                .map(|(i, b)| BankReport {
-                    bank: i as u32,
-                    acts: b.acts,
-                    row_hits: b.row_hits,
-                    row_misses: b.row_misses,
-                    precharges: b.precharges,
-                    faw_stall_cycles: b.faw_stall_cycles,
-                })
-                .collect(),
+            dram,
+            banks,
             interference: self.mem.interference(),
             interval_window: self.sampler.as_ref().map_or(0, |s| s.window()),
             intervals: self
@@ -668,6 +658,67 @@ impl System {
             engine: self.engine.snapshot(),
         }
     }
+}
+
+/// The memory sections of a [`RunReport`] — per-domain traffic and
+/// latency, DRAM refresh/energy totals, per-bank counters — from
+/// end-of-run statistics. Core domains always appear; reserved/extra
+/// domains only when they actually carried traffic. Energy is priced with
+/// the default DDR3-1600 [`PowerParams`].
+pub fn memory_sections(
+    stats: &MemStats,
+    cores: usize,
+    clock_hz: f64,
+) -> (Vec<DomainReport>, DramReport, Vec<BankReport>) {
+    let domains = stats
+        .domains()
+        .iter()
+        .enumerate()
+        .filter(|(i, d)| *i < cores || d.total() > 0)
+        .map(|(i, d)| DomainReport {
+            domain: i as u16,
+            reads: d.reads,
+            writes: d.writes,
+            fakes: d.fakes,
+            bandwidth_gbps: d.bandwidth.gbps(clock_hz),
+            mean_latency: d.mean_latency(),
+            latency_p50: d.latency.percentile(50.0),
+            latency_p95: d.latency.percentile(95.0),
+            latency_p99: d.latency.percentile(99.0),
+            latency_hist: HistogramSnapshot {
+                bucket_width: d.latency.bucket_width(),
+                nonzero: d
+                    .latency
+                    .buckets()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c > 0)
+                    .map(|(idx, &c)| (idx, c))
+                    .collect(),
+                total: d.latency.total(),
+            },
+            latency_hdr: d.latency_hdr.snapshot(),
+        })
+        .collect();
+    let dram = DramReport {
+        refreshes: stats.refreshes,
+        dropped_responses: stats.dropped,
+        energy: EnergyReport::from_counter(&stats.energy, &PowerParams::default()),
+    };
+    let banks = stats
+        .banks
+        .iter()
+        .enumerate()
+        .map(|(i, b)| BankReport {
+            bank: i as u32,
+            acts: b.acts,
+            row_hits: b.row_hits,
+            row_misses: b.row_misses,
+            precharges: b.precharges,
+            faw_stall_cycles: b.faw_stall_cycles,
+        })
+        .collect();
+    (domains, dram, banks)
 }
 
 impl std::fmt::Debug for System {
@@ -684,6 +735,7 @@ mod tests {
     use crate::builder::{MemoryKind, SystemBuilder};
     use dg_cpu::MemTrace;
     use dg_sim::config::SystemConfig;
+    use dg_sim::error::SimError;
 
     fn small_trace(lines: u64, base: u64) -> MemTrace {
         let mut t = MemTrace::new();
@@ -743,5 +795,61 @@ mod tests {
             .memory(MemoryKind::Insecure)
             .build();
         assert!(sys.run_until_finished(10).is_err());
+    }
+
+    fn victim_and_corunner() -> super::System {
+        SystemBuilder::new(SystemConfig::two_core())
+            .trace_core(small_trace(300, 0))
+            .trace_core(small_trace(3000, 1 << 30))
+            .memory(MemoryKind::Insecure)
+            .build()
+    }
+
+    /// The report with the engine section (how time was covered, which
+    /// slicing legitimately changes) normalized away.
+    fn outcome(sys: &super::System) -> String {
+        let mut report = sys.report("slices");
+        report.engine = Default::default();
+        report.to_json()
+    }
+
+    #[test]
+    fn core_finish_runs_compose_across_slices() {
+        let mut whole = victim_and_corunner();
+        let end = whole.run_until_core_finished(0, 100_000_000).unwrap();
+        let mut sliced = victim_and_corunner();
+        let sliced_end = loop {
+            match sliced.run_until_core_finished(0, 1_000) {
+                Ok(t) => break t,
+                Err(SimError::Deadline { .. }) => {}
+                Err(e) => panic!("unexpected {e:?}"),
+            }
+        };
+        assert_eq!(sliced_end, end);
+        assert_eq!(sliced.now(), whole.now());
+        assert_eq!(outcome(&sliced), outcome(&whole));
+    }
+
+    #[test]
+    fn supervised_run_matches_unsupervised_and_heartbeats() {
+        let mut plain = victim_and_corunner();
+        let end = plain.run_until_core_finished(0, 100_000_000).unwrap();
+        let mut supervised = victim_and_corunner();
+        let probe = dg_mon::ProgressProbe::new();
+        supervised.set_progress_probe(probe.clone());
+        let r = supervised.run_until_core_finished_supervised(0, 100_000_000, &mut || false);
+        assert_eq!(r, Ok(end));
+        assert_eq!(outcome(&supervised), outcome(&plain));
+        assert_eq!(probe.sim_cycles(), supervised.now());
+    }
+
+    #[test]
+    fn supervised_abort_and_deadline_surface() {
+        let mut sys = victim_and_corunner();
+        let r = sys.run_until_core_finished_supervised(0, 100_000_000, &mut || true);
+        assert!(matches!(r, Err(SimError::Aborted(_))), "got {r:?}");
+        let mut sys = victim_and_corunner();
+        let r = sys.run_until_core_finished_supervised(0, 500, &mut || false);
+        assert_eq!(r, Err(SimError::Deadline { budget: 500 }));
     }
 }

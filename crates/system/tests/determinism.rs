@@ -6,7 +6,7 @@ use dg_cpu::{DagReq, DagWorkload, MemTrace};
 use dg_obs::{chrome_trace_json, Tracer};
 use dg_rdag::template::RdagTemplate;
 use dg_sim::config::SystemConfig;
-use dg_system::{run_colocation_observed, MemoryKind, ObsConfig, System, SystemBuilder};
+use dg_system::{ColocationResult, MemoryKind, System, SystemBuilder};
 use proptest::prelude::*;
 
 fn stream(n: u64, base: u64, gap: u64) -> MemTrace {
@@ -21,26 +21,33 @@ fn observed_run() -> (Vec<dg_obs::Event>, dg_obs::RunReport) {
     observed_run_with_engine(false)
 }
 
-fn observed_run_with_engine(naive_engine: bool) -> (Vec<dg_obs::Event>, dg_obs::RunReport) {
-    let cfg = SystemConfig::two_core();
-    let obs = ObsConfig {
-        trace_capacity: Some(16_384),
-        interval_window: Some(5_000),
-        shaper_timeline_window: Some(5_000),
-        naive_engine,
-    };
-    let (_, report, events) = run_colocation_observed(
-        &cfg,
-        vec![stream(200, 0, 30), stream(1000, 1 << 30, 10)],
-        MemoryKind::Dagguise {
+/// The observer-effect workload: a protected victim and a streaming
+/// co-runner under DAGguise.
+fn colocated() -> System {
+    SystemBuilder::new(SystemConfig::two_core())
+        .trace_core(stream(200, 0, 30))
+        .trace_core(stream(1000, 1 << 30, 10))
+        .memory(MemoryKind::Dagguise {
             protected: vec![Some(RdagTemplate::new(2, 100, 0.01)), None],
-        },
-        200_000_000,
-        "determinism",
-        &obs,
-    )
-    .expect("run finishes");
-    (events, report)
+        })
+        .build()
+}
+
+/// Switches on every telemetry channel: event tracing, interval sampling
+/// and shaper timelines.
+fn observe(sys: &mut System) {
+    sys.set_tracer(Tracer::ring(16_384));
+    sys.enable_interval_sampling(5_000);
+    sys.enable_shaper_timelines(5_000);
+}
+
+fn observed_run_with_engine(naive_engine: bool) -> (Vec<dg_obs::Event>, dg_obs::RunReport) {
+    let mut sys = colocated();
+    observe(&mut sys);
+    sys.set_event_skipping(!naive_engine);
+    sys.run_until_core_finished(0, 200_000_000)
+        .expect("run finishes");
+    (sys.tracer().snapshot(), sys.report("determinism"))
 }
 
 #[test]
@@ -80,26 +87,23 @@ fn telemetry_has_no_observer_effect() {
     // channel enabled — including the host-time span profiler — must leave
     // the simulation outcome byte-identical to a bare run with the same
     // seed and workload.
-    let cfg = SystemConfig::two_core();
-    let traces = vec![stream(200, 0, 30), stream(1000, 1 << 30, 10)];
-    let kind = MemoryKind::Dagguise {
-        protected: vec![Some(RdagTemplate::new(2, 100, 0.01)), None],
-    };
-
-    let bare = dg_system::run_colocation(&cfg, traces.clone(), kind.clone(), 200_000_000)
+    let mut sys = colocated();
+    sys.run_until_core_finished(0, 200_000_000)
         .expect("bare run finishes");
-    let obs = ObsConfig {
-        trace_capacity: Some(16_384),
-        interval_window: Some(5_000),
-        shaper_timeline_window: Some(5_000),
-        naive_engine: false,
-    };
+    let bare = ColocationResult::from_report(&sys.report("bare"));
+
+    let mut sys = colocated();
+    observe(&mut sys);
     dg_prof::start();
     let profiling = dg_prof::is_enabled(); // false when built without `prof`
-    let (observed, report, _) =
-        run_colocation_observed(&cfg, traces, kind, 200_000_000, "observer", &obs)
+    {
+        let _prof = dg_prof::span("sim");
+        sys.run_until_core_finished(0, 200_000_000)
             .expect("observed run finishes");
+    }
     let profile = dg_prof::stop();
+    let report = sys.report("observer");
+    let observed = ColocationResult::from_report(&report);
 
     assert_eq!(bare, observed, "telemetry must not perturb the simulation");
     // …and the instrumentation must actually have been on.

@@ -2,13 +2,15 @@
 //! actually perturb or halt the run the way its supervision mechanism
 //! expects, and (b) leave the event-driven engine byte-identical to the
 //! naive per-cycle loop — fault boundaries participate in warp planning,
-//! so skipping must never jump over an activation edge.
+//! so skipping must never jump over an activation edge. Control-plane
+//! faults (panic, frozen clock) belong to the supervision loop of
+//! `dg_shard::run_colocation` and are tested with it.
 
 use dg_cpu::MemTrace;
 use dg_fault::SimFaultKind;
 use dg_sim::config::SystemConfig;
 use dg_sim::error::SimError;
-use dg_system::{run_colocation, run_colocation_faulted, MemoryKind, SystemBuilder};
+use dg_system::{MemoryKind, System, SystemBuilder};
 
 fn stream(n: u64, base: u64, gap: u64) -> MemTrace {
     let mut t = MemTrace::new();
@@ -22,17 +24,24 @@ fn traces() -> Vec<MemTrace> {
     vec![stream(300, 0, 20), stream(3000, 1 << 30, 20)]
 }
 
-/// Runs a faulted system to completion under either engine and returns
-/// the observable outcome: end cycle plus per-core (instructions,
-/// finish time).
-fn engine_run(fault: SimFaultKind, naive: bool) -> (u64, Vec<(u64, Option<u64>)>) {
+fn system(fault: Option<SimFaultKind>) -> System {
     let cfg = SystemConfig::two_core();
     let mut builder = SystemBuilder::new(cfg);
     for t in traces() {
         builder = builder.trace_core(t);
     }
     let mut sys = builder.memory(MemoryKind::Insecure).build();
-    sys.inject_fault(fault);
+    if let Some(f) = fault {
+        sys.inject_fault(f);
+    }
+    sys
+}
+
+/// Runs a (possibly faulted) system to completion under either engine and
+/// returns the observable outcome: end cycle plus per-core (instructions,
+/// finish time).
+fn engine_run(fault: Option<SimFaultKind>, naive: bool) -> (u64, Vec<(u64, Option<u64>)>) {
+    let mut sys = system(fault);
     if naive {
         sys.set_event_skipping(false);
     }
@@ -49,23 +58,16 @@ fn engine_run(fault: SimFaultKind, naive: bool) -> (u64, Vec<(u64, Option<u64>)>
 /// must neither warp over the activation edge nor the release edge.
 #[test]
 fn stuck_bank_is_identical_across_engines_and_actually_stalls() {
-    let fault = SimFaultKind::StuckBank {
+    let fault = Some(SimFaultKind::StuckBank {
         at: 2_000,
         hold: 10_000,
-    };
+    });
     let fast = engine_run(fault, false);
     let naive = engine_run(fault, true);
     assert_eq!(fast, naive, "engines diverged under a stuck bank");
 
     // The fault must be real: the victim finishes later than unfaulted.
-    let clean = run_colocation(
-        &SystemConfig::two_core(),
-        traces(),
-        MemoryKind::Insecure,
-        200_000_000,
-    )
-    .unwrap();
-    let clean_finish = clean.cores[0].cycles;
+    let clean_finish = engine_run(None, false).1[0].1.expect("victim finishes");
     let faulted_finish = fast.1[0].1.expect("victim finishes");
     assert!(
         faulted_finish > clean_finish,
@@ -78,93 +80,21 @@ fn stuck_bank_is_identical_across_engines_and_actually_stalls() {
 /// that catches it (and the runner escalates or quarantines from there).
 #[test]
 fn dropped_response_surfaces_as_deadline() {
-    let r = run_colocation_faulted(
-        &SystemConfig::two_core(),
-        traces(),
-        MemoryKind::Insecure,
-        2_000_000,
-        100_000,
-        &mut || false,
-        None,
-        Some(SimFaultKind::DropResponse { nth: 1 }),
-    );
+    let mut sys = system(Some(SimFaultKind::DropResponse { nth: 1 }));
+    let r = sys.run_until_core_finished(0, 2_000_000);
     assert_eq!(r.unwrap_err(), SimError::Deadline { budget: 2_000_000 });
 }
 
-/// The panic fault fires deterministically at its cycle; catch_unwind in
-/// the runner is the supervision mechanism (here we catch it ourselves).
+/// Control-plane faults are no-ops inside the system (the supervision
+/// loop above it implements them): armed on a bare system they change
+/// nothing.
 #[test]
-fn panic_fault_fires_at_its_cycle() {
-    let payload = std::panic::catch_unwind(|| {
-        let _ = run_colocation_faulted(
-            &SystemConfig::two_core(),
-            traces(),
-            MemoryKind::Insecure,
-            100_000_000,
-            1_000_000,
-            &mut || false,
-            None,
-            Some(SimFaultKind::Panic { at: 5_000 }),
-        );
-    })
-    .unwrap_err();
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
-    assert!(
-        msg.contains("deterministic panic at cycle 5000"),
-        "unexpected panic payload: {msg}"
-    );
-}
-
-/// A frozen clock pins simulated time while host time passes — the
-/// livelock signature. The supervision loop must keep heartbeating the
-/// frozen cycle and surface the supervisor's cancellation as `Aborted`.
-#[test]
-fn frozen_clock_waits_for_the_supervisor() {
-    let mut calls = 0u32;
-    let r = run_colocation_faulted(
-        &SystemConfig::two_core(),
-        traces(),
-        MemoryKind::Insecure,
-        100_000_000,
-        1_000,
-        &mut || {
-            calls += 1;
-            calls > 10
-        },
-        None,
-        Some(SimFaultKind::FreezeClock { at: 2_000 }),
-    );
-    match r.unwrap_err() {
-        SimError::Aborted(msg) => {
-            assert!(
-                msg.contains("frozen clock at cycle 2000") && msg.contains("supervisor cancelled"),
-                "diagnosis should name the pinned cycle: {msg}"
-            );
-        }
-        other => panic!("expected Aborted, got {other:?}"),
+fn control_plane_faults_do_not_touch_the_system() {
+    let clean = engine_run(None, false);
+    for fault in [
+        SimFaultKind::Panic { at: 5_000 },
+        SimFaultKind::FreezeClock { at: 2_000 },
+    ] {
+        assert_eq!(engine_run(Some(fault), false), clean, "{fault}");
     }
-}
-
-/// Acceptance: with no fault armed, the faulted entry point IS the plain
-/// run — the fault plane adds no observable branch.
-#[test]
-fn disarmed_fault_plane_is_byte_identical() {
-    let cfg = SystemConfig::two_core();
-    let plain = run_colocation(&cfg, traces(), MemoryKind::Insecure, 200_000_000).unwrap();
-    let faulted = run_colocation_faulted(
-        &cfg,
-        traces(),
-        MemoryKind::Insecure,
-        200_000_000,
-        1_000,
-        &mut || false,
-        None,
-        None,
-    )
-    .unwrap();
-    assert_eq!(plain, faulted);
 }

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example multicore_colocation`
 
 use dagguise_repro::prelude::*;
-use dg_system::run_colocation;
+use dg_shard::{run_colocation, RunOpts};
 use dg_workloads::{DnaWorkload, DocDistWorkload, SpecPreset};
 
 fn main() {
@@ -66,18 +66,19 @@ fn main() {
         None,
     ];
 
-    let insecure =
-        run_colocation(&cfg, traces(), MemoryKind::Insecure, u64::MAX / 2).expect("insecure run");
-    let fs = run_colocation(&cfg, traces(), MemoryKind::FsBta, u64::MAX / 2).expect("fs run");
-    let dag = run_colocation(
-        &cfg,
-        traces(),
+    let run = |kind, what| {
+        run_colocation(&cfg, traces(), kind, RunOpts::new(u64::MAX / 2))
+            .expect(what)
+            .result
+    };
+    let insecure = run(MemoryKind::Insecure, "insecure run");
+    let fs = run(MemoryKind::FsBta, "fs run");
+    let dag = run(
         MemoryKind::Dagguise {
             protected: protection,
         },
-        u64::MAX / 2,
-    )
-    .expect("dagguise run");
+        "dagguise run",
+    );
 
     let names = [
         "DocDist#0",

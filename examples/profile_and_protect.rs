@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example profile_and_protect`
 
 use dagguise_repro::prelude::*;
+use dg_shard::{run_colocation, RunOpts};
 use dg_system::profile::{baseline_alone, profile_victim, select_defense_rdag};
-use dg_system::run_colocation;
 use dg_workloads::DnaWorkload;
 
 fn main() {
@@ -70,9 +70,10 @@ fn main() {
         MemoryKind::Dagguise {
             protected: vec![Some(chosen.template), None],
         },
-        u64::MAX / 2,
+        RunOpts::new(u64::MAX / 2),
     )
-    .expect("deployment run");
+    .expect("deployment run")
+    .result;
     println!(
         "\ndeployed: victim IPC {:.3}, co-runner IPC {:.3}, victim bandwidth {:.2} GB/s (incl. fakes)",
         r.cores[0].ipc, r.cores[1].ipc, r.bandwidth_gbps[0]

@@ -7,7 +7,8 @@
 //! the simulated memory system ([`dg_dram`], [`dg_mem`], [`dg_cache`],
 //! [`dg_cpu`]), the baseline defenses ([`dg_defenses`]), workloads and
 //! attacks ([`dg_workloads`], [`dg_attacks`]), the system assembly
-//! ([`dg_system`]), the security verifier ([`dg_verif`]) and the area
+//! ([`dg_system`]) and the co-location entry point over the classic and
+//! sharded runtimes ([`dg_shard`]), the security verifier ([`dg_verif`]) and the area
 //! model ([`dg_area`]).
 //!
 //! Start with `examples/quickstart.rs`, or see README.md for the map of
@@ -22,6 +23,7 @@ pub use dg_defenses;
 pub use dg_dram;
 pub use dg_mem;
 pub use dg_rdag;
+pub use dg_shard;
 pub use dg_sim;
 pub use dg_system;
 pub use dg_verif;

@@ -2,7 +2,7 @@
 //! evaluation claims, checked on small workloads.
 
 use dagguise_repro::prelude::*;
-use dg_system::run_colocation;
+use dg_shard::{run_colocation, RunOpts};
 
 fn stream(n: u64, base: u64, gap: u64) -> MemTrace {
     let mut t = MemTrace::new();
@@ -35,18 +35,20 @@ fn dagguise_frees_unused_victim_bandwidth_fs_does_not() {
         &cfg,
         vec![victim.clone(), co.clone()],
         MemoryKind::FsBta,
-        BUDGET,
+        RunOpts::new(BUDGET),
     )
-    .expect("fs run");
+    .expect("fs run")
+    .result;
     let dag = run_colocation(
         &cfg,
         vec![victim, co],
         MemoryKind::Dagguise {
             protected: vec![Some(RdagTemplate::new(2, 200, 0.1)), None],
         },
-        BUDGET,
+        RunOpts::new(BUDGET),
     )
-    .expect("dagguise run");
+    .expect("dagguise run")
+    .result;
 
     assert!(
         dag.cores[1].ipc > fs.cores[1].ipc,
@@ -67,16 +69,18 @@ fn fixed_service_non_interference_end_to_end() {
         &cfg,
         vec![victim.clone(), sparse(10, 1 << 30)],
         MemoryKind::FsBta,
-        BUDGET,
+        RunOpts::new(BUDGET),
     )
-    .expect("quiet run");
+    .expect("quiet run")
+    .result;
     let noisy = run_colocation(
         &cfg,
         vec![victim, stream(6_000, 1 << 30, 5)],
         MemoryKind::FsBta,
-        BUDGET,
+        RunOpts::new(BUDGET),
     )
-    .expect("noisy run");
+    .expect("noisy run")
+    .result;
 
     assert_eq!(
         quiet.cores[0].cycles, noisy.cores[0].cycles,
@@ -129,8 +133,14 @@ fn closed_row_policy_costs_throughput() {
     for i in 0..600u64 {
         t.load((i % 128) * 64, 5); // heavy row locality
     }
-    let open =
-        run_colocation(&cfg_open, vec![t.clone()], MemoryKind::Insecure, BUDGET).expect("open run");
+    let open = run_colocation(
+        &cfg_open,
+        vec![t.clone()],
+        MemoryKind::Insecure,
+        RunOpts::new(BUDGET),
+    )
+    .expect("open run")
+    .result;
     // DAGguise with a dense rDAG (so shaping is not the bottleneck).
     let closed = run_colocation(
         &cfg_open,
@@ -138,9 +148,10 @@ fn closed_row_policy_costs_throughput() {
         MemoryKind::Dagguise {
             protected: vec![Some(RdagTemplate::new(8, 0, 0.05))],
         },
-        BUDGET,
+        RunOpts::new(BUDGET),
     )
-    .expect("closed run");
+    .expect("closed run")
+    .result;
     assert!(
         closed.cores[0].ipc < open.cores[0].ipc,
         "closed-row shaping cannot beat open-row row hits: {} vs {}",
@@ -173,8 +184,9 @@ fn every_defense_preserves_all_victim_requests() {
     for kind in kinds {
         let victim = stream(200, 0, 40);
         let co = stream(200, 1 << 30, 40);
-        let r = run_colocation(&cfg, vec![victim, co], kind.clone(), BUDGET)
-            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        let r = run_colocation(&cfg, vec![victim, co], kind.clone(), RunOpts::new(BUDGET))
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"))
+            .result;
         assert!(r.cores[0].finished, "{kind:?}: victim must drain");
         assert!(r.cores[0].instructions > 0);
     }
