@@ -52,14 +52,17 @@ awk '/^  "latency": \[/ {f=1} /^  "jobs": \[/ {f=0}
 # Profiler gate: every profiled job (and each per-defense merge) must
 # attribute >= 90% of its wall time to known spans — anything less means
 # a hot phase lost its instrumentation.
-awk '$1 == "\"coverage\":" {gsub(/,/, "", $2); n++; if ($2 + 0 < 0.9) {bad=1; v=$2}}
-  END {
-    if (n == 0) { print "profile: no coverage entries recorded"; exit 1 }
-    if (bad) { print "profile: only " v " of wall time attributed (need >= 0.9)"; exit 1 }
-    print "profile: " n " attribution trees, all >= 90% span coverage"
-  }' "$SMOKE_DIR/profile.json"
-test -s "$SMOKE_DIR/profile.folded" \
-  || { echo "profile: collapsed-stack artifact missing or empty"; exit 1; }
+check_profile() {
+  awk '$1 == "\"coverage\":" {gsub(/,/, "", $2); n++; if ($2 + 0 < 0.9) {bad=1; v=$2}}
+    END {
+      if (n == 0) { print "profile: no coverage entries recorded"; exit 1 }
+      if (bad) { print "profile: only " v " of wall time attributed (need >= 0.9)"; exit 1 }
+      print "profile: " n " attribution trees, all >= 90% span coverage"
+    }' "$1.json"
+  test -s "$1.folded" \
+    || { echo "profile: collapsed-stack artifact missing or empty"; exit 1; }
+}
+check_profile "$SMOKE_DIR/profile"
 # Resuming from the journal skips everything and reproduces the report
 # byte-for-byte at a different worker count.
 "$DG_RUN" examples/smoke.toml --quiet --jobs 1 --retries 2 --escalation 1000 \
@@ -170,9 +173,15 @@ echo "=== sharded differential (DG_SHARDS=1 vs 4: byte-identical reports) ==="
 DG_SHARDS=1 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
   --escalation 1000 --out "$SMOKE_DIR/sharded1.json"
 DG_SHARDS=4 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
-  --escalation 1000 --out "$SMOKE_DIR/sharded4.json"
+  --escalation 1000 --out "$SMOKE_DIR/sharded4.json" \
+  --profile "$SMOKE_DIR/sharded4_profile.json"
 cmp "$SMOKE_DIR/sharded1.json" "$SMOKE_DIR/sharded4.json" \
   || { echo "sharded: 4-shard report differs from 1-shard reference"; exit 1; }
+# The profiled 4-shard run must attribute its wall time as well as the
+# classic one, with the coordinator's barrier phases among the spans.
+check_profile "$SMOKE_DIR/sharded4_profile"
+grep -q 'shard_join' "$SMOKE_DIR/sharded4_profile.folded" \
+  || { echo "sharded: profile lacks the shard phase spans"; exit 1; }
 # The same 4-shard sweep under live monitoring and the stall watchdog drives
 # the sharded runtime's probe/abort path; it must not change the report.
 DG_SHARDS=4 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \

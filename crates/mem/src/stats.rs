@@ -3,7 +3,7 @@
 use dg_dram::power::EnergyCounter;
 use dg_prof::LogHistogram;
 use dg_sim::clock::Cycle;
-use dg_sim::stats::{BandwidthMeter, Histogram};
+use dg_sim::stats::BandwidthMeter;
 use dg_sim::types::{DomainId, MemResponse};
 use serde::{Deserialize, Serialize};
 
@@ -18,28 +18,21 @@ pub struct DomainStats {
     pub fakes: u64,
     /// Bandwidth consumed (real + fake; fake requests occupy the bus).
     pub bandwidth: BandwidthMeter,
-    /// Latency histogram of real transactions (arrival → completion).
-    pub latency: Histogram,
-    /// HDR (log-bucketed) latency histogram of real transactions: unlike
-    /// `latency`, it covers the full `u64` range and yields p50/p99/p999
-    /// with a bounded 3.125% relative error.
+    /// HDR (log-bucketed) latency histogram of real transactions
+    /// (arrival → completion): the one latency record, covering the full
+    /// `u64` range with quantiles at most 3.125% below the true value.
     pub latency_hdr: LogHistogram,
-    /// Sum of real-transaction latencies, for mean computation.
-    pub latency_sum: Cycle,
 }
 
 impl DomainStats {
-    /// Creates zeroed statistics. Latency buckets are 10 CPU cycles wide,
-    /// covering up to 10k cycles.
+    /// Creates zeroed statistics.
     pub fn new() -> Self {
         Self {
             reads: 0,
             writes: 0,
             fakes: 0,
             bandwidth: BandwidthMeter::new(),
-            latency: Histogram::new(10, 1000),
             latency_hdr: LogHistogram::new(),
-            latency_sum: 0,
         }
     }
 
@@ -50,8 +43,8 @@ impl DomainStats {
 
     /// Mean latency of real transactions, or `None` when there are none.
     pub fn mean_latency(&self) -> Option<f64> {
-        let n = self.reads + self.writes;
-        (n > 0).then(|| self.latency_sum as f64 / n as f64)
+        let h = &self.latency_hdr;
+        (h.count() > 0).then(|| h.sum() as f64 / h.count() as f64)
     }
 
     /// Merges another domain's counters into this one. Associative and
@@ -64,9 +57,7 @@ impl DomainStats {
         self.writes += other.writes;
         self.fakes += other.fakes;
         self.bandwidth.transfer(other.bandwidth.bytes());
-        self.latency.merge(&other.latency);
         self.latency_hdr.merge(&other.latency_hdr);
-        self.latency_sum += other.latency_sum;
     }
 
     /// Records a completed transaction.
@@ -80,9 +71,7 @@ impl DomainStats {
             } else {
                 self.reads += 1;
             }
-            self.latency.record(resp.latency());
             self.latency_hdr.record(resp.latency());
-            self.latency_sum += resp.latency();
         }
     }
 }

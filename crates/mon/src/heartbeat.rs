@@ -170,7 +170,6 @@ pub struct MonitorHub {
     total: u64,
     workers: usize,
     started: Instant,
-    seq: AtomicU64,
     succeeded: AtomicU64,
     failed: AtomicU64,
     skipped: AtomicU64,
@@ -211,7 +210,6 @@ impl MonitorHub {
             total,
             workers,
             started: Instant::now(),
-            seq: AtomicU64::new(0),
             succeeded: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             skipped: AtomicU64::new(skipped),
@@ -292,7 +290,6 @@ impl MonitorHub {
     /// are assigned by the events writer, not here, so resumed runs can
     /// continue a stream without duplicating them.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let _ = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut sim_cycles = self.done_cycles.load(Ordering::Relaxed);
         let mut supersteps = self.done_supersteps.load(Ordering::Relaxed);
         let mut skipped_cycles = self.done_skipped_cycles.load(Ordering::Relaxed);

@@ -29,8 +29,9 @@
 //!
 //! The cardinal rule is **no observer effect**: monitoring may change
 //! wall-clock timing but never simulation results — merged reports are
-//! byte-identical with monitoring on or off, which the runner's
-//! `monitor_has_no_observer_effect` test enforces.
+//! byte-identical with monitoring on or off, which
+//! `monitoring_does_not_perturb_the_report` in `crates/runner/tests/monitor.rs`
+//! enforces.
 
 pub mod config;
 pub mod dashboard;

@@ -38,7 +38,7 @@ pub struct WorkerSnapshot {
 }
 
 /// A monotonic point-in-time view of a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Stream sequence number, assigned by the events writer (strictly
     /// increasing across a resume; 0 until stamped).
@@ -71,6 +71,18 @@ pub struct TelemetrySnapshot {
     pub eta_ms: Option<u64>,
     pub groups: Vec<GroupProgress>,
     pub workers: Vec<WorkerSnapshot>,
+}
+
+impl TelemetrySnapshot {
+    /// Jobs executed this run (succeeded + failed; resumed ones excluded)
+    /// per host second, or 0.0 before any time has passed.
+    pub fn jobs_per_sec(&self) -> f64 {
+        if self.elapsed_ms == 0 {
+            0.0
+        } else {
+            (self.succeeded + self.failed) as f64 * 1000.0 / self.elapsed_ms as f64
+        }
+    }
 }
 
 #[cfg(test)]

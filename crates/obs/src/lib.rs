@@ -22,10 +22,6 @@
 //!   that caused it, [`ShaperTimeline`] records windowed shaper behaviour,
 //!   and [`LeakEstimator`] turns attacker-observable latencies into a
 //!   channel-capacity-over-time estimate.
-//! * **Sweep progress** — a [`ProgressMeter`] shared by the workers of an
-//!   experiment sweep (`dg-runner`) counts completions, retries and
-//!   failures, reports live throughput, and snapshots into a
-//!   [`SweepProgress`].
 //!
 //! Determinism is part of the contract: with a fixed seed, both the event
 //! stream and its JSON encodings are byte-identical across runs.
@@ -34,7 +30,6 @@ pub mod chrome;
 pub mod event;
 pub mod interval;
 pub mod leak;
-pub mod progress;
 pub mod report;
 pub mod tracer;
 
@@ -47,9 +42,8 @@ pub use leak::{
     InterferenceMatrix, InterferenceReport, LeakEstimator, LeakReport, LeakSample, LeakSummary,
     ShaperTimeline, ShaperTimelineReport, ShaperWindow, StallCause, StallCauseCycles,
 };
-pub use progress::{ProgressMeter, SweepProgress};
 pub use report::{
-    BankReport, CoreReport, DomainReport, DramReport, EnergyReport, HistogramSnapshot, RunMeta,
-    RunReport, ShaperReport, TraceSummary,
+    BankReport, CoreReport, DomainReport, DramReport, EnergyReport, RunMeta, RunReport,
+    ShaperReport, TraceSummary,
 };
 pub use tracer::{RingBuffer, Tracer};

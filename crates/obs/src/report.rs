@@ -48,17 +48,6 @@ pub struct CoreReport {
     pub completion: HistSnapshot,
 }
 
-/// Snapshot of a latency histogram: bucket width plus the non-empty buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Width of each bucket in CPU cycles.
-    pub bucket_width: u64,
-    /// `(bucket_index, count)` for every non-empty bucket.
-    pub nonzero: Vec<(usize, u64)>,
-    /// Total number of recorded samples.
-    pub total: u64,
-}
-
 /// Per-security-domain memory traffic summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DomainReport {
@@ -74,17 +63,14 @@ pub struct DomainReport {
     pub bandwidth_gbps: f64,
     /// Mean memory latency in CPU cycles (absent when no traffic).
     pub mean_latency: Option<f64>,
-    /// Median latency in CPU cycles.
+    /// Median latency in CPU cycles (from `latency_hdr`).
     pub latency_p50: Option<u64>,
-    /// 95th-percentile latency in CPU cycles.
+    /// 95th-percentile latency in CPU cycles (from `latency_hdr`).
     pub latency_p95: Option<u64>,
-    /// 99th-percentile latency in CPU cycles.
+    /// 99th-percentile latency in CPU cycles (from `latency_hdr`).
     pub latency_p99: Option<u64>,
-    /// The full latency distribution.
-    pub latency_hist: HistogramSnapshot,
-    /// HDR (log-bucketed) latency distribution with p50/p90/p99/p999: the
-    /// linear `latency_hist` saturates at 10k cycles, this one covers the
-    /// full range with a 3.125% relative error bound.
+    /// The full latency distribution: HDR (log-bucketed) with
+    /// p50/p90/p99/p999, every quantile at most 3.125% below the true value.
     pub latency_hdr: HistSnapshot,
 }
 
@@ -259,11 +245,6 @@ mod tests {
                 latency_p50: Some(80),
                 latency_p95: Some(200),
                 latency_p99: Some(400),
-                latency_hist: HistogramSnapshot {
-                    bucket_width: 10,
-                    nonzero: vec![(8, 90), (20, 10)],
-                    total: 100,
-                },
                 latency_hdr: sample_hist(),
             }],
             shapers: vec![ShaperReport {
@@ -354,7 +335,6 @@ mod tests {
             "\"shapers\"",
             "\"dram\"",
             "\"intervals\"",
-            "\"latency_hist\"",
             "\"fake_fraction\"",
             "\"banks\"",
             "\"interference\"",

@@ -352,7 +352,7 @@ fn main() -> ExitCode {
             out_path.display();
             "jobs" => outcome.progress.total,
             "retries" => outcome.progress.retries,
-            "jobs_per_sec" => format!("{:.1}", outcome.progress.jobs_per_sec)
+            "jobs_per_sec" => format!("{:.1}", outcome.progress.jobs_per_sec())
         );
         print!("{}", latency_table(&latency_leaderboard(&outcome)));
     }

@@ -123,7 +123,6 @@ pub fn latency_table(rows: &[LatencyRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_obs::SweepProgress;
     use dg_prof::LogHistogram;
 
     fn snap(values: &[u64]) -> HistSnapshot {
@@ -152,7 +151,7 @@ mod tests {
     fn outcome(records: Vec<JobRecord<ColocationResult>>) -> SweepOutcome<ColocationResult> {
         SweepOutcome {
             records,
-            progress: SweepProgress::default(),
+            progress: Default::default(),
             health: Default::default(),
         }
     }

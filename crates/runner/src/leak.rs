@@ -126,7 +126,6 @@ pub fn leak_table(rows: &[LeakRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_obs::SweepProgress;
 
     fn record(id: &str, mean: f64, peak: f64, err: f64) -> JobRecord<ColocationResult> {
         JobRecord {
@@ -152,7 +151,7 @@ mod tests {
     fn outcome(records: Vec<JobRecord<ColocationResult>>) -> SweepOutcome<ColocationResult> {
         SweepOutcome {
             records,
-            progress: SweepProgress::default(),
+            progress: Default::default(),
             health: Default::default(),
         }
     }

@@ -20,8 +20,9 @@ use crate::job::{job_seed, JobCtx, JobDesc, JobRecord};
 use crate::journal::{replay_journal, JournalEntry, JournalWriter};
 use crate::pool::{effective_jobs, run_work_stealing};
 use dg_fault::IoPlan;
-use dg_mon::{log_error, log_warn, Dashboard, EventsWriter, MonitorConfig, MonitorHub};
-use dg_obs::{ProgressMeter, SweepProgress};
+use dg_mon::{
+    log_error, log_warn, Dashboard, EventsWriter, MonitorConfig, MonitorHub, TelemetrySnapshot,
+};
 use dg_sim::error::SimError;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
@@ -168,8 +169,10 @@ impl ExitClass {
 pub struct SweepOutcome<R> {
     /// One terminal record per job, sorted by job id.
     pub records: Vec<JobRecord<R>>,
-    /// Scheduling statistics (wall-clock fields are display-only).
-    pub progress: SweepProgress,
+    /// The sweep's final telemetry snapshot: job counters (total, done,
+    /// succeeded, failed, skipped, retries, stalled) plus display-only
+    /// wall-clock fields. With `--events` it is the stream's last record.
+    pub progress: TelemetrySnapshot,
     /// Infrastructure health (degraded journal, IO errors, quarantine).
     pub health: SweepHealth,
 }
@@ -301,11 +304,6 @@ where
         resumed.retain(|id, e| ids.contains(id) && e.error.is_none());
     }
 
-    // With the dashboard active, per-job progress lines would shear the
-    // live region; the final summary still prints.
-    let meter = ProgressMeter::new(jobs.len() as u64, cfg.verbose && !cfg.monitor.live);
-    meter.skipped(resumed.len() as u64);
-
     let journal_path = cfg.journal.as_ref().or(cfg.resume.as_ref());
     let journal: Option<Mutex<JournalState>> = match journal_path {
         Some(path) => Some(Mutex::new(JournalState {
@@ -319,11 +317,22 @@ where
         .filter(|&i| !resumed.contains_key(jobs[i].id()))
         .collect();
 
-    // The monitoring plane: a hub the workers heartbeat into, sampled by
-    // a monitor thread that renders the dashboard, appends the events
-    // stream, and runs the stall watchdog. All of it is outside the
-    // executor's result path, so enabling it cannot change the report.
-    let monitoring = Monitoring::start(cfg, jobs, &pending, resumed.len() as u64)?;
+    // The hub keeps the sweep's job counters. When monitoring is enabled,
+    // workers also heartbeat into it and a monitor thread samples it to
+    // render the dashboard, append the events stream, and run the stall
+    // watchdog. All of it is outside the executor's result path, so
+    // enabling it cannot change the report.
+    let ids: Vec<&str> = pending.iter().map(|&i| jobs[i].id()).collect();
+    let hub = Arc::new(MonitorHub::new(
+        cfg.jobs.max(1),
+        jobs.len() as u64,
+        &ids,
+        resumed.len() as u64,
+    ));
+    let monitoring = Monitoring::start(cfg, &hub)?;
+    // With the dashboard active, per-job progress lines would shear the
+    // live region.
+    let progress_lines = cfg.verbose && !cfg.monitor.live;
 
     let results: Mutex<Vec<JobRecord<R>>> = Mutex::new(Vec::with_capacity(pending.len()));
     let quarantined: Mutex<Vec<(String, PathBuf)>> = Mutex::new(Vec::new());
@@ -336,9 +345,8 @@ where
         let mut attempt: u32 = 0;
         let mut last_probe = None;
         let (output, error) = loop {
-            let probe = monitoring
-                .as_ref()
-                .map(|m| m.hub.begin_job(worker, id, attempt));
+            let probe = hub.begin_job(worker, id, attempt);
+            let probe = monitoring.is_some().then_some(probe);
             last_probe.clone_from(&probe);
             let ctx = JobCtx {
                 seed: job_seed(id),
@@ -360,10 +368,7 @@ where
                             "attempt" => attempt + 2
                         );
                     }
-                    meter.retried();
-                    if let Some(m) = &monitoring {
-                        m.hub.job_retrying(worker);
-                    }
+                    hub.job_retrying(worker);
                     std::thread::sleep(cfg.backoff * 2u32.saturating_pow(attempt).min(1 << 10));
                     attempt += 1;
                 }
@@ -394,10 +399,7 @@ where
             output,
             error,
         };
-        if let Some(m) = &monitoring {
-            m.hub
-                .end_job(worker, record.is_ok(), started.elapsed().as_millis() as u64);
-        }
+        hub.end_job(worker, record.is_ok(), started.elapsed().as_millis() as u64);
         if let (Some(err), Some(dir)) = (&record.error, &cfg.quarantine) {
             // Quarantine the job's diagnostics so the sweep can keep going
             // while a human (or a repro run) picks the failure apart later.
@@ -448,7 +450,9 @@ where
                 }
             }
         }
-        meter.job_done(id, record.is_ok(), record.attempts);
+        if progress_lines {
+            print_progress_line(&hub.snapshot(), id, record.is_ok(), record.attempts);
+        }
         results.lock().push(record);
     });
 
@@ -459,13 +463,18 @@ where
         ..SweepHealth::default()
     };
 
-    if let Some(m) = monitoring {
-        if let Err(e) = m.finish() {
-            // Telemetry-plane IO failures degrade the run's health; they
-            // never invalidate the computed records.
-            health.io_errors.push(format!("events stream: {e}"));
+    let progress = match monitoring {
+        Some(m) => {
+            let (last, result) = m.finish(&hub);
+            if let Err(e) = result {
+                // Telemetry-plane IO failures degrade the run's health; they
+                // never invalidate the computed records.
+                health.io_errors.push(format!("events stream: {e}"));
+            }
+            last
         }
-    }
+        None => hub.snapshot(),
+    };
 
     if let Some(state) = journal {
         let state = state.into_inner();
@@ -489,9 +498,30 @@ where
 
     Ok(SweepOutcome {
         records,
-        progress: meter.summary(),
+        progress,
         health,
     })
+}
+
+/// Prints the verbose `[done/total] id verdict  rate, eta` line for one
+/// terminal job completion.
+fn print_progress_line(snap: &TelemetrySnapshot, id: &str, ok: bool, attempts: u32) {
+    let verdict = if ok { "ok" } else { "FAILED" };
+    let retry_note = if attempts > 1 {
+        format!(" (attempt {attempts})")
+    } else {
+        String::new()
+    };
+    let eta = snap.eta_ms.map_or_else(
+        || "?".to_string(),
+        |ms| format!("{:.0}s", ms as f64 / 1000.0),
+    );
+    eprintln!(
+        "[{}/{}] {id} {verdict}{retry_note}  {:.2} jobs/s, eta {eta}",
+        snap.done,
+        snap.total,
+        snap.jobs_per_sec()
+    );
 }
 
 /// The journal write path of one sweep: present and healthy, or degraded
@@ -586,33 +616,20 @@ fn write_quarantine_bundle<J: JobDesc>(
     Ok(path)
 }
 
-/// The live-monitoring side plane of one sweep: the heartbeat hub plus
-/// the background thread that samples it. Constructed only when
-/// [`MonitorConfig::enabled`]; everything here is observational — the
-/// executor's inputs and outputs never depend on it.
+/// The live-monitoring side plane of one sweep: the background thread
+/// that samples the hub. Started only when [`MonitorConfig::enabled`];
+/// everything here is observational — the executor's inputs and outputs
+/// never depend on it.
 struct Monitoring {
-    hub: Arc<MonitorHub>,
     stop: Arc<AtomicBool>,
-    thread: std::thread::JoinHandle<io::Result<()>>,
+    thread: std::thread::JoinHandle<(TelemetrySnapshot, io::Result<()>)>,
 }
 
 impl Monitoring {
-    fn start<J: JobDesc>(
-        cfg: &RunnerConfig,
-        jobs: &[J],
-        pending: &[usize],
-        skipped: u64,
-    ) -> io::Result<Option<Self>> {
+    fn start(cfg: &RunnerConfig, hub: &Arc<MonitorHub>) -> io::Result<Option<Self>> {
         if !cfg.monitor.enabled() {
             return Ok(None);
         }
-        let ids: Vec<&str> = pending.iter().map(|&i| jobs[i].id()).collect();
-        let hub = Arc::new(MonitorHub::new(
-            cfg.jobs.max(1),
-            jobs.len() as u64,
-            &ids,
-            skipped,
-        ));
 
         // Open the events stream up front so a bad path fails the sweep
         // immediately instead of after hours of simulation. A resumed run
@@ -636,7 +653,7 @@ impl Monitoring {
 
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
-            let hub = Arc::clone(&hub);
+            let hub = Arc::clone(hub);
             let stop = Arc::clone(&stop);
             let interval = cfg.monitor.interval();
             let stall = cfg.monitor.stall_timeout;
@@ -645,22 +662,26 @@ impl Monitoring {
             })
         };
 
-        Ok(Some(Monitoring { hub, stop, thread }))
+        Ok(Some(Monitoring { stop, thread }))
     }
 
-    /// Stops the monitor thread, emitting one final snapshot so the
-    /// events stream always ends in a terminal (`done == total`) record.
-    fn finish(self) -> io::Result<()> {
+    /// Stops the monitor thread, which emits one final snapshot so the
+    /// events stream always ends in a terminal (`done == total`) record,
+    /// and returns that snapshot with the stream's write result.
+    fn finish(self, hub: &MonitorHub) -> (TelemetrySnapshot, io::Result<()>) {
         self.stop.store(true, Ordering::Release);
-        match self.thread.join() {
-            Ok(r) => r,
-            Err(_) => Err(io::Error::other("monitor thread panicked")),
-        }
+        self.thread.join().unwrap_or_else(|_| {
+            (
+                hub.snapshot(),
+                Err(io::Error::other("monitor thread panicked")),
+            )
+        })
     }
 }
 
 /// The monitor thread body: sample → watchdog → render → stream, every
-/// `interval`, plus one final sample after the pool drains.
+/// `interval`, plus one final sample after the pool drains, which it
+/// returns.
 fn monitor_loop(
     hub: &MonitorHub,
     stop: &AtomicBool,
@@ -668,9 +689,9 @@ fn monitor_loop(
     stall: Option<Duration>,
     mut events: Option<EventsWriter>,
     mut dashboard: Option<Dashboard>,
-) -> io::Result<()> {
+) -> (TelemetrySnapshot, io::Result<()>) {
     let mut result = Ok(());
-    loop {
+    let last = loop {
         let stopping = stop.load(Ordering::Acquire);
         if let Some(budget) = stall {
             for job in hub.watchdog_scan(budget) {
@@ -698,14 +719,14 @@ fn monitor_loop(
             d.render(&snap);
         }
         if stopping {
-            break;
+            break snap;
         }
         std::thread::sleep(interval);
-    }
+    };
     if let Some(d) = &mut dashboard {
         d.finish();
     }
-    result
+    (last, result)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -236,3 +236,56 @@ fn watchdog_cancels_only_the_stalled_job() {
     assert_eq!(out.progress.failed, 1);
     assert_eq!(out.progress.succeeded, 1);
 }
+
+/// `SweepOutcome::progress` is the hub's final snapshot: a sweep with a
+/// journal-resumed job, a retried job and a failed job reports the same
+/// counters as the last `--events` record, and the same counters again
+/// when nothing monitors the sweep.
+#[test]
+fn sweep_progress_is_the_final_events_record() {
+    let jobs: Vec<WdJob> = ["p/resumed", "p/retried", "p/failed", "p/plain"]
+        .into_iter()
+        .map(|id| WdJob { id: id.into() })
+        .collect();
+    let exec = |job: &WdJob, ctx: &dg_runner::JobCtx| match job.id.as_str() {
+        "p/retried" if ctx.attempt == 0 => Err(SimError::Deadline { budget: 1 }),
+        "p/failed" => Err(SimError::Aborted("broken job".into())),
+        _ => Ok::<u64, SimError>(ctx.seed),
+    };
+
+    let journal = tmp("progress_journal");
+    let events = tmp("progress_events");
+    let _ = std::fs::remove_file(&events);
+    // A journal holding only `p/resumed`, fresh for each sweep below
+    // (a resumed sweep appends to the journal it resumes).
+    let seed_journal = || {
+        let _ = std::fs::remove_file(&journal);
+        let mut cfg = quiet(2);
+        cfg.journal = Some(journal.clone());
+        run_sweep(&cfg, &jobs[..1], exec).unwrap();
+    };
+
+    let counters = |s: &dg_mon::TelemetrySnapshot| {
+        (s.total, s.done, s.succeeded, s.failed, s.skipped, s.retries)
+    };
+    seed_journal();
+    let mut cfg = quiet(2);
+    cfg.retries = 1;
+    cfg.resume = Some(journal.clone());
+    cfg.monitor.events = Some(events.clone());
+    let monitored = run_sweep(&cfg, &jobs, exec).unwrap();
+    let last = scan_events(&events).unwrap().snapshots.pop().unwrap();
+    assert_eq!(counters(&monitored.progress), (4, 4, 2, 1, 1, 1));
+    assert_eq!(counters(&monitored.progress), counters(&last));
+    assert_eq!(monitored.progress.seq, last.seq);
+
+    seed_journal();
+    let mut cfg = quiet(2);
+    cfg.retries = 1;
+    cfg.resume = Some(journal.clone());
+    let bare = run_sweep(&cfg, &jobs, exec).unwrap();
+    assert_eq!(counters(&bare.progress), (4, 4, 2, 1, 1, 1));
+
+    std::fs::remove_file(&journal).unwrap();
+    std::fs::remove_file(&events).unwrap();
+}

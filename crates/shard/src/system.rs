@@ -165,9 +165,7 @@ impl ShardedSystemBuilder {
         let mut lanes: Vec<Option<Box<dyn MemorySubsystem>>> =
             lanes.into_iter().map(Some).collect();
 
-        let no_skip = std::env::var("DG_NO_SKIP")
-            .map(|v| v != "0" && !v.is_empty())
-            .unwrap_or(false);
+        let skip = dg_system::event_skipping_default();
 
         let s = self.scfg.shards;
         let mut shards = Vec::with_capacity(s);
@@ -202,7 +200,7 @@ impl ShardedSystemBuilder {
                 map,
                 self.scfg.noc_latency,
                 self.scfg.link_window,
-                !no_skip,
+                skip,
             ))));
         }
 
@@ -403,12 +401,6 @@ impl ShardedSystem {
             }
         };
 
-        let timing = std::env::var_os("DG_SHARD_TIMING").is_some();
-        let mut t_exec = std::time::Duration::ZERO;
-        let mut t_join = std::time::Duration::ZERO;
-        let mut t_route = std::time::Duration::ZERO;
-        let mut t_hint = std::time::Duration::ZERO;
-        let mut t_release = std::time::Duration::ZERO;
         let mut steps = 0u64;
         let mut skipped_total = 0u64;
         let probe = self.progress.clone();
@@ -420,29 +412,18 @@ impl ShardedSystem {
                 let (start_at, end_at) = (&start_at, &end_at);
                 let (done, panicked) = (&done, &panicked);
                 let run_claimed = &run_claimed;
-                scope.spawn(move || {
-                    let mut w_exec = std::time::Duration::ZERO;
-                    let mut w_release = std::time::Duration::ZERO;
-                    loop {
-                        let t0 = std::time::Instant::now();
-                        release.wait();
-                        w_release += t0.elapsed();
-                        if done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let start = start_at.load(Ordering::Relaxed);
-                        let end = end_at.load(Ordering::Relaxed);
-                        let t1 = std::time::Instant::now();
-                        let r = catch_unwind(AssertUnwindSafe(|| run_claimed(w, start, end)));
-                        w_exec += t1.elapsed();
-                        if r.is_err() {
-                            panicked.store(true, Ordering::Release);
-                        }
-                        join.wait();
+                scope.spawn(move || loop {
+                    release.wait();
+                    if done.load(Ordering::Acquire) {
+                        break;
                     }
-                    if timing {
-                        eprintln!("[shard timing] worker{w} exec={w_exec:?} release={w_release:?}");
+                    let start = start_at.load(Ordering::Relaxed);
+                    let end = end_at.load(Ordering::Relaxed);
+                    let r = catch_unwind(AssertUnwindSafe(|| run_claimed(w, start, end)));
+                    if r.is_err() {
+                        panicked.store(true, Ordering::Release);
                     }
+                    join.wait();
                 });
             }
 
@@ -476,16 +457,20 @@ impl ShardedSystem {
                     c.store(false, Ordering::Relaxed);
                 }
                 steps += 1;
-                let t0 = std::time::Instant::now();
-                release.wait();
-                let t1 = std::time::Instant::now();
-                t_release += t1 - t0;
-                let r = catch_unwind(AssertUnwindSafe(|| run_claimed(0, now, end)));
-                let t2 = std::time::Instant::now();
-                t_exec += t2 - t1;
-                join.wait();
-                let t3 = std::time::Instant::now();
-                t_join += t3 - t2;
+                // Phase spans (host profiler, coordinator thread only): the
+                // workers' exec time shows up as this thread's join wait.
+                {
+                    let _prof = dg_prof::span("shard_release");
+                    release.wait();
+                }
+                let r = {
+                    let _prof = dg_prof::span("shard_exec");
+                    catch_unwind(AssertUnwindSafe(|| run_claimed(0, now, end)))
+                };
+                {
+                    let _prof = dg_prof::span("shard_join");
+                    join.wait();
+                }
                 if r.is_err() || panicked.load(Ordering::Acquire) {
                     shutdown();
                     match r {
@@ -497,6 +482,7 @@ impl ShardedSystem {
 
                 // Exchange: drain every shard's egress, establish the
                 // global NoC order, and route by home shard.
+                let route = dg_prof::span("shard_route");
                 reqs.clear();
                 resps.clear();
                 for m in shards.iter() {
@@ -526,9 +512,8 @@ impl ShardedSystem {
                         }
                     }
                 }
-
-                t_route += t3.elapsed();
-                let t4 = std::time::Instant::now();
+                drop(route);
+                let _prof = dg_prof::span("shard_hint");
 
                 // Stop conditions are evaluated only at barriers, with the
                 // same `now` for every shard count.
@@ -567,15 +552,8 @@ impl ShardedSystem {
                 if let Some(p) = &probe {
                     p.record(now, steps, skipped_total);
                 }
-                t_hint += t4.elapsed();
             }
         });
-        if timing {
-            eprintln!(
-                "[shard timing] steps={steps} release={t_release:?} exec={t_exec:?} \
-                 join={t_join:?} route={t_route:?} hint+stop={t_hint:?}"
-            );
-        }
         self.now = now;
         outcome
     }

@@ -3,8 +3,8 @@
 //! The evaluation reports three families of metrics: per-core IPC normalized
 //! to an insecure baseline (Figures 9/10), allocated DRAM bandwidth in GB/s
 //! (Figure 7b), and request latency distributions (the receiver-observable
-//! quantity in Figure 1). [`IpcMeter`], [`BandwidthMeter`] and [`Histogram`]
-//! collect them respectively.
+//! quantity in Figure 1). [`IpcMeter`] and [`BandwidthMeter`] collect the
+//! first two; latency distributions go into `dg-prof`'s HDR `LogHistogram`.
 
 use crate::clock::Cycle;
 use serde::{Deserialize, Serialize};
@@ -83,108 +83,6 @@ impl RunningStats {
     /// recorded.
     pub fn stddev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
-    }
-}
-
-/// A fixed-bucket latency histogram.
-///
-/// Buckets are `bucket_width`-cycle wide; samples beyond the last bucket are
-/// clamped into it so the histogram never loses a sample.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Histogram {
-    bucket_width: u64,
-    buckets: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n_buckets` buckets of `bucket_width` cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` or `n_buckets` is zero.
-    pub fn new(bucket_width: u64, n_buckets: usize) -> Self {
-        assert!(bucket_width > 0, "bucket width must be positive");
-        assert!(n_buckets > 0, "need at least one bucket");
-        Self {
-            bucket_width,
-            buckets: vec![0; n_buckets],
-            total: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        let idx = ((v / self.bucket_width) as usize).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Width of each bucket in cycles.
-    pub fn bucket_width(&self) -> u64 {
-        self.bucket_width
-    }
-
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Returns `(bucket_lower_bound, count)` pairs for non-empty buckets.
-    pub fn nonzero(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u64 * self.bucket_width, c))
-            .collect()
-    }
-
-    /// Approximate p-th percentile (`p` in `[0, 100]`), by bucket lower
-    /// bound. Returns `None` when empty.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = ((p.clamp(0.0, 100.0) / 100.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return Some(i as u64 * self.bucket_width);
-            }
-        }
-        Some((self.buckets.len() as u64 - 1) * self.bucket_width)
-    }
-
-    /// Merges another histogram into this one bucket-wise. The operation
-    /// is associative and commutative, so per-channel (or per-shard)
-    /// fragments can be combined in any grouping and yield identical
-    /// totals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket layouts differ: merging histograms with
-    /// different resolutions would silently mis-bin samples.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bucket_width, other.bucket_width,
-            "histogram merge requires identical bucket widths"
-        );
-        assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
-            "histogram merge requires identical bucket counts"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.total += other.total;
     }
 }
 
@@ -347,31 +245,6 @@ mod tests {
             s.record(v);
         }
         assert!((s.variance().unwrap() - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_buckets_and_clamp() {
-        let mut h = Histogram::new(10, 4);
-        h.record(0);
-        h.record(9);
-        h.record(10);
-        h.record(35);
-        h.record(1000); // clamped into last bucket
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.buckets(), &[2, 1, 0, 2]);
-        assert_eq!(h.nonzero(), vec![(0, 2), (10, 1), (30, 2)]);
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = Histogram::new(1, 100);
-        for v in 0..100 {
-            h.record(v);
-        }
-        assert_eq!(h.percentile(0.0), Some(0));
-        assert_eq!(h.percentile(50.0), Some(49));
-        assert_eq!(h.percentile(100.0), Some(99));
-        assert_eq!(Histogram::new(1, 1).percentile(50.0), None);
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub mod system;
 pub use builder::{build_channel_memories, build_memory, MemoryKind, SystemBuilder};
 pub use experiment::{ColocationResult, CoreResult};
 pub use profile::{profile_victim, select_defense_rdag, ProfilePoint};
-pub use system::{memory_sections, System};
+pub use system::{event_skipping_default, memory_sections, System};

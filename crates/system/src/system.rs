@@ -7,8 +7,8 @@ use dg_fault::SimFaultKind;
 use dg_mem::{MemStats, MemorySubsystem};
 use dg_mon::ProgressProbe;
 use dg_obs::{
-    BankReport, CoreReport, DomainReport, DramReport, EnergyReport, HistogramSnapshot,
-    IntervalSampler, RunMeta, RunReport, TraceSummary, Tracer,
+    BankReport, CoreReport, DomainReport, DramReport, EnergyReport, IntervalSampler, RunMeta,
+    RunReport, TraceSummary, Tracer,
 };
 use dg_prof::EngineCounters;
 use dg_sim::clock::{earliest_event, Cycle};
@@ -130,6 +130,15 @@ pub struct System {
     progress: Option<ProgressProbe>,
 }
 
+/// Whether a newly built system starts on the event-driven engine: yes,
+/// unless `DG_NO_SKIP` is set to a value other than empty or `0`, which
+/// forces the naive per-cycle loop as the differential oracle. Read at
+/// every construction (not cached), so a process may toggle it between
+/// runs.
+pub fn event_skipping_default() -> bool {
+    std::env::var("DG_NO_SKIP").map_or(true, |v| v.is_empty() || v == "0")
+}
+
 impl System {
     /// Assembles a system. Use [`crate::SystemBuilder`] rather than calling
     /// this directly.
@@ -143,9 +152,6 @@ impl System {
         let mut l3_cfg = cfg.cache.l3_per_core;
         l3_cfg.size_bytes *= cores.len().max(1) as u64;
         let l3 = SetAssocCache::new(l3_cfg, "L3");
-        let no_skip = std::env::var("DG_NO_SKIP")
-            .map(|v| v != "0" && !v.is_empty())
-            .unwrap_or(false);
         let n = cores.len();
         Self {
             cfg,
@@ -156,7 +162,7 @@ impl System {
             mem_label,
             tracer: Tracer::noop(),
             sampler: None,
-            skip_enabled: !no_skip,
+            skip_enabled: event_skipping_default(),
             resp_buf: Vec::new(),
             instr_buf: Vec::new(),
             bytes_buf: Vec::new(),
@@ -682,21 +688,9 @@ pub fn memory_sections(
             fakes: d.fakes,
             bandwidth_gbps: d.bandwidth.gbps(clock_hz),
             mean_latency: d.mean_latency(),
-            latency_p50: d.latency.percentile(50.0),
-            latency_p95: d.latency.percentile(95.0),
-            latency_p99: d.latency.percentile(99.0),
-            latency_hist: HistogramSnapshot {
-                bucket_width: d.latency.bucket_width(),
-                nonzero: d
-                    .latency
-                    .buckets()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(idx, &c)| (idx, c))
-                    .collect(),
-                total: d.latency.total(),
-            },
+            latency_p50: d.latency_hdr.quantile(0.50),
+            latency_p95: d.latency_hdr.quantile(0.95),
+            latency_p99: d.latency_hdr.quantile(0.99),
             latency_hdr: d.latency_hdr.snapshot(),
         })
         .collect();
@@ -841,6 +835,37 @@ mod tests {
         assert_eq!(r, Ok(end));
         assert_eq!(outcome(&supervised), outcome(&plain));
         assert_eq!(probe.sim_cycles(), supervised.now());
+    }
+
+    /// Latencies past 10k cycles (temporal partitioning's tail) reach the
+    /// report's quantiles within the HDR error bound, not clamped.
+    #[test]
+    fn memory_sections_report_long_tail_latency() {
+        use dg_sim::types::{DomainId, MemResponse, ReqId, ReqKind, ReqType};
+        let mut stats = dg_mem::MemStats::new(1, 64);
+        for i in 0..100 {
+            stats.record(&MemResponse {
+                id: ReqId(i),
+                domain: DomainId(0),
+                addr: 0,
+                req_type: ReqType::Read,
+                kind: ReqKind::Real,
+                arrived_at: 1_000,
+                completed_at: 21_000,
+            });
+        }
+        let (domains, _, _) = crate::memory_sections(&stats, 1, 2.4e9);
+        let d = &domains[0];
+        for p in [d.latency_p50, d.latency_p95, d.latency_p99] {
+            let p = p.expect("real responses recorded");
+            assert!(
+                p <= 20_000 && p as f64 >= 20_000.0 * (1.0 - 1.0 / 32.0),
+                "{p}"
+            );
+        }
+        assert_eq!(d.latency_p99, Some(d.latency_hdr.p99));
+        assert_eq!(d.mean_latency, Some(20_000.0));
+        assert_eq!(d.latency_hdr.count, 100);
     }
 
     #[test]

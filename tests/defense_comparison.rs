@@ -109,8 +109,8 @@ fn temporal_partitioning_has_worse_latency_than_fixed_service() {
         sys.memory()
             .stats()
             .domain(D(0))
-            .latency
-            .percentile(99.0)
+            .latency_hdr
+            .quantile(0.99)
             .expect("victim issued requests")
     };
 
