@@ -16,10 +16,12 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "=== engine differential + zero-allocation suites (release) ==="
 # Naive vs event engine byte-identity under back-pressure (classic and
-# sharded runtimes) and the counting-allocator proof that the per-tick
-# path never allocates, at the optimization level the benchmarks run.
+# sharded runtimes), the counting-allocator proof that the per-tick path
+# never allocates, and the controller's golden and every-cycle vs
+# event-driven tests, at the optimization level the benchmarks run.
 cargo test --release -q -p dg-system --test determinism --test zero_alloc
 cargo test --release -q -p dg-shard --test determinism
+cargo test --release -q -p dg-mem
 
 echo "=== format ==="
 cargo fmt --all --check

@@ -1,6 +1,6 @@
 //! The DAGguise request shaper (§4.4).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use dg_dram::{AddressMapper, MapScheme, PhysLoc};
 use dg_mem::DomainShaper;
@@ -98,11 +98,6 @@ impl ShaperStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct InFlight {
-    seq: usize,
-}
-
 /// The DAGguise request shaper: a proxy agent for one protected domain.
 ///
 /// The shaper implements [`DomainShaper`] and plugs into
@@ -117,7 +112,9 @@ pub struct Shaper {
     executor: RdagExecutor,
     queue: VecDeque<MemRequest>,
     mapper: AddressMapper,
-    in_flight: HashMap<ReqId, InFlight>,
+    /// The request each defense-rDAG sequence has in flight: the executor
+    /// allows at most one per sequence.
+    in_flight: Vec<Option<ReqId>>,
     rng: DetRng,
     fake_seq: u64,
     stats: ShaperStats,
@@ -141,12 +138,13 @@ impl Shaper {
             config.line_bytes,
         );
         let rng = DetRng::new(config.seed);
+        let in_flight = vec![None; executor.sequence_count()];
         Self {
             config,
             executor,
             queue: VecDeque::new(),
             mapper,
-            in_flight: HashMap::new(),
+            in_flight,
             rng,
             fake_seq: 0,
             stats: ShaperStats::default(),
@@ -285,7 +283,7 @@ impl DomainShaper for Shaper {
                 tl.record_emission(now, depth, slack, req.kind.is_fake());
             }
             self.executor.emitted(demand.seq, now);
-            self.in_flight.insert(req.id, InFlight { seq: demand.seq });
+            self.in_flight[demand.seq] = Some(req.id);
             out.push(req);
         }
     }
@@ -315,11 +313,13 @@ impl DomainShaper for Shaper {
     }
 
     fn on_response(&mut self, resp: &MemResponse, now: Cycle) -> Option<MemResponse> {
-        let inflight = self
+        let seq = self
             .in_flight
-            .remove(&resp.id)
+            .iter()
+            .position(|&id| id == Some(resp.id))
             .expect("response for a request this shaper never emitted");
-        self.executor.completed(inflight.seq, now);
+        self.in_flight[seq] = None;
+        self.executor.completed(seq, now);
         match resp.kind {
             ReqKind::Real => Some(*resp),
             ReqKind::Fake => None,

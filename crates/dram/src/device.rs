@@ -17,10 +17,10 @@ enum LastCol {
     Write { data_end: Cycle },
 }
 
-/// The device-level constraint that currently blocks a command, as reported
-/// by [`DramDevice::blocking_reason`]. Deliberately device-local (no
-/// domains, no observability types) so higher layers can map it onto their
-/// own attribution categories.
+/// The device-level constraint that holds a command back, as reported by
+/// [`DramDevice::horizon`] and [`DramDevice::blocking_reason`]. Deliberately
+/// device-local (no domains, no observability types) so higher layers can
+/// map it onto their own attribution categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockReason {
     /// The target bank's own timing horizon (tRCD/tRAS/tRP/tRC/tWR).
@@ -40,10 +40,13 @@ pub enum BlockReason {
 /// A single-channel, single-rank DRAM device.
 ///
 /// The device answers two questions for the memory-controller scheduler:
-/// [`earliest`](Self::earliest) — "when could this command legally issue?"
-/// — and [`issue`](Self::issue) — "apply it". Column commands return the
-/// cycle at which the last data beat leaves the device, which the controller
-/// uses as the transaction completion time.
+/// [`horizon`](Self::horizon) — "from which bus edge, and held back by
+/// what, could this command legally issue?", with
+/// [`earliest`](Self::earliest) and
+/// [`blocking_reason`](Self::blocking_reason) as its views at a given
+/// cycle — and [`issue`](Self::issue) — "apply it". Column commands return
+/// the cycle at which the last data beat leaves the device, which the
+/// controller uses as the transaction completion time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DramDevice {
     timing: CpuTiming,
@@ -129,60 +132,19 @@ impl DramDevice {
         self.banks.iter().all(|b| b.open_row().is_none())
     }
 
-    /// Earliest cycle ≥ `now` at which `cmd` may legally issue.
+    /// The latest device horizon holding `cmd` back, and the constraint it
+    /// belongs to: `cmd` may issue on any command-bus edge at or after the
+    /// returned cycle, which is itself a bus edge. Independent of the
+    /// current cycle, so it stays valid until the next [`issue`](Self::issue).
     ///
-    /// The result is aligned to a DRAM command-bus edge.
-    pub fn earliest(&self, cmd: DramCommand, now: Cycle) -> Cycle {
-        let mut t = now.max(self.next_cmd).max(self.refresh_until);
-        match cmd {
-            DramCommand::Activate { bank, .. } => {
-                t = t
-                    .max(self.banks[bank as usize].earliest_activate())
-                    .max(self.next_act_any)
-                    .max(self.faw_horizon());
-            }
-            DramCommand::Read { bank, .. } => {
-                t = t
-                    .max(self.banks[bank as usize].earliest_column())
-                    .max(self.next_col_any)
-                    .max(self.read_turnaround());
-            }
-            DramCommand::Write { bank, .. } => {
-                t = t
-                    .max(self.banks[bank as usize].earliest_column())
-                    .max(self.next_col_any)
-                    .max(self.write_turnaround());
-            }
-            DramCommand::Precharge { bank } => {
-                t = t.max(self.banks[bank as usize].earliest_precharge());
-            }
-            DramCommand::Refresh => {
-                let all_pre = self
-                    .banks
-                    .iter()
-                    .map(|b| b.earliest_activate())
-                    .max()
-                    .unwrap_or(0);
-                // REF may issue once every bank could accept an ACT, i.e. all
-                // precharges have completed.
-                t = t.max(all_pre);
-            }
-        }
-        t.next_multiple_of(self.timing.cmd_cycle)
-    }
-
-    /// The binding constraint preventing `cmd` from issuing at `now`, or
-    /// `None` when it may issue now. Ties are resolved toward the more
-    /// specific reason (bank and window constraints before generic bus
-    /// occupancy). Pure observation: never mutates device state, so
+    /// Ties are resolved toward the more specific reason: refresh beats the
+    /// bank horizons it also pushed ("refresh" is the more informative
+    /// answer), and bank and window constraints beat generic command-bus
+    /// occupancy. Pure observation: never mutates device state, so
     /// attribution layers can call it freely without perturbing timing.
-    pub fn blocking_reason(&self, cmd: DramCommand, now: Cycle) -> Option<BlockReason> {
-        // The horizons are exactly those `earliest` takes the maximum of.
-        // Keep the latest horizon, considered in tie-priority order: `>`
-        // keeps the earlier entry on ties, so refresh beats the bank
-        // horizons it also pushed ("refresh" is the more informative
-        // answer) and the command-specific constraints beat generic
-        // command-bus occupancy.
+    pub fn horizon(&self, cmd: DramCommand) -> (Cycle, BlockReason) {
+        // Horizons are considered in tie-priority order: `>` keeps the
+        // earlier entry on ties.
         let mut best = (self.refresh_until, BlockReason::Refresh);
         let mut consider = |t: Cycle, r: BlockReason| {
             if t > best.0 {
@@ -221,6 +183,8 @@ impl DramDevice {
                 );
             }
             DramCommand::Refresh => {
+                // REF may issue once every bank could accept an ACT, i.e. all
+                // precharges have completed.
                 let all_pre = self
                     .banks
                     .iter()
@@ -231,10 +195,30 @@ impl DramDevice {
             }
         }
         consider(self.next_cmd, BlockReason::CmdBus);
-        // Legal now (`earliest(cmd, now) == now`) iff every horizon has
-        // passed and `now` is a bus edge.
-        let legal = best.0 <= now && now.is_multiple_of(self.timing.cmd_cycle);
-        (!legal).then_some(best.1)
+        // Every horizon is an issue edge plus whole DRAM cycles.
+        debug_assert!(
+            best.0.is_multiple_of(self.timing.cmd_cycle),
+            "horizon {} of {cmd} off the command-bus grid",
+            best.0
+        );
+        best
+    }
+
+    /// Earliest cycle ≥ `now` at which `cmd` may legally issue.
+    ///
+    /// The result is aligned to a DRAM command-bus edge.
+    pub fn earliest(&self, cmd: DramCommand, now: Cycle) -> Cycle {
+        now.max(self.horizon(cmd).0)
+            .next_multiple_of(self.timing.cmd_cycle)
+    }
+
+    /// The binding constraint preventing `cmd` from issuing at `now`, or
+    /// `None` when it may issue now: the [`horizon`](Self::horizon)'s
+    /// reason unless every horizon has passed and `now` is a bus edge.
+    pub fn blocking_reason(&self, cmd: DramCommand, now: Cycle) -> Option<BlockReason> {
+        let (at, reason) = self.horizon(cmd);
+        let legal = at <= now && now.is_multiple_of(self.timing.cmd_cycle);
+        (!legal).then_some(reason)
     }
 
     /// Earliest ACT as constrained by the four-activate window.
@@ -517,6 +501,25 @@ mod tests {
         let t_rd = d.earliest(rd(0), t);
         assert_eq!(t_rd % 3, 0);
         assert!(t_rd >= t + d.timing().tRCD);
+    }
+
+    #[test]
+    fn horizon_is_the_first_legal_edge_and_the_blocking_reason() {
+        let mut d = DramDevice::new(
+            DramOrg::default(),
+            DramTiming::default(),
+            ClockRatio::new(3),
+        );
+        d.issue(act(0, 1), 0);
+        let wr_end = d.issue(wr(0), d.earliest(wr(0), 0)).unwrap();
+        for cmd in [rd(0), act(1, 1), DramCommand::Precharge { bank: 0 }] {
+            let (h, reason) = d.horizon(cmd);
+            assert_eq!(h % 3, 0, "{cmd}: horizon off the bus grid");
+            assert_eq!(d.earliest(cmd, 0), h, "{cmd}");
+            assert_eq!(d.earliest(cmd, wr_end + 1), h.max(wr_end + 3), "{cmd}");
+            assert_eq!(d.blocking_reason(cmd, h), None, "{cmd}");
+            assert_eq!(d.blocking_reason(cmd, h - 3), Some(reason), "{cmd}");
+        }
     }
 
     #[test]

@@ -33,10 +33,82 @@ enum TxnState {
 
 #[derive(Debug, Clone)]
 struct Txn {
+    /// Arrival order, unique per controller: links a [`Planned`] entry to
+    /// its transaction across queue removals.
+    seq: u64,
     req: MemRequest,
     loc: PhysLoc,
     arrived: Cycle,
     state: TxnState,
+}
+
+/// One pending transaction as the scheduler sees it until the next command
+/// issues.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Planned {
+    seq: u64,
+    loc: PhysLoc,
+    domain: DomainId,
+    /// No older pending transaction targets the same bank.
+    head: bool,
+    /// The command the transaction needs next ([`required_cmd`]).
+    cmd: DramCommand,
+    /// The bus edge from which `cmd` is legal, and the constraint holding
+    /// it back before then ([`DramDevice::horizon`]).
+    horizon: Cycle,
+    reason: BlockReason,
+}
+
+/// The pending transactions in arrival order, each with its required
+/// command and that command's device horizon.
+///
+/// Device horizons, and with them every required command, move only when a
+/// command issues. So the plan is rebuilt once per issued command and
+/// appended to on enqueue, and the scheduler, stall attribution and the
+/// wake-up computation read it instead of re-deriving each transaction's
+/// state from the device. Completions only remove issued transactions,
+/// which the plan does not hold.
+#[derive(Debug, PartialEq)]
+struct Plan {
+    /// Preallocated to the transaction-queue capacity: never reallocates.
+    entries: Vec<Planned>,
+    /// Domain of each bank's head transaction (`None`: nothing pending).
+    bank_head: Vec<Option<DomainId>>,
+}
+
+impl Plan {
+    fn new(capacity: usize, banks: usize) -> Self {
+        Self {
+            entries: Vec::with_capacity(capacity),
+            bank_head: vec![None; banks],
+        }
+    }
+
+    /// Appends pending `txn`, evaluated against the current `device`.
+    fn push(&mut self, txn: &Txn, device: &DramDevice, auto_precharge: bool) {
+        let cmd = required_cmd(device, txn, auto_precharge);
+        let (horizon, reason) = device.horizon(cmd);
+        let head = &mut self.bank_head[txn.loc.bank as usize];
+        self.entries.push(Planned {
+            seq: txn.seq,
+            loc: txn.loc,
+            domain: txn.req.domain,
+            head: head.is_none(),
+            cmd,
+            horizon,
+            reason,
+        });
+        head.get_or_insert(txn.req.domain);
+    }
+
+    /// Re-derives every entry from the queue and the current device state.
+    fn rebuild(&mut self, txq: &VecDeque<Txn>, device: &DramDevice, auto_precharge: bool) {
+        self.entries.clear();
+        self.bank_head.fill(None);
+        for txn in txq.iter().filter(|t| t.state == TxnState::Pending) {
+            self.push(txn, device, auto_precharge);
+        }
+    }
 }
 
 /// Who last touched each shared DRAM resource, so a blocked command's wait
@@ -103,8 +175,9 @@ pub struct MemoryController {
     /// Every command-bus edge before this cycle has had its stalls
     /// attributed, by a tick or by [`MemorySubsystem::settle_warp`].
     settled_until: Cycle,
-    /// Stall-attribution scratch: the oldest pending owner of each bank.
-    bank_head: Vec<Option<DomainId>>,
+    plan: Plan,
+    /// Sequence number of the next enqueued transaction.
+    next_seq: u64,
 }
 
 impl MemoryController {
@@ -136,7 +209,8 @@ impl MemoryController {
             leak: LeakTrack::new(domains, banks),
             next_done: Cycle::MAX,
             settled_until: 0,
-            bank_head: vec![None; banks],
+            plan: Plan::new(cfg.queues.transaction_queue, banks),
+            next_seq: 0,
         }
     }
 
@@ -245,61 +319,65 @@ impl MemoryController {
         self.row_policy == RowPolicy::Closed
     }
 
-    /// Attempts to issue one DRAM command at `now` (must be a bus edge).
+    /// Issues at most one DRAM command at `now` (must be a bus edge), then
+    /// rebuilds the plan if one issued.
     fn schedule(&mut self, now: Cycle) {
         // Refresh has priority: drain open banks, then REF.
         if self.device.refresh_due(now) {
             self.refresh_pending = true;
         }
-        if self.refresh_pending && self.try_refresh(now) {
-            return;
-        }
-
-        match self.policy {
-            SchedPolicy::Fcfs => self.schedule_fcfs(now),
-            SchedPolicy::FrFcfs => self.schedule_frfcfs(now),
-        }
-    }
-
-    /// Returns true if a refresh-related command was issued (or refresh
-    /// still blocks normal scheduling this edge).
-    fn try_refresh(&mut self, now: Cycle) -> bool {
-        // Precharge any open bank whose precharge is legal.
-        for b in 0..self.device.bank_count() {
-            if self.device.bank(b).open_row().is_some() {
-                let cmd = DramCommand::Precharge { bank: b };
-                if self.device.earliest(cmd, now) == now {
-                    self.device.issue(cmd, now);
-                    self.note_cmd(cmd, now, None);
-                    return true;
-                }
-            }
-        }
-        if !self.device.all_banks_idle() {
-            // Waiting for in-progress accesses / precharges to become legal;
-            // block column/act scheduling so we make forward progress.
-            return true;
-        }
-        let cmd = DramCommand::Refresh;
-        if self.device.earliest(cmd, now) == now {
+        if self.refresh_pending {
+            // Normal scheduling waits until the REF itself has issued.
+            let Some(cmd) = self.refresh_cmd(now) else {
+                return;
+            };
             self.device.issue(cmd, now);
             self.note_cmd(cmd, now, None);
-            self.refresh_pending = false;
-            self.stats.refreshes = self.device.refreshes();
-            self.stats.energy.record_refresh();
-            return true;
+            if cmd == DramCommand::Refresh {
+                self.refresh_pending = false;
+                self.stats.refreshes = self.device.refreshes();
+                self.stats.energy.record_refresh();
+            }
+        } else {
+            let pick = match self.policy {
+                SchedPolicy::Fcfs => self.pick_fcfs(now),
+                SchedPolicy::FrFcfs => self.pick_frfcfs(now),
+            };
+            let Some(p) = pick else {
+                return;
+            };
+            if is_column(p.cmd) {
+                self.issue_column(&p, now);
+            } else {
+                self.device.issue(p.cmd, now);
+                self.note_cmd(p.cmd, now, Some(p.domain));
+            }
         }
-        true
+        let auto_precharge = self.auto_precharge();
+        self.plan.rebuild(&self.txq, &self.device, auto_precharge);
     }
 
-    fn column_cmd(&self, txn: &Txn) -> DramCommand {
-        column_cmd(txn, self.auto_precharge())
+    /// The refresh-drain command legal at `now`: a precharge of an open
+    /// bank, then REF once every bank is idle. `None` while waiting for
+    /// in-progress accesses and precharges.
+    fn refresh_cmd(&self, now: Cycle) -> Option<DramCommand> {
+        let legal = |cmd: &DramCommand| self.device.horizon(*cmd).0 <= now;
+        if self.device.all_banks_idle() {
+            return Some(DramCommand::Refresh).filter(legal);
+        }
+        (0..self.device.bank_count())
+            .filter(|&b| self.device.bank(b).open_row().is_some())
+            .map(|bank| DramCommand::Precharge { bank })
+            .find(legal)
     }
 
-    fn issue_column(&mut self, idx: usize, now: Cycle) {
-        let cmd = self.column_cmd(&self.txq[idx]);
+    fn issue_column(&mut self, p: &Planned, now: Cycle) {
+        let idx = self
+            .txq
+            .binary_search_by_key(&p.seq, |t| t.seq)
+            .expect("a planned transaction is queued");
         let txn = &self.txq[idx];
-        let (bank, arrived, domain) = (txn.loc.bank as usize, txn.arrived, txn.req.domain);
+        let (bank, arrived) = (txn.loc.bank as usize, txn.arrived);
         // A row hit means the row was already open when this transaction
         // arrived; otherwise the transaction paid for (at least) its own
         // activation. Classify before note_cmd clears auto-precharged rows.
@@ -310,183 +388,108 @@ impl MemoryController {
         }
         let done = self
             .device
-            .issue(cmd, now)
+            .issue(p.cmd, now)
             .expect("column returns data time");
-        self.note_cmd(cmd, now, Some(domain));
+        self.note_cmd(p.cmd, now, Some(p.domain));
         self.txq[idx].state = TxnState::Issued { done };
         self.next_done = self.next_done.min(done);
     }
 
-    fn schedule_fcfs(&mut self, now: Cycle) {
-        // Serve only the oldest pending transaction.
-        let Some(idx) = self
-            .txq
-            .iter()
-            .position(|t| matches!(t.state, TxnState::Pending))
-        else {
-            return;
-        };
-        let loc = self.txq[idx].loc;
-        let domain = self.txq[idx].req.domain;
-        match self.device.bank(loc.bank).open_row() {
-            Some(row) if row == loc.row => {
-                let cmd = self.column_cmd(&self.txq[idx]);
-                if self.device.earliest(cmd, now) == now {
-                    self.issue_column(idx, now);
-                }
-            }
-            Some(_) => {
-                let cmd = DramCommand::Precharge { bank: loc.bank };
-                if self.device.earliest(cmd, now) == now {
-                    self.device.issue(cmd, now);
-                    self.note_cmd(cmd, now, Some(domain));
-                }
-            }
-            None => {
-                let cmd = DramCommand::Activate {
-                    bank: loc.bank,
-                    row: loc.row,
-                };
-                if self.device.earliest(cmd, now) == now {
-                    self.device.issue(cmd, now);
-                    self.note_cmd(cmd, now, Some(domain));
-                }
-            }
-        }
+    /// FCFS: the oldest transaction's command, if legal at `now`.
+    fn pick_fcfs(&self, now: Cycle) -> Option<Planned> {
+        self.plan
+            .entries
+            .first()
+            .filter(|p| p.horizon <= now)
+            .copied()
     }
 
-    fn schedule_frfcfs(&mut self, now: Cycle) {
-        // 1. Oldest row-hit column access that is legal right now.
-        let hit = self.txq.iter().position(|t| {
-            matches!(t.state, TxnState::Pending)
-                && self.device.bank(t.loc.bank).open_row() == Some(t.loc.row)
-                && self.device.earliest(self.column_cmd(t), now) == now
-        });
-        if let Some(idx) = hit {
-            self.issue_column(idx, now);
-            return;
-        }
-
-        // 2. Oldest transaction whose bank is idle: activate its row.
-        //    Skip banks that already have an older same-bank transaction in
-        //    front (FCFS within a bank).
-        let mut seen_banks = 0u64;
-        for i in 0..self.txq.len() {
-            let t = &self.txq[i];
-            if !matches!(t.state, TxnState::Pending) {
-                continue;
-            }
-            let bank_bit = 1u64 << t.loc.bank;
-            if seen_banks & bank_bit != 0 {
-                continue;
-            }
-            seen_banks |= bank_bit;
-            if self.device.bank(t.loc.bank).open_row().is_none() {
-                let domain = t.req.domain;
-                let cmd = DramCommand::Activate {
-                    bank: t.loc.bank,
-                    row: t.loc.row,
-                };
-                if self.device.earliest(cmd, now) == now {
-                    self.device.issue(cmd, now);
-                    self.note_cmd(cmd, now, Some(domain));
-                    return;
+    /// FR-FCFS: the oldest legal row hit, else the oldest legal ACT of a
+    /// bank head (FCFS within a bank), else (open rows) the PRE of the
+    /// oldest row conflict once no pending transaction hits the open row.
+    fn pick_frfcfs(&self, now: Cycle) -> Option<Planned> {
+        let plan = &self.plan.entries;
+        let legal = |p: &&Planned| p.horizon <= now;
+        plan.iter()
+            .filter(|p| is_column(p.cmd))
+            .find(legal)
+            .or_else(|| {
+                plan.iter()
+                    .filter(|p| p.head && matches!(p.cmd, DramCommand::Activate { .. }))
+                    .find(legal)
+            })
+            .or_else(|| {
+                if self.row_policy != RowPolicy::Open {
+                    return None;
                 }
-            }
-        }
-
-        // 3. Row conflict: precharge the bank of the oldest conflicting
-        //    transaction, provided no pending transaction still hits the
-        //    open row (serve hits before closing).
-        if self.row_policy == RowPolicy::Open {
-            let conflict = self.txq.iter().position(|t| {
-                matches!(t.state, TxnState::Pending)
-                    && matches!(self.device.bank(t.loc.bank).open_row(), Some(r) if r != t.loc.row)
-            });
-            if let Some(idx) = conflict {
-                let bank = self.txq[idx].loc.bank;
-                let open = self.device.bank(bank).open_row();
-                let hit_waiting = self.txq.iter().any(|t| {
-                    matches!(t.state, TxnState::Pending)
-                        && t.loc.bank == bank
-                        && Some(t.loc.row) == open
-                });
-                if !hit_waiting {
-                    let domain = self.txq[idx].req.domain;
-                    let cmd = DramCommand::Precharge { bank };
-                    if self.device.earliest(cmd, now) == now {
-                        self.device.issue(cmd, now);
-                        self.note_cmd(cmd, now, Some(domain));
-                    }
-                }
-            }
-        }
+                let conflict = plan
+                    .iter()
+                    .find(|p| matches!(p.cmd, DramCommand::Precharge { .. }))?;
+                let hit_waiting = plan
+                    .iter()
+                    .any(|p| p.loc.bank == conflict.loc.bank && is_column(p.cmd));
+                Some(conflict).filter(|p| !hit_waiting && legal(p))
+            })
+            .copied()
     }
 
-    /// Charges `edges` command-bus edges' wait time, starting at `now`, for
-    /// every pending transaction to the domain whose earlier command made
-    /// the blocking resource busy. Runs after [`MemoryController::schedule`]
-    /// on each bus edge, and over whole warped spans from
-    /// [`MemorySubsystem::settle_warp`]; purely observational (reads device
-    /// horizons, never issues) and allocation-free.
+    /// Charges `edges` command-bus edges' wait time, starting at bus edge
+    /// `now`, for every pending transaction to the domain whose earlier
+    /// command made the blocking resource busy. Runs after
+    /// [`MemoryController::schedule`] on each bus edge, and over whole
+    /// warped spans from [`MemorySubsystem::settle_warp`]; purely
+    /// observational (reads the plan, never issues) and allocation-free.
     fn attribute_stalls(&mut self, now: Cycle, edges: u64) {
-        let span = self.device.timing().cmd_cycle * edges;
-        let auto_precharge = self.auto_precharge();
+        let cmd_cycle = self.device.timing().cmd_cycle;
+        debug_assert!(now.is_multiple_of(cmd_cycle), "stalls charged off-edge");
+        let span = cmd_cycle * edges;
         let Self {
-            txq,
-            device,
+            plan,
             leak,
             stats,
-            bank_head,
             refresh_pending,
             ..
         } = self;
-        bank_head.fill(None);
         let as_u16 = |d: Option<DomainId>| d.map(|d| d.0);
-        for txn in txq.iter() {
-            if !matches!(txn.state, TxnState::Pending) {
-                continue;
-            }
-            let b = txn.loc.bank as usize;
-            let victim = txn.req.domain.0;
+        for p in &plan.entries {
+            let b = p.loc.bank as usize;
+            let victim = p.domain.0;
             // FCFS within a bank: a transaction behind an older same-bank
             // transaction waits on that owner, whatever the device says.
-            if let Some(owner) = bank_head[b] {
+            if !p.head {
+                let owner = as_u16(plan.bank_head[b]);
                 leak.matrix
-                    .charge(victim, Some(owner.0), StallCause::QueueWait, span);
+                    .charge(victim, owner, StallCause::QueueWait, span);
                 continue;
             }
-            bank_head[b] = Some(txn.req.domain);
-            // This transaction heads its bank: what command does it need,
-            // and which device horizon holds that command back?
-            let cmd = required_cmd(device, txn, auto_precharge);
-            let charge = match device.blocking_reason(cmd, now) {
-                Some(BlockReason::Bank) => Some((as_u16(leak.bank_user[b]), StallCause::BankBusy)),
-                Some(BlockReason::Rrd) => {
-                    let culprit = leak.act_users.back().copied().flatten();
-                    Some((as_u16(culprit), StallCause::ActWindow))
-                }
-                Some(BlockReason::Faw) => {
-                    // tFAW binds to the oldest ACT in the window.
-                    let culprit = leak.act_users.front().copied().flatten();
-                    stats.banks[b].faw_stall_cycles += span;
-                    Some((as_u16(culprit), StallCause::ActWindow))
-                }
-                Some(BlockReason::Bus) => Some((as_u16(leak.col_user), StallCause::BusConflict)),
-                Some(BlockReason::CmdBus) => Some((as_u16(leak.cmd_user), StallCause::BusConflict)),
-                Some(BlockReason::Refresh) => Some((None, StallCause::Refresh)),
-                None => {
-                    // Legal this edge but not picked: lost arbitration to
-                    // whichever command did issue, or held back by the
-                    // refresh drain (neither happens on a warped edge).
-                    if let Some(winner) = leak.issued_this_edge {
-                        Some((as_u16(winner), StallCause::BusConflict))
-                    } else if *refresh_pending {
-                        Some((None, StallCause::Refresh))
-                    } else {
-                        None
+            // This transaction heads its bank: which device horizon holds
+            // its required command back?
+            let charge = if p.horizon > now {
+                Some(match p.reason {
+                    BlockReason::Bank => (as_u16(leak.bank_user[b]), StallCause::BankBusy),
+                    BlockReason::Rrd => {
+                        let culprit = leak.act_users.back().copied().flatten();
+                        (as_u16(culprit), StallCause::ActWindow)
                     }
-                }
+                    BlockReason::Faw => {
+                        // tFAW binds to the oldest ACT in the window.
+                        let culprit = leak.act_users.front().copied().flatten();
+                        stats.banks[b].faw_stall_cycles += span;
+                        (as_u16(culprit), StallCause::ActWindow)
+                    }
+                    BlockReason::Bus => (as_u16(leak.col_user), StallCause::BusConflict),
+                    BlockReason::CmdBus => (as_u16(leak.cmd_user), StallCause::BusConflict),
+                    BlockReason::Refresh => (None, StallCause::Refresh),
+                })
+            } else if let Some(winner) = leak.issued_this_edge {
+                // Legal this edge but not picked: lost arbitration to
+                // whichever command did issue, or held back by the refresh
+                // drain (neither happens on a warped edge).
+                Some((as_u16(winner), StallCause::BusConflict))
+            } else if *refresh_pending {
+                Some((None, StallCause::Refresh))
+            } else {
+                None
             };
             if let Some((culprit, cause)) = charge {
                 leak.matrix.charge(victim, culprit, cause, span);
@@ -494,9 +497,9 @@ impl MemoryController {
         }
     }
 
-    /// The first command-bus edge `>= now` at which a tick could act on
-    /// the pending transactions, or `None` with none pending. Device
-    /// horizons move only when a command issues, so until then:
+    /// The first command-bus edge `>= first_edge` (itself an edge) at which
+    /// a tick could act on the pending transactions, or `None` with none
+    /// pending. The plan holds until a command issues, so until then:
     ///
     /// - the scheduler issues nothing before the first edge at which one of
     ///   the commands it would pick becomes legal — a row-hit column
@@ -507,48 +510,46 @@ impl MemoryController {
     ///   when its command turns legal (the charge lapses).
     ///
     /// The edges before this one repeat identical charges, which
-    /// [`MemorySubsystem::settle_warp`] replays.
-    fn next_issue_edge(&self, now: Cycle) -> Option<Cycle> {
-        let first_edge = now.next_multiple_of(self.device.timing().cmd_cycle);
-        let auto_precharge = self.auto_precharge();
+    /// [`MemorySubsystem::settle_warp`] replays. Every horizon is a bus
+    /// edge, so a command's first legal edge is its horizon or `first_edge`.
+    fn next_issue_edge(&self, first_edge: Cycle) -> Option<Cycle> {
         let mut wake: Option<Cycle> = None;
         let mut fold = |t: Cycle| wake = Some(wake.map_or(t, |w| w.min(t)));
-        let (mut heads, mut hit_banks) = (0u64, 0u64);
-        let mut oldest_conflict: Option<u32> = None;
-        let mut oldest = true;
-        for txn in self.txq.iter() {
-            if !matches!(txn.state, TxnState::Pending) {
-                continue;
+        let mut hit_banks = 0u64;
+        let mut oldest_conflict: Option<&Planned> = None;
+        for (i, p) in self.plan.entries.iter().enumerate() {
+            let at = p.horizon.max(first_edge);
+            if p.head && p.horizon > first_edge {
+                fold(p.horizon);
             }
-            let bank_bit = 1u64 << txn.loc.bank;
-            let head = heads & bank_bit == 0;
-            heads |= bank_bit;
-            let cmd = required_cmd(&self.device, txn, auto_precharge);
-            let at = self.device.earliest(cmd, now);
-            if head && at > first_edge {
-                fold(at);
-            }
-            match (self.policy, cmd) {
-                (SchedPolicy::Fcfs, _) if oldest => fold(at),
+            match (self.policy, p.cmd) {
+                (SchedPolicy::Fcfs, _) if i == 0 => fold(at),
                 (SchedPolicy::Fcfs, _) => {}
                 (_, DramCommand::Read { .. } | DramCommand::Write { .. }) => {
-                    hit_banks |= bank_bit;
+                    hit_banks |= 1u64 << p.loc.bank;
                     fold(at);
                 }
-                (_, DramCommand::Activate { .. }) if head => fold(at),
-                (_, DramCommand::Precharge { bank }) if oldest_conflict.is_none() => {
-                    oldest_conflict = Some(bank);
+                (_, DramCommand::Activate { .. }) if p.head => fold(at),
+                (_, DramCommand::Precharge { .. }) if oldest_conflict.is_none() => {
+                    oldest_conflict = Some(p);
                 }
                 _ => {}
             }
-            oldest = false;
         }
-        if let Some(bank) = oldest_conflict {
-            if self.row_policy == RowPolicy::Open && hit_banks & (1u64 << bank) == 0 {
-                fold(self.device.earliest(DramCommand::Precharge { bank }, now));
+        if let Some(p) = oldest_conflict {
+            if self.row_policy == RowPolicy::Open && hit_banks & (1u64 << p.loc.bank) == 0 {
+                fold(p.horizon.max(first_edge));
             }
         }
         wake
+    }
+
+    /// Panics unless the plan equals one rebuilt from scratch.
+    #[cfg(test)]
+    fn assert_plan_fresh(&self) {
+        let mut fresh = Plan::new(self.capacity, self.plan.bank_head.len());
+        fresh.rebuild(&self.txq, &self.device, self.auto_precharge());
+        assert_eq!(self.plan, fresh, "stale scheduler plan");
     }
 
     fn collect_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
@@ -597,6 +598,10 @@ impl MemoryController {
     }
 }
 
+fn is_column(cmd: DramCommand) -> bool {
+    matches!(cmd, DramCommand::Read { .. } | DramCommand::Write { .. })
+}
+
 /// The column command serving `txn`.
 fn column_cmd(txn: &Txn, auto_precharge: bool) -> DramCommand {
     if txn.req.req_type.is_write() {
@@ -636,12 +641,17 @@ impl MemorySubsystem for MemoryController {
             domain: req.domain,
             bank: loc.bank,
         });
-        self.txq.push_back(Txn {
+        let txn = Txn {
+            seq: self.next_seq,
             req,
             loc,
             arrived: now,
             state: TxnState::Pending,
-        });
+        };
+        self.next_seq += 1;
+        let auto_precharge = self.auto_precharge();
+        self.plan.push(&txn, &self.device, auto_precharge);
+        self.txq.push_back(txn);
         self.tracer.record(now, || EventKind::TxqOccupancy {
             count: self.txq.len() as u32,
         });
@@ -661,26 +671,24 @@ impl MemorySubsystem for MemoryController {
     }
 
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        let cmd_cycle = self.device.timing().cmd_cycle;
+        let first_edge = now.next_multiple_of(self.device.timing().cmd_cycle);
         // Completions are collected the cycle `done` is reached.
         let mut ev = (self.next_done != Cycle::MAX).then(|| self.next_done.max(now));
         // A refresh drain acts on every command-bus edge; otherwise the
         // next edge that can act is the issue edge, and the edges before it
         // only repeat the same stall charges, which `settle_warp` replays.
         let issue = if self.refresh_pending {
-            Some(now.next_multiple_of(cmd_cycle))
+            Some(first_edge)
         } else {
-            self.next_issue_edge(now)
+            self.next_issue_edge(first_edge)
         };
         ev = dg_sim::clock::earliest_event(ev, issue);
         // Refresh maintenance wakes the controller even when fully idle:
-        // the first edge at or after the deadline flips `refresh_pending`.
-        let refresh_edge = self
-            .device
-            .refresh_deadline()
-            .max(now)
-            .next_multiple_of(cmd_cycle);
-        dg_sim::clock::earliest_event(ev, Some(refresh_edge))
+        // the first edge at or after the deadline (itself an edge: whole
+        // tREFI periods) flips `refresh_pending`.
+        let deadline = self.device.refresh_deadline();
+        debug_assert!(deadline.is_multiple_of(self.device.timing().cmd_cycle));
+        dg_sim::clock::earliest_event(ev, Some(deadline.max(first_edge)))
     }
 
     /// Charges the skipped command-bus edges of `[from, to)`. No command
@@ -1036,20 +1044,24 @@ mod tests {
     /// Drives `mc` through `sends` (sorted by cycle; refused requests are
     /// dropped) for `horizon` cycles and returns the responses. With
     /// `skipping`, it ticks only the cycles `next_event_at` or a send asks
-    /// for and settles the spans in between.
+    /// for and settles the spans in between. `observe` sees the controller
+    /// after every tick and every send.
     fn drive(
         mc: &mut MemoryController,
         sends: &[(Cycle, MemRequest)],
         horizon: Cycle,
         skipping: bool,
+        mut observe: impl FnMut(&MemoryController),
     ) -> (Vec<(Cycle, u64)>, u64) {
         let (mut out, mut ticks, mut next_send) = (Vec::new(), 0, 0);
         let mut now = 0;
         while now < horizon {
             out.extend(mc.tick(now).iter().map(|r| (now, r.id.0)));
+            observe(mc);
             ticks += 1;
             while next_send < sends.len() && sends[next_send].0 == now {
                 let _ = mc.try_send(sends[next_send].1, now);
+                observe(mc);
                 next_send += 1;
             }
             let mut next = now + 1;
@@ -1066,13 +1078,10 @@ mod tests {
         (out, ticks)
     }
 
-    #[test]
-    fn event_driven_ticking_with_settlement_matches_every_cycle() {
-        // Bursts of two domains' requests spread over every bank (tRRD and
-        // tFAW bind), piled onto one bank (bank busy, queue waits), and
-        // mixing reads and writes (bus turnaround), across two refreshes.
-        // The default clock ratio spaces command-bus edges several CPU
-        // cycles apart, so settlement must count edges, not cycles.
+    /// Bursts of two domains' requests spread over every bank (tRRD and
+    /// tFAW bind), piled onto one bank (bank busy, queue waits), and mixing
+    /// reads and writes (bus turnaround), across two refreshes.
+    fn stress_sends() -> Vec<(Cycle, MemRequest)> {
         let mut sends = Vec::new();
         let mut id = 0u64;
         for burst in 0..120u64 {
@@ -1091,17 +1100,28 @@ mod tests {
             }
         }
         sends.sort_by_key(|s| s.0);
+        sends
+    }
+
+    /// Horizon covering the whole of [`stress_sends`] plus two refreshes.
+    const STRESS_HORIZON: Cycle = 62_000;
+
+    #[test]
+    fn event_driven_ticking_with_settlement_matches_every_cycle() {
+        // The default clock ratio spaces command-bus edges several CPU
+        // cycles apart, so settlement must count edges, not cycles.
+        let sends = stress_sends();
         for (policy, row) in [
             (SchedPolicy::FrFcfs, RowPolicy::Closed),
             (SchedPolicy::FrFcfs, RowPolicy::Open),
             (SchedPolicy::Fcfs, RowPolicy::Open),
         ] {
             let c = SystemConfig::two_core().with_row_policy(row);
-            let horizon = 62_000;
+            let horizon = STRESS_HORIZON;
             let mut every = MemoryController::new(&c, policy);
             let mut evented = MemoryController::new(&c, policy);
-            let (out_every, ticks_every) = drive(&mut every, &sends, horizon, false);
-            let (out_evented, ticks_evented) = drive(&mut evented, &sends, horizon, true);
+            let (out_every, ticks_every) = drive(&mut every, &sends, horizon, false, |_| {});
+            let (out_evented, ticks_evented) = drive(&mut evented, &sends, horizon, true, |_| {});
             let what = format!("{policy:?}/{row:?}");
             assert_eq!(out_every, out_evented, "{what}: responses");
             assert_eq!(
@@ -1122,6 +1142,88 @@ mod tests {
                 assert!(faw > 0, "{what}: tFAW must bind");
             }
         }
+    }
+
+    /// FNV-1a over `v`'s `Debug` rendering: a compact pin for golden values.
+    fn fnv(v: &impl std::fmt::Debug) -> u64 {
+        format!("{v:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn stress_schedule_outputs_are_pinned() {
+        // Hashes of the responses, the interference report and the per-bank
+        // stats of the stress schedule under every scheduler/row policy
+        // pair, on both drives. Any change to scheduling or attribution
+        // order, however small, moves one of them.
+        let sends = stress_sends();
+        let mut got = Vec::new();
+        for (policy, row) in [
+            (SchedPolicy::FrFcfs, RowPolicy::Closed),
+            (SchedPolicy::FrFcfs, RowPolicy::Open),
+            (SchedPolicy::Fcfs, RowPolicy::Open),
+            (SchedPolicy::Fcfs, RowPolicy::Closed),
+        ] {
+            let c = SystemConfig::two_core().with_row_policy(row);
+            for skipping in [false, true] {
+                let mut mc = MemoryController::new(&c, policy);
+                let (out, _) = drive(&mut mc, &sends, STRESS_HORIZON, skipping, |_| {});
+                got.push((
+                    format!("{policy:?}/{row:?}/skipping={skipping}"),
+                    [
+                        fnv(&out),
+                        fnv(&mc.interference_report()),
+                        fnv(&mc.stats().banks),
+                    ],
+                ));
+            }
+        }
+        let expected: [[u64; 3]; 4] = [
+            [0xf332e96f259b5ad2, 0xf058a8878a498a32, 0x25ebd2a791fd10ca],
+            [0xfaf3749f0f6a61ca, 0x0da1dcdb6947f804, 0x5b63799ddefb93e8],
+            [0xe7f12688c5c970a5, 0xd70d82e3180edbca, 0x5a919e36d3d7d1b9],
+            [0x6477315d41024124, 0xe5edbc1aa3f37f6b, 0x9ecb3df51edb8f11],
+        ];
+        for (i, (what, hashes)) in got.iter().enumerate() {
+            assert_eq!(*hashes, expected[i / 2], "{what}");
+        }
+    }
+
+    #[test]
+    fn plan_matches_a_rebuild_after_every_tick_and_send() {
+        // A missed plan rebuild would silently move a stall charge or an
+        // issue edge; here it fails instead. The counters prove the
+        // schedule reaches the states a rebuild must track.
+        let sends = stress_sends();
+        let (mut drains, mut conflicts, mut queued_hits) = (0u64, 0u64, 0u64);
+        for (policy, row) in [
+            (SchedPolicy::FrFcfs, RowPolicy::Closed),
+            (SchedPolicy::FrFcfs, RowPolicy::Open),
+            (SchedPolicy::Fcfs, RowPolicy::Open),
+            (SchedPolicy::Fcfs, RowPolicy::Closed),
+        ] {
+            let c = SystemConfig::two_core().with_row_policy(row);
+            for skipping in [false, true] {
+                let mut mc = MemoryController::new(&c, policy);
+                drive(&mut mc, &sends, STRESS_HORIZON, skipping, |mc| {
+                    mc.assert_plan_fresh();
+                    let plan = &mc.plan.entries;
+                    drains += u64::from(mc.refresh_pending && !plan.is_empty());
+                    conflicts += u64::from(
+                        plan.iter()
+                            .any(|p| matches!(p.cmd, DramCommand::Precharge { .. })),
+                    );
+                    queued_hits += u64::from(plan.iter().any(|p| !p.head && is_column(p.cmd)));
+                });
+            }
+        }
+        println!("drains {drains}, conflicts {conflicts}, queued row hits {queued_hits}");
+        assert!(drains > 0, "no refresh drain with transactions pending");
+        assert!(conflicts > 0, "no open-row conflict");
+        assert!(queued_hits > 0, "no row hit behind its bank head");
     }
 
     #[test]

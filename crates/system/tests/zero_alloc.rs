@@ -1,6 +1,7 @@
 //! The per-tick path is allocation-free: past warm-up, simulating the
-//! benchmark's two DAGguise shapes performs no heap allocation at all, on
-//! either engine. A counting global allocator (per thread, so concurrently
+//! benchmark's two DAGguise shapes, and the insecure open-row baseline under
+//! the same saturating load, performs no heap allocation at all, on either
+//! engine. A counting global allocator (per thread, so concurrently
 //! running tests do not disturb each other) backs the claim.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
@@ -66,9 +67,9 @@ fn dagguise() -> MemoryKind {
 }
 
 /// Two trace cores streaming row-missing loads with no compute between
-/// them: the controller, DRAM and shaper work on every bus edge, and the
-/// protected core is back-pressured by its shaper.
-fn saturated() -> System {
+/// them: the controller and DRAM work on every bus edge. Under DAGguise the
+/// shaper does too, and the protected core is back-pressured by it.
+fn saturated(memory: MemoryKind) -> System {
     let mut b = SystemBuilder::new(SystemConfig::two_core());
     for core in 0..2u64 {
         let mut t = MemTrace::new();
@@ -77,7 +78,7 @@ fn saturated() -> System {
         }
         b = b.trace_core(t);
     }
-    b.memory(dagguise()).build()
+    b.memory(memory).build()
 }
 
 /// Two DAG-chain cores with long dependency gaps: mostly quiescent time,
@@ -114,7 +115,7 @@ fn saturated_dagguise_ticks_allocation_free_on_both_engines() {
     // The window spans the co-runner finishing (near cycle 167k), after
     // which the protected core runs alone, back-pressured.
     for naive in [false, true] {
-        let n = allocations_after_warmup(saturated(), naive, 100_000, 150_000);
+        let n = allocations_after_warmup(saturated(dagguise()), naive, 100_000, 150_000);
         assert_eq!(n, 0, "naive engine: {naive}");
     }
 }
@@ -123,6 +124,16 @@ fn saturated_dagguise_ticks_allocation_free_on_both_engines() {
 fn idle_dag_chains_tick_allocation_free_on_both_engines() {
     for naive in [false, true] {
         let n = allocations_after_warmup(idle(), naive, 50_000, 200_000);
+        assert_eq!(n, 0, "naive engine: {naive}");
+    }
+}
+
+#[test]
+fn saturated_open_row_insecure_ticks_allocation_free_on_both_engines() {
+    // Open-row FR-FCFS without shapers: row conflicts take the precharge
+    // path the closed-row DAGguise controller never does.
+    for naive in [false, true] {
+        let n = allocations_after_warmup(saturated(MemoryKind::Insecure), naive, 20_000, 150_000);
         assert_eq!(n, 0, "naive engine: {naive}");
     }
 }
