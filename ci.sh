@@ -237,10 +237,11 @@ awk -v s="$scale64" -v c="$ceiling" 'BEGIN {
 }'
 
 echo "=== perf trend gate (dg-trend: noise-aware regression verdicts) ==="
-# The committed benchmark history must read clean (trailing-window median
-# +/- MAD verdicts), and a synthetically injected 20% slowdown on every
-# series must be flagged with a nonzero exit — the shape of the gate a
-# perf regression would trip after `perf_throughput` appends a bad run.
+# The committed benchmark history must read clean (the median of each
+# series' last five runs against the trailing-window median +/- MAD), and
+# a synthetically injected 20% slowdown of every series' recent runs must
+# be flagged with a nonzero exit — the gate a perf regression trips once it
+# shows in three of the last five runs `perf_throughput` appended.
 DG_TREND=target/release/dg-trend
 "$DG_TREND" BENCH_perf.json
 if "$DG_TREND" BENCH_perf.json --inject 20 --quiet; then

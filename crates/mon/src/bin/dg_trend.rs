@@ -2,7 +2,8 @@
 //!
 //! Reads the benchmark run history, stratifies each scenario by its
 //! comparable context (mode, shards, threads, host parallelism), and
-//! judges the latest sample against the trailing-window median ± MAD.
+//! judges the median of the latest samples against the median ± MAD of
+//! the trailing window before them.
 //! Exits 0 when no series regressed, 1 on regression, 2 on usage or
 //! structural errors — so ci.sh can use it directly as a gate.
 
@@ -14,16 +15,17 @@ fn usage() {
     eprintln!(
         "usage: dg-trend [PATH] [options]\n\
          \n\
-         Judge the latest benchmark run in PATH (default BENCH_perf.json)\n\
-         against its trailing history with noise-aware verdicts.\n\
+         Judge the latest benchmark runs in PATH (default BENCH_perf.json)\n\
+         against their trailing history with noise-aware verdicts.\n\
          \n\
          options:\n\
-           --window N       trailing samples to compare against (default 8)\n\
+           --window N       trailing samples, before the latest five, to\n\
+                            compare against (default 8)\n\
            --min-history N  priors required for an active verdict (default 4)\n\
            --min-drop PCT   noise floor in percent (default 10)\n\
            --noise-k K      tolerated noise sigmas, MAD-estimated (default 2)\n\
-           --inject PCT     append a synthetic PCT%-slower run to every\n\
-                            series first (self-test for the gate)\n\
+           --inject PCT     append PCT%-slower copies of the recent runs to\n\
+                            every series first (self-test for the gate)\n\
            --quiet          print only regressions\n\
            -h, --help       show this help"
     );
@@ -127,8 +129,8 @@ fn main() -> ExitCode {
     } else {
         for r in &regressions {
             println!(
-                "dg-trend: REGRESSION {} [{}]: {:.3} vs median {:.3} ({:+.1}%, allowed ±{:.1}%)",
-                r.scenario, r.stratum, r.latest, r.median, r.delta_pct, r.allowed_pct
+                "dg-trend: REGRESSION {} [{}]: recent median {:.3} vs median {:.3} ({:+.1}%, allowed ±{:.1}%)",
+                r.scenario, r.stratum, r.recent, r.median, r.delta_pct, r.allowed_pct
             );
         }
         ExitCode::from(1)

@@ -7,8 +7,8 @@
 //! between healthy runs — so comparing the latest run against just the
 //! previous one is useless. Instead each scenario is stratified into a
 //! comparable series (same mode / shard count / thread context / host
-//! parallelism), and the latest value is judged against the trailing
-//! window's **median ± MAD**:
+//! parallelism). The median of the [`RECENT_RUNS`] latest values is judged
+//! against the **median ± MAD** of the trailing window before them:
 //!
 //! * allowed drop = `max(min_drop, noise_k × 1.4826 × MAD / median)`
 //!   (1.4826 scales MAD to a Gaussian σ estimate);
@@ -17,19 +17,29 @@
 //! * delta below `−allowed` → `Regression`, above `+allowed` →
 //!   `Improvement`, otherwise `Steady`.
 //!
-//! `--inject PCT` appends a synthetic run at `latest × (1 − PCT/100)` to
-//! every series before judging — the self-test ci.sh uses to prove the
-//! gate actually fires.
+//! Judging a recent median rather than the latest value alone means a
+//! regression must show in most of the last [`RECENT_RUNS`] runs: one
+//! quick run of an unchanged binary can land 30% below its neighbours
+//! (six runs of one binary on one 2-CPU host gave `dagguise/idle`
+//! 4.04–6.18×).
+//!
+//! `--inject PCT` appends [`RECENT_RUNS`] synthetic runs to every series
+//! before judging, copies of its latest values `PCT`% lower — the
+//! self-test ci.sh uses to prove the gate fires on a sustained drop.
 
 use std::collections::BTreeMap;
 
 use serde::Value;
 
+/// Latest samples of a series whose median is judged.
+pub const RECENT_RUNS: usize = 5;
+
 /// Tunables for the analysis (defaults calibrated against the repo's real
 /// run history: see module docs).
 #[derive(Debug, Clone)]
 pub struct TrendOptions {
-    /// Trailing window size (prior samples considered), excluding latest.
+    /// Trailing window size: prior samples considered, before the
+    /// [`RECENT_RUNS`] recent ones.
     pub window: usize,
     /// Minimum prior samples for an active verdict.
     pub min_history: usize,
@@ -83,8 +93,9 @@ pub struct TrendRow {
     pub n_history: usize,
     /// Trailing-window median of the prior samples.
     pub median: f64,
-    pub latest: f64,
-    /// (latest − median) / median, in percent.
+    /// Median of the recent samples.
+    pub recent: f64,
+    /// (recent − median) / median, in percent.
     pub delta_pct: f64,
     /// Tolerated |delta|, in percent.
     pub allowed_pct: f64,
@@ -124,7 +135,7 @@ impl TrendReport {
         let mut out = String::new();
         out.push_str(&format!(
             "{:<30} {:<34} {:>4} {:>10} {:>10} {:>8} {:>8}  verdict\n",
-            "scenario", "stratum", "n", "median", "latest", "delta%", "allow%"
+            "scenario", "stratum", "n", "median", "recent", "delta%", "allow%"
         ));
         for r in rows {
             out.push_str(&format!(
@@ -133,7 +144,7 @@ impl TrendReport {
                 r.stratum,
                 r.n_history,
                 r.median,
-                r.latest,
+                r.recent,
                 r.delta_pct,
                 r.allowed_pct,
                 r.verdict.label()
@@ -141,6 +152,13 @@ impl TrendReport {
         }
         out
     }
+}
+
+/// Median of non-empty `values`.
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    median_of(&sorted)
 }
 
 fn median_of(sorted: &[f64]) -> f64 {
@@ -220,26 +238,29 @@ pub fn analyze_document(text: &str, opts: &TrendOptions) -> Result<TrendReport, 
     let mut rows = Vec::new();
     for ((scenario, stratum), mut values) in series {
         if let Some(pct) = opts.inject_pct {
-            let last = *values.last().expect("series is never empty");
-            values.push(last * (1.0 - pct / 100.0));
+            let (from, end) = (values.len().saturating_sub(RECENT_RUNS), values.len());
+            values.extend_from_within(from..);
+            for v in &mut values[end..] {
+                *v *= 1.0 - pct / 100.0;
+            }
         }
-        let (latest, prior) = values.split_last().expect("series is never empty");
-        let window: Vec<f64> = prior.iter().rev().take(opts.window).copied().collect();
+        let split = values.len().saturating_sub(RECENT_RUNS);
+        let (prior, recent) = values.split_at(split);
+        let recent = median(recent);
+        let window = &prior[prior.len().saturating_sub(opts.window)..];
         let n_history = window.len();
 
         if n_history < opts.min_history {
-            let mut sorted = window.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
             rows.push(TrendRow {
                 scenario,
                 stratum,
                 n_history,
-                median: if sorted.is_empty() {
-                    *latest
+                median: if window.is_empty() {
+                    recent
                 } else {
-                    median_of(&sorted)
+                    median(window)
                 },
-                latest: *latest,
+                recent,
                 delta_pct: 0.0,
                 allowed_pct: 0.0,
                 verdict: Verdict::Insufficient,
@@ -247,10 +268,8 @@ pub fn analyze_document(text: &str, opts: &TrendOptions) -> Result<TrendReport, 
             continue;
         }
 
-        let mut sorted = window.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = median_of(&sorted);
-        let mad = mad_of(&window, median);
+        let median = median(window);
+        let mad = mad_of(window, median);
         let noise_frac = if median.abs() > f64::EPSILON {
             opts.noise_k * 1.4826 * mad / median.abs()
         } else {
@@ -258,7 +277,7 @@ pub fn analyze_document(text: &str, opts: &TrendOptions) -> Result<TrendReport, 
         };
         let allowed = opts.min_drop.max(noise_frac);
         let delta = if median.abs() > f64::EPSILON {
-            (latest - median) / median.abs()
+            (recent - median) / median.abs()
         } else {
             0.0
         };
@@ -274,7 +293,7 @@ pub fn analyze_document(text: &str, opts: &TrendOptions) -> Result<TrendReport, 
             stratum,
             n_history,
             median,
-            latest: *latest,
+            recent,
             delta_pct: delta * 100.0,
             allowed_pct: allowed * 100.0,
             verdict,
@@ -305,6 +324,12 @@ mod tests {
         format!("{{\"runs\": [{}]}}", runs.join(", "))
     }
 
+    /// A steady history of eight runs near 10, then `recent`.
+    fn steady_then(recent: &[f64]) -> String {
+        let history = [10.0, 10.2, 9.8, 10.1, 10.0, 9.9, 10.1, 10.0];
+        doc(&[&history[..], recent].concat())
+    }
+
     #[test]
     fn short_history_is_insufficient() {
         let report = analyze_document(&doc(&[10.0, 10.0, 9.0]), &TrendOptions::default()).unwrap();
@@ -316,20 +341,23 @@ mod tests {
     #[test]
     fn stable_series_with_big_drop_regresses() {
         let report = analyze_document(
-            &doc(&[10.0, 10.2, 9.8, 10.1, 10.0, 7.0]),
+            &steady_then(&[7.0, 7.1, 10.0, 6.9, 7.0]),
             &TrendOptions::default(),
         )
         .unwrap();
+        assert_eq!(report.rows[0].n_history, 8);
         assert_eq!(report.rows[0].verdict, Verdict::Regression);
         assert_eq!(report.regressions().len(), 1);
+        assert!((report.rows[0].recent - 7.0).abs() < 1e-9);
     }
 
     #[test]
     fn noisy_series_tolerates_wide_swings() {
         // MAD of {10, 20, 5, 15, 12} around median 12 is 3 → allowed
-        // ≈ 2×1.4826×3/12 ≈ 74% — an 8.0 latest (−33%) is within noise.
+        // ≈ 2×1.4826×3/12 ≈ 74% — a recent median of 8.0 (−33%) is
+        // within noise.
         let report = analyze_document(
-            &doc(&[10.0, 20.0, 5.0, 15.0, 12.0, 8.0]),
+            &doc(&[10.0, 20.0, 5.0, 15.0, 12.0, 8.0, 9.0, 8.0, 12.0, 7.0]),
             &TrendOptions::default(),
         )
         .unwrap();
@@ -339,21 +367,13 @@ mod tests {
     #[test]
     fn tight_series_small_drop_within_floor_is_steady() {
         // MAD ≈ 0 but the drop (−5%) is under the 10% floor.
-        let report = analyze_document(
-            &doc(&[10.0, 10.0, 10.0, 10.0, 9.5]),
-            &TrendOptions::default(),
-        )
-        .unwrap();
+        let report = analyze_document(&steady_then(&[9.5; 5]), &TrendOptions::default()).unwrap();
         assert_eq!(report.rows[0].verdict, Verdict::Steady);
     }
 
     #[test]
     fn improvement_is_flagged_symmetrically() {
-        let report = analyze_document(
-            &doc(&[10.0, 10.0, 10.0, 10.0, 13.0]),
-            &TrendOptions::default(),
-        )
-        .unwrap();
+        let report = analyze_document(&steady_then(&[13.0; 5]), &TrendOptions::default()).unwrap();
         assert_eq!(report.rows[0].verdict, Verdict::Improvement);
     }
 
@@ -363,10 +383,35 @@ mod tests {
             inject_pct: Some(20.0),
             ..Default::default()
         };
-        // 4 real samples + 1 injected = 4 priors, active verdict.
-        let report = analyze_document(&doc(&[10.0, 10.1, 9.9, 10.0]), &opts).unwrap();
+        // 5 real samples + 5 injected copies = 5 priors, active verdict.
+        let report = analyze_document(&doc(&[10.0, 10.1, 9.9, 10.0, 10.0]), &opts).unwrap();
         assert!(report.injected);
+        assert_eq!(report.rows[0].n_history, 5);
         assert_eq!(report.rows[0].verdict, Verdict::Regression);
+        assert!((report.rows[0].recent - 8.0).abs() < 0.1);
+    }
+
+    #[test]
+    fn a_minority_of_low_recent_runs_is_steady() {
+        // The latest run and one more sit 30% low: the recent median
+        // (10.0) is unmoved.
+        let report = analyze_document(
+            &steady_then(&[10.0, 7.0, 10.1, 9.9, 7.0]),
+            &TrendOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(report.rows[0].verdict, Verdict::Steady);
+    }
+
+    #[test]
+    fn a_drop_in_most_recent_runs_regresses() {
+        let report = analyze_document(
+            &steady_then(&[10.0, 7.5, 10.1, 7.4, 7.6]),
+            &TrendOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(report.rows[0].verdict, Verdict::Regression);
+        assert!((report.rows[0].recent - 7.6).abs() < 1e-9);
     }
 
     #[test]
@@ -388,11 +433,12 @@ mod tests {
         // shards=1 without threads infers threads=1, matching new rows.
         let text = "{\"runs\": [\
             {\"mode\": \"quick\", \"scenarios\": [{\"name\": \"a\", \"shards\": 1, \"speedup\": 10.0}]},\
-            {\"mode\": \"quick\", \"scenarios\": [{\"name\": \"a\", \"shards\": 1, \"threads\": 1, \"speedup\": 10.0}]}\
+            {\"mode\": \"quick\", \"scenarios\": [{\"name\": \"a\", \"shards\": 1, \"threads\": 1, \"speedup\": 12.0}]}\
         ]}";
         let report = analyze_document(text, &TrendOptions::default()).unwrap();
         assert_eq!(report.rows.len(), 1);
-        assert_eq!(report.rows[0].n_history, 1);
+        // Both runs are in the one series' recent median.
+        assert_eq!(report.rows[0].recent, 11.0);
     }
 
     #[test]
@@ -408,11 +454,7 @@ mod tests {
 
     #[test]
     fn table_renders_every_series() {
-        let report = analyze_document(
-            &doc(&[10.0, 10.0, 10.0, 10.0, 5.0]),
-            &TrendOptions::default(),
-        )
-        .unwrap();
+        let report = analyze_document(&steady_then(&[5.0; 5]), &TrendOptions::default()).unwrap();
         let table = report.table();
         assert!(table.contains("a/idle"));
         assert!(table.contains("REGRESSION"));
