@@ -15,12 +15,13 @@ echo "=== perfbench self-tests ==="
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "=== engine differential + zero-allocation suites (release) ==="
-# Naive vs event engine byte-identity under back-pressure (classic and
-# sharded runtimes), the counting-allocator proof that the per-tick path
-# never allocates, and the controller's golden and every-cycle vs
-# event-driven tests, at the optimization level the benchmarks run.
+# Naive vs event engine byte-identity under back-pressure (direct-wired
+# and NoC topologies), the counting-allocator proof that the per-tick path
+# never allocates, the whole-run golden report hashes, and the
+# controller's golden and every-cycle vs event-driven tests, at the
+# optimization level the benchmarks run.
 cargo test --release -q -p dg-system --test determinism --test zero_alloc
-cargo test --release -q -p dg-shard --test determinism
+cargo test --release -q -p dg-shard --test determinism --test golden
 cargo test --release -q -p dg-mem
 
 echo "=== format ==="
@@ -169,9 +170,10 @@ awk -v i="$insecure_bps" -v d="$dagguise_bps" 'BEGIN {
 }'
 
 echo "=== sharded differential (DG_SHARDS=1 vs 4: byte-identical reports) ==="
-# The same smoke sweep on the conservative-PDES sharded runtime, once with
-# a single shard and once with four. The merged reports must be
-# byte-identical: partitioning may only change wall-clock, never results.
+# The same smoke sweep on the NoC topology, partitioned into conservative-
+# PDES shards, once with a single shard and once with four. The merged
+# reports must be byte-identical: partitioning may only change wall-clock,
+# never results.
 DG_SHARDS=1 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
   --escalation 1000 --out "$SMOKE_DIR/sharded1.json"
 DG_SHARDS=4 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
@@ -180,26 +182,32 @@ DG_SHARDS=4 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
 cmp "$SMOKE_DIR/sharded1.json" "$SMOKE_DIR/sharded4.json" \
   || { echo "sharded: 4-shard report differs from 1-shard reference"; exit 1; }
 # The profiled 4-shard run must attribute its wall time as well as the
-# classic one, with the coordinator's barrier phases among the spans.
+# direct-wired one, with the coordinator's barrier phases among the spans.
 check_profile "$SMOKE_DIR/sharded4_profile"
 grep -q 'shard_join' "$SMOKE_DIR/sharded4_profile.folded" \
   || { echo "sharded: profile lacks the shard phase spans"; exit 1; }
 # The same 4-shard sweep under live monitoring and the stall watchdog drives
-# the sharded runtime's probe/abort path; it must not change the report.
+# the superstep coordinator's probe/abort path; it must not change the report.
 DG_SHARDS=4 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
   --escalation 1000 --live --events "$SMOKE_DIR/sharded4_events.jsonl" --stall-s 120 \
   --out "$SMOKE_DIR/sharded4_live.json"
 cmp "$SMOKE_DIR/sharded4.json" "$SMOKE_DIR/sharded4_live.json" \
   || { echo "sharded: monitored 4-shard report differs from the bare one"; exit 1; }
-# Data-plane faults (stuck bank, dropped response) exist only on the classic
-# runtime: a shard count meeting a fault plan that draws one is a usage
-# error (exit class 2), refused before any job runs.
-rc=0
-DG_SHARDS=4 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --fault-seed 7 --fault-rate 1 \
-  --out "$SMOKE_DIR/sharded_faulted.json" || rc=$?
-[ "$rc" -eq 2 ] \
-  || { echo "sharded: expected exit class 2 for a data-plane fault plan, got $rc"; exit 1; }
-echo "sharded: 1-shard, 4-shard and monitored 4-shard reports byte-identical; data-plane faults refused"
+# Data-plane faults (stuck bank, dropped response) run at every shard count.
+# Seed 462 wedges a bank in every smoke job, three of them before the job
+# ends: the faulted reports must differ from the bare one and stay
+# byte-identical at 1 and 4 shards.
+for shards in 1 4; do
+  DG_SHARDS=$shards "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
+    --escalation 1000 --fault-seed 462 --fault-rate 1 \
+    --out "$SMOKE_DIR/sharded${shards}_faulted.json"
+done
+cmp "$SMOKE_DIR/sharded1_faulted.json" "$SMOKE_DIR/sharded4_faulted.json" \
+  || { echo "sharded: faulted 4-shard report differs from 1-shard reference"; exit 1; }
+if cmp -s "$SMOKE_DIR/sharded1.json" "$SMOKE_DIR/sharded1_faulted.json"; then
+  echo "sharded: the fault plan left the report unchanged"; exit 1
+fi
+echo "sharded: 1-shard, 4-shard and monitored 4-shard reports byte-identical; faulted runs too"
 
 echo "=== perf smoke (event-driven engine vs naive loop) ==="
 # The event-driven engine must hold a real wall-clock win on the idle-heavy

@@ -22,7 +22,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// A model-level fault, injected into `System`/`ShardedSystem` runs.
+/// A model-level fault, injected into `System` runs at any shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimFaultKind {
     /// A memory bank wedges: every response completing in
@@ -60,16 +60,6 @@ pub enum SimFaultKind {
 }
 
 impl SimFaultKind {
-    /// Whether this fault needs the classic (unsharded) data plane:
-    /// bank/response faults live inside the single-`System` memory tick
-    /// and are not modeled by the sharded runtime, which rejects them.
-    pub fn needs_reference_runtime(self) -> bool {
-        matches!(
-            self,
-            SimFaultKind::StuckBank { .. } | SimFaultKind::DropResponse { .. }
-        )
-    }
-
     /// Whether this kind recurs on retries by default. Data-loss and
     /// crash faults are modeled as persistent (the "bad config point"
     /// shape that must end in quarantine); stalls and glitches are

@@ -16,9 +16,9 @@
 //! Each channel's controller sees *local* addresses with the channel bits
 //! removed, so its bank/row decode covers its own capacity slice densely.
 //! [`ChannelMap`] is the pure address math; [`MultiChannelMemory`] is the
-//! [`MemorySubsystem`] assembly used by the single-threaded `System`. The
-//! sharded runtime (`dg-shard`) instead owns the channel list directly and
-//! does the same remapping at shard boundaries.
+//! [`MemorySubsystem`] assembly a direct-wired `System` hands its cores.
+//! On the NoC topology the shards instead own the channel list directly
+//! and do the same remapping at channel ingress and egress.
 
 use dg_obs::{InterferenceReport, ShaperReport, ShaperTimelineReport, Tracer};
 use dg_sim::clock::{earliest_event, Cycle};

@@ -174,6 +174,30 @@ mod tests {
         );
     }
 
+    /// Per-shard engines merge into one: activity sums, `max_backoff`
+    /// takes the maximum, and polls merge by component in first-seen order.
+    #[test]
+    fn shard_engines_merge() {
+        let mut a = EngineCounters::default();
+        a.tick();
+        a.warp(10);
+        a.poll("chan0");
+        a.max_backoff = 3;
+        let mut b = EngineCounters::default();
+        b.tick();
+        b.tick();
+        b.poll("core1");
+        b.poll("chan0");
+        b.max_backoff = 7;
+        let mut merged = EngineCounters::default();
+        merged.merge(&a);
+        merged.merge(&b);
+        let t = merged.snapshot();
+        assert_eq!((t.ticks, t.warps, t.warped_cycles), (3, 1, 10));
+        assert_eq!(merged.max_backoff, 7);
+        assert_eq!(merged.polls, vec![("chan0", 2), ("core1", 1)]);
+    }
+
     #[test]
     fn empty_counters_snapshot() {
         let t = EngineCounters::default().snapshot();

@@ -21,11 +21,10 @@
 //! PATH plus a collapsed-stack `.folded` sibling (flamegraph input), and
 //! prints the host-cost leaderboard; host time is machine-dependent, so
 //! none of it enters the merged report. `--shards N` (or the `DG_SHARDS`
-//! env var) runs every job on the conservative-PDES sharded runtime with
-//! N shards — results are byte-identical for any N (but differ from the
-//! classic runtime, which has no NoC hop). A shard count cannot meet a
-//! fault plan that draws a data-plane fault (stuck bank, dropped
-//! response): the sweep is refused with exit 2.
+//! env var) runs every job on the NoC topology, partitioned into N
+//! conservative-PDES shards — results are byte-identical for any N, fault
+//! plans included (but differ from a run without `--shards`, whose cores
+//! are wired straight to the memory path with no NoC hop).
 //!
 //! Live telemetry (`dg-mon`): `--live` renders an in-terminal dashboard,
 //! `--events PATH` streams snapshots as append-only JSONL (torn tails are
@@ -51,7 +50,7 @@
 //! |------|---------|
 //! | 0    | success: every job succeeded, or failures ≤ `--max-failures` |
 //! | 1    | job failures beyond the budget |
-//! | 2    | usage / spec errors (bad flags, unparseable spec, `--only` matching nothing, sharded data-plane fault) |
+//! | 2    | usage / spec errors (bad flags, unparseable spec, `--only` matching nothing, options the engine cannot run) |
 //! | 3    | infrastructure failure: journal degraded, events stream or artifact writes errored |
 //! | 4    | over-budget failures dominated by stall-watchdog cancellations |
 //!

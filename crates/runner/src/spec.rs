@@ -145,10 +145,10 @@ pub struct ExperimentSpec {
     /// host-dependent, so they ship in a standalone artifact, never in the
     /// deterministic merged report.
     pub profile: bool,
-    /// Shard count for the conservative-PDES sharded runtime (spec key
-    /// `shards = N`, or forced by `dg-run --shards N`). `None` runs the
-    /// classic single-threaded [`dg_system::System`]; jobs may still be
-    /// switched onto the sharded path per-process via `DG_SHARDS`.
+    /// Shard count for the NoC topology (spec key `shards = N`, or forced
+    /// by `dg-run --shards N`). `None` wires the cores straight to the
+    /// memory path; jobs may still be switched onto the NoC per-process
+    /// via `DG_SHARDS`.
     pub shards: Option<usize>,
     /// Seed for the deterministic simulation-fault plan (spec table
     /// `[fault] seed = N`, or `dg-run --fault-seed N`). `None` disables
@@ -454,8 +454,9 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// `InvalidInput` when the filter matches no job or a sharded job
-    /// draws a data-plane sim fault, else [`run_sweep`] I/O errors.
+    /// `InvalidInput` when the filter matches no job or
+    /// [`RunOpts::check`] refuses a job's options, else [`run_sweep`] I/O
+    /// errors.
     pub fn run_filtered(
         &self,
         cfg: &RunnerConfig,
@@ -478,17 +479,17 @@ impl ExperimentSpec {
                 ));
             }
         }
-        // A sharded job drawing a fault the sharded runtime cannot model
-        // is refused before anything runs.
+        // A job the engine cannot run as configured is refused before
+        // anything runs.
         for j in &jobs {
-            let shards = j.shards.or_else(dg_shard::shards_from_env);
-            if let Err(e) = dg_shard::check_fault(shards, j.fault.map(|f| f.kind)) {
+            let opts = RunOpts {
+                shards: j.shards.or_else(dg_shard::shards_from_env),
+                ..RunOpts::new(j.scale.budget)
+            };
+            if let Err(e) = opts.check() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
-                    format!(
-                        "job `{}`: {e}: drop the shard count or the fault plan",
-                        j.id
-                    ),
+                    format!("job `{}`: {e}", j.id),
                 ));
             }
         }
@@ -517,14 +518,12 @@ pub struct ColocationJob {
     /// Whether to record a host-time span profile of the run and submit it
     /// to the process-global [`dg_prof::collector`].
     pub profile: bool,
-    /// Shard count for the sharded runtime (`None` = classic system, with
+    /// Shard count for the NoC topology (`None` = direct-wired, with
     /// `DG_SHARDS` as a per-process fallback at execution time).
     pub shards: Option<usize>,
     /// Deterministic simulation fault drawn from the spec's fault plan
-    /// (`None` when the plan is disarmed or skipped this job). Kinds that
-    /// [`dg_shard::check_fault`] rejects cannot run sharded:
-    /// [`ExperimentSpec::run_filtered`] refuses such a job when
-    /// `shards`/`DG_SHARDS` is set.
+    /// (`None` when the plan is disarmed or skipped this job). Every kind
+    /// runs at every shard count.
     pub fault: Option<SimFault>,
 }
 
@@ -687,7 +686,7 @@ fn execute_job_inner(job: &ColocationJob, ctx: &JobCtx) -> Result<ColocationResu
         .filter(|f| f.fires_on(ctx.attempt))
         .map(|f| f.kind);
     // Spec/CLI shard counts win; `DG_SHARDS` switches a whole process onto
-    // the sharded runtime (the differential-oracle CI gate relies on this).
+    // the NoC topology (the differential-oracle CI gate relies on this).
     // Supervision is always on: `ctx.expired()` is false without a
     // wall-clock timeout or a live monitor, and supervised runs are
     // identical to unsupervised ones.
@@ -846,19 +845,40 @@ budget = 1234
         assert!(ExperimentSpec::from_toml_str(&bad_key).is_err());
     }
 
+    /// A stuck bank drawn by the fault plan runs on the NoC topology: it
+    /// changes the job's outcome, identically at 1 and 2 shards.
     #[test]
-    fn sharded_sweeps_refuse_data_plane_faults() {
-        let armed = format!("shards = 2\n{SPEC}\n[fault]\nseed = 7\n");
-        let spec = ExperimentSpec::from_toml_str(&armed).unwrap();
-        assert!(
-            spec.expand()
-                .iter()
-                .any(|j| j.fault.is_some_and(|f| f.kind.needs_reference_runtime())),
-            "the plan must draw a data-plane fault for this test to bite"
-        );
-        let err = spec.run(&RunnerConfig::default()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert!(err.to_string().contains("data-plane"), "{err}");
+    fn sharded_sweeps_run_data_plane_faults() {
+        let spec = |shards: usize, plan: &str| {
+            ExperimentSpec::from_toml_str(&format!("shards = {shards}\n{SPEC}\n{plan}")).unwrap()
+        };
+        // The first plan that wedges a bank early in a fully budgeted
+        // (smoke-scale, ~30k-cycle) job.
+        let (plan, id) = (0..256)
+            .find_map(|seed| {
+                let plan = format!("[fault]\nseed = {seed}\n");
+                let job = spec(1, &plan).expand().into_iter().find(|j| {
+                    let early = |f: SimFault| {
+                        matches!(f.kind, dg_fault::SimFaultKind::StuckBank { at, .. } if at < 10_000)
+                    };
+                    j.fault.is_some_and(early) && j.scale.budget == Scale::smoke().budget
+                })?;
+                Some((plan, job.id))
+            })
+            .expect("some plan wedges a bank early");
+        let result = |shards: usize, plan: &str| {
+            let cfg = RunnerConfig {
+                retries: 0,
+                verbose: false,
+                ..RunnerConfig::default()
+            };
+            let outcome = spec(shards, plan).run_filtered(&cfg, Some(&id)).unwrap();
+            let (_, result) = outcome.outputs().next().expect("the job succeeds");
+            result.clone()
+        };
+        let faulted = result(1, &plan);
+        assert_eq!(result(2, &plan), faulted);
+        assert_ne!(result(1, ""), faulted);
     }
 
     #[test]

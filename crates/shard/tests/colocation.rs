@@ -1,15 +1,16 @@
-//! The co-location entry point over both runtimes: shard counts agree,
+//! The co-location entry point over both topologies: shard counts agree,
 //! supervision and disarmed faults leave results untouched, control-plane
-//! faults fire from the one supervision loop, and the sharded runtime
-//! refuses what it cannot model.
+//! faults fire from the one supervision loop, data-plane faults run at
+//! every shard count, and one check refuses what the engine cannot run.
 
 mod common;
 
 use common::{four_traces, kinds, stream};
 use dg_fault::SimFaultKind;
 use dg_mon::ProgressProbe;
+use dg_obs::{chrome_trace_json, Tracer};
 use dg_rdag::template::RdagTemplate;
-use dg_shard::{run_colocation, RunOpts, RunOutput};
+use dg_shard::{run_colocation, RunOpts, RunOutput, ShardConfig, ShardedSystemBuilder};
 use dg_sim::config::SystemConfig;
 use dg_sim::error::SimError;
 use dg_system::MemoryKind;
@@ -390,28 +391,127 @@ fn classic_runtime_arms_data_plane_faults() {
     assert_eq!(r.unwrap_err(), SimError::Deadline { budget: 2_000_000 });
 }
 
+/// Data-plane faults run on the NoC topology too: a stuck bank delays the
+/// victim identically at 1 and 2 shards, and a dropped response leaves it
+/// waiting until the budget runs out at both.
 #[test]
-fn sharded_runtime_rejects_data_plane_faults() {
-    for fault in [
-        SimFaultKind::StuckBank {
-            at: 2_000,
-            hold: 10_000,
-        },
-        SimFaultKind::DropResponse { nth: 1 },
-    ] {
+fn data_plane_faults_change_noc_runs_identically_across_shard_counts() {
+    let stuck = Some(SimFaultKind::StuckBank {
+        at: 2_000,
+        hold: 10_000,
+    });
+    let at = |shards, fault| {
+        let opts = RunOpts {
+            shards: Some(shards),
+            fault,
+            ..RunOpts::new(BUDGET)
+        };
+        outcome(run(&MemoryKind::Insecure, opts).unwrap())
+    };
+    let bare = at(1, None);
+    let faulted = at(1, stuck);
+    assert!(
+        faulted.0.cores[0].cycles > bare.0.cores[0].cycles,
+        "the stuck bank must delay the victim"
+    );
+    assert_eq!(at(2, stuck), faulted, "2 shards diverged from 1");
+    for shards in [1, 2] {
         let r = run(
             &MemoryKind::Insecure,
             RunOpts {
-                shards: Some(2),
-                fault: Some(fault),
-                ..RunOpts::new(BUDGET)
+                shards: Some(shards),
+                fault: Some(SimFaultKind::DropResponse { nth: 1 }),
+                ..RunOpts::new(2_000_000)
             },
         );
-        assert!(
-            matches!(&r, Err(SimError::InvalidConfig(m)) if m.contains("data-plane")),
-            "{fault}: {r:?}"
-        );
+        assert_eq!(r.unwrap_err(), SimError::Deadline { budget: 2_000_000 });
     }
+}
+
+/// `ShardConfig::check` is the one place that refuses a configuration:
+/// a 0-cycle hop or per-cycle observation on more than one shard.
+#[test]
+fn one_check_refuses_what_the_engine_cannot_run() {
+    let direct = |shards| ShardConfig {
+        noc_latency: 0,
+        ..ShardConfig::with_shards(shards)
+    };
+    let refused = |r: Result<(), SimError>, why: &str| {
+        assert!(
+            matches!(&r, Err(SimError::InvalidConfig(m)) if m.contains(why)),
+            "{r:?}"
+        );
+    };
+    refused(direct(2).check(false), "no lookahead");
+    refused(ShardConfig::with_shards(2).check(true), "event tracing");
+    refused(
+        ShardConfig::with_shards(0).check(false),
+        "at least one shard",
+    );
+    assert_eq!(direct(1).check(true), Ok(()));
+    assert_eq!(ShardConfig::with_shards(1).check(true), Ok(()));
+    assert_eq!(ShardConfig::with_shards(4).check(false), Ok(()));
+    let build = std::panic::catch_unwind(|| {
+        ShardedSystemBuilder::new(two_channels(), direct(2))
+            .trace_core(stream(10, 0, 64, 10))
+            .build()
+    });
+    assert!(panic_message(build.unwrap_err()).contains("no lookahead"));
+}
+
+/// One shard on the NoC records event traces, interval samples and shaper
+/// timelines, byte-identically on both engines, without changing the
+/// outcome of the bare run.
+#[test]
+fn one_shard_noc_runs_observe_without_observer_effect() {
+    let kind = MemoryKind::Dagguise {
+        protected: vec![Some(RdagTemplate::new(4, 100, 0.01)), None],
+    };
+    let traces = || {
+        vec![
+            stream(600, 0, 64 * 131, 0),
+            stream(600, 1 << 30, 64 * 131, 0),
+        ]
+    };
+    let observed = |naive: bool| {
+        let mut b = ShardedSystemBuilder::new(two_channels(), ShardConfig::with_shards(1));
+        for t in traces() {
+            b = b.trace_core(t);
+        }
+        let mut sys = b.memory(kind.clone()).build();
+        sys.set_tracer(Tracer::ring(1 << 16));
+        sys.enable_interval_sampling(5_000);
+        sys.enable_shaper_timelines(5_000);
+        sys.set_event_skipping(!naive);
+        sys.run_until_core_finished(0, BUDGET).unwrap();
+        let mut report = sys.report("observed");
+        report.engine = Default::default();
+        (report, chrome_trace_json(&sys.tracer().snapshot()))
+    };
+    let (fast, fast_trace) = observed(false);
+    let (naive, naive_trace) = observed(true);
+    assert!(fast.trace.events_recorded > 0 && !fast.intervals.is_empty());
+    assert!(
+        fast.shapers[0].rejected > 0,
+        "the protected core is back-pressured"
+    );
+    assert_eq!(fast.to_json(), naive.to_json());
+    assert!(fast_trace == naive_trace, "Chrome traces diverged");
+
+    let opts = |trace_capacity, metrics_window| RunOpts {
+        shards: Some(1),
+        trace_capacity,
+        metrics_window,
+        ..RunOpts::new(BUDGET)
+    };
+    let cfg = two_channels();
+    let bare = run_colocation(&cfg, traces(), kind.clone(), opts(None, None)).unwrap();
+    let traced = run_colocation(&cfg, traces(), kind, opts(Some(1 << 16), Some(5_000))).unwrap();
+    assert_eq!(
+        traced.events.len() as u64,
+        traced.report.trace.events_recorded
+    );
+    assert_eq!(traced.result, bare.result);
 }
 
 #[test]

@@ -27,6 +27,8 @@ fn kinds() -> Vec<MemoryKind> {
             slots_per_period: 8,
         },
         MemoryKind::FixedService,
+        MemoryKind::FsBta,
+        MemoryKind::FsSpatial,
     ]
 }
 

@@ -14,7 +14,7 @@ use dg_rdag::template::RdagTemplate;
 use dg_sim::config::{RowPolicy, SystemConfig};
 use dg_sim::types::DomainId;
 
-use crate::system::System;
+use crate::system::{ShardConfig, System};
 
 /// Which memory path to build.
 #[derive(Debug, Clone)]
@@ -63,9 +63,11 @@ impl MemoryKind {
     }
 }
 
-/// Assembles a [`System`] from cores and a memory kind.
+/// Assembles a [`System`] from cores and a memory kind: the paper's
+/// direct-wired topology (cores straight to the memory path, shared L3).
 pub struct SystemBuilder {
     cfg: SystemConfig,
+    scfg: ShardConfig,
     cores: Vec<Box<dyn Core>>,
     kind: MemoryKind,
 }
@@ -75,6 +77,10 @@ impl SystemBuilder {
     pub fn new(cfg: SystemConfig) -> Self {
         Self {
             cfg,
+            scfg: ShardConfig {
+                noc_latency: 0,
+                ..ShardConfig::default()
+            },
             cores: Vec::new(),
             kind: MemoryKind::Insecure,
         }
@@ -112,16 +118,42 @@ impl SystemBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if no cores were added, or a per-domain defense list does not
-    /// match the core count.
+    /// Panics if no cores were added, a per-domain defense list does not
+    /// match the core count, or the sharding configuration is invalid
+    /// ([`ShardConfig::check`]).
     pub fn build(self) -> System {
         assert!(!self.cores.is_empty(), "a system needs at least one core");
-        let domains = self.cores.len();
-        let mut cfg = self.cfg;
-        cfg.cores = domains;
-        let label = self.kind.label();
-        let mem = build_memory_into(&mut cfg, self.kind, domains);
-        System::new(cfg, self.cores, mem, label)
+        System::new(self.cfg, self.scfg, self.cores, self.kind)
+    }
+}
+
+/// Builds a [`System`] on an explicit sharding configuration — at a NoC
+/// latency of 1 or more, the multi-channel NoC topology partitioned into
+/// shards.
+pub struct ShardedSystemBuilder(SystemBuilder);
+
+impl ShardedSystemBuilder {
+    /// Starts building with the given base and sharding configurations.
+    pub fn new(cfg: SystemConfig, scfg: ShardConfig) -> Self {
+        Self(SystemBuilder {
+            scfg,
+            ..SystemBuilder::new(cfg)
+        })
+    }
+
+    /// Adds a trace-driven core; its domain is its position.
+    pub fn trace_core(self, trace: MemTrace) -> Self {
+        Self(self.0.trace_core(trace))
+    }
+
+    /// Selects the memory path (instantiated once per channel).
+    pub fn memory(self, kind: MemoryKind) -> Self {
+        Self(self.0.memory(kind))
+    }
+
+    /// Builds the system (see [`SystemBuilder::build`]).
+    pub fn build(self) -> System {
+        self.0.build()
     }
 }
 
@@ -143,62 +175,41 @@ pub fn build_memory(
     build_memory_into(&mut cfg, kind, domains)
 }
 
-/// Shared memory-path assembly; mutates `cfg` (row policy) so the caller's
-/// [`System`] sees the policy the memory path actually runs. When the
-/// configuration asks for more than one channel, each channel gets its own
-/// controller *and its own defense instances* behind a line-interleaved
-/// [`MultiChannelMemory`].
-fn build_memory_into(
+/// The whole memory path: one lane per channel ([`build_lanes`]), behind a
+/// line-interleaved [`MultiChannelMemory`] when there are several.
+pub(crate) fn build_memory_into(
     cfg: &mut SystemConfig,
     kind: MemoryKind,
     domains: usize,
 ) -> Box<dyn MemorySubsystem> {
-    let channels = cfg.dram_org.channels;
-    if channels > 1 {
-        let lanes: Vec<Box<dyn MemorySubsystem>> = (0..channels)
-            .map(|ch| {
-                let mut lane_cfg = channel_config(cfg);
-                let lane = build_single_channel(&mut lane_cfg, kind.clone(), domains, ch);
-                // The lanes all apply the same discipline; reflect it in
-                // the caller's view of the config.
-                cfg.row_policy = lane_cfg.row_policy;
-                lane
-            })
-            .collect();
-        return Box::new(MultiChannelMemory::new(
-            lanes,
-            ChannelMap::new(channels, cfg.dram_org.line_bytes),
-        ));
+    let mut lanes = build_lanes(cfg, &kind, domains);
+    if lanes.len() == 1 {
+        return lanes.pop().expect("one lane");
     }
-    build_single_channel(cfg, kind, domains, 0)
+    let map = ChannelMap::new(lanes.len() as u32, cfg.dram_org.line_bytes);
+    Box::new(MultiChannelMemory::new(lanes, map))
 }
 
-/// The per-channel view of a multi-channel config: one channel holding an
-/// equal slice of the total capacity. Bank count, timing and queues stay
-/// per-channel quantities, so they carry over unchanged.
-fn channel_config(cfg: &SystemConfig) -> SystemConfig {
-    let mut lane_cfg = cfg.clone();
-    lane_cfg.dram_org.channels = 1;
-    lane_cfg.dram_org.capacity_bytes = cfg.dram_org.capacity_bytes / cfg.dram_org.channels as u64;
-    lane_cfg
-}
-
-/// Builds the memory paths of every channel in `cfg` as separate
-/// subsystems (index = channel id), each with its own controller and
-/// defense instances. The sharded runtime uses this to place channels in
-/// different shards; the address interleaving ([`ChannelMap`]) is then the
-/// caller's responsibility.
-pub fn build_channel_memories(
-    cfg: &SystemConfig,
+/// The memory path of every channel in `cfg` (index = channel id), each
+/// with its own controller *and its own defense instances*, on an equal
+/// slice of the capacity. Reflects the row policy the lanes run into
+/// `cfg`, so the caller's [`System`] sees the discipline actually applied.
+pub(crate) fn build_lanes(
+    cfg: &mut SystemConfig,
     kind: &MemoryKind,
     domains: usize,
 ) -> Vec<Box<dyn MemorySubsystem>> {
     let channels = cfg.dram_org.channels.max(1);
     (0..channels)
         .map(|ch| {
-            let mut lane_cfg = channel_config(cfg);
-            lane_cfg.cores = domains;
-            build_single_channel(&mut lane_cfg, kind.clone(), domains, ch)
+            // Bank count, timing and queues are per-channel quantities, so
+            // they carry over unchanged.
+            let mut lane_cfg = cfg.clone();
+            lane_cfg.dram_org.channels = 1;
+            lane_cfg.dram_org.capacity_bytes /= channels as u64;
+            let lane = build_single_channel(&mut lane_cfg, kind.clone(), domains, ch);
+            cfg.row_policy = lane_cfg.row_policy;
+            lane
         })
         .collect()
 }
@@ -371,8 +382,8 @@ mod tests {
         // each lane's first autonomous fake emission cycle.
         let mut cfg = SystemConfig::two_core();
         cfg.dram_org.channels = 2;
-        let lanes = build_channel_memories(
-            &cfg,
+        let lanes = build_lanes(
+            &mut cfg,
             &MemoryKind::Camouflage {
                 protected: vec![Some(IntervalDistribution::figure2()), None],
             },

@@ -1,5 +1,5 @@
 //! Co-location experiment results (Figures 9 and 10). The entry point
-//! that produces them, over both runtimes, is `dg_shard::run_colocation`.
+//! that produces them, on either topology, is `dg_shard::run_colocation`.
 
 use dg_obs::{LeakSummary, RunReport};
 use dg_prof::HistSnapshot;

@@ -7,7 +7,11 @@
 //! domains, or a Fixed Service / FS-BTA / Temporal Partitioning
 //! controller (`dg-defenses`).
 //!
-//! On top of [`System`] sit the co-location results of Figures 9/10
+//! [`System`] runs on the one simulation engine: a core's memory traffic
+//! either goes straight to the memory path (the paper's system, built by
+//! [`SystemBuilder`]) or crosses a NoC to per-channel controllers
+//! partitioned into conservative-PDES shards ([`ShardedSystemBuilder`]).
+//! On top of it sit the co-location results of Figures 9/10
 //! ([`experiment`]; `dg_shard::run_colocation` produces them) and the
 //! offline profiling sweep of Figure 7 ([`profile`]).
 //!
@@ -30,12 +34,15 @@
 //! assert!(end > 0);
 //! ```
 
+mod barrier;
 pub mod builder;
 pub mod experiment;
+mod msg;
 pub mod profile;
+mod shard;
 pub mod system;
 
-pub use builder::{build_channel_memories, build_memory, MemoryKind, SystemBuilder};
+pub use builder::{build_memory, MemoryKind, ShardedSystemBuilder, SystemBuilder};
 pub use experiment::{ColocationResult, CoreResult};
 pub use profile::{profile_victim, select_defense_rdag, ProfilePoint};
-pub use system::{event_skipping_default, memory_sections, System};
+pub use system::{event_skipping_default, memory_sections, positive_from_env, ShardConfig, System};

@@ -1,133 +1,122 @@
-//! The cycle-driven system: cores + shared L3 + memory path.
+//! The simulated system: cores, caches and memory channels partitioned
+//! into shards of the one event engine ([`crate::shard`]), the drivers
+//! that advance them, and report assembly.
+//!
+//! # Topology
+//!
+//! [`ShardConfig::noc_latency`] is the only topology setting. At 0 the
+//! cores are wired straight to the memory path with a shared L3 — the
+//! paper's Table 2 system, built by [`crate::SystemBuilder`] — and a run is
+//! one pass over its budget on one shard, with the stop condition checked
+//! before every tick. From 1 up, every core↔channel message takes that
+//! many cycles on a NoC, each core has a private L3 slice, and the shards
+//! advance in conservative-PDES supersteps.
+//!
+//! # Protocol
+//!
+//! Time advances in supersteps `[T_k, E_k)` with `E_k − T_k ≤ L` (the NoC
+//! hop latency — the lookahead horizon). Any message sent at cycle
+//! `t ∈ [T_k, E_k)` is due at `t + L ≥ E_k`, so no shard can affect
+//! another *within* a superstep and exchanging messages only at the
+//! barrier is conservative-safe. Between barriers the coordinator drains
+//! every shard's egress, sorts the batch by the partition-independent key
+//! `(deliver_at, sender, seq)`, routes it, evaluates stop/abort/deadline
+//! conditions, and folds the shards' next-event hints into the next
+//! superstep's start — skipping globally quiescent spans entirely.
+//!
+//! With more than one worker thread, workers and the coordinator meet at
+//! two spin barriers per superstep (release → execute → join); shard slots
+//! are uncontended mutexes, and a panicking worker raises a flag instead
+//! of hanging the barrier. A single-threaded run needs no threads at all.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use dg_cache::SetAssocCache;
 use dg_cpu::Core;
 use dg_dram::power::PowerParams;
 use dg_fault::SimFaultKind;
-use dg_mem::{MemStats, MemorySubsystem};
+use dg_mem::{merge_interference, ChannelMap, MemStats, MemorySubsystem};
 use dg_mon::ProgressProbe;
 use dg_obs::{
-    BankReport, CoreReport, DomainReport, DramReport, EnergyReport, IntervalSampler, RunMeta,
-    RunReport, TraceSummary, Tracer,
+    BankReport, DomainReport, DramReport, EnergyReport, IntervalSampler, RunMeta, RunReport,
+    TraceSummary, Tracer,
 };
 use dg_prof::EngineCounters;
 use dg_sim::clock::{earliest_event, Cycle};
 use dg_sim::config::SystemConfig;
 use dg_sim::error::SimError;
-use dg_sim::types::{MemRequest, MemResponse};
 
-/// Cycles per slice of [`System::run_until_core_finished_supervised`]:
-/// the longest simulated span between two abort checks (and heartbeats).
+use crate::barrier::SpinBarrier;
+use crate::builder::{build_lanes, build_memory_into, MemoryKind};
+use crate::msg::{StampedReq, StampedResp};
+use crate::shard::{Shard, StopWhen};
+
+/// Cycles per slice of a supervised direct-wired run: the longest
+/// simulated span between two abort checks (and heartbeats).
 const SUPERVISION_CHUNK: Cycle = 2_000_000;
 
-/// Static poll-count labels for the quiescence scan (one per core index;
-/// larger systems share the last label rather than allocating).
-const CORE_POLL_NAMES: [&str; 8] = [
-    "core0", "core1", "core2", "core3", "core4", "core5", "core6", "core7",
-];
-
-fn core_poll_name(i: usize) -> &'static str {
-    CORE_POLL_NAMES.get(i).copied().unwrap_or("core8plus")
+/// Sharding parameters.
+#[derive(Debug, Clone)]
+pub struct ShardConfig {
+    /// Number of shards the cores and channels are partitioned into.
+    pub shards: usize,
+    /// NoC hop latency in CPU cycles. 0 wires the cores straight to the
+    /// memory path (one shard only); from 1 up, every core↔channel message
+    /// takes one hop, and this is also the PDES lookahead horizon
+    /// (superstep width).
+    pub noc_latency: Cycle,
+    /// Upper bound on worker threads (`None` = one per host CPU, capped at
+    /// the shard count). Results are identical for every value; forcing 1
+    /// gives the single-threaded reference for self-relative speedup
+    /// measurements. `DG_SHARD_PARTIES`, read when a system is built,
+    /// overrides it.
+    pub max_parties: Option<usize>,
 }
 
-/// Live state of an injected simulation fault (see
-/// [`dg_fault::SimFaultKind`]). Data-plane kinds (stuck bank, dropped
-/// response) are modeled here, inside the memory tick; control-plane
-/// kinds (frozen clock, panic) are no-ops at this layer — the supervision
-/// loop that drives the system implements them.
-struct FaultState {
-    kind: SimFaultKind,
-    /// Responses captured while a stuck bank holds its window.
-    held: Vec<MemResponse>,
-    /// Whether a `DropResponse` fault has consumed its victim.
-    dropped: bool,
-    /// Primary-domain responses seen so far (for `DropResponse`).
-    seen_primary: u64,
-}
-
-/// The memory path as one core sees it during its tick: every call is
-/// forwarded, and the first request the memory refuses is remembered. By
-/// the [`Core`] contract that request is offered again on every later tick
-/// until accepted, which is what a warp settles ([`System::warp_to`]).
-struct RefusalTap<'a> {
-    mem: &'a mut dyn MemorySubsystem,
-    first_refused: Option<MemRequest>,
-}
-
-impl MemorySubsystem for RefusalTap<'_> {
-    fn try_send(&mut self, req: MemRequest, now: Cycle) -> Result<(), MemRequest> {
-        let r = self.mem.try_send(req, now);
-        if r.is_err() && self.first_refused.is_none() {
-            self.first_refused = Some(req);
+impl Default for ShardConfig {
+    fn default() -> Self {
+        Self {
+            shards: 1,
+            noc_latency: 64,
+            max_parties: None,
         }
-        r
-    }
-
-    fn tick_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
-        self.mem.tick_into(now, out);
-    }
-
-    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        self.mem.next_event_at(now)
-    }
-
-    fn stats(&self) -> &MemStats {
-        self.mem.stats()
-    }
-
-    fn stats_mut(&mut self) -> &mut MemStats {
-        self.mem.stats_mut()
-    }
-
-    fn free_slots(&self) -> usize {
-        self.mem.free_slots()
     }
 }
 
-/// A complete simulated system.
-///
-/// Cores are indexed by their [`dg_sim::types::DomainId`]: core `i` is
-/// domain `i`, and memory responses are routed back by that id.
-pub struct System {
-    cfg: SystemConfig,
-    cores: Vec<Box<dyn Core>>,
-    l3: SetAssocCache,
-    mem: Box<dyn MemorySubsystem>,
-    now: Cycle,
-    mem_label: &'static str,
-    tracer: Tracer,
-    sampler: Option<IntervalSampler>,
-    /// Event-driven quiescent-cycle skipping. On by default; disabled by
-    /// `DG_NO_SKIP=1` or [`System::set_event_skipping`] for differential
-    /// testing against the naive per-cycle loop.
-    skip_enabled: bool,
-    /// Reusable scratch buffers keeping the per-tick path allocation-free.
-    resp_buf: Vec<MemResponse>,
-    instr_buf: Vec<u64>,
-    bytes_buf: Vec<u64>,
-    /// Per core, the first request the memory refused during its last
-    /// tick: the request it retries on every cycle a warp skips.
-    refused: Vec<Option<MemRequest>>,
-    /// Scratch: the refused requests of a warp, in core order.
-    refused_buf: Vec<MemRequest>,
-    /// Remaining ticks before the next warp attempt. A failed attempt
-    /// (some component active right now) costs a component scan; backing
-    /// off keeps that overhead negligible under saturation while delaying
-    /// idle detection by at most the backoff length.
-    warp_backoff: Cycle,
-    /// Consecutive failed warp attempts: the backoff grows with the streak
-    /// so steadily-saturated runs scan rarely, while runs that alternate
-    /// activity and idleness keep trying nearly every tick.
-    warp_fail_streak: Cycle,
-    /// Engine telemetry: how the engine covered simulated time (ticks vs
-    /// warps, scan outcomes, poll counts). Purely observational.
-    engine: EngineCounters,
-    /// Injected simulation fault, if any ([`System::inject_fault`]).
-    fault: Option<FaultState>,
-    /// Live-progress heartbeat published between supervision slices
-    /// (`None` when unmonitored). Write-only: never read back into
-    /// simulation state, so results are probe-independent.
-    progress: Option<ProgressProbe>,
+impl ShardConfig {
+    /// A configuration with `shards` shards and default NoC parameters.
+    pub fn with_shards(shards: usize) -> Self {
+        Self {
+            shards,
+            ..Self::default()
+        }
+    }
+
+    /// Checks that a system can run this configuration, `observed` or not
+    /// (event tracing, interval sampling). A 0-cycle hop gives the PDES no
+    /// lookahead, and observation records one shard's cycle-by-cycle
+    /// history, so either needs a single shard.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] naming the conflict.
+    pub fn check(&self, observed: bool) -> Result<(), SimError> {
+        let why = if self.shards == 0 {
+            "at least one shard is required"
+        } else if self.shards > 1 && self.noc_latency == 0 {
+            "a 0-cycle NoC hop gives the PDES no lookahead; it needs one shard"
+        } else if self.shards > 1 && observed {
+            "event tracing and metrics windows need one shard"
+        } else {
+            return Ok(());
+        };
+        Err(SimError::InvalidConfig(format!(
+            "{} shards: {why}",
+            self.shards
+        )))
+    }
 }
 
 /// Whether a newly built system starts on the event-driven engine: yes,
@@ -139,68 +128,223 @@ pub fn event_skipping_default() -> bool {
     std::env::var("DG_NO_SKIP").map_or(true, |v| v.is_empty() || v == "0")
 }
 
-impl System {
-    /// Assembles a system. Use [`crate::SystemBuilder`] rather than calling
-    /// this directly.
-    pub(crate) fn new(
-        cfg: SystemConfig,
-        cores: Vec<Box<dyn Core>>,
-        mem: Box<dyn MemorySubsystem>,
-        mem_label: &'static str,
-    ) -> Self {
-        // The shared L3 scales with the core count (1 MB per core, Table 2).
-        let mut l3_cfg = cfg.cache.l3_per_core;
-        l3_cfg.size_bytes *= cores.len().max(1) as u64;
-        let l3 = SetAssocCache::new(l3_cfg, "L3");
-        let n = cores.len();
-        Self {
-            cfg,
-            cores,
-            l3,
-            mem,
-            now: 0,
-            mem_label,
-            tracer: Tracer::noop(),
-            sampler: None,
-            skip_enabled: event_skipping_default(),
-            resp_buf: Vec::new(),
-            instr_buf: Vec::new(),
-            bytes_buf: Vec::new(),
-            refused: vec![None; n],
-            refused_buf: Vec::with_capacity(n),
-            warp_backoff: 0,
-            warp_fail_streak: 0,
-            engine: EngineCounters::default(),
-            fault: None,
-            progress: None,
+/// The positive integer in environment variable `var`, `None` when unset.
+///
+/// # Panics
+///
+/// Panics when set to anything else: a silently ignored typo would
+/// invalidate a sweep.
+pub fn positive_from_env(var: &str) -> Option<usize> {
+    std::env::var(var).ok().map(|raw| parse_positive(var, &raw))
+}
+
+fn parse_positive(var: &str, raw: &str) -> usize {
+    raw.trim()
+        .parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| panic!("{var} must be a positive integer, got {raw:?}"))
+}
+
+/// The balanced contiguous partition: element `s` of `shards` owns global
+/// indices `[total·s/shards, total·(s+1)/shards)`. A pure function of the
+/// counts, so every shard count induces the same global ordering.
+fn partition(total: usize, shards: usize, s: usize) -> std::ops::Range<usize> {
+    (total * s / shards)..(total * (s + 1) / shards)
+}
+
+/// Cache-line isolation for per-shard slots: adjacent shards advanced by
+/// different threads must not share a line, or every per-tick counter
+/// write ping-pongs it (128 bytes covers adjacent-line prefetching).
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+type Slot = CachePadded<Mutex<Shard>>;
+
+/// Locks a shard slot, recovering from poisoning (a panicked superstep has
+/// already aborted the run; later read-only access is still sound for
+/// diagnostics).
+fn lock(m: &Slot) -> std::sync::MutexGuard<'_, Shard> {
+    m.0.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The stop condition's value across the shards, if it holds at `now`.
+fn stop_value(shards: &[Slot], core_home: &[usize], stop: &StopWhen, now: Cycle) -> Option<Cycle> {
+    match *stop {
+        StopWhen::CoreFinished(d) => lock(&shards[core_home[d]]).stopped(stop, now),
+        _ => shards
+            .iter()
+            .all(|m| lock(m).stopped(stop, now).is_some())
+            .then_some(now),
+    }
+}
+
+/// NoC routing: where each core and channel lives, and the batch buffers
+/// reused across supersteps.
+struct Router {
+    map: ChannelMap,
+    /// Global core index → owning shard.
+    core_home: Vec<usize>,
+    /// Global channel index → owning shard.
+    chan_home: Vec<usize>,
+    reqs: Vec<StampedReq>,
+    resps: Vec<StampedResp>,
+    req_staging: Vec<Vec<StampedReq>>,
+    resp_staging: Vec<Vec<StampedResp>>,
+}
+
+impl Router {
+    /// Drains every shard's egress, establishes the global NoC order, and
+    /// routes each message to its home shard.
+    fn exchange(&mut self, shards: &[Slot]) {
+        let _prof = dg_prof::span("shard_route");
+        for m in shards {
+            lock(m).drain_outgoing(&mut self.reqs, &mut self.resps);
+        }
+        self.reqs.sort_unstable_by_key(StampedReq::key);
+        self.resps.sort_unstable_by_key(StampedResp::key);
+        for sr in self.reqs.drain(..) {
+            let home = self.chan_home[self.map.channel_of(sr.req.addr) as usize];
+            self.req_staging[home].push(sr);
+        }
+        for sr in self.resps.drain(..) {
+            self.resp_staging[self.core_home[sr.resp.domain.0 as usize]].push(sr);
+        }
+        for (m, (reqs, resps)) in shards
+            .iter()
+            .zip(self.req_staging.iter_mut().zip(&mut self.resp_staging))
+        {
+            if !reqs.is_empty() || !resps.is_empty() {
+                let mut shard = lock(m);
+                reqs.drain(..).for_each(|sr| shard.enqueue_req(sr));
+                resps.drain(..).for_each(|sr| shard.enqueue_resp(sr));
+            }
         }
     }
+}
 
-    /// Arms a simulation-layer fault. Data-plane kinds (stuck bank,
-    /// dropped response) change response delivery inside [`System::tick`];
-    /// `FreezeClock` and `Panic` are no-ops at this layer (the supervision
-    /// loop driving the system implements them). Without this call the
-    /// fault plane does not exist — no branch in the hot path consults it
-    /// beyond one `Option` check.
-    pub fn inject_fault(&mut self, kind: SimFaultKind) {
-        self.fault = Some(FaultState {
-            kind,
-            held: Vec::new(),
-            dropped: false,
-            seen_primary: 0,
-        });
-    }
+/// A complete simulated system (see the module docs for its topologies).
+///
+/// Cores are indexed by their [`dg_sim::types::DomainId`]: core `i` is
+/// domain `i`, and memory responses are routed back by that id. For any
+/// shard count the [`RunReport`] (engine telemetry aside) is
+/// byte-identical to the single-shard one at the same NoC latency.
+pub struct System {
+    cfg: SystemConfig,
+    scfg: ShardConfig,
+    shards: Vec<Slot>,
+    router: Router,
+    /// Per-superstep claim flags, one per shard.
+    claimed: Vec<CachePadded<AtomicBool>>,
+    /// Worker threads of a NoC run, resolved when the system is built.
+    parties: usize,
+    now: Cycle,
+    mem_label: &'static str,
+    n_cores: usize,
+    tracer: Tracer,
+    /// Live-progress heartbeat (`None` when unmonitored). Write-only: never
+    /// read back into simulation state, so results are probe-independent.
+    progress: Option<ProgressProbe>,
+}
 
-    /// Enables or disables event-driven quiescent-cycle skipping. The two
-    /// engines produce byte-identical [`RunReport`]s; the naive loop exists
-    /// as the differential-testing oracle (`DG_NO_SKIP=1` sets it globally).
-    pub fn set_event_skipping(&mut self, on: bool) {
-        self.skip_enabled = on;
-    }
+impl System {
+    /// Assembles `cores` and the memory path `kind` on the topology
+    /// `scfg`. Use [`crate::SystemBuilder`] or
+    /// [`crate::ShardedSystemBuilder`] rather than calling this directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ShardConfig::check`] rejects `scfg`, or
+    /// `DG_SHARD_PARTIES` is set to anything but a positive integer.
+    pub(crate) fn new(
+        mut cfg: SystemConfig,
+        scfg: ShardConfig,
+        cores: Vec<Box<dyn Core>>,
+        kind: MemoryKind,
+    ) -> Self {
+        if let Err(e) = scfg.check(false) {
+            panic!("{e}");
+        }
+        let n_cores = cores.len();
+        cfg.cores = n_cores;
+        let mem_label = kind.label();
+        let direct = scfg.noc_latency == 0;
+        let line = cfg.dram_org.line_bytes;
+        // Directly wired cores see the whole memory path as one endpoint;
+        // on the NoC every channel is an endpoint of its own.
+        let lanes = if direct {
+            vec![build_memory_into(&mut cfg, kind, n_cores)]
+        } else {
+            build_lanes(&mut cfg, &kind, n_cores)
+        };
+        let map = ChannelMap::new(lanes.len() as u32, line);
+        let skip = event_skipping_default();
 
-    /// Whether the event-driven engine is active.
-    pub fn event_skipping(&self) -> bool {
-        self.skip_enabled
+        let s = scfg.shards;
+        let mut router = Router {
+            map,
+            core_home: vec![0; n_cores],
+            chan_home: vec![0; lanes.len()],
+            reqs: Vec::new(),
+            resps: Vec::new(),
+            req_staging: (0..s).map(|_| Vec::new()).collect(),
+            resp_staging: (0..s).map(|_| Vec::new()).collect(),
+        };
+        let (mut cores, mut lanes) = (cores.into_iter(), lanes.into_iter());
+        let mut shards = Vec::with_capacity(s);
+        for id in 0..s {
+            let core_range = partition(n_cores, s, id);
+            let chan_range = partition(map.channels() as usize, s, id);
+            router.core_home[core_range.clone()].fill(id);
+            router.chan_home[chan_range.clone()].fill(id);
+            // One L3 of 1 MB per core (Table 2): shared when directly
+            // wired, private slices on the NoC.
+            let l3 = if direct {
+                let mut l3_cfg = cfg.cache.l3_per_core;
+                l3_cfg.size_bytes *= n_cores as u64;
+                vec![SetAssocCache::new(l3_cfg, "L3")]
+            } else {
+                core_range
+                    .clone()
+                    .map(|_| SetAssocCache::new(cfg.cache.l3_per_core, "L3"))
+                    .collect()
+            };
+            let owned = cores.by_ref().take(core_range.len()).collect();
+            let endpoints = lanes.by_ref().take(chan_range.len()).collect();
+            shards.push(CachePadded(Mutex::new(Shard::new(
+                (core_range.start, owned),
+                l3,
+                (chan_range.start, endpoints),
+                map,
+                scfg.noc_latency,
+                skip,
+            ))));
+        }
+        let cap = positive_from_env("DG_SHARD_PARTIES")
+            .or(scfg.max_parties)
+            .unwrap_or(usize::MAX)
+            .min(s);
+        // Probing the host costs a measurable share of building a small
+        // system, so it is skipped when one worker is all a run can use.
+        let parties = match cap {
+            0 | 1 => 1,
+            _ => std::thread::available_parallelism().map_or(1, |p| p.get().min(cap)),
+        };
+        Self {
+            cfg,
+            scfg,
+            shards,
+            router,
+            claimed: (0..s)
+                .map(|_| CachePadded(AtomicBool::new(false)))
+                .collect(),
+            parties,
+            now: 0,
+            mem_label,
+            n_cores,
+            tracer: Tracer::noop(),
+            progress: None,
+        }
     }
 
     /// The configuration this system runs.
@@ -213,35 +357,41 @@ impl System {
         self.now
     }
 
-    /// The cores (for result extraction).
-    pub fn cores(&self) -> &[Box<dyn Core>] {
-        &self.cores
+    fn shards_mut(&mut self) -> impl Iterator<Item = &mut Shard> {
+        self.shards
+            .iter_mut()
+            .map(|m| m.0.get_mut().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// The memory path (for statistics).
-    pub fn memory(&self) -> &dyn MemorySubsystem {
-        self.mem.as_ref()
+    /// The one shard of a single-shard system.
+    fn single(&mut self) -> &mut Shard {
+        assert_eq!(self.shards.len(), 1, "needs a single-shard system");
+        self.shards_mut().next().expect("one shard")
     }
 
-    /// The shared L3 (for statistics).
-    pub fn l3(&self) -> &SetAssocCache {
-        &self.l3
+    /// Enables or disables event-driven quiescent-cycle skipping. The two
+    /// engines produce byte-identical [`RunReport`]s; the naive loop exists
+    /// as the differential-testing oracle (`DG_NO_SKIP=1` sets it globally).
+    pub fn set_event_skipping(&mut self, on: bool) {
+        self.shards_mut().for_each(|s| s.set_event_skipping(on));
     }
 
-    /// Live engine telemetry (read-only): how the engine has covered
-    /// simulated time so far. Monitoring heartbeats read `warped_cycles`
-    /// from here between supervision slices.
-    pub fn engine_counters(&self) -> &EngineCounters {
-        &self.engine
+    /// Arms a simulation-layer fault. Data-plane kinds (stuck bank,
+    /// dropped response) change response delivery to the cores, at every
+    /// shard count; `FreezeClock` and `Panic` are no-ops at this layer (the
+    /// supervision loop driving the system implements them).
+    pub fn inject_fault(&mut self, kind: SimFaultKind) {
+        self.shards_mut().for_each(|s| s.inject_fault(kind));
     }
 
     /// Installs an observability tracer on every component of the system
-    /// (cores, shapers, memory controller).
+    /// (cores, shapers, memory controllers).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a multi-shard system.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        for core in &mut self.cores {
-            core.set_tracer(tracer.clone());
-        }
-        self.mem.set_tracer(tracer.clone());
+        self.single().set_tracer(&tracer);
         self.tracer = tracer;
     }
 
@@ -256,244 +406,57 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if `window` is zero.
+    /// Panics if `window` is zero, or on a multi-shard system.
     pub fn enable_interval_sampling(&mut self, window: Cycle) {
-        self.sampler = Some(IntervalSampler::new(
-            window,
-            self.cfg.core.clock_hz,
-            self.cores.len(),
-            self.cores.len(),
-        ));
+        let (hz, n) = (self.cfg.core.clock_hz, self.n_cores);
+        self.single().sampler = Some(IntervalSampler::new(window, hz, n, n));
     }
 
     /// Enables windowed shaper telemetry (queue depth, slack, real/fake
     /// fills) on any shapers in the memory path. A no-op for unshaped
     /// memory kinds.
     pub fn enable_shaper_timelines(&mut self, window: Cycle) {
-        self.mem.enable_shaper_timelines(window);
+        self.shards_mut()
+            .for_each(|s| s.enable_shaper_timelines(window));
     }
 
-    /// Refreshes the interval-sampler input buffers (cumulative retired
-    /// instructions and per-domain bytes) without allocating.
-    fn refresh_sampler_inputs(&mut self) {
-        self.instr_buf.clear();
-        for c in &self.cores {
-            self.instr_buf.push(c.instructions_retired());
-        }
-        self.bytes_buf.clear();
-        // Multi-channel paths cache their merged view; bring it up to date
-        // before sampling mid-run byte counts.
-        self.mem.refresh_stats();
-        let stats = self.mem.stats();
-        for d in stats.domains().iter().take(self.cores.len()) {
-            self.bytes_buf.push(d.bandwidth.bytes());
-        }
+    /// Installs a live-progress heartbeat: the current cycle, the
+    /// supersteps completed and the cycles skipped are published into the
+    /// probe between supervision slices (hop 0) or at every superstep
+    /// barrier.
+    pub fn set_progress_probe(&mut self, probe: ProgressProbe) {
+        self.progress = Some(probe);
     }
 
-    /// Flushes the trailing partial interval window at end-of-run so the
-    /// time series covers the whole measurement interval.
-    fn flush_sampler(&mut self) {
-        if self.sampler.is_none() {
-            return;
-        }
-        self.refresh_sampler_inputs();
-        let now = self.now;
-        let Self {
-            sampler,
-            instr_buf,
-            bytes_buf,
-            ..
-        } = self;
-        if let Some(s) = sampler {
-            s.flush(now, instr_buf, bytes_buf);
-        }
+    /// The cores (for result extraction).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a multi-shard system.
+    pub fn cores(&mut self) -> &[Box<dyn Core>] {
+        self.single().cores()
     }
 
-    /// Rewrites the freshly ticked response buffer under the armed fault:
-    /// a stuck bank detains responses completing inside its hold window
-    /// and releases them (in arrival order, ahead of same-cycle traffic)
-    /// once it unwedges; a drop fault silently removes the nth response
-    /// bound for the primary domain.
-    fn apply_response_fault(&mut self, now: Cycle) {
-        let Self {
-            fault: Some(f),
-            resp_buf,
-            ..
-        } = self
-        else {
-            return;
-        };
-        match f.kind {
-            SimFaultKind::StuckBank { at, hold } => {
-                let release = at.saturating_add(hold);
-                if now >= at && now < release {
-                    f.held.append(resp_buf);
-                } else if now >= release && !f.held.is_empty() {
-                    resp_buf.splice(0..0, f.held.drain(..));
-                }
-            }
-            SimFaultKind::DropResponse { nth } => {
-                if !f.dropped {
-                    for i in 0..resp_buf.len() {
-                        if resp_buf[i].domain.0 == 0 {
-                            f.seen_primary += 1;
-                            if f.seen_primary == nth {
-                                resp_buf.remove(i);
-                                f.dropped = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            SimFaultKind::FreezeClock { .. } | SimFaultKind::Panic { .. } => {}
-        }
+    /// The memory path (for statistics).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the cores are wired straight to it (`noc_latency` 0).
+    pub fn memory(&mut self) -> &dyn MemorySubsystem {
+        self.single().memory()
     }
 
-    /// Advances the whole system one CPU cycle.
-    pub fn tick(&mut self) {
-        self.engine.tick();
-        let now = self.now;
-        // Memory first: completions this cycle unblock cores this cycle.
-        {
-            let _prof = dg_prof::span("mem_tick");
-            self.resp_buf.clear();
-            self.mem.tick_into(now, &mut self.resp_buf);
-            self.apply_response_fault(now);
-            for i in 0..self.resp_buf.len() {
-                let resp = self.resp_buf[i];
-                let idx = resp.domain.0 as usize;
-                if let Some(core) = self.cores.get_mut(idx) {
-                    core.on_response(&resp, now);
-                }
-            }
-        }
-        {
-            let _prof = dg_prof::span("core_tick");
-            for (core, refused) in self.cores.iter_mut().zip(&mut self.refused) {
-                let mut tap = RefusalTap {
-                    mem: self.mem.as_mut(),
-                    first_refused: None,
-                };
-                core.tick(now, &mut self.l3, &mut tap);
-                *refused = tap.first_refused;
-            }
-        }
-        self.now += 1;
-        if self.sampler.as_ref().is_some_and(|s| s.due(self.now)) {
-            self.refresh_sampler_inputs();
-            let now = self.now;
-            let Self {
-                sampler,
-                instr_buf,
-                bytes_buf,
-                ..
-            } = self;
-            if let Some(s) = sampler {
-                s.sample(now, instr_buf, bytes_buf);
-            }
-        }
+    /// IPC of core `i` as of now.
+    pub fn ipc(&self, i: usize) -> f64 {
+        lock(&self.shards[self.router.core_home[i]])
+            .core(i)
+            .ipc_at(self.now)
     }
 
-    /// The earliest future cycle at which any component can change state,
-    /// clamped to `[now, limit]`. `limit` is returned when every component
-    /// is fully passive (waiting on input that will never come).
-    fn next_event(&mut self, limit: Cycle) -> Cycle {
-        let _prof = dg_prof::span("quiescence_scan");
-        let now = self.now;
-        self.engine.poll("mem");
-        let mut ev = self.mem.next_event_at(now);
-        for (i, core) in self.cores.iter().enumerate() {
-            self.engine.poll(core_poll_name(i));
-            ev = earliest_event(ev, core.next_event_at(now));
-        }
-        // Fault boundaries are events too: a warp must never jump a stuck
-        // bank's release cycle (detained responses would stay detained past
-        // their deterministic delivery time). Keeping them in the fold
-        // preserves naive/event-engine byte-identity under injection.
-        if let Some(FaultState {
-            kind: SimFaultKind::StuckBank { at, hold },
-            held,
-            ..
-        }) = &self.fault
-        {
-            if now < *at {
-                ev = earliest_event(ev, Some(*at));
-            }
-            if !held.is_empty() {
-                ev = earliest_event(ev, Some(at.saturating_add(*hold)));
-            }
-        }
-        ev.map_or(limit, |t| t.clamp(now, limit))
-    }
-
-    /// Attempts one warp: scans component event times and jumps ahead when
-    /// everything is quiescent. Skipping an attempt is always sound (the
-    /// loop just ticks naively), so failed attempts arm a short backoff to
-    /// amortize the scan under saturation.
-    fn maybe_warp(&mut self, limit: Cycle) {
-        if self.warp_backoff > 0 {
-            self.warp_backoff -= 1;
-            self.engine.backoff_suppressed += 1;
-            return;
-        }
-        let target = self.next_event(limit);
-        if target > self.now {
-            self.engine.warp(target - self.now);
-            self.warp_to(target);
-            self.warp_fail_streak = 0;
-        } else {
-            self.engine.failed_scans += 1;
-            self.warp_fail_streak = (self.warp_fail_streak + 1).min(31);
-            self.warp_backoff = self.warp_fail_streak;
-            self.engine.max_backoff = self.engine.max_backoff.max(self.warp_backoff);
-        }
-    }
-
-    /// Warps simulation time forward to `target`, settling the per-cycle
-    /// bookkeeping of the skipped span in the memory path and replaying
-    /// any interval-sampler window boundaries it would have produced.
-    /// Only provably quiescent spans may be warped over: every counter a
-    /// replayed sample reads is unchanged across the span, so the samples
-    /// are byte-identical to the naive loop's zero-delta windows.
-    fn warp_to(&mut self, target: Cycle) {
-        if target <= self.now {
-            return;
-        }
-        self.settle(self.now, target);
-        let _prof = dg_prof::span("sampler_replay");
-        if self.sampler.is_some() {
-            self.refresh_sampler_inputs();
-            let Self {
-                sampler,
-                instr_buf,
-                bytes_buf,
-                ..
-            } = self;
-            if let Some(s) = sampler {
-                s.advance_to(target, instr_buf, bytes_buf);
-            }
-        }
-        self.now = target;
-    }
-
-    /// Settles the warped span `[from, to)` in the memory path
-    /// ([`MemorySubsystem::settle_warp`]): stall charges of the skipped
-    /// bus edges, and one refusal per skipped cycle for every core whose
-    /// last tick was refused. With tracing on, cycle by cycle, so the
-    /// replayed trace events interleave across cores as the naive loop
-    /// records them.
-    fn settle(&mut self, from: Cycle, to: Cycle) {
-        let _prof = dg_prof::span("warp_settle");
-        self.refused_buf.clear();
-        self.refused_buf.extend(self.refused.iter().flatten());
-        if self.tracer.enabled() && !self.refused_buf.is_empty() {
-            for now in from..to {
-                self.mem.settle_warp(now, now + 1, &self.refused_buf);
-            }
-        } else {
-            self.mem.settle_warp(from, to, &self.refused_buf);
-        }
+    /// Whether core `domain` has finished.
+    pub fn core_finished(&self, domain: usize) -> bool {
+        let stop = StopWhen::CoreFinished(domain);
+        stop_value(&self.shards, &self.router.core_home, &stop, self.now).is_some()
     }
 
     /// Runs until every core finishes.
@@ -502,25 +465,11 @@ impl System {
     ///
     /// Returns [`SimError::Deadline`] if the budget is exhausted first.
     pub fn run_until_finished(&mut self, budget: Cycle) -> Result<Cycle, SimError> {
-        let limit = self.now + budget;
-        while self.now < limit {
-            if self.cores.iter().all(|c| c.finished()) {
-                self.mem.stats_mut().set_cycles(self.now);
-                self.flush_sampler();
-                return Ok(self.now);
-            }
-            self.tick();
-            // Never warp past the tick that finished the run: the naive
-            // loop stops incrementing `now` there, and so must we.
-            if self.skip_enabled && !self.cores.iter().all(|c| c.finished()) {
-                self.maybe_warp(limit);
-            }
-        }
-        Err(SimError::Deadline { budget })
+        self.drive(budget, StopWhen::AllFinished, None)
     }
 
-    /// Runs until the core in `domain` finishes (other cores keep running
-    /// alongside, providing contention).
+    /// Runs until core `domain` finishes (other cores keep running
+    /// alongside, providing contention) and returns its finish cycle.
     ///
     /// # Errors
     ///
@@ -530,33 +479,14 @@ impl System {
         domain: usize,
         budget: Cycle,
     ) -> Result<Cycle, SimError> {
-        let limit = self.now + budget;
-        while self.now < limit {
-            if self.cores[domain].finished() {
-                self.mem.stats_mut().set_cycles(self.now);
-                self.flush_sampler();
-                return Ok(self.cores[domain].finished_at().expect("finished"));
-            }
-            self.tick();
-            if self.skip_enabled && !self.cores[domain].finished() {
-                self.maybe_warp(limit);
-            }
-        }
-        Err(SimError::Deadline { budget })
-    }
-
-    /// Installs a live-progress heartbeat: the current cycle and the
-    /// engine's warp-skipped cycles are published into the probe between
-    /// the slices of [`Self::run_until_core_finished_supervised`].
-    pub fn set_progress_probe(&mut self, probe: ProgressProbe) {
-        self.progress = Some(probe);
+        self.drive(budget, StopWhen::CoreFinished(domain), None)
     }
 
     /// [`Self::run_until_core_finished`] under cooperative supervision:
-    /// the run advances in slices of at most `SUPERVISION_CHUNK` cycles,
-    /// evaluating `should_abort` before each and publishing a heartbeat
-    /// after each. Slices compose exactly, so without an abort the outcome
-    /// is identical to one unsliced call with the same budget.
+    /// `should_abort` is evaluated before every slice of
+    /// `SUPERVISION_CHUNK` cycles (hop 0) or at every superstep barrier,
+    /// and a heartbeat is published after each. Slices compose exactly, so
+    /// without an abort the outcome is identical to an unsupervised run.
     ///
     /// # Errors
     ///
@@ -568,100 +498,276 @@ impl System {
         budget: Cycle,
         should_abort: &mut dyn FnMut() -> bool,
     ) -> Result<Cycle, SimError> {
-        let mut spent: Cycle = 0;
-        loop {
-            if should_abort() {
-                return Err(SimError::Aborted(format!(
-                    "supervisor cancelled after {spent} cycles"
-                )));
-            }
-            let step = SUPERVISION_CHUNK.min(budget - spent);
-            let r = self.run_until_core_finished(domain, step);
-            if let Some(p) = &self.progress {
-                p.record(self.now, 0, self.engine.warped_cycles);
-            }
-            match r {
-                Err(SimError::Deadline { .. }) => {
-                    spent += step;
-                    if spent >= budget {
-                        return Err(SimError::Deadline { budget });
-                    }
-                }
-                done => return done,
-            }
-        }
+        self.drive(budget, StopWhen::CoreFinished(domain), Some(should_abort))
     }
 
     /// Runs exactly `window` cycles.
     pub fn run_for(&mut self, window: Cycle) {
-        let limit = self.now + window;
-        while self.now < limit {
-            self.tick();
-            if self.skip_enabled {
-                self.maybe_warp(limit);
-            }
-        }
-        self.mem.stats_mut().set_cycles(self.now);
-        self.flush_sampler();
+        let _ = self.drive(window, StopWhen::Never, None);
+        self.finish();
     }
 
-    /// IPC of core `i` as of now.
-    pub fn ipc(&self, i: usize) -> f64 {
-        self.cores[i].ipc_at(self.now)
+    /// Ends a measurement at the current cycle in every shard.
+    fn finish(&mut self) {
+        let now = self.now;
+        self.shards_mut().for_each(|s| s.finish(now));
+    }
+
+    fn drive(
+        &mut self,
+        budget: Cycle,
+        stop: StopWhen,
+        abort: Option<&mut dyn FnMut() -> bool>,
+    ) -> Result<Cycle, SimError> {
+        let r = if self.scfg.noc_latency == 0 {
+            self.run_direct(budget, &stop, abort)
+        } else {
+            self.run_supersteps(budget, &stop, abort.unwrap_or(&mut || false))
+        };
+        if r.is_ok() {
+            self.finish();
+        }
+        r
+    }
+
+    /// Hop 0: one pass over the budget on the single shard, checking the
+    /// stop condition before every tick — in slices of `SUPERVISION_CHUNK`
+    /// cycles when supervised, with the abort check before and a heartbeat
+    /// after each slice.
+    fn run_direct(
+        &mut self,
+        budget: Cycle,
+        stop: &StopWhen,
+        abort: Option<&mut dyn FnMut() -> bool>,
+    ) -> Result<Cycle, SimError> {
+        let slice = if abort.is_some() {
+            SUPERVISION_CHUNK
+        } else {
+            budget
+        };
+        let mut never = || false;
+        let abort = abort.unwrap_or(&mut never);
+        let mut now = self.now;
+        let progress = self.progress.clone();
+        let shard = self.single();
+        let mut spent: Cycle = 0;
+        let r = loop {
+            if abort() {
+                break Err(SimError::Aborted(format!(
+                    "supervisor cancelled after {spent} cycles"
+                )));
+            }
+            let step = slice.min(budget - spent);
+            let end = now + step;
+            let stopped = shard.run(&mut now, end, stop);
+            if let Some(p) = &progress {
+                p.record(now, 0, shard.engine.warped_cycles);
+            }
+            if let Some(t) = stopped {
+                break Ok(t);
+            }
+            spent += step;
+            if spent >= budget {
+                break Err(SimError::Deadline { budget });
+            }
+        };
+        self.now = now;
+        r
+    }
+
+    /// Hop ≥ 1: the superstep coordinator (see the module docs).
+    fn run_supersteps(
+        &mut self,
+        budget: Cycle,
+        stop: &StopWhen,
+        abort: &mut dyn FnMut() -> bool,
+    ) -> Result<Cycle, SimError> {
+        let Self {
+            shards,
+            router,
+            claimed,
+            parties,
+            now,
+            progress,
+            scfg,
+            ..
+        } = self;
+        let (shards, claimed, parties) = (&*shards, &*claimed, *parties);
+        if let Some(t) = stop_value(shards, &router.core_home, stop, *now) {
+            return Ok(t);
+        }
+        let (origin, limit, n) = (*now, *now + budget, shards.len());
+        // Each thread first claims its own stripe (stable shard→thread
+        // affinity keeps shard state warm in one core's cache), then sweeps
+        // the rest, so a thread delayed by OS jitter sheds leftover shards
+        // instead of stalling the join barrier.
+        let run_claimed = move |me: usize, start: Cycle, end: Cycle| {
+            let stolen = (0..n).filter(|i| i % parties != me);
+            for i in (me..n).step_by(parties).chain(stolen) {
+                if claimed[i]
+                    .0
+                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+                {
+                    lock(&shards[i]).run_superstep(start, end);
+                }
+            }
+        };
+        let (mut steps, mut skipped) = (0u64, 0u64);
+        // The coordinator loop; `exec` runs one superstep on every shard.
+        let mut coordinate = |exec: &mut dyn FnMut(Cycle, Cycle)| loop {
+            if abort() {
+                let after = *now - origin;
+                return Err(SimError::Aborted(format!(
+                    "supervisor cancelled after {after} cycles"
+                )));
+            }
+            if *now >= limit {
+                return Err(SimError::Deadline { budget });
+            }
+            let end = (*now + scfg.noc_latency).min(limit);
+            for c in claimed {
+                c.0.store(false, Ordering::Relaxed);
+            }
+            steps += 1;
+            exec(*now, end);
+            *now = end;
+            router.exchange(shards);
+            let _prof = dg_prof::span("shard_hint");
+            // Stop conditions are evaluated only at barriers, with the same
+            // `now` for every shard count.
+            let stopped = stop_value(shards, &router.core_home, stop, end);
+            if stopped.is_none() {
+                // Global quiescence skip: the next superstep starts at the
+                // earliest event any shard promises (all in-flight messages
+                // are routed, so their delivery cycles are included).
+                let hint = shards.iter().fold(None, |ev, m| {
+                    earliest_event(ev, lock(m).next_event(end, end))
+                });
+                *now = hint.map_or(limit, |t| t.min(limit));
+                if *now > end {
+                    shards.iter().for_each(|m| lock(m).settle_warp(end, *now));
+                }
+                skipped += *now - end;
+            }
+            if let Some(p) = progress {
+                p.record(*now, steps, skipped);
+            }
+            if let Some(t) = stopped {
+                return Ok(t);
+            }
+        };
+        if parties == 1 {
+            return coordinate(&mut |start, end| run_claimed(0, start, end));
+        }
+
+        let (start_at, end_at) = (AtomicU64::new(0), AtomicU64::new(0));
+        let (done, panicked) = (AtomicBool::new(false), AtomicBool::new(false));
+        let (release, join) = (SpinBarrier::new(parties), SpinBarrier::new(parties));
+        let shutdown = || {
+            done.store(true, Ordering::Release);
+            release.wait();
+        };
+        std::thread::scope(|scope| {
+            for w in 1..parties {
+                let (release, join, done, panicked) = (&release, &join, &done, &panicked);
+                let (start_at, end_at) = (&start_at, &end_at);
+                scope.spawn(move || loop {
+                    release.wait();
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let start = start_at.load(Ordering::Relaxed);
+                    let end = end_at.load(Ordering::Relaxed);
+                    if catch_unwind(AssertUnwindSafe(|| run_claimed(w, start, end))).is_err() {
+                        panicked.store(true, Ordering::Release);
+                    }
+                    join.wait();
+                });
+            }
+            let r = coordinate(&mut |start, end| {
+                start_at.store(start, Ordering::Relaxed);
+                end_at.store(end, Ordering::Relaxed);
+                // Phase spans (host profiler, coordinator thread only): the
+                // workers' exec time shows up as this thread's join wait.
+                {
+                    let _prof = dg_prof::span("shard_release");
+                    release.wait();
+                }
+                let r = {
+                    let _prof = dg_prof::span("shard_exec");
+                    catch_unwind(AssertUnwindSafe(|| run_claimed(0, start, end)))
+                };
+                {
+                    let _prof = dg_prof::span("shard_join");
+                    join.wait();
+                }
+                if r.is_err() || panicked.load(Ordering::Acquire) {
+                    shutdown();
+                    match r {
+                        Err(payload) => std::panic::resume_unwind(payload),
+                        Ok(()) => panic!("a shard worker thread panicked"),
+                    }
+                }
+            });
+            shutdown();
+            r
+        })
     }
 
     /// Assembles the end-of-run [`RunReport`] artifact: per-core IPC,
     /// per-domain traffic and latency distributions, shaper conformance,
-    /// DRAM energy (priced with the default DDR3-1600 [`PowerParams`]), and
-    /// any interval samples recorded so far.
+    /// DRAM energy (priced with the default DDR3-1600 [`PowerParams`]),
+    /// interference attribution, and any interval samples recorded so far.
+    /// Shards own contiguous ranges of cores and channels, so walking them
+    /// in order visits both in global order, and every merge (statistics,
+    /// interference, engine counters) is grouping-independent: only
+    /// `engine` (per-shard scan schedules) depends on the partitioning,
+    /// and byte-comparing consumers normalize it.
     pub fn report(&self, name: &str) -> RunReport {
         let end = self.now;
         let clock_hz = self.cfg.core.clock_hz;
-        let stats = self.mem.stats();
-
-        let cores = self
-            .cores
-            .iter()
-            .map(|c| {
-                let cycles = c.finished_at().unwrap_or(end).max(1);
-                CoreReport {
-                    domain: c.domain().0,
-                    instructions: c.instructions_retired(),
-                    cycles,
-                    ipc: c.instructions_retired() as f64 / cycles as f64,
-                    finished: c.finished(),
-                    completion: c.completion_snapshot(),
-                }
-            })
-            .collect();
-
-        let (domains, dram, banks) = memory_sections(stats, self.cores.len(), clock_hz);
-        let events = self.tracer.snapshot();
+        let mut shards: Vec<_> = self.shards.iter().map(lock).collect();
+        let mut engine = EngineCounters::default();
+        let mut cores = Vec::with_capacity(self.n_cores);
+        for s in &shards {
+            engine.merge(&s.engine);
+            cores.extend(s.core_reports(end));
+        }
+        let (interval_window, intervals) = shards[0].intervals();
+        let mems: Vec<&dyn MemorySubsystem> =
+            shards.iter_mut().flat_map(|s| s.endpoints()).collect();
+        // One endpoint's statistics are read in place (their window was
+        // finalized when the run stopped); several are merged into a copy.
+        let (domains, dram, banks) = if let [mem] = mems[..] {
+            memory_sections(mem.stats(), self.n_cores, clock_hz)
+        } else {
+            let mut stats = MemStats::merged(&mems.iter().map(|m| m.stats()).collect::<Vec<_>>());
+            stats.set_cycles(end.max(1));
+            memory_sections(&stats, self.n_cores, clock_hz)
+        };
         RunReport {
             meta: RunMeta {
                 name: name.to_string(),
                 memory: self.mem_label.to_string(),
-                cores: self.cores.len(),
+                cores: self.n_cores,
                 total_cycles: end,
                 clock_hz,
             },
             cores,
             domains,
-            shapers: self.mem.shaper_reports(),
-            shaper_timelines: self.mem.shaper_timelines(),
+            shapers: mems.iter().flat_map(|m| m.shaper_reports()).collect(),
+            shaper_timelines: mems.iter().flat_map(|m| m.shaper_timelines()).collect(),
             dram,
             banks,
-            interference: self.mem.interference(),
-            interval_window: self.sampler.as_ref().map_or(0, |s| s.window()),
-            intervals: self
-                .sampler
-                .as_ref()
-                .map_or_else(Vec::new, |s| s.samples().to_vec()),
+            interference: merge_interference(mems.iter().filter_map(|m| m.interference())),
+            interval_window,
+            intervals,
             trace: TraceSummary {
-                events_recorded: events.len() as u64,
+                events_recorded: self.tracer.snapshot().len() as u64,
                 events_dropped: self.tracer.dropped(),
             },
-            engine: self.engine.snapshot(),
+            engine: engine.snapshot(),
         }
     }
 }
@@ -718,7 +824,9 @@ pub fn memory_sections(
 impl std::fmt::Debug for System {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
-            .field("cores", &self.cores.len())
+            .field("shards", &self.shards.len())
+            .field("cores", &self.n_cores)
+            .field("noc_latency", &self.scfg.noc_latency)
             .field("now", &self.now)
             .finish()
     }
@@ -866,6 +974,24 @@ mod tests {
         assert_eq!(d.latency_p99, Some(d.latency_hdr.p99));
         assert_eq!(d.mean_latency, Some(20_000.0));
         assert_eq!(d.latency_hdr.count, 100);
+    }
+
+    /// `DG_SHARDS` and `DG_SHARD_PARTIES` accept positive integers only: a
+    /// typo panics instead of silently changing how a sweep runs.
+    #[test]
+    fn env_counts_must_be_positive_integers() {
+        assert_eq!(super::parse_positive("DG_SHARD_PARTIES", " 3 "), 3);
+        for bad in ["0", "-1", "two", ""] {
+            let r = std::panic::catch_unwind(|| super::parse_positive("DG_SHARD_PARTIES", bad));
+            let msg = r
+                .expect_err(bad)
+                .downcast::<String>()
+                .expect("formatted message");
+            assert!(
+                msg.contains("DG_SHARD_PARTIES must be a positive integer"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The per-tick path is allocation-free: past warm-up, simulating the
 //! benchmark's two DAGguise shapes, and the insecure open-row baseline under
 //! the same saturating load, performs no heap allocation at all, on either
-//! engine. A counting global allocator (per thread, so concurrently
-//! running tests do not disturb each other) backs the claim.
+//! engine — directly wired, and the saturated DAGguise shape also across a
+//! NoC. A counting global allocator (per thread, so concurrently running
+//! tests do not disturb each other) backs the claim.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -10,7 +11,7 @@ use std::cell::Cell;
 use dg_cpu::{DagWorkload, MemTrace};
 use dg_rdag::template::RdagTemplate;
 use dg_sim::config::SystemConfig;
-use dg_system::{MemoryKind, System, SystemBuilder};
+use dg_system::{MemoryKind, ShardConfig, ShardedSystemBuilder, System, SystemBuilder};
 
 struct Counting;
 
@@ -69,13 +70,36 @@ fn dagguise() -> MemoryKind {
 /// Two trace cores streaming row-missing loads with no compute between
 /// them: the controller and DRAM work on every bus edge. Under DAGguise the
 /// shaper does too, and the protected core is back-pressured by it.
+fn streams() -> Vec<MemTrace> {
+    (0..2u64)
+        .map(|core| {
+            let mut t = MemTrace::new();
+            for i in 0..8_000 {
+                t.load((core << 30) + i * STRIDE, 0);
+            }
+            t
+        })
+        .collect()
+}
+
 fn saturated(memory: MemoryKind) -> System {
     let mut b = SystemBuilder::new(SystemConfig::two_core());
-    for core in 0..2u64 {
-        let mut t = MemTrace::new();
-        for i in 0..8_000 {
-            t.load((core << 30) + i * STRIDE, 0);
-        }
+    for t in streams() {
+        b = b.trace_core(t);
+    }
+    b.memory(memory).build()
+}
+
+/// The saturated shape across a 64-cycle NoC hop: one shard on one thread,
+/// so superstep routing and the NoC queues run on the test's thread.
+fn saturated_on_noc(memory: MemoryKind) -> System {
+    let scfg = ShardConfig {
+        noc_latency: 64,
+        max_parties: Some(1),
+        ..ShardConfig::with_shards(1)
+    };
+    let mut b = ShardedSystemBuilder::new(SystemConfig::two_core(), scfg);
+    for t in streams() {
         b = b.trace_core(t);
     }
     b.memory(memory).build()
@@ -116,6 +140,16 @@ fn saturated_dagguise_ticks_allocation_free_on_both_engines() {
     // which the protected core runs alone, back-pressured.
     for naive in [false, true] {
         let n = allocations_after_warmup(saturated(dagguise()), naive, 100_000, 150_000);
+        assert_eq!(n, 0, "naive engine: {naive}");
+    }
+}
+
+#[test]
+fn saturated_dagguise_on_the_noc_runs_allocation_free_on_both_engines() {
+    // Barrier exchange, routing buffers and next-event hints reuse their
+    // storage, and a single-party run spawns no worker threads.
+    for naive in [false, true] {
+        let n = allocations_after_warmup(saturated_on_noc(dagguise()), naive, 100_000, 150_000);
         assert_eq!(n, 0, "naive engine: {naive}");
     }
 }

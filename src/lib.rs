@@ -7,8 +7,8 @@
 //! the simulated memory system ([`dg_dram`], [`dg_mem`], [`dg_cache`],
 //! [`dg_cpu`]), the baseline defenses ([`dg_defenses`]), workloads and
 //! attacks ([`dg_workloads`], [`dg_attacks`]), the system assembly
-//! ([`dg_system`]) and the co-location entry point over the classic and
-//! sharded runtimes ([`dg_shard`]), the security verifier ([`dg_verif`]) and the area
+//! and its one simulation engine ([`dg_system`]), the co-location entry
+//! point ([`dg_shard`]), the security verifier ([`dg_verif`]) and the area
 //! model ([`dg_area`]).
 //!
 //! Start with `examples/quickstart.rs`, or see README.md for the map of
