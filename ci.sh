@@ -23,6 +23,9 @@ echo "=== engine differential + zero-allocation suites (release) ==="
 cargo test --release -q -p dg-system --test determinism --test zero_alloc
 cargo test --release -q -p dg-shard --test determinism --test golden
 cargo test --release -q -p dg-mem
+# The rank-horizon snapshot's equivalence with DramDevice::horizon (cycle
+# and blocking reason, tie order included) under random command streams.
+cargo test --release -q -p dg-dram
 
 echo "=== format ==="
 cargo fmt --all --check

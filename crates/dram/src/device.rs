@@ -37,6 +37,54 @@ pub enum BlockReason {
     Refresh,
 }
 
+/// The rank-wide part of [`DramDevice::horizon`] for every command kind,
+/// snapshotted by [`DramDevice::rank_horizons`]: the in-progress refresh,
+/// and per kind the latest of its activation-window or data-bus terms and
+/// the command bus, folded in `horizon`'s tie order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RankHorizons {
+    refresh_until: Cycle,
+    act: (Cycle, BlockReason),
+    read: (Cycle, BlockReason),
+    write: (Cycle, BlockReason),
+    /// PRE and REF wait on the command bus alone.
+    cmd_bus: Cycle,
+}
+
+impl RankHorizons {
+    /// [`DramDevice::horizon`] of `cmd` whose own bank contributes
+    /// `bank_horizon` ([`DramDevice::bank_horizon`]), for the device state
+    /// this snapshot was taken in: the same cycle and the same reason, in
+    /// two compares.
+    #[inline]
+    pub fn horizon(&self, cmd: DramCommand, bank_horizon: Cycle) -> (Cycle, BlockReason) {
+        let tail = match cmd {
+            DramCommand::Activate { .. } => self.act,
+            DramCommand::Read { .. } => self.read,
+            DramCommand::Write { .. } => self.write,
+            DramCommand::Precharge { .. } | DramCommand::Refresh => {
+                (self.cmd_bus, BlockReason::CmdBus)
+            }
+        };
+        let mut best = (self.refresh_until, BlockReason::Refresh);
+        if bank_horizon > best.0 {
+            best = (bank_horizon, BlockReason::Bank);
+        }
+        if tail.0 > best.0 {
+            best = tail;
+        }
+        best
+    }
+}
+
+/// The latest of `terms`; the earliest-listed term wins a tie.
+fn latest(terms: impl IntoIterator<Item = (Cycle, BlockReason)>) -> (Cycle, BlockReason) {
+    terms
+        .into_iter()
+        .reduce(|best, t| if t.0 > best.0 { t } else { best })
+        .expect("at least one term")
+}
+
 /// A single-channel, single-rank DRAM device.
 ///
 /// The device answers two questions for the memory-controller scheduler:
@@ -143,58 +191,16 @@ impl DramDevice {
     /// occupancy. Pure observation: never mutates device state, so
     /// attribution layers can call it freely without perturbing timing.
     pub fn horizon(&self, cmd: DramCommand) -> (Cycle, BlockReason) {
-        // Horizons are considered in tie-priority order: `>` keeps the
-        // earlier entry on ties.
-        let mut best = (self.refresh_until, BlockReason::Refresh);
-        let mut consider = |t: Cycle, r: BlockReason| {
-            if t > best.0 {
-                best = (t, r);
-            }
-        };
-        match cmd {
-            DramCommand::Activate { bank, .. } => {
-                consider(
-                    self.banks[bank as usize].earliest_activate(),
-                    BlockReason::Bank,
-                );
-                consider(self.next_act_any, BlockReason::Rrd);
-                consider(self.faw_horizon(), BlockReason::Faw);
-            }
-            DramCommand::Read { bank, .. } => {
-                consider(
-                    self.banks[bank as usize].earliest_column(),
-                    BlockReason::Bank,
-                );
-                consider(self.next_col_any, BlockReason::Bus);
-                consider(self.read_turnaround(), BlockReason::Bus);
-            }
-            DramCommand::Write { bank, .. } => {
-                consider(
-                    self.banks[bank as usize].earliest_column(),
-                    BlockReason::Bank,
-                );
-                consider(self.next_col_any, BlockReason::Bus);
-                consider(self.write_turnaround(), BlockReason::Bus);
-            }
-            DramCommand::Precharge { bank } => {
-                consider(
-                    self.banks[bank as usize].earliest_precharge(),
-                    BlockReason::Bank,
-                );
-            }
-            DramCommand::Refresh => {
-                // REF may issue once every bank could accept an ACT, i.e. all
-                // precharges have completed.
-                let all_pre = self
-                    .banks
-                    .iter()
-                    .map(|b| b.earliest_activate())
-                    .max()
-                    .unwrap_or(0);
-                consider(all_pre, BlockReason::Bank);
-            }
-        }
-        consider(self.next_cmd, BlockReason::CmdBus);
+        // Horizons are considered in tie-priority order: refresh, the bank's
+        // own term, then the rank-wide terms.
+        let best = latest(
+            [
+                (self.refresh_until, BlockReason::Refresh),
+                (self.bank_horizon(cmd), BlockReason::Bank),
+            ]
+            .into_iter()
+            .chain(self.rank_terms(cmd)),
+        );
         // Every horizon is an issue edge plus whole DRAM cycles.
         debug_assert!(
             best.0.is_multiple_of(self.timing.cmd_cycle),
@@ -202,6 +208,76 @@ impl DramDevice {
             best.0
         );
         best
+    }
+
+    /// The term of [`horizon`](Self::horizon) that `cmd`'s own bank sets
+    /// (tRCD/tRAS/tRP/tRC/tWR; REF waits on every bank's precharge). Only
+    /// an issue to that bank, or a REF, moves it.
+    pub fn bank_horizon(&self, cmd: DramCommand) -> Cycle {
+        match cmd {
+            DramCommand::Activate { bank, .. } => self.banks[bank as usize].earliest_activate(),
+            DramCommand::Read { bank, .. } | DramCommand::Write { bank, .. } => {
+                self.banks[bank as usize].earliest_column()
+            }
+            DramCommand::Precharge { bank } => self.banks[bank as usize].earliest_precharge(),
+            // REF may issue once every bank could accept an ACT, i.e. all
+            // precharges have completed.
+            DramCommand::Refresh => self
+                .banks
+                .iter()
+                .map(|b| b.earliest_activate())
+                .max()
+                .unwrap_or(0),
+        }
+    }
+
+    /// The rank-wide terms of [`horizon`](Self::horizon) for every command
+    /// kind, as of now: valid until the next [`issue`](Self::issue). A
+    /// scheduler that keeps each pending command's
+    /// [`bank_horizon`](Self::bank_horizon) combines the two with
+    /// [`RankHorizons::horizon`] instead of asking the device per command.
+    pub fn rank_horizons(&self) -> RankHorizons {
+        let tail = |cmd: DramCommand| latest(self.rank_terms(cmd));
+        RankHorizons {
+            refresh_until: self.refresh_until,
+            act: tail(DramCommand::Activate { bank: 0, row: 0 }),
+            read: tail(DramCommand::Read {
+                bank: 0,
+                auto_precharge: false,
+            }),
+            write: tail(DramCommand::Write {
+                bank: 0,
+                auto_precharge: false,
+            }),
+            cmd_bus: self.next_cmd,
+        }
+    }
+
+    /// The rank-wide horizons holding `cmd` back, in tie-priority order:
+    /// the activation window or the data bus, then the command bus (unused
+    /// slots are `0`, which never binds).
+    fn rank_terms(&self, cmd: DramCommand) -> [(Cycle, BlockReason); 3] {
+        let cmd_bus = (self.next_cmd, BlockReason::CmdBus);
+        match cmd {
+            DramCommand::Activate { .. } => [
+                (self.next_act_any, BlockReason::Rrd),
+                (self.faw_horizon(), BlockReason::Faw),
+                cmd_bus,
+            ],
+            DramCommand::Read { .. } => [
+                (self.next_col_any, BlockReason::Bus),
+                (self.read_turnaround(), BlockReason::Bus),
+                cmd_bus,
+            ],
+            DramCommand::Write { .. } => [
+                (self.next_col_any, BlockReason::Bus),
+                (self.write_turnaround(), BlockReason::Bus),
+                cmd_bus,
+            ],
+            DramCommand::Precharge { .. } | DramCommand::Refresh => {
+                [cmd_bus, (0, BlockReason::CmdBus), (0, BlockReason::CmdBus)]
+            }
+        }
     }
 
     /// Earliest cycle ≥ `now` at which `cmd` may legally issue.
@@ -520,6 +596,76 @@ mod tests {
             assert_eq!(d.blocking_reason(cmd, h), None, "{cmd}");
             assert_eq!(d.blocking_reason(cmd, h - 3), Some(reason), "{cmd}");
         }
+    }
+
+    /// Every command kind on every bank, ACT to a fixed row.
+    fn all_commands(d: &DramDevice) -> Vec<DramCommand> {
+        let mut cmds = vec![DramCommand::Refresh];
+        for bank in 0..d.bank_count() {
+            cmds.extend([
+                act(bank, 3),
+                rd(bank),
+                wr(bank),
+                DramCommand::Precharge { bank },
+            ]);
+        }
+        cmds
+    }
+
+    #[test]
+    fn rank_snapshot_combines_to_the_horizon_after_random_legal_sequences() {
+        // Seeded random legal command streams, REF included: after every
+        // issue, the snapshot combined with each command's bank term must
+        // give `horizon`'s cycle and reason, ties included.
+        let mut seen = std::collections::HashSet::new();
+        for seed in 0..64u64 {
+            let mut rng = dg_sim::rng::DetRng::new(seed);
+            let ratio = ClockRatio::new(1 + seed % 3 * 2);
+            let mut d = DramDevice::new(DramOrg::default(), DramTiming::default(), ratio);
+            let mut now = 0;
+            for _ in 0..300 {
+                let bank = rng.next_below(u64::from(d.bank_count())) as BankId;
+                let cmd = if rng.next_below(40) == 0 {
+                    // Refresh drains every open bank first.
+                    (0..d.bank_count())
+                        .find(|&b| d.bank(b).open_row().is_some())
+                        .map_or(DramCommand::Refresh, |bank| DramCommand::Precharge { bank })
+                } else {
+                    match (d.bank(bank).open_row(), rng.next_below(4)) {
+                        (None, _) => act(bank, rng.next_below(16)),
+                        (Some(_), 0) => DramCommand::Precharge { bank },
+                        (Some(_), k) => DramCommand::Read {
+                            bank,
+                            auto_precharge: k == 1,
+                        },
+                    }
+                };
+                let cmd = match cmd {
+                    DramCommand::Read {
+                        bank,
+                        auto_precharge,
+                    } if rng.next_below(3) == 0 => DramCommand::Write {
+                        bank,
+                        auto_precharge,
+                    },
+                    other => other,
+                };
+                let gap = rng.next_below(4) * d.timing().cmd_cycle;
+                now = d.earliest(cmd, now + gap);
+                d.issue(cmd, now);
+                let snap = d.rank_horizons();
+                for c in all_commands(&d) {
+                    let want = d.horizon(c);
+                    assert_eq!(
+                        snap.horizon(c, d.bank_horizon(c)),
+                        want,
+                        "seed {seed}: {c} after {cmd} at {now}"
+                    );
+                    seen.insert(format!("{:?}", want.1));
+                }
+            }
+        }
+        assert_eq!(seen.len(), 6, "every blocking reason reached: {seen:?}");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod timing;
 pub use bank::{Bank, BankState};
 pub use checker::{check_trace, CommandRecorder, TraceEntry, Violation};
 pub use command::DramCommand;
-pub use device::{BlockReason, DramDevice};
+pub use device::{BlockReason, DramDevice, RankHorizons};
 pub use mapping::{AddressMapper, MapScheme, PhysLoc};
 pub use power::{EnergyCounter, PowerParams};
 pub use timing::CpuTiming;

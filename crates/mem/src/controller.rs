@@ -1,8 +1,12 @@
 //! The memory controller proper: transaction queue + command scheduler.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
-use dg_dram::{AddressMapper, BlockReason, DramCommand, DramDevice, MapScheme, PhysLoc};
+use dg_dram::command::RowId;
+use dg_dram::{
+    AddressMapper, BlockReason, DramCommand, DramDevice, MapScheme, PhysLoc, RankHorizons,
+};
 use dg_obs::{BankCmd, EventKind, InterferenceMatrix, InterferenceReport, StallCause, Tracer};
 use dg_sim::clock::Cycle;
 use dg_sim::config::{RowPolicy, SystemConfig};
@@ -33,7 +37,7 @@ enum TxnState {
 
 #[derive(Debug, Clone)]
 struct Txn {
-    /// Arrival order, unique per controller: links a [`Planned`] entry to
+    /// Arrival order, unique per controller: links a [`Pending`] entry to
     /// its transaction across queue removals.
     seq: u64,
     req: MemRequest,
@@ -42,77 +46,416 @@ struct Txn {
     state: TxnState,
 }
 
-/// One pending transaction as the scheduler sees it until the next command
-/// issues.
+/// A pending transaction as its bank's queue holds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Planned {
+struct Pending {
     seq: u64,
-    loc: PhysLoc,
     domain: DomainId,
-    /// No older pending transaction targets the same bank.
-    head: bool,
-    /// The command the transaction needs next ([`required_cmd`]).
+    row: RowId,
+    write: bool,
+}
+
+/// One bank's pending transactions in arrival order, with the bank's row
+/// buffer and bank-local horizon terms as of the last command to it.
+#[derive(Debug, PartialEq)]
+struct BankPlan {
+    /// Preallocated to the transaction-queue capacity: never reallocates.
+    queue: Vec<Pending>,
+    open_row: Option<RowId>,
+    /// [`DramDevice::bank_horizon`] of ACT, RD/WR and PRE to this bank.
+    act_at: Cycle,
+    col_at: Cycle,
+    pre_at: Cycle,
+    /// Sequence numbers of the oldest row-hit read, the oldest row-hit
+    /// write and the oldest row conflict.
+    first_read: Option<u64>,
+    first_write: Option<u64>,
+    first_conflict: Option<u64>,
+    /// The transactions queued behind the head, counted per domain in
+    /// first-seen order. Preallocated like `queue`.
+    waits: Vec<(DomainId, u64)>,
+}
+
+impl BankPlan {
+    fn new(capacity: usize) -> Self {
+        Self {
+            queue: Vec::with_capacity(capacity),
+            open_row: None,
+            act_at: 0,
+            col_at: 0,
+            pre_at: 0,
+            first_read: None,
+            first_write: None,
+            first_conflict: None,
+            waits: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Re-reads bank `bank`'s row buffer and horizon terms from `device`.
+    fn sync(&mut self, bank: u32, device: &DramDevice) {
+        self.open_row = device.bank(bank).open_row();
+        self.act_at = device.bank_horizon(DramCommand::Activate { bank, row: 0 });
+        self.col_at = device.bank_horizon(column_cmd(bank, false, false));
+        self.pre_at = device.bank_horizon(DramCommand::Precharge { bank });
+    }
+
+    /// The bank-local horizon term of `cmd`, a command to this bank.
+    fn term(&self, cmd: DramCommand) -> Cycle {
+        match cmd {
+            DramCommand::Activate { .. } => self.act_at,
+            DramCommand::Read { .. } | DramCommand::Write { .. } => self.col_at,
+            DramCommand::Precharge { .. } => self.pre_at,
+            DramCommand::Refresh => unreachable!("REF is rank-wide"),
+        }
+    }
+
+    /// Files `p`, the bank's newest transaction, into the derived fields.
+    fn note(&mut self, p: Pending, head: bool) {
+        if !head {
+            match self.waits.iter_mut().find(|w| w.0 == p.domain) {
+                Some(w) => w.1 += 1,
+                None => self.waits.push((p.domain, 1)),
+            }
+        }
+        let first = match self.open_row {
+            Some(row) if row == p.row && p.write => &mut self.first_write,
+            Some(row) if row == p.row => &mut self.first_read,
+            Some(_) => &mut self.first_conflict,
+            None => return,
+        };
+        first.get_or_insert(p.seq);
+    }
+
+    /// The domain of queued transaction `seq`.
+    fn domain_of(&self, seq: u64) -> DomainId {
+        let p = self.queue.iter().find(|p| p.seq == seq);
+        p.expect("a planned transaction is queued").domain
+    }
+
+    /// Re-derives the derived fields from the queue.
+    fn renote(&mut self) {
+        self.first_read = None;
+        self.first_write = None;
+        self.first_conflict = None;
+        self.waits.clear();
+        for i in 0..self.queue.len() {
+            self.note(self.queue[i], i == 0);
+        }
+    }
+}
+
+/// A bank's oldest pending transaction, as the scheduler, stall attribution
+/// and the wake-up computation read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Head {
+    seq: u64,
+    domain: DomainId,
+    /// The command the transaction needs next ([`required_cmd`]), the bus
+    /// edge from which it is legal, and the constraint holding it back
+    /// before then ([`DramDevice::horizon`]).
     cmd: DramCommand,
-    /// The bus edge from which `cmd` is legal, and the constraint holding
-    /// it back before then ([`DramDevice::horizon`]).
     horizon: Cycle,
     reason: BlockReason,
 }
 
-/// The pending transactions in arrival order, each with its required
-/// command and that command's device horizon.
+/// The command the scheduler picked, and the transaction it serves.
+#[derive(Debug, Clone, Copy)]
+struct Pick {
+    bank: u32,
+    seq: u64,
+    domain: DomainId,
+    cmd: DramCommand,
+}
+
+/// The pending transactions, queued per bank in arrival order, and the
+/// views the scheduler, stall attribution and the wake-up computation read
+/// instead of asking the device.
 ///
 /// Device horizons, and with them every required command, move only when a
-/// command issues. So the plan is rebuilt once per issued command and
-/// appended to on enqueue, and the scheduler, stall attribution and the
-/// wake-up computation read it instead of re-deriving each transaction's
-/// state from the device. Completions only remove issued transactions,
-/// which the plan does not hold.
+/// command issues, and a command to one bank moves only that bank's row
+/// buffer and bank-local terms; the rank-wide terms are one
+/// [`RankHorizons`] snapshot. So after a command issues, the plan drops the
+/// served transaction, re-derives only the issuing bank from the device,
+/// and refolds the views — each bank head's horizon, the earliest horizon
+/// the pick can take, the oldest row conflict — from the per-bank state in
+/// one pass over the banks: all commands of one kind in one bank share a
+/// horizon. Only a REF, which moves every bank, re-derives everything
+/// ([`Plan::rebuild`], also the test oracle). An enqueue folds the new
+/// transaction in O(1). Completions only remove issued transactions, which
+/// the plan does not hold.
 ///
-/// The entries repeat `seq`, `loc` and the domain from [`Txn`] so that the
-/// four passes scan a dense array of pending entries only. Keeping the
-/// plan fields in each `Txn` instead and scanning the queue measured
-/// 17.5% slower on the DAGguise saturated benchmark (2-CPU x86-64 host).
+/// Against the dense plan of every pending transaction rebuilt after each
+/// command, this plan together with owed stall charges ([`Owed`]) measured
+/// 21.9% faster on the DAGguise saturated benchmark (median of ten
+/// alternating pairs, 2-CPU x86-64 host) and 2.5% slower on the idle one,
+/// where one to three transactions are pending.
 #[derive(Debug, PartialEq)]
 struct Plan {
-    /// Preallocated to the transaction-queue capacity: never reallocates.
-    entries: Vec<Planned>,
-    /// Domain of each bank's head transaction (`None`: nothing pending).
-    bank_head: Vec<Option<DomainId>>,
+    policy: SchedPolicy,
+    row_policy: RowPolicy,
+    /// The device's rank-wide horizon terms since the last issued command.
+    rank: RankHorizons,
+    banks: Vec<BankPlan>,
+    /// Each bank's head (`None`: nothing pending).
+    heads: Vec<Option<Head>>,
+    /// Banks with a transaction pending, one bit each.
+    pending: u64,
+    /// Sequence number and bank of the oldest pending transaction (FCFS's
+    /// only candidate).
+    oldest: Option<(u64, u32)>,
+    /// Earliest horizon among row-hit column commands and bank-head ACTs
+    /// (`Cycle::MAX`: none).
+    ready: Cycle,
+    /// Bank, sequence number and horizon of the oldest row conflict's PRE.
+    conflict: Option<(u32, u64, Cycle)>,
+    /// Banks with a row hit pending, one bit each.
+    hit_banks: u64,
+    /// Banks whose head waits on tFAW, one bit each.
+    faw_banks: u64,
 }
 
 impl Plan {
-    fn new(capacity: usize, banks: usize) -> Self {
-        Self {
-            entries: Vec::with_capacity(capacity),
-            bank_head: vec![None; banks],
+    fn new(
+        capacity: usize,
+        banks: usize,
+        (policy, row_policy): (SchedPolicy, RowPolicy),
+        device: &DramDevice,
+    ) -> Self {
+        assert!(banks <= 64, "bank sets hold one bit per bank");
+        let mut plan = Self {
+            policy,
+            row_policy,
+            rank: device.rank_horizons(),
+            banks: (0..banks).map(|_| BankPlan::new(capacity)).collect(),
+            heads: vec![None; banks],
+            pending: 0,
+            oldest: None,
+            ready: Cycle::MAX,
+            conflict: None,
+            hit_banks: 0,
+            faw_banks: 0,
+        };
+        for (b, bank) in plan.banks.iter_mut().enumerate() {
+            bank.sync(b as u32, device);
+        }
+        plan
+    }
+
+    fn auto_precharge(&self) -> bool {
+        self.row_policy == RowPolicy::Closed
+    }
+
+    /// Appends pending `txn`. Its bank's state is unchanged since the last
+    /// command, so the device need not be asked.
+    fn push(&mut self, txn: &Txn) {
+        let b = txn.loc.bank as usize;
+        let bank = &mut self.banks[b];
+        let p = Pending {
+            seq: txn.seq,
+            domain: txn.req.domain,
+            row: txn.loc.row,
+            write: txn.req.req_type.is_write(),
+        };
+        bank.queue.push(p);
+        bank.note(p, bank.queue.len() == 1);
+        self.pending |= 1 << b;
+        self.fold(b);
+    }
+
+    /// Updates the plan after `device` issued a command to `bank` that
+    /// served the transaction `served` (column commands) or not (ACT, PRE).
+    fn update(&mut self, bank: u32, served: Option<u64>, device: &DramDevice) {
+        let plan = &mut self.banks[bank as usize];
+        if let Some(seq) = served {
+            let i = plan.queue.iter().position(|p| p.seq == seq);
+            plan.queue
+                .remove(i.expect("the served transaction is planned"));
+        }
+        plan.sync(bank, device);
+        plan.renote();
+        if plan.queue.is_empty() {
+            self.pending &= !(1 << bank);
+            self.heads[bank as usize] = None;
+        }
+        self.refold(device);
+    }
+
+    /// Re-derives every bank from the queue and the current device state.
+    fn rebuild(&mut self, txq: &VecDeque<Txn>, device: &DramDevice) {
+        for (b, bank) in self.banks.iter_mut().enumerate() {
+            bank.queue.clear();
+            bank.sync(b as u32, device);
+            bank.renote();
+        }
+        self.heads.fill(None);
+        self.pending = 0;
+        self.refold(device);
+        for txn in txq.iter().filter(|t| t.state == TxnState::Pending) {
+            self.push(txn);
         }
     }
 
-    /// Appends pending `txn`, evaluated against the current `device`.
-    fn push(&mut self, txn: &Txn, device: &DramDevice, auto_precharge: bool) {
-        let cmd = required_cmd(device, txn, auto_precharge);
-        let (horizon, reason) = device.horizon(cmd);
-        let head = &mut self.bank_head[txn.loc.bank as usize];
-        self.entries.push(Planned {
-            seq: txn.seq,
-            loc: txn.loc,
-            domain: txn.req.domain,
-            head: head.is_none(),
+    /// Takes a new rank snapshot and refolds every pending bank into the
+    /// views.
+    fn refold(&mut self, device: &DramDevice) {
+        self.rank = device.rank_horizons();
+        self.oldest = None;
+        self.ready = Cycle::MAX;
+        self.conflict = None;
+        self.hit_banks = 0;
+        self.faw_banks = 0;
+        for b in bits(self.pending) {
+            self.fold(b);
+        }
+    }
+
+    /// Folds pending bank `b` into the views. Every fold is a minimum, so
+    /// folding a bank again after it gained a transaction is exact.
+    fn fold(&mut self, b: usize) {
+        let bank = &self.banks[b];
+        let first = bank.queue[0];
+        let id = b as u32;
+        let cmd = required_cmd(id, bank.open_row, first, self.auto_precharge());
+        let (horizon, reason) = self.rank.horizon(cmd, bank.term(cmd));
+        self.heads[b] = Some(Head {
+            seq: first.seq,
+            domain: first.domain,
             cmd,
             horizon,
             reason,
         });
-        head.get_or_insert(txn.req.domain);
+        if self.oldest.is_none_or(|(seq, _)| first.seq < seq) {
+            self.oldest = Some((first.seq, id));
+        }
+        if matches!(cmd, DramCommand::Activate { .. }) {
+            self.ready = self.ready.min(horizon);
+        }
+        if reason == BlockReason::Faw {
+            self.faw_banks |= 1 << b;
+        }
+        for (first, write) in [(bank.first_read, false), (bank.first_write, true)] {
+            if first.is_some() {
+                let col = column_cmd(id, write, false);
+                self.ready = self.ready.min(self.rank.horizon(col, bank.col_at).0);
+                self.hit_banks |= 1 << b;
+            }
+        }
+        if let Some(seq) = bank.first_conflict {
+            if self.conflict.is_none_or(|(_, oldest, _)| seq < oldest) {
+                let pre = DramCommand::Precharge { bank: id };
+                self.conflict = Some((id, seq, self.rank.horizon(pre, bank.pre_at).0));
+            }
+        }
     }
 
-    /// Re-derives every entry from the queue and the current device state.
-    fn rebuild(&mut self, txq: &VecDeque<Txn>, device: &DramDevice, auto_precharge: bool) {
-        self.entries.clear();
-        self.bank_head.fill(None);
-        for txn in txq.iter().filter(|t| t.state == TxnState::Pending) {
-            self.push(txn, device, auto_precharge);
+    fn head(&self, bank: u32) -> Option<&Head> {
+        self.heads[bank as usize].as_ref()
+    }
+
+    /// The oldest row conflict's PRE, when FR-FCFS may pick it: open rows,
+    /// and no pending transaction hits the conflicting bank's open row.
+    fn pickable_conflict(&self) -> Option<(u32, u64, Cycle)> {
+        self.conflict.filter(|&(bank, _, _)| {
+            self.row_policy == RowPolicy::Open && self.hit_banks & (1 << bank) == 0
+        })
+    }
+
+    /// The first bus edge at which [`Plan::pick`] returns a command (the
+    /// earliest horizon among the commands it may pick; `Cycle::MAX`: none
+    /// pending). It holds until a command issues or a transaction arrives.
+    fn pick_from(&self) -> Cycle {
+        match self.policy {
+            SchedPolicy::Fcfs => self
+                .oldest
+                .and_then(|(_, b)| self.head(b))
+                .map_or(Cycle::MAX, |h| h.horizon),
+            SchedPolicy::FrFcfs => self
+                .pickable_conflict()
+                .map_or(self.ready, |(_, _, h)| h.min(self.ready)),
         }
+    }
+
+    /// The command to issue at bus edge `now`, if any is legal. FCFS: the
+    /// oldest transaction's command. FR-FCFS: the oldest legal row hit,
+    /// else the oldest legal ACT of a bank head (FCFS within a bank), else
+    /// (open rows) the PRE of the oldest row conflict once no pending
+    /// transaction hits the open row. Commands of one kind to one bank
+    /// share a horizon, so the per-bank oldest of each kind are the only
+    /// candidates.
+    fn pick(&self, now: Cycle) -> Option<Pick> {
+        let as_pick = |bank: u32, h: &Head| Pick {
+            bank,
+            seq: h.seq,
+            domain: h.domain,
+            cmd: h.cmd,
+        };
+        if self.policy == SchedPolicy::Fcfs {
+            let (_, b) = self.oldest?;
+            return self
+                .head(b)
+                .filter(|h| h.horizon <= now)
+                .map(|h| as_pick(b, h));
+        }
+        let auto_precharge = self.auto_precharge();
+        let mut hit: Option<Pick> = None;
+        for b in bits(self.hit_banks) {
+            let (bank, id) = (&self.banks[b], b as u32);
+            for (first, write) in [(bank.first_read, false), (bank.first_write, true)] {
+                let Some(seq) = first.filter(|&s| hit.is_none_or(|p| s < p.seq)) else {
+                    continue;
+                };
+                let cmd = column_cmd(id, write, auto_precharge);
+                if self.rank.horizon(cmd, bank.col_at).0 <= now {
+                    let domain = bank.domain_of(seq);
+                    hit = Some(Pick {
+                        bank: id,
+                        seq,
+                        domain,
+                        cmd,
+                    });
+                }
+            }
+        }
+        hit.or_else(|| {
+            bits(self.pending)
+                .map(|b| (b as u32, self.heads[b].expect("a pending bank has a head")))
+                .filter(|(_, h)| matches!(h.cmd, DramCommand::Activate { .. }) && h.horizon <= now)
+                .min_by_key(|(_, h)| h.seq)
+                .map(|(b, h)| as_pick(b, &h))
+        })
+        .or_else(|| {
+            let (bank, seq, horizon) = self.pickable_conflict()?;
+            (horizon <= now).then(|| Pick {
+                bank,
+                seq,
+                domain: self.banks[bank as usize].domain_of(seq),
+                cmd: DramCommand::Precharge { bank },
+            })
+        })
+    }
+
+    /// The first command-bus edge `>= first_edge` (itself an edge) at which
+    /// a tick could act on the pending transactions, or `None` with none
+    /// pending. The plan holds until a command issues, so until then:
+    ///
+    /// - the scheduler issues nothing before [`Plan::pick_from`];
+    /// - every bank head is charged the same stall on each edge, except
+    ///   when its command turns legal (the charge lapses).
+    ///
+    /// The edges before this one repeat identical charges, which stay owed
+    /// across a warp. Every horizon is a bus edge, so a command's first
+    /// legal edge is its horizon or `first_edge`. A head the pick may take
+    /// needs no second look: its horizon is at or after `pick_from`.
+    fn next_issue_edge(&self, first_edge: Cycle) -> Option<Cycle> {
+        let pick = self.pick_from();
+        let mut wake = (pick != Cycle::MAX).then(|| pick.max(first_edge));
+        for b in bits(self.pending) {
+            let head = self.heads[b].expect("a pending bank has a head");
+            if head.horizon > first_edge {
+                wake = Some(wake.map_or(head.horizon, |w| w.min(head.horizon)));
+            }
+        }
+        wake
     }
 }
 
@@ -120,12 +463,11 @@ impl Plan {
 /// can be charged to the domain that made the resource busy.
 ///
 /// Purely observational: updated only when the scheduler issues a command
-/// anyway, and read by [`MemoryController::attribute_stalls`]. It never
-/// feeds back into scheduling decisions, so attribution cannot perturb the
-/// simulation (the observer-effect contract of `dg_obs::leak`).
+/// anyway, and read by stall attribution ([`Stalls`]). It never feeds back
+/// into scheduling decisions, so attribution cannot perturb the simulation
+/// (the observer-effect contract of `dg_obs::leak`).
 #[derive(Debug)]
 struct LeakTrack {
-    matrix: InterferenceMatrix,
     /// Domain whose command last engaged each bank (`None` for
     /// refresh-driven commands with no owner).
     bank_user: Vec<Option<DomainId>>,
@@ -135,20 +477,103 @@ struct LeakTrack {
     cmd_user: Option<DomainId>,
     /// Domains of up to the last four ACTs (tRRD/tFAW window), oldest first.
     act_users: VecDeque<Option<DomainId>>,
-    /// Set when a command issued on the current bus edge: the arbitration
-    /// winner other pending transactions lost to. `None` between edges.
-    issued_this_edge: Option<Option<DomainId>>,
 }
 
 impl LeakTrack {
-    fn new(domains: usize, banks: usize) -> Self {
+    fn new(banks: usize) -> Self {
         Self {
-            matrix: InterferenceMatrix::new(domains),
             bank_user: vec![None; banks],
             col_user: None,
             cmd_user: None,
             act_users: VecDeque::with_capacity(4),
-            issued_this_edge: None,
+        }
+    }
+
+    /// The domain whose earlier command holds `reason`'s resource busy for
+    /// a command to bank `b`, and the stall cause it is charged as.
+    fn blocker(&self, reason: BlockReason, b: usize) -> (Option<u16>, StallCause) {
+        let (culprit, cause) = match reason {
+            BlockReason::Bank => (self.bank_user[b], StallCause::BankBusy),
+            BlockReason::Rrd => (
+                self.act_users.back().copied().flatten(),
+                StallCause::ActWindow,
+            ),
+            // tFAW binds to the oldest ACT in the window.
+            BlockReason::Faw => (
+                self.act_users.front().copied().flatten(),
+                StallCause::ActWindow,
+            ),
+            BlockReason::Bus => (self.col_user, StallCause::BusConflict),
+            BlockReason::CmdBus => (self.cmd_user, StallCause::BusConflict),
+            BlockReason::Refresh => (None, StallCause::Refresh),
+        };
+        (culprit.map(|d| d.0), cause)
+    }
+}
+
+/// The indices of the set bits of `set`, lowest first.
+fn bits(mut set: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let b = set.trailing_zeros() as usize;
+        set &= set.wrapping_sub(1);
+        (b < 64).then_some(b)
+    })
+}
+
+/// The first bus edges from which each bank's stall charges are still
+/// owed: its head's, and its queue waits'.
+#[derive(Debug, Clone, Copy, Default)]
+struct Owed {
+    head: Cycle,
+    waits: Cycle,
+}
+
+/// What a bank's stall charges are resolved against: the plan, the
+/// resource owners and the refresh drain. Each bank's charges are owed
+/// from the last change to any of these that moves them, and they repeat
+/// on every bus edge until then, so one charge per bank pays a whole span.
+///
+/// Every bound is a bus edge, so a span's stall cycles (its edges times the
+/// edge spacing, as the per-edge charges sum to) are a difference of bounds.
+struct Stalls<'a> {
+    plan: &'a Plan,
+    leak: &'a LeakTrack,
+    refresh_pending: bool,
+}
+
+impl Stalls<'_> {
+    /// Charges bank `b`'s head for the bus edges in `[from, to)`. Before its
+    /// horizon the device holds its command back: the domain whose earlier
+    /// command made the blocking resource busy is charged. From then on it
+    /// is legal but not picked, which (with no command issued, since an
+    /// issue holds the command bus past every horizon) only a refresh
+    /// drain does.
+    fn head(&self, matrix: &mut InterferenceMatrix, b: usize, from: Cycle, to: Cycle) {
+        let Some(head) = self.plan.heads[b] else {
+            return;
+        };
+        let victim = head.domain.0;
+        let blocked = to.min(head.horizon).saturating_sub(from);
+        if blocked > 0 {
+            let (culprit, cause) = self.leak.blocker(head.reason, b);
+            matrix.charge(victim, culprit, cause, blocked);
+        }
+        let legal = to.saturating_sub(from.max(head.horizon));
+        if legal > 0 && self.refresh_pending {
+            matrix.charge(victim, None, StallCause::Refresh, legal);
+        }
+    }
+
+    /// Charges bank `b`'s queue waits for the bus edges in `[from, to)`:
+    /// FCFS within a bank, a transaction behind an older same-bank
+    /// transaction waits on that owner, whatever the device says.
+    fn waits(&self, matrix: &mut InterferenceMatrix, b: usize, from: Cycle, to: Cycle) {
+        let Some(head) = self.plan.heads[b].filter(|_| to > from) else {
+            return;
+        };
+        for &(victim, n) in &self.plan.banks[b].waits {
+            let cycles = n * (to - from);
+            matrix.charge(victim.0, Some(head.domain.0), StallCause::QueueWait, cycles);
         }
     }
 }
@@ -163,8 +588,6 @@ impl LeakTrack {
 pub struct MemoryController {
     device: DramDevice,
     mapper: AddressMapper,
-    row_policy: RowPolicy,
-    policy: SchedPolicy,
     txq: VecDeque<Txn>,
     capacity: usize,
     stats: MemStats,
@@ -174,11 +597,14 @@ pub struct MemoryController {
     /// `None` while precharged.
     bank_open_since: Vec<Option<Cycle>>,
     leak: LeakTrack,
+    /// Stall charges paid so far; [`Owed`] holds the rest.
+    stalls: InterferenceMatrix,
+    owed: Vec<Owed>,
     /// Earliest `done` among issued transactions (`Cycle::MAX` when none):
     /// collection is a no-op before it.
     next_done: Cycle,
-    /// Every command-bus edge before this cycle has had its stalls
-    /// attributed, by a tick or by [`MemorySubsystem::settle_warp`].
+    /// Every command-bus edge before this cycle has passed, by a tick or by
+    /// [`MemorySubsystem::settle_warp`]: its stalls are paid or owed.
     settled_until: Cycle,
     plan: Plan,
     /// Sequence number of the next enqueued transaction.
@@ -200,21 +626,27 @@ impl MemoryController {
         let banks = cfg.dram_org.banks as usize;
         let mut stats = MemStats::new(domains, cfg.dram_org.line_bytes);
         stats.banks = vec![BankStats::default(); banks];
+        let plan = Plan::new(
+            cfg.queues.transaction_queue,
+            banks,
+            (policy, cfg.row_policy),
+            &device,
+        );
         Self {
             device,
             mapper,
-            row_policy: cfg.row_policy,
-            policy,
             txq: VecDeque::with_capacity(cfg.queues.transaction_queue),
             capacity: cfg.queues.transaction_queue,
             stats,
             refresh_pending: false,
             tracer: Tracer::noop(),
             bank_open_since: vec![None; banks],
-            leak: LeakTrack::new(domains, banks),
+            leak: LeakTrack::new(banks),
+            stalls: InterferenceMatrix::new(domains),
+            owed: vec![Owed::default(); banks],
             next_done: Cycle::MAX,
             settled_until: 0,
-            plan: Plan::new(cfg.queues.transaction_queue, banks),
+            plan,
             next_seq: 0,
         }
     }
@@ -252,7 +684,6 @@ impl MemoryController {
     fn note_cmd(&mut self, cmd: DramCommand, now: Cycle, domain: Option<DomainId>) {
         self.trace_cmd(cmd, now);
         self.leak.cmd_user = domain;
-        self.leak.issued_this_edge = Some(domain);
         match cmd {
             DramCommand::Activate { bank, .. } => {
                 let b = bank as usize;
@@ -294,9 +725,70 @@ impl MemoryController {
         }
     }
 
-    /// The interference matrix accumulated so far.
+    /// The interference matrix accumulated so far: the charges paid plus
+    /// those owed for every bus edge passed.
     pub fn interference_report(&self) -> InterferenceReport {
-        self.leak.matrix.report()
+        let mut matrix = self.stalls.clone();
+        let view = Stalls {
+            plan: &self.plan,
+            leak: &self.leak,
+            refresh_pending: self.refresh_pending,
+        };
+        let to = self.first_unpassed_edge();
+        for (b, owed) in self.owed.iter().enumerate() {
+            view.head(&mut matrix, b, owed.head, to);
+            view.waits(&mut matrix, b, owed.waits, to);
+        }
+        matrix.report()
+    }
+
+    /// The first bus edge not yet passed.
+    fn first_unpassed_edge(&self) -> Cycle {
+        self.settled_until
+            .next_multiple_of(self.device.timing().cmd_cycle)
+    }
+
+    /// Pays the stall charges owed up to bus edge `to` by every bank head
+    /// (with `heads`) and by the queue waits of the banks in `waits`,
+    /// before a change that moves them.
+    fn pay(&mut self, to: Cycle, heads: bool, waits: Range<usize>) {
+        let Self {
+            plan,
+            leak,
+            stalls,
+            owed,
+            refresh_pending,
+            ..
+        } = self;
+        let view = Stalls {
+            plan,
+            leak,
+            refresh_pending: *refresh_pending,
+        };
+        if heads {
+            for b in bits(plan.pending) {
+                debug_assert!(owed[b].head <= to, "stalls paid past {to}");
+                view.head(stalls, b, owed[b].head, to);
+                owed[b].head = to;
+            }
+        }
+        for b in waits {
+            debug_assert!(owed[b].waits <= to, "stalls paid past {to}");
+            view.waits(stalls, b, owed[b].waits, to);
+            owed[b].waits = to;
+        }
+    }
+
+    /// Counts the tFAW stalls of the bus edges in `[from, to)` (both
+    /// edges) into the bank statistics, which are read by reference and so
+    /// kept current.
+    fn count_faw_stalls(&mut self, from: Cycle, to: Cycle) {
+        for b in bits(self.plan.faw_banks) {
+            let horizon = self.plan.heads[b]
+                .expect("a tFAW-held bank has a head")
+                .horizon;
+            self.stats.banks[b].faw_stall_cycles += to.min(horizon).saturating_sub(from);
+        }
     }
 
     /// The address mapper in use (attackers and shapers need it to target
@@ -317,18 +809,17 @@ impl MemoryController {
 
     /// The row-buffer policy this controller runs.
     pub fn row_policy(&self) -> RowPolicy {
-        self.row_policy
-    }
-
-    fn auto_precharge(&self) -> bool {
-        self.row_policy == RowPolicy::Closed
+        self.plan.row_policy
     }
 
     /// Issues at most one DRAM command at `now` (must be a bus edge), then
-    /// rebuilds the plan if one issued.
+    /// updates the plan if one issued. Stall charges owed before `now` are
+    /// paid before anything they are resolved against moves.
     fn schedule(&mut self, now: Cycle) {
         // Refresh has priority: drain open banks, then REF.
-        if self.device.refresh_due(now) {
+        if self.device.refresh_due(now) && !self.refresh_pending {
+            // A pending drain charges legal heads to refresh.
+            self.pay(now, true, 0..0);
             self.refresh_pending = true;
         }
         if self.refresh_pending {
@@ -336,30 +827,41 @@ impl MemoryController {
             let Some(cmd) = self.refresh_cmd(now) else {
                 return;
             };
+            self.pay(now, true, 0..self.owed.len());
             self.device.issue(cmd, now);
             self.note_cmd(cmd, now, None);
-            if cmd == DramCommand::Refresh {
-                self.refresh_pending = false;
-                self.stats.refreshes = self.device.refreshes();
-                self.stats.energy.record_refresh();
+            match cmd.bank() {
+                Some(bank) => self.plan.update(bank, None, &self.device),
+                None => {
+                    self.refresh_pending = false;
+                    self.stats.refreshes = self.device.refreshes();
+                    self.stats.energy.record_refresh();
+                    self.plan.rebuild(&self.txq, &self.device);
+                }
             }
-        } else {
-            let pick = match self.policy {
-                SchedPolicy::Fcfs => self.pick_fcfs(now),
-                SchedPolicy::FrFcfs => self.pick_frfcfs(now),
-            };
-            let Some(p) = pick else {
-                return;
-            };
-            if is_column(p.cmd) {
-                self.issue_column(&p, now);
-            } else {
-                self.device.issue(p.cmd, now);
-                self.note_cmd(p.cmd, now, Some(p.domain));
-            }
+            return;
         }
-        let auto_precharge = self.auto_precharge();
-        self.plan.rebuild(&self.txq, &self.device, auto_precharge);
+        if now < self.plan.pick_from() {
+            return;
+        }
+        let p = self
+            .plan
+            .pick(now)
+            .expect("a command is legal from the plan's pick horizon");
+        let b = p.bank as usize;
+        self.pay(now, true, b..b + 1);
+        if is_column(p.cmd) {
+            self.issue_column(&p, now);
+            self.plan.update(p.bank, Some(p.seq), &self.device);
+        } else {
+            self.device.issue(p.cmd, now);
+            self.note_cmd(p.cmd, now, Some(p.domain));
+            self.plan.update(p.bank, None, &self.device);
+        }
+        debug_assert!(
+            self.plan.heads.iter().flatten().all(|h| h.horizon > now),
+            "the command bus holds every head past the issue edge"
+        );
     }
 
     /// The refresh-drain command legal at `now`: a precharge of an open
@@ -376,7 +878,7 @@ impl MemoryController {
             .find(legal)
     }
 
-    fn issue_column(&mut self, p: &Planned, now: Cycle) {
+    fn issue_column(&mut self, p: &Pick, now: Cycle) {
         let idx = self
             .txq
             .binary_search_by_key(&p.seq, |t| t.seq)
@@ -400,161 +902,16 @@ impl MemoryController {
         self.next_done = self.next_done.min(done);
     }
 
-    /// FCFS: the oldest transaction's command, if legal at `now`.
-    fn pick_fcfs(&self, now: Cycle) -> Option<Planned> {
-        self.plan
-            .entries
-            .first()
-            .filter(|p| p.horizon <= now)
-            .copied()
-    }
-
-    /// FR-FCFS: the oldest legal row hit, else the oldest legal ACT of a
-    /// bank head (FCFS within a bank), else (open rows) the PRE of the
-    /// oldest row conflict once no pending transaction hits the open row.
-    fn pick_frfcfs(&self, now: Cycle) -> Option<Planned> {
-        let plan = &self.plan.entries;
-        let legal = |p: &&Planned| p.horizon <= now;
-        plan.iter()
-            .filter(|p| is_column(p.cmd))
-            .find(legal)
-            .or_else(|| {
-                plan.iter()
-                    .filter(|p| p.head && matches!(p.cmd, DramCommand::Activate { .. }))
-                    .find(legal)
-            })
-            .or_else(|| {
-                if self.row_policy != RowPolicy::Open {
-                    return None;
-                }
-                let conflict = plan
-                    .iter()
-                    .find(|p| matches!(p.cmd, DramCommand::Precharge { .. }))?;
-                let hit_waiting = plan
-                    .iter()
-                    .any(|p| p.loc.bank == conflict.loc.bank && is_column(p.cmd));
-                Some(conflict).filter(|p| !hit_waiting && legal(p))
-            })
-            .copied()
-    }
-
-    /// Charges `edges` command-bus edges' wait time, starting at bus edge
-    /// `now`, for every pending transaction to the domain whose earlier
-    /// command made the blocking resource busy. Runs after
-    /// [`MemoryController::schedule`] on each bus edge, and over whole
-    /// warped spans from [`MemorySubsystem::settle_warp`]; purely
-    /// observational (reads the plan, never issues) and allocation-free.
-    fn attribute_stalls(&mut self, now: Cycle, edges: u64) {
-        let cmd_cycle = self.device.timing().cmd_cycle;
-        debug_assert!(now.is_multiple_of(cmd_cycle), "stalls charged off-edge");
-        let span = cmd_cycle * edges;
-        let Self {
-            plan,
-            leak,
-            stats,
-            refresh_pending,
-            ..
-        } = self;
-        let as_u16 = |d: Option<DomainId>| d.map(|d| d.0);
-        for p in &plan.entries {
-            let b = p.loc.bank as usize;
-            let victim = p.domain.0;
-            // FCFS within a bank: a transaction behind an older same-bank
-            // transaction waits on that owner, whatever the device says.
-            if !p.head {
-                let owner = as_u16(plan.bank_head[b]);
-                leak.matrix
-                    .charge(victim, owner, StallCause::QueueWait, span);
-                continue;
-            }
-            // This transaction heads its bank: which device horizon holds
-            // its required command back?
-            let charge = if p.horizon > now {
-                Some(match p.reason {
-                    BlockReason::Bank => (as_u16(leak.bank_user[b]), StallCause::BankBusy),
-                    BlockReason::Rrd => {
-                        let culprit = leak.act_users.back().copied().flatten();
-                        (as_u16(culprit), StallCause::ActWindow)
-                    }
-                    BlockReason::Faw => {
-                        // tFAW binds to the oldest ACT in the window.
-                        let culprit = leak.act_users.front().copied().flatten();
-                        stats.banks[b].faw_stall_cycles += span;
-                        (as_u16(culprit), StallCause::ActWindow)
-                    }
-                    BlockReason::Bus => (as_u16(leak.col_user), StallCause::BusConflict),
-                    BlockReason::CmdBus => (as_u16(leak.cmd_user), StallCause::BusConflict),
-                    BlockReason::Refresh => (None, StallCause::Refresh),
-                })
-            } else if let Some(winner) = leak.issued_this_edge {
-                // Legal this edge but not picked: lost arbitration to
-                // whichever command did issue, or held back by the refresh
-                // drain (neither happens on a warped edge).
-                Some((as_u16(winner), StallCause::BusConflict))
-            } else if *refresh_pending {
-                Some((None, StallCause::Refresh))
-            } else {
-                None
-            };
-            if let Some((culprit, cause)) = charge {
-                leak.matrix.charge(victim, culprit, cause, span);
-            }
-        }
-    }
-
-    /// The first command-bus edge `>= first_edge` (itself an edge) at which
-    /// a tick could act on the pending transactions, or `None` with none
-    /// pending. The plan holds until a command issues, so until then:
-    ///
-    /// - the scheduler issues nothing before the first edge at which one of
-    ///   the commands it would pick becomes legal — a row-hit column
-    ///   access, an ACT for the oldest transaction of an idle bank, or
-    ///   (open rows) the PRE of the oldest conflict with no hit waiting
-    ///   (FCFS: the oldest transaction's command);
-    /// - every bank head is charged the same stall on each edge, except
-    ///   when its command turns legal (the charge lapses).
-    ///
-    /// The edges before this one repeat identical charges, which
-    /// [`MemorySubsystem::settle_warp`] replays. Every horizon is a bus
-    /// edge, so a command's first legal edge is its horizon or `first_edge`.
-    fn next_issue_edge(&self, first_edge: Cycle) -> Option<Cycle> {
-        let mut wake: Option<Cycle> = None;
-        let mut fold = |t: Cycle| wake = Some(wake.map_or(t, |w| w.min(t)));
-        let mut hit_banks = 0u64;
-        let mut oldest_conflict: Option<&Planned> = None;
-        for (i, p) in self.plan.entries.iter().enumerate() {
-            let at = p.horizon.max(first_edge);
-            if p.head && p.horizon > first_edge {
-                fold(p.horizon);
-            }
-            match (self.policy, p.cmd) {
-                (SchedPolicy::Fcfs, _) if i == 0 => fold(at),
-                (SchedPolicy::Fcfs, _) => {}
-                (_, DramCommand::Read { .. } | DramCommand::Write { .. }) => {
-                    hit_banks |= 1u64 << p.loc.bank;
-                    fold(at);
-                }
-                (_, DramCommand::Activate { .. }) if p.head => fold(at),
-                (_, DramCommand::Precharge { .. }) if oldest_conflict.is_none() => {
-                    oldest_conflict = Some(p);
-                }
-                _ => {}
-            }
-        }
-        if let Some(p) = oldest_conflict {
-            if self.row_policy == RowPolicy::Open && hit_banks & (1u64 << p.loc.bank) == 0 {
-                fold(p.horizon.max(first_edge));
-            }
-        }
-        wake
-    }
-
-    /// Panics unless the plan equals one rebuilt from scratch.
+    /// Panics unless the plan equals one rebuilt from scratch into
+    /// `fresh` (any plan of this controller's shape, reused across calls).
     #[cfg(test)]
-    fn assert_plan_fresh(&self) {
-        let mut fresh = Plan::new(self.capacity, self.plan.bank_head.len());
-        fresh.rebuild(&self.txq, &self.device, self.auto_precharge());
-        assert_eq!(self.plan, fresh, "stale scheduler plan");
+    fn assert_plan_fresh(&self, fresh: &mut Option<Plan>) {
+        let fresh = fresh.get_or_insert_with(|| {
+            let modes = (self.plan.policy, self.plan.row_policy);
+            Plan::new(self.capacity, self.plan.heads.len(), modes, &self.device)
+        });
+        fresh.rebuild(&self.txq, &self.device);
+        assert_eq!(self.plan, *fresh, "stale scheduler plan");
     }
 
     fn collect_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
@@ -607,31 +964,33 @@ fn is_column(cmd: DramCommand) -> bool {
     matches!(cmd, DramCommand::Read { .. } | DramCommand::Write { .. })
 }
 
-/// The column command serving `txn`.
-fn column_cmd(txn: &Txn, auto_precharge: bool) -> DramCommand {
-    if txn.req.req_type.is_write() {
+/// The column command of a read or `write` to `bank`.
+fn column_cmd(bank: u32, write: bool, auto_precharge: bool) -> DramCommand {
+    if write {
         DramCommand::Write {
-            bank: txn.loc.bank,
+            bank,
             auto_precharge,
         }
     } else {
         DramCommand::Read {
-            bank: txn.loc.bank,
+            bank,
             auto_precharge,
         }
     }
 }
 
-/// The next command pending `txn` needs given its bank's row buffer: its
-/// column access on a row hit, PRE on a conflict, ACT on an idle bank.
-fn required_cmd(device: &DramDevice, txn: &Txn, auto_precharge: bool) -> DramCommand {
-    match device.bank(txn.loc.bank).open_row() {
-        Some(row) if row == txn.loc.row => column_cmd(txn, auto_precharge),
-        Some(_) => DramCommand::Precharge { bank: txn.loc.bank },
-        None => DramCommand::Activate {
-            bank: txn.loc.bank,
-            row: txn.loc.row,
-        },
+/// The next command pending `p` to `bank` needs given the bank's open row:
+/// its column access on a row hit, PRE on a conflict, ACT on an idle bank.
+fn required_cmd(
+    bank: u32,
+    open_row: Option<RowId>,
+    p: Pending,
+    auto_precharge: bool,
+) -> DramCommand {
+    match open_row {
+        Some(row) if row == p.row => column_cmd(bank, p.write, auto_precharge),
+        Some(_) => DramCommand::Precharge { bank },
+        None => DramCommand::Activate { bank, row: p.row },
     }
 }
 
@@ -654,8 +1013,14 @@ impl MemorySubsystem for MemoryController {
             state: TxnState::Pending,
         };
         self.next_seq += 1;
-        let auto_precharge = self.auto_precharge();
-        self.plan.push(&txn, &self.device, auto_precharge);
+        // The new transaction is charged from the first edge not yet
+        // passed: as a new head, or as one more wait behind its bank's.
+        let (b, from) = (loc.bank as usize, self.first_unpassed_edge());
+        if self.plan.heads[b].is_none() {
+            self.owed[b].head = from;
+        }
+        self.pay(from, false, b..b + 1);
+        self.plan.push(&txn);
         self.txq.push_back(txn);
         self.tracer.record(now, || EventKind::TxqOccupancy {
             count: self.txq.len() as u32,
@@ -666,11 +1031,11 @@ impl MemorySubsystem for MemoryController {
     fn tick_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
         let _prof = dg_prof::span("controller");
         self.collect_into(now, out);
-        if now.is_multiple_of(self.device.timing().cmd_cycle) {
+        let cmd_cycle = self.device.timing().cmd_cycle;
+        if now.is_multiple_of(cmd_cycle) {
             let _prof = dg_prof::span("dram_device");
-            self.leak.issued_this_edge = None;
             self.schedule(now);
-            self.attribute_stalls(now, 1);
+            self.count_faw_stalls(now, now + cmd_cycle);
         }
         self.settled_until = now + 1;
     }
@@ -681,11 +1046,11 @@ impl MemorySubsystem for MemoryController {
         let mut ev = (self.next_done != Cycle::MAX).then(|| self.next_done.max(now));
         // A refresh drain acts on every command-bus edge; otherwise the
         // next edge that can act is the issue edge, and the edges before it
-        // only repeat the same stall charges, which `settle_warp` replays.
+        // only repeat the same stall charges, which stay owed across a warp.
         let issue = if self.refresh_pending {
             Some(first_edge)
         } else {
-            self.next_issue_edge(first_edge)
+            self.plan.next_issue_edge(first_edge)
         };
         ev = dg_sim::clock::earliest_event(ev, issue);
         // Refresh maintenance wakes the controller even when fully idle:
@@ -696,11 +1061,10 @@ impl MemorySubsystem for MemoryController {
         dg_sim::clock::earliest_event(ev, Some(deadline.max(first_edge)))
     }
 
-    /// Charges the skipped command-bus edges of `[from, to)`. No command
-    /// issues inside a warped span, so every pending transaction's blocking
-    /// reason is the same on each of its edges as on the first: one
-    /// evaluation scaled by the edge count is exact. Edges already
-    /// attributed are skipped, so overlapping calls charge each edge once.
+    /// Passes the skipped cycles of `[from, to)`: their stall charges join
+    /// the owed ones, which no warp changes (no command issues inside a
+    /// warped span), and their tFAW stalls are counted. Cycles already
+    /// passed are skipped, so overlapping calls count each edge once.
     fn settle_warp(&mut self, from: Cycle, to: Cycle, _refused: &[MemRequest]) {
         let cmd_cycle = self.device.timing().cmd_cycle;
         let first = from.max(self.settled_until).next_multiple_of(cmd_cycle);
@@ -709,9 +1073,7 @@ impl MemorySubsystem for MemoryController {
             return;
         }
         debug_assert!(!self.refresh_pending, "warped across a refresh drain");
-        let edges = (to - first).div_ceil(cmd_cycle);
-        self.leak.issued_this_edge = None;
-        self.attribute_stalls(first, edges);
+        self.count_faw_stalls(first, to.next_multiple_of(cmd_cycle));
     }
 
     fn stats(&self) -> &MemStats {
@@ -731,7 +1093,7 @@ impl MemorySubsystem for MemoryController {
     }
 
     fn interference(&self) -> Option<InterferenceReport> {
-        Some(self.leak.matrix.report())
+        Some(self.interference_report())
     }
 }
 
@@ -1216,9 +1578,9 @@ mod tests {
 
     #[test]
     fn plan_matches_a_rebuild_after_every_tick_and_send() {
-        // A missed plan rebuild would silently move a stall charge or an
+        // A missed plan update would silently move a stall charge or an
         // issue edge; here it fails instead. The counters prove the
-        // schedule reaches the states a rebuild must track.
+        // schedule reaches the states an update must track.
         let sends = stress_sends();
         let (mut drains, mut conflicts, mut queued_hits) = (0u64, 0u64, 0u64);
         for (policy, row) in [
@@ -1229,22 +1591,99 @@ mod tests {
         ] {
             let c = SystemConfig::two_core().with_row_policy(row);
             for skipping in [false, true] {
-                let mut mc = MemoryController::new(&c, policy);
+                let (mut mc, mut fresh) = (MemoryController::new(&c, policy), None);
                 drive(&mut mc, &sends, STRESS_HORIZON, skipping, |mc| {
-                    mc.assert_plan_fresh();
-                    let plan = &mc.plan.entries;
-                    drains += u64::from(mc.refresh_pending && !plan.is_empty());
-                    conflicts += u64::from(
-                        plan.iter()
-                            .any(|p| matches!(p.cmd, DramCommand::Precharge { .. })),
+                    mc.assert_plan_fresh(&mut fresh);
+                    let banks = &mc.plan.banks;
+                    let pending = banks.iter().any(|b| !b.queue.is_empty());
+                    drains += u64::from(mc.refresh_pending && pending);
+                    conflicts += u64::from(banks.iter().any(|b| b.first_conflict.is_some()));
+                    queued_hits += u64::from(
+                        banks
+                            .iter()
+                            .any(|b| b.queue.iter().skip(1).any(|p| Some(p.row) == b.open_row)),
                     );
-                    queued_hits += u64::from(plan.iter().any(|p| !p.head && is_column(p.cmd)));
                 });
             }
         }
         println!("drains {drains}, conflicts {conflicts}, queued row hits {queued_hits}");
         assert!(drains > 0, "no refresh drain with transactions pending");
         assert!(conflicts > 0, "no open-row conflict");
+        assert!(queued_hits > 0, "no row hit behind its bank head");
+    }
+
+    /// Seeded random traffic from three domains, piled onto few banks and
+    /// rows (row hits behind heads, conflicts, queue waits), reads mixed
+    /// with writes, in bursts and gaps.
+    fn random_sends(seed: u64, mapper: &AddressMapper) -> Vec<(Cycle, MemRequest)> {
+        let mut rng = dg_sim::rng::DetRng::new(seed);
+        let mut sends = Vec::new();
+        let mut at = 0;
+        for id in 0..64u64 {
+            if rng.next_below(3) == 0 {
+                at += rng.next_below(60);
+            }
+            let banks = if seed.is_multiple_of(2) { 8 } else { 3 };
+            let loc = PhysLoc {
+                bank: rng.next_below(banks) as u32,
+                row: rng.next_below(3),
+                col: rng.next_below(4),
+            };
+            let domain = DomainId(rng.next_below(3) as u16);
+            let addr = mapper.encode(loc);
+            let req = if rng.next_below(4) == 0 {
+                MemRequest::write(domain, addr, at)
+            } else {
+                MemRequest::read(domain, addr, at)
+            };
+            sends.push((at, req.with_id(ReqId(id))));
+        }
+        sends
+    }
+
+    #[test]
+    fn plan_matches_a_rebuild_under_random_schedules_on_both_drives() {
+        // The incremental plan, derived views included, equals a rebuild
+        // after every tick and send of seeded random schedules, and both
+        // drives agree on everything the plan feeds: a short refresh
+        // interval puts drains among the schedules.
+        let (mut drains, mut conflicts, mut queued_hits) = (0u64, 0u64, 0u64);
+        for seed in 0..64u64 {
+            for (policy, row) in [
+                (SchedPolicy::FrFcfs, RowPolicy::Closed),
+                (SchedPolicy::FrFcfs, RowPolicy::Open),
+                (SchedPolicy::Fcfs, RowPolicy::Open),
+                (SchedPolicy::Fcfs, RowPolicy::Closed),
+            ] {
+                let mut c = SystemConfig::two_core().with_row_policy(row);
+                (c.timing.tREFI, c.timing.tRFC) = (200, 40);
+                let horizon = 1_500;
+                let mapper = *MemoryController::new(&c, policy).mapper();
+                let sends = random_sends(seed, &mapper);
+                let mut runs = Vec::new();
+                for skipping in [false, true] {
+                    let (mut mc, mut fresh) = (MemoryController::new(&c, policy), None);
+                    let (out, _) = drive(&mut mc, &sends, horizon, skipping, |mc| {
+                        mc.assert_plan_fresh(&mut fresh);
+                        let banks = &mc.plan.banks;
+                        let pending = banks.iter().any(|b| !b.queue.is_empty());
+                        drains += u64::from(mc.refresh_pending && pending);
+                        conflicts += u64::from(banks.iter().any(|b| b.first_conflict.is_some()));
+                        queued_hits +=
+                            u64::from(banks.iter().any(|b| {
+                                b.queue.iter().skip(1).any(|p| Some(p.row) == b.open_row)
+                            }));
+                    });
+                    runs.push((out, mc.interference_report(), mc.stats().banks.clone()));
+                }
+                let what = format!("seed {seed} {policy:?}/{row:?}");
+                assert!(!runs[0].0.is_empty(), "{what}: nothing served");
+                assert_eq!(runs[0], runs[1], "{what}: every-cycle vs event-driven");
+            }
+        }
+        println!("drains {drains}, conflicts {conflicts}, queued row hits {queued_hits}");
+        assert!(drains > 0, "no refresh drain with transactions pending");
+        assert!(conflicts > 0, "no row conflict");
         assert!(queued_hits > 0, "no row hit behind its bank head");
     }
 

@@ -308,10 +308,10 @@ mod tests {
                 events_dropped: 0,
             },
             engine: {
-                let mut c = dg_prof::EngineCounters::default();
+                let mut c = dg_prof::EngineCounters::with_poll_labels(["mem"]);
                 c.tick();
                 c.warp(100);
-                c.poll("mem");
+                c.scan();
                 c.snapshot()
             },
         }

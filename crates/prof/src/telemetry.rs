@@ -28,11 +28,27 @@ pub struct EngineCounters {
     pub backoff_suppressed: u64,
     /// Largest backoff the failure streak reached.
     pub max_backoff: u64,
-    /// Per-component `next_event_at` poll counts, in scan order.
-    pub polls: Vec<(&'static str, u64)>,
+    /// Quiescence scans run: each polls every component of `poll_labels`
+    /// once, so one count stands for every component's polls.
+    pub scans: u64,
+    /// The label of each component a scan polls (`next_event_at`), in scan
+    /// order, fixed when the engine is built. Components may share one.
+    poll_labels: Vec<&'static str>,
+    /// Poll counts merged in from other engines, by label in first-seen
+    /// order.
+    merged_polls: Vec<(&'static str, u64)>,
 }
 
 impl EngineCounters {
+    /// Counters for an engine whose quiescence scan polls components
+    /// labelled `labels`, in that order.
+    pub fn with_poll_labels(labels: impl IntoIterator<Item = &'static str>) -> Self {
+        Self {
+            poll_labels: labels.into_iter().collect(),
+            ..Self::default()
+        }
+    }
+
     /// Records one executed tick.
     #[inline]
     pub fn tick(&mut self) {
@@ -47,19 +63,32 @@ impl EngineCounters {
         self.warp_distance.record(distance);
     }
 
-    /// Records one `next_event_at` poll of `component`.
+    /// Records one quiescence scan, which polls every labelled component.
     #[inline]
-    pub fn poll(&mut self, component: &'static str) {
-        match self.polls.iter_mut().find(|(n, _)| *n == component) {
-            Some((_, c)) => *c += 1,
-            None => self.polls.push((component, 1)),
+    pub fn scan(&mut self) {
+        self.scans += 1;
+    }
+
+    /// `next_event_at` poll counts per component label, in first-seen
+    /// order: this engine's labels in scan order (none before its first
+    /// scan), then labels only merged in.
+    pub fn polls(&self) -> Vec<(&'static str, u64)> {
+        let mut polls = Vec::new();
+        if self.scans > 0 {
+            for &label in &self.poll_labels {
+                add_polls(&mut polls, label, self.scans);
+            }
         }
+        for &(label, count) in &self.merged_polls {
+            add_polls(&mut polls, label, count);
+        }
+        polls
     }
 
     /// Merges another engine's counters into this one: per-shard engines
     /// each cover a slice of the same simulated time, so activity sums,
     /// `max_backoff` takes the maximum, and poll counts merge by component
-    /// name (this side's order first, unseen components appended — merging
+    /// label (this side's order first, unseen labels appended — merging
     /// shard fragments in index order keeps the result deterministic).
     pub fn merge(&mut self, other: &EngineCounters) {
         self.ticks += other.ticks;
@@ -69,11 +98,8 @@ impl EngineCounters {
         self.failed_scans += other.failed_scans;
         self.backoff_suppressed += other.backoff_suppressed;
         self.max_backoff = self.max_backoff.max(other.max_backoff);
-        for &(component, count) in &other.polls {
-            match self.polls.iter_mut().find(|(n, _)| *n == component) {
-                Some((_, c)) => *c += count,
-                None => self.polls.push((component, count)),
-            }
+        for (label, count) in other.polls() {
+            add_polls(&mut self.merged_polls, label, count);
         }
     }
 
@@ -93,14 +119,22 @@ impl EngineCounters {
             backoff_suppressed: self.backoff_suppressed,
             max_backoff: self.max_backoff,
             polls: self
-                .polls
-                .iter()
-                .map(|&(component, count)| ComponentPolls {
+                .polls()
+                .into_iter()
+                .map(|(component, count)| ComponentPolls {
                     component: component.to_string(),
                     count,
                 })
                 .collect(),
         }
+    }
+}
+
+/// Adds `count` polls of `label` to `polls`, appending unseen labels.
+fn add_polls(polls: &mut Vec<(&'static str, u64)>, label: &'static str, count: u64) {
+    match polls.iter_mut().find(|(l, _)| *l == label) {
+        Some((_, c)) => *c += count,
+        None => polls.push((label, count)),
     }
 }
 
@@ -143,15 +177,14 @@ mod tests {
 
     #[test]
     fn skip_efficiency_ratio() {
-        let mut c = EngineCounters::default();
+        let mut c = EngineCounters::with_poll_labels(["mem", "core0"]);
         for _ in 0..25 {
             c.tick();
         }
         c.warp(50);
         c.warp(25);
-        c.poll("mem");
-        c.poll("mem");
-        c.poll("core0");
+        c.scan();
+        c.scan();
         let t = c.snapshot();
         assert_eq!(t.ticks, 25);
         assert_eq!(t.warps, 2);
@@ -168,7 +201,7 @@ mod tests {
                 },
                 ComponentPolls {
                     component: "core0".into(),
-                    count: 1
+                    count: 2
                 },
             ]
         );
@@ -178,28 +211,50 @@ mod tests {
     /// takes the maximum, and polls merge by component in first-seen order.
     #[test]
     fn shard_engines_merge() {
-        let mut a = EngineCounters::default();
+        let mut a = EngineCounters::with_poll_labels(["chan0"]);
         a.tick();
         a.warp(10);
-        a.poll("chan0");
+        a.scan();
         a.max_backoff = 3;
-        let mut b = EngineCounters::default();
+        let mut b = EngineCounters::with_poll_labels(["core1", "chan0"]);
         b.tick();
         b.tick();
-        b.poll("core1");
-        b.poll("chan0");
+        b.scan();
         b.max_backoff = 7;
+        let idle = EngineCounters::with_poll_labels(["core9"]);
         let mut merged = EngineCounters::default();
         merged.merge(&a);
         merged.merge(&b);
+        merged.merge(&idle);
         let t = merged.snapshot();
         assert_eq!((t.ticks, t.warps, t.warped_cycles), (3, 1, 10));
         assert_eq!(merged.max_backoff, 7);
-        assert_eq!(merged.polls, vec![("chan0", 2), ("core1", 1)]);
+        assert_eq!(merged.polls(), vec![("chan0", 2), ("core1", 1)]);
+    }
+
+    /// A scan count times a fixed label list gives the counts and order
+    /// that counting each poll by label gives, shared labels included.
+    #[test]
+    fn scan_counts_match_per_poll_counting() {
+        let labels = ["chan7", "chan8plus", "chan8plus", "core8plus", "core8plus"];
+        let mut c = EngineCounters::with_poll_labels(labels);
+        let mut per_poll: Vec<(&str, u64)> = Vec::new();
+        for _ in 0..3 {
+            c.scan();
+            for label in labels {
+                add_polls(&mut per_poll, label, 1);
+            }
+        }
+        assert_eq!(c.polls(), per_poll);
+        assert_eq!(
+            per_poll,
+            vec![("chan7", 3), ("chan8plus", 6), ("core8plus", 6)]
+        );
     }
 
     #[test]
     fn empty_counters_snapshot() {
+        assert!(EngineCounters::with_poll_labels(["mem"]).polls().is_empty());
         let t = EngineCounters::default().snapshot();
         assert_eq!(t.skip_efficiency, 0.0);
         assert!(t.polls.is_empty());

@@ -32,8 +32,8 @@ use crate::msg::{SpscRing, StampedReq, StampedResp};
 /// ring a provable capacity bound.
 const LINK_WINDOW: u64 = 256;
 
-/// Static poll labels for the quiescence scan (shared tails keep the scan
-/// allocation-free at any scale).
+/// Static poll labels for the quiescence scan; global indices from eight
+/// on share a tail label.
 const CORE_POLL_NAMES: [&str; 8] = [
     "core0", "core1", "core2", "core3", "core4", "core5", "core6", "core7",
 ];
@@ -41,8 +41,25 @@ const CHAN_POLL_NAMES: [&str; 8] = [
     "chan0", "chan1", "chan2", "chan3", "chan4", "chan5", "chan6", "chan7",
 ];
 
-fn poll_name(names: &'static [&'static str; 8], tail: &'static str, i: usize) -> &'static str {
-    names.get(i).copied().unwrap_or(tail)
+/// The labels of the components one quiescence scan of a shard polls, in
+/// scan order: the memory endpoint (`mem` at hop 0, else each channel by
+/// global index), then each core.
+fn poll_labels(
+    noc: Cycle,
+    (core_base, cores): (usize, usize),
+    (chan_base, chans): (usize, usize),
+) -> Vec<&'static str> {
+    let name =
+        |names: &'static [&'static str; 8], tail, i: usize| names.get(i).copied().unwrap_or(tail);
+    let memory: Vec<_> = if noc == 0 {
+        vec!["mem"]
+    } else {
+        (chan_base..chan_base + chans)
+            .map(|c| name(&CHAN_POLL_NAMES, "chan8plus", c))
+            .collect()
+    };
+    let cores = (core_base..core_base + cores).map(|i| name(&CORE_POLL_NAMES, "core8plus", i));
+    memory.into_iter().chain(cores).collect()
 }
 
 /// When a shard stops advancing (evaluated before every tick at hop 0,
@@ -274,6 +291,7 @@ impl Shard {
         skip: bool,
     ) -> Self {
         debug_assert!(noc > 0 || channels.len() == 1, "hop 0 has one endpoint");
+        let (n_cores, n_chans) = (cores.len(), channels.len());
         let ring_capacity = if noc == 0 {
             0
         } else {
@@ -300,7 +318,11 @@ impl Shard {
             map,
             noc,
             skip,
-            engine: EngineCounters::default(),
+            engine: EngineCounters::with_poll_labels(poll_labels(
+                noc,
+                (core_base, n_cores),
+                (chan_base, n_chans),
+            )),
             warp_backoff: 0,
             warp_fail_streak: 0,
             traced: false,
@@ -548,14 +570,13 @@ impl Shard {
     #[inline]
     pub(crate) fn next_event(&mut self, now: Cycle, step_end: Cycle) -> Option<Cycle> {
         let _prof = dg_prof::span("quiescence_scan");
+        // The scan polls every component once, in its label order.
+        self.engine.scan();
         let mut ev: Option<Cycle> = None;
         if self.noc == 0 {
-            self.engine.poll("mem");
             ev = self.channels[0].mem.next_event_at(now);
         } else {
-            for (c, ch) in self.channels.iter().enumerate() {
-                let name = poll_name(&CHAN_POLL_NAMES, "chan8plus", self.chan_base + c);
-                self.engine.poll(name);
+            for ch in &self.channels {
                 ev = earliest_event(ev, ch.mem.next_event_at(now));
                 ev = earliest_event(ev, ch.ingress_event(now));
             }
@@ -569,9 +590,7 @@ impl Shard {
                 ev = earliest_event(ev, Some(step_end));
             }
         }
-        for (i, core) in self.cores.iter().enumerate() {
-            let name = poll_name(&CORE_POLL_NAMES, "core8plus", self.core_base + i);
-            self.engine.poll(name);
+        for core in &self.cores {
             ev = earliest_event(ev, core.next_event_at(now));
         }
         if let Some(f) = &self.fault {
@@ -714,5 +733,66 @@ impl Shard {
             ch.mem.refresh_stats();
         }
         self.channels.iter().map(|ch| ch.mem.as_ref())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scans_count_polls_under_every_component_label() {
+        // Hop 0: one memory endpoint, then the cores.
+        let mut hop0 = EngineCounters::with_poll_labels(poll_labels(0, (0, 2), (0, 1)));
+        hop0.scan();
+        hop0.scan();
+        assert_eq!(hop0.polls(), vec![("mem", 2), ("core0", 2), ("core1", 2)]);
+        // A NoC shard past eight channels and cores: every component from
+        // global index eight on is polled under its shared tail label.
+        let labels = poll_labels(64, (6, 5), (7, 3));
+        assert_eq!(
+            labels,
+            [
+                "chan7",
+                "chan8plus",
+                "chan8plus",
+                "core6",
+                "core7",
+                "core8plus",
+                "core8plus",
+                "core8plus"
+            ]
+        );
+        let mut noc = EngineCounters::with_poll_labels(labels);
+        for _ in 0..4 {
+            noc.scan();
+        }
+        let expected = [
+            ("chan7", 4),
+            ("chan8plus", 8),
+            ("core6", 4),
+            ("core7", 4),
+            ("core8plus", 12),
+        ];
+        assert_eq!(noc.polls(), expected);
+        // Merged into a report, the shards' labels keep first-seen order.
+        let mut merged = EngineCounters::default();
+        merged.merge(&hop0);
+        merged.merge(&noc);
+        let t = merged.snapshot();
+        let names: Vec<_> = t.polls.iter().map(|p| p.component.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "mem",
+                "core0",
+                "core1",
+                "chan7",
+                "chan8plus",
+                "core6",
+                "core7",
+                "core8plus"
+            ]
+        );
     }
 }
