@@ -26,6 +26,10 @@ cargo test --release -q -p dg-mem
 # The rank-horizon snapshot's equivalence with DramDevice::horizon (cycle
 # and blocking reason, tie order included) under random command streams.
 cargo test --release -q -p dg-dram
+# The rDAG executor's cached due cycle against a fresh scan under random
+# emit/complete streams, and shapers ticked only when due against twins
+# ticked on every cycle.
+cargo test --release -q -p dg-rdag -p dagguise
 
 echo "=== format ==="
 cargo fmt --all --check

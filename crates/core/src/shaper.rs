@@ -232,6 +232,11 @@ impl DomainShaper for Shaper {
     }
 
     fn tick_into(&mut self, now: Cycle, space: usize, out: &mut Vec<MemRequest>) {
+        // Before the earliest due slot no sequence can demand anything:
+        // one compare, like the hardware's running-down counters (§4.4).
+        if self.executor.earliest_due().is_none_or(|due| now < due) {
+            return;
+        }
         let _prof = dg_prof::span("rdag_exec");
         let start = out.len();
         // Iterating by sequence index matches the order `poll` returned

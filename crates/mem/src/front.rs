@@ -144,6 +144,12 @@ pub trait DomainShaper: Send {
     /// request or otherwise change state, absent new accepts/responses.
     /// `None` means the shaper wakes only on external input. The default
     /// `Some(now)` is conservative and disables cycle skipping.
+    ///
+    /// This is a no-op contract, not only a hint for the event engine: the
+    /// naive engine still ticks every cycle, and a tick before this cycle
+    /// (with no accept or response since it was read) must do nothing, so
+    /// implementations check it first and return at once — in O(1), since
+    /// the engine asks on every quiescence scan.
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }
@@ -216,6 +222,9 @@ impl DomainShaper for PassThrough {
     }
 
     fn tick_into(&mut self, _now: Cycle, space: usize, out: &mut Vec<MemRequest>) {
+        if self.queue.is_empty() {
+            return;
+        }
         let n = space.min(self.queue.len());
         out.extend(self.queue.drain(..n));
     }
@@ -377,13 +386,15 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
     }
 
     fn free_slots(&self) -> usize {
-        // Acceptance is bounded by the shapers' private queues, not the
-        // global transaction queue; report a conservative view.
-        self.shapers
-            .iter()
-            .map(|s| s.pending())
-            .min()
-            .map_or(0, |_| usize::MAX)
+        // Acceptance is bounded per shaper, by its private queue in
+        // `try_accept`, not by the global transaction queue, so the
+        // assembly itself sets no bound — unless it has no shaper to
+        // accept anything.
+        if self.shapers.is_empty() {
+            0
+        } else {
+            usize::MAX
+        }
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
@@ -475,6 +486,25 @@ mod tests {
         let mut ids: Vec<u64> = got.iter().map(|r| r.id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![7, 9]);
+    }
+
+    #[test]
+    fn shaped_memory_leaves_acceptance_to_its_shapers() {
+        let cfg = SystemConfig::two_core();
+        let shapers: Vec<Box<dyn DomainShaper>> = vec![
+            Box::new(PassThrough::new(DomainId(0), 1)),
+            Box::new(PassThrough::new(DomainId(1), 1)),
+        ];
+        let mut mem = ShapedMemory::new(MemoryController::new(&cfg, SchedPolicy::FrFcfs), shapers);
+        assert_eq!(mem.free_slots(), usize::MAX);
+        // A full private queue refuses in `try_accept`; the assembly's own
+        // view does not change.
+        mem.try_send(mk_req(0, 0x40, 1), 0).unwrap();
+        assert!(mem.try_send(mk_req(0, 0x80, 2), 0).is_err());
+        assert_eq!(mem.free_slots(), usize::MAX);
+
+        let none = ShapedMemory::new(MemoryController::new(&cfg, SchedPolicy::FrFcfs), Vec::new());
+        assert_eq!(none.free_slots(), 0);
     }
 
     #[test]

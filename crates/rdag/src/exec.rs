@@ -8,12 +8,18 @@
 //! logic: it walks each sequence of the defense rDAG, demanding a request
 //! `weight` cycles after the previous response returned.
 //!
+//! Like the hardware, which does no work while every counter is still
+//! running down, the executor keeps the earliest of those due cycles as a
+//! field ([`RdagExecutor::earliest_due`]). It changes only when a sequence
+//! emits or completes, so the shaper answers "nothing due" with one
+//! compare instead of visiting every sequence on every cycle.
+//!
 //! Crucially, nothing in this module ever observes the victim's traffic —
 //! emission times, banks and types are functions of the defense rDAG and
 //! the (receiver-visible) completion times alone. That is the root of the
 //! §5 indistinguishability property.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use dg_sim::clock::{ClockRatio, Cycle};
 use dg_sim::types::ReqType;
@@ -67,12 +73,54 @@ struct SeqRuntime {
 /// assert!(ex.poll(249).is_empty()); // weight not yet elapsed
 /// assert_eq!(ex.poll(250).len(), 1); // 100 + 150 = 250
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RdagExecutor {
     seqs: Vec<SeqRuntime>,
     /// Edge weights converted to CPU cycles.
     weight_cpu: Vec<Cycle>,
     emitted_total: u64,
+    /// The earliest `Ready` cycle over `seqs` (`None` while every sequence
+    /// waits on a response). Derived state: [`emitted`](Self::emitted) and
+    /// [`completed`](Self::completed), the only transitions, keep it
+    /// current; it takes no part in equality or the serialized form, and
+    /// deserialization rebuilds it.
+    next_due: Option<Cycle>,
+}
+
+impl PartialEq for RdagExecutor {
+    fn eq(&self, other: &Self) -> bool {
+        self.seqs == other.seqs
+            && self.weight_cpu == other.weight_cpu
+            && self.emitted_total == other.emitted_total
+    }
+}
+
+impl Eq for RdagExecutor {}
+
+impl Serialize for RdagExecutor {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("seqs".to_string(), self.seqs.to_value()),
+            ("weight_cpu".to_string(), self.weight_cpu.to_value()),
+            ("emitted_total".to_string(), self.emitted_total.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for RdagExecutor {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| DeError::custom("expected object for RdagExecutor"))?;
+        let mut ex = Self {
+            seqs: Deserialize::from_value(serde::field(m, "seqs")?)?,
+            weight_cpu: Deserialize::from_value(serde::field(m, "weight_cpu")?)?,
+            emitted_total: Deserialize::from_value(serde::field(m, "emitted_total")?)?,
+            next_due: None,
+        };
+        ex.next_due = ex.scan_due();
+        Ok(ex)
+    }
 }
 
 impl RdagExecutor {
@@ -80,7 +128,7 @@ impl RdagExecutor {
     /// the specs are DRAM cycles and are converted with `ratio`.
     pub fn new(specs: Vec<SequenceSpec>, ratio: ClockRatio) -> Self {
         let weight_cpu = specs.iter().map(|s| ratio.dram_to_cpu(s.weight)).collect();
-        Self {
+        let mut ex = Self {
             seqs: specs
                 .into_iter()
                 .map(|spec| SeqRuntime {
@@ -91,7 +139,10 @@ impl RdagExecutor {
                 .collect(),
             weight_cpu,
             emitted_total: 0,
-        }
+            next_due: None,
+        };
+        ex.next_due = ex.scan_due();
+        ex
     }
 
     /// Number of parallel sequences.
@@ -139,7 +190,14 @@ impl RdagExecutor {
     /// already is) due, or `None` when every sequence is waiting on a
     /// response. This is the executor's contribution to the event-driven
     /// engine: ticks strictly before this cycle cannot produce a demand.
+    /// O(1): it reads the cached minimum of the per-sequence counters.
     pub fn earliest_due(&self) -> Option<Cycle> {
+        debug_assert_eq!(self.next_due, self.scan_due(), "stale due cycle");
+        self.next_due
+    }
+
+    /// The earliest due cycle, recomputed from every sequence.
+    fn scan_due(&self) -> Option<Cycle> {
         self.seqs
             .iter()
             .filter_map(|s| match s.state {
@@ -164,6 +222,10 @@ impl RdagExecutor {
                 s.state = SeqState::WaitingResponse;
                 s.k += 1;
                 self.emitted_total += 1;
+                // Only the sequence holding the minimum can move it.
+                if self.next_due == Some(at) {
+                    self.next_due = self.scan_due();
+                }
             }
             SeqState::WaitingResponse => {
                 panic!("sequence {seq} already has a request in flight")
@@ -186,9 +248,9 @@ impl RdagExecutor {
             SeqState::WaitingResponse,
             "sequence {seq} had no request in flight"
         );
-        s.state = SeqState::Ready {
-            at: now + self.weight_cpu[seq],
-        };
+        let at = now + self.weight_cpu[seq];
+        s.state = SeqState::Ready { at };
+        self.next_due = Some(self.next_due.map_or(at, |due| due.min(at)));
     }
 
     /// Cycle at which sequence `seq`'s next request became due, or `None`
@@ -306,6 +368,86 @@ mod tests {
         ex.emitted(0, 0);
         ex.emitted(1, 0);
         assert_eq!(ex.emitted_total(), 2);
+    }
+
+    /// The earliest due cycle, rescanned through the public per-sequence
+    /// view — independent of the executor's cached minimum.
+    fn fresh_scan(ex: &RdagExecutor) -> Option<Cycle> {
+        (0..ex.sequence_count()).filter_map(|s| ex.due_at(s)).min()
+    }
+
+    /// Drives `ex` with `steps` random legal transitions: each picks a
+    /// sequence and emits it if due, completes it if in flight, and
+    /// otherwise only lets time pass. Calls `check` after every one.
+    fn random_walk(
+        ex: &mut RdagExecutor,
+        rng: &mut dg_sim::rng::DetRng,
+        steps: usize,
+        mut check: impl FnMut(&RdagExecutor),
+    ) {
+        let mut now = 0;
+        for _ in 0..steps {
+            now += rng.next_below(60);
+            let seq = rng.next_below(ex.sequence_count() as u64) as usize;
+            match ex.due_at(seq) {
+                Some(at) if at <= now => ex.emitted(seq, now),
+                Some(_) => continue,
+                None => ex.completed(seq, now),
+            }
+            check(ex);
+        }
+    }
+
+    #[test]
+    fn cached_due_cycle_matches_a_fresh_scan_after_random_transitions() {
+        // Seeded random emit/complete streams over 1, 4 and 8 sequences at
+        // clock ratios 1 and 3; weight 0 makes due cycles tie with `now`.
+        let (mut transitions, mut emits) = (0u64, 0u64);
+        for seed in 0..64u64 {
+            for seqs in [1u32, 4, 8] {
+                for ratio in [1, 3] {
+                    let mut rng = dg_sim::rng::DetRng::new(seed * 97 + u64::from(seqs) * 7 + ratio);
+                    let weight = [0, 1, 25, 100, 150][rng.next_below(5) as usize];
+                    let t = RdagTemplate::new(seqs, weight, 0.25);
+                    let mut ex = RdagExecutor::new(t.sequence_specs(8), ClockRatio::new(ratio));
+                    assert_eq!(ex.earliest_due(), fresh_scan(&ex));
+                    random_walk(&mut ex, &mut rng, 300, |ex| {
+                        transitions += 1;
+                        assert_eq!(
+                            ex.earliest_due(),
+                            fresh_scan(ex),
+                            "seed {seed}, {seqs} sequences, ratio {ratio}"
+                        );
+                    });
+                    emits += ex.emitted_total();
+                }
+            }
+        }
+        let completes = transitions - emits;
+        assert!(
+            emits > 10_000 && completes > 10_000,
+            "{emits} / {completes}"
+        );
+    }
+
+    #[test]
+    fn serde_round_trip_rebuilds_the_due_cycle() {
+        let t = RdagTemplate::new(4, 100, 0.25);
+        let mut ex = RdagExecutor::new(t.sequence_specs(8), ClockRatio::new(3));
+        let mut rng = dg_sim::rng::DetRng::new(11);
+        random_walk(&mut ex, &mut rng, 200, |_| {});
+        let v = ex.to_value();
+        let keys: Vec<&str> = v
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["seqs", "weight_cpu", "emitted_total"]);
+        let back = RdagExecutor::from_value(&v).unwrap();
+        assert_eq!(back, ex);
+        assert_eq!(back.earliest_due(), ex.earliest_due());
+        assert_eq!(back.earliest_due(), fresh_scan(&ex));
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn poll_labels(
     memory.into_iter().chain(cores).collect()
 }
 
-/// When a shard stops advancing (evaluated before every tick at hop 0,
+/// When a shard stops advancing (evaluated after every tick at hop 0,
 /// and by the coordinator at barriers otherwise).
 pub(crate) enum StopWhen {
     /// Every core drained its workload.
@@ -395,17 +395,24 @@ impl Shard {
     }
 
     /// Advances from `*now` toward `end`: ticks cycle by cycle and, with
-    /// skipping on, warps over quiescent spans. `stop` is checked before
-    /// every tick, and a warp never passes the tick that satisfied it;
-    /// returns its value once it holds.
+    /// skipping on, warps over quiescent spans. Returns `stop`'s value as
+    /// soon as it holds before a tick, and `None` at `end`; a warp never
+    /// passes the tick that satisfied it.
+    ///
+    /// Finished flags change only inside a tick, so `stop` is evaluated
+    /// once on entry and once after each tick: that one value guards both
+    /// the warp (taken only while it is `None`, which a warp cannot
+    /// change) and the next tick.
     pub(crate) fn run(&mut self, now: &mut Cycle, end: Cycle, stop: &StopWhen) -> Option<Cycle> {
+        let mut stopped = self.stopped(stop, *now);
         while *now < end {
-            if let Some(t) = self.stopped(stop, *now) {
-                return Some(t);
+            if stopped.is_some() {
+                return stopped;
             }
             self.tick_cycle(*now);
             *now += 1;
-            if self.skip && *now < end && self.stopped(stop, *now).is_none() {
+            stopped = self.stopped(stop, *now);
+            if self.skip && *now < end && stopped.is_none() {
                 *now = self.maybe_warp(*now, end);
             }
         }

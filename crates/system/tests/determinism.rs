@@ -301,6 +301,78 @@ fn run_for_ending_on_a_warp_matches_naive_engine() {
     assert!(fast.report("w").engine.warps > 0);
 }
 
+/// Runs `sys` until every core (or core `core`) finishes, in calls of
+/// `chunk` cycles, until one returns anything but a deadline; returns that
+/// result.
+fn run_chunked(
+    sys: &mut System,
+    chunk: u64,
+    core: Option<usize>,
+) -> Result<u64, dg_sim::error::SimError> {
+    loop {
+        let r = match core {
+            None => sys.run_until_finished(chunk),
+            Some(d) => sys.run_until_core_finished(d, chunk),
+        };
+        match r {
+            Err(dg_sim::error::SimError::Deadline { .. }) if sys.now() < 10_000_000 => {}
+            r => return r,
+        }
+    }
+}
+
+#[test]
+fn finishing_on_the_last_cycle_of_a_chunk_matches_a_single_call() {
+    // The stop condition is evaluated once per tick, after it. A chunk
+    // whose last cycle is the finishing tick must still end in a deadline
+    // (the stop is seen by the next call, before it ticks), and the
+    // chunked run must return what one call returns, at the same cycle and
+    // with the same report.
+    for naive in [false, true] {
+        for core in [None, Some(0)] {
+            let build = || saturated(&dagguise(), 300, naive);
+            let what = format!("naive {naive}, stop on core {core:?}");
+            let mut single = build();
+            let want = run_chunked(&mut single, 100_000_000, core);
+            // The tick that satisfied the stop is the cycle before `finish`.
+            let finish = single.now();
+            let at = *want.as_ref().expect("the run finishes");
+            assert!(at <= finish, "{what}");
+            if core.is_none() {
+                assert_eq!(at, finish, "{what}");
+            }
+
+            let mut boundary = build();
+            let first = match core {
+                None => boundary.run_until_finished(finish),
+                Some(d) => boundary.run_until_core_finished(d, finish),
+            };
+            assert_eq!(
+                first,
+                Err(dg_sim::error::SimError::Deadline { budget: finish }),
+                "{what}: the finishing tick was the first call's last cycle"
+            );
+            assert_eq!(boundary.now(), finish, "{what}");
+            assert_eq!(run_chunked(&mut boundary, finish, core), want, "{what}");
+            assert_eq!(boundary.now(), single.now(), "{what}");
+            assert_eq!(artifacts(&boundary), artifacts(&single), "{what}");
+
+            // Chunk lengths that divide the run at other boundaries.
+            for chunk in [finish - 1, finish + 1, finish / 3, 997] {
+                let mut chunked = build();
+                let got = run_chunked(&mut chunked, chunk, core);
+                assert_eq!(got, want, "{what}, chunk {chunk}");
+                assert_eq!(chunked.now(), single.now(), "{what}, chunk {chunk}");
+                assert_eq!(
+                    artifacts(&chunked),
+                    artifacts(&single),
+                    "{what}, chunk {chunk}"
+                );
+            }
+        }
+    }
+}
+
 /// Builds a random DAG workload: every request depends on up to three
 /// earlier ones, possibly repeated (diamonds and duplicate edges), with
 /// short or zero gaps.
