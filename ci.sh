@@ -37,6 +37,17 @@ cargo fmt --all --check
 echo "=== clippy ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "=== config surface (DG_ variables read only in dg_mon::env) ==="
+# Every setting is a flag, a spec or config field, or one of the four
+# variables crates/mon/src/env.rs reads under one parse rule. A "DG_ name in
+# any other source file is a second config surface. Writes are allowed:
+# perfbench toggles DG_NO_SKIP between its runs.
+stray=$(grep -rn --include='*.rs' '"DG_' crates src tests examples perfbench/src \
+  | grep -v '^crates/mon/src/env.rs:' | grep -Ev 'env::(set_var|remove_var)\(' || true)
+[ -z "$stray" ] \
+  || { echo "config: DG_ variable read outside crates/mon/src/env.rs:"; echo "$stray"; exit 1; }
+echo "config: DG_ variables read only in crates/mon/src/env.rs"
+
 echo "=== smoke sweep (dg-run: retry + resume + determinism) ==="
 # Four tiny jobs; examples/smoke.toml under-budgets one of them so the
 # first attempt hits SimError::Deadline and the escalated retry succeeds.
@@ -79,6 +90,21 @@ check_profile "$SMOKE_DIR/profile"
   --resume "$SMOKE_DIR/smoke.jsonl" --out "$SMOKE_DIR/smoke_resumed.json"
 cmp "$SMOKE_DIR/smoke.json" "$SMOKE_DIR/smoke_resumed.json" \
   || { echo "smoke: resumed report differs from the original"; exit 1; }
+
+echo "=== environment check (a bad DG_ value is a usage error) ==="
+# A set variable that does not parse must stop dg-run with exit 2 and a
+# message naming it, before any job runs: no journal, no report.
+rc=0
+DG_SHARD_PARTIES=0 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 \
+  --journal "$SMOKE_DIR/badenv.jsonl" --out "$SMOKE_DIR/badenv.json" \
+  2> "$SMOKE_DIR/badenv.err" || rc=$?
+[ "$rc" -eq 2 ] \
+  || { echo "env: expected exit 2 for DG_SHARD_PARTIES=0, got $rc"; exit 1; }
+grep -q 'DG_SHARD_PARTIES' "$SMOKE_DIR/badenv.err" \
+  || { echo "env: the error does not name the variable"; exit 1; }
+[ ! -e "$SMOKE_DIR/badenv.jsonl" ] && [ ! -e "$SMOKE_DIR/badenv.json" ] \
+  || { echo "env: jobs ran despite the bad value"; exit 1; }
+echo "env: DG_SHARD_PARTIES=0 refused with exit 2 before any job ran"
 
 echo "=== live telemetry (dg-run --live --events: no observer effect) ==="
 # The same sweep with the dashboard, the events stream, and an (ample)
@@ -176,14 +202,14 @@ awk -v i="$insecure_bps" -v d="$dagguise_bps" 'BEGIN {
   print "leakage: insecure " i " bits/s, dagguise " d " bits/s"
 }'
 
-echo "=== sharded differential (DG_SHARDS=1 vs 4: byte-identical reports) ==="
+echo "=== sharded differential (--shards 1 vs 4: byte-identical reports) ==="
 # The same smoke sweep on the NoC topology, partitioned into conservative-
 # PDES shards, once with a single shard and once with four. The merged
 # reports must be byte-identical: partitioning may only change wall-clock,
 # never results.
-DG_SHARDS=1 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
+"$DG_RUN" examples/smoke.toml --shards 1 --quiet --jobs 2 --retries 2 \
   --escalation 1000 --out "$SMOKE_DIR/sharded1.json"
-DG_SHARDS=4 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
+"$DG_RUN" examples/smoke.toml --shards 4 --quiet --jobs 2 --retries 2 \
   --escalation 1000 --out "$SMOKE_DIR/sharded4.json" \
   --profile "$SMOKE_DIR/sharded4_profile.json"
 cmp "$SMOKE_DIR/sharded1.json" "$SMOKE_DIR/sharded4.json" \
@@ -195,7 +221,7 @@ grep -q 'shard_join' "$SMOKE_DIR/sharded4_profile.folded" \
   || { echo "sharded: profile lacks the shard phase spans"; exit 1; }
 # The same 4-shard sweep under live monitoring and the stall watchdog drives
 # the superstep coordinator's probe/abort path; it must not change the report.
-DG_SHARDS=4 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
+"$DG_RUN" examples/smoke.toml --shards 4 --quiet --jobs 2 --retries 2 \
   --escalation 1000 --live --events "$SMOKE_DIR/sharded4_events.jsonl" --stall-s 120 \
   --out "$SMOKE_DIR/sharded4_live.json"
 cmp "$SMOKE_DIR/sharded4.json" "$SMOKE_DIR/sharded4_live.json" \
@@ -205,7 +231,7 @@ cmp "$SMOKE_DIR/sharded4.json" "$SMOKE_DIR/sharded4_live.json" \
 # ends: the faulted reports must differ from the bare one and stay
 # byte-identical at 1 and 4 shards.
 for shards in 1 4; do
-  DG_SHARDS=$shards "$DG_RUN" examples/smoke.toml --quiet --jobs 2 --retries 2 \
+  "$DG_RUN" examples/smoke.toml --shards "$shards" --quiet --jobs 2 --retries 2 \
     --escalation 1000 --fault-seed 462 --fault-rate 1 \
     --out "$SMOKE_DIR/sharded${shards}_faulted.json"
 done

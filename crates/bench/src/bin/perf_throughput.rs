@@ -228,6 +228,10 @@ fn run_engine(kind: &MemoryKind, load: &Load, skip: bool) -> Timed {
 }
 
 fn main() {
+    if let Err(e) = dg_mon::env::check() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let mut out_path = String::from("BENCH_perf.json");
     let mut profile_path: Option<String> = None;
     let mut full = false;
@@ -478,7 +482,7 @@ fn main() {
                 }
                 eprintln!("[host profile written to {path}]");
             }
-            None => eprintln!("warning: --profile given but dg-prof is compiled out"),
+            None => eprintln!("warning: --profile given but the profiler was not running"),
         }
     }
 }

@@ -38,15 +38,6 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 /// (the Figure 7b time-series granularity).
 pub const DEFAULT_INTERVAL_WINDOW: u64 = 10_000;
 
-/// Parses the common harness flags. Returns the selected scale.
-pub fn parse_args() -> Scale {
-    if std::env::args().any(|a| a == "--full") {
-        Scale::paper()
-    } else {
-        Scale::quick()
-    }
-}
-
 /// Common harness command line: scale, observability artifact paths, and
 /// sweep-orchestration options.
 ///
@@ -61,8 +52,8 @@ pub fn parse_args() -> Scale {
 /// * `--profile <path>` — record a host-time span profile of the whole
 ///   harness and write the attribution tree there (plus a
 ///   collapsed-stack `.folded` sibling for flamegraphs);
-/// * `--jobs N` — worker threads for the sweep (falls back to the
-///   `DG_JOBS` environment variable, then host parallelism);
+/// * `--jobs N` — worker threads for the sweep (falls back to host
+///   parallelism);
 /// * `--journal <path>` — append per-job checkpoints there;
 /// * `--resume <path>` — skip jobs already completed in that journal
 ///   (typically the same path as `--journal`);
@@ -165,7 +156,7 @@ impl HarnessArgs {
             return;
         };
         let Some(report) = dg_prof::stop() else {
-            eprintln!("warning: --profile given but the profiler is compiled out (dg-prof `prof` feature)");
+            eprintln!("warning: --profile given but the profiler was not running");
             return;
         };
         eprintln!(
@@ -197,8 +188,13 @@ fn write_artifact(path: &Path, contents: &str) {
 /// Parses the full harness command line ([`HarnessArgs`]).
 ///
 /// Unknown flags are ignored (each harness may add its own); a missing
-/// value after `--metrics`/`--trace` aborts with a usage message.
+/// value after `--metrics`/`--trace`, or an environment variable that
+/// does not parse ([`dg_mon::env`]), aborts with a usage message.
 pub fn parse_harness_args() -> HarnessArgs {
+    if let Err(e) = dg_mon::env::check() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let mut out = HarnessArgs {
         scale: Scale::quick(),
         ..HarnessArgs::default()
@@ -305,12 +301,5 @@ mod tests {
             &["a", "bb"],
             &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
         );
-    }
-
-    #[test]
-    fn default_scale_is_quick() {
-        // parse_args reads argv; in the test harness no --full is present.
-        let s = parse_args();
-        assert_eq!(s, Scale::quick());
     }
 }

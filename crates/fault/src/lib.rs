@@ -35,4 +35,4 @@ pub mod sim;
 pub use io::{FaultSink, IoPlan};
 pub use plan::{IoFault, IoFaultKind, IoStream};
 pub use retry::{is_transient, retry_io, RetryPolicy};
-pub use sim::{draw_sim_fault, freeze_cap, hold_frozen_clock, SimFault, SimFaultKind};
+pub use sim::{draw_sim_fault, hold_frozen_clock, SimFault, SimFaultKind, FREEZE_CAP};

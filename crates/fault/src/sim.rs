@@ -207,36 +207,28 @@ pub fn draw_sim_fault(seed: u64, job_id: &str, rate: f64) -> Option<SimFault> {
 
 /// Host-time escape hatch for an injected frozen clock: even with no
 /// supervisor armed, the spin gives up after this long so a chaos sweep
-/// cannot hang a host forever. `DG_FAULT_FREEZE_CAP_S` overrides the
-/// 120 s default (tests use sub-second caps).
-pub fn freeze_cap() -> Duration {
-    std::env::var("DG_FAULT_FREEZE_CAP_S")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|s| *s > 0.0)
-        .map_or(Duration::from_secs(120), Duration::from_secs_f64)
-}
+/// cannot hang a host forever.
+pub const FREEZE_CAP: Duration = Duration::from_secs(120);
 
 /// Holds a frozen simulated clock: publishes `heartbeat` (which should
 /// re-record the pinned cycle so a watchdog sees host time passing with
 /// no simulated progress) and polls `cancelled` until a supervisor
-/// intervenes or [`freeze_cap`] expires. Returns the abort diagnosis.
+/// intervenes or [`FREEZE_CAP`] expires. Returns the abort diagnosis.
 pub fn hold_frozen_clock(
     at: u64,
     mut heartbeat: impl FnMut(),
     mut cancelled: impl FnMut() -> bool,
 ) -> String {
-    let cap = freeze_cap();
     let started = Instant::now();
     loop {
         heartbeat();
         if cancelled() {
             return format!("injected frozen clock at cycle {at}: supervisor cancelled");
         }
-        if started.elapsed() > cap {
+        if started.elapsed() > FREEZE_CAP {
             return format!(
                 "injected frozen clock at cycle {at}: no supervisor intervened within {:.1}s",
-                cap.as_secs_f64()
+                FREEZE_CAP.as_secs_f64()
             );
         }
         std::thread::sleep(Duration::from_millis(2));

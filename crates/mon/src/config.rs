@@ -12,35 +12,14 @@ pub struct MonitorConfig {
     /// Stream snapshots as append-only JSONL (`dg-run --events PATH`).
     pub events: Option<PathBuf>,
     /// Cancel a running job whose simulated clock has not advanced within
-    /// this host-time budget (`--stall-s` / `DG_MON_STALL_S`).
+    /// this host-time budget (`--stall-s`).
     pub stall_timeout: Option<Duration>,
-    /// Snapshot/watchdog sampling period (`DG_MON_INTERVAL_MS`); the
-    /// zero value means "use [`MonitorConfig::interval`]'s default".
+    /// Snapshot/watchdog sampling period; `None` means "use
+    /// [`MonitorConfig::interval`]'s default".
     pub interval: Option<Duration>,
 }
 
 impl MonitorConfig {
-    /// Environment-seeded config: `DG_MON_STALL_S` (fractional seconds)
-    /// and `DG_MON_INTERVAL_MS`. Unparseable values are ignored.
-    pub fn from_env() -> Self {
-        let mut cfg = MonitorConfig::default();
-        if let Ok(v) = std::env::var("DG_MON_STALL_S") {
-            if let Ok(secs) = v.trim().parse::<f64>() {
-                if secs > 0.0 {
-                    cfg.stall_timeout = Some(Duration::from_secs_f64(secs));
-                }
-            }
-        }
-        if let Ok(v) = std::env::var("DG_MON_INTERVAL_MS") {
-            if let Ok(ms) = v.trim().parse::<u64>() {
-                if ms > 0 {
-                    cfg.interval = Some(Duration::from_millis(ms));
-                }
-            }
-        }
-        cfg
-    }
-
     /// Whether any monitoring machinery needs to run at all.
     pub fn enabled(&self) -> bool {
         self.live || self.events.is_some() || self.stall_timeout.is_some()

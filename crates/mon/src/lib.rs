@@ -26,6 +26,9 @@
 //! * [`log_error!`]/[`log_warn!`]/[`log_info!`]/[`log_debug!`] — the
 //!   leveled structured-log facade (`DG_LOG`) that shares a stderr gate
 //!   with the dashboard so diagnostics never shear the live region.
+//! * [`env`](mod@env) — the four environment variables the simulator reads
+//!   (`DG_NO_SKIP`, `DG_SHARD_PARTIES`, `DG_LOG`, `DG_MON_TEST_STALL`),
+//!   parsed under one rule.
 //!
 //! The cardinal rule is **no observer effect**: monitoring may change
 //! wall-clock timing but never simulation results — merged reports are
@@ -35,6 +38,7 @@
 
 pub mod config;
 pub mod dashboard;
+pub mod env;
 pub mod events;
 pub mod heartbeat;
 pub mod log;

@@ -8,8 +8,8 @@
 //! repaints it below the log line), so output never interleaves.
 //!
 //! Levels are filtered by the `DG_LOG` environment variable
-//! (`error|warn|info|debug`, default `info`), read once per process. Every
-//! line has the shape
+//! (`error|warn|info|debug`, default `info`, see [`crate::env`]), read once
+//! per process. Every line has the shape
 //!
 //! ```text
 //! [warn] retrying after budget exhaustion job=smoke/a/insecure attempt=2
@@ -45,7 +45,7 @@ impl Level {
         }
     }
 
-    fn parse(s: &str) -> Option<Level> {
+    pub(crate) fn parse(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
             "error" => Some(Level::Error),
             "warn" | "warning" => Some(Level::Warn),
@@ -56,16 +56,10 @@ impl Level {
     }
 }
 
-/// The process-wide threshold: `DG_LOG`, default `info`. An unparseable
-/// value falls back to the default rather than silencing diagnostics.
+/// The process-wide threshold: `DG_LOG`, default `info`.
 fn threshold() -> Level {
     static THRESHOLD: OnceLock<Level> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("DG_LOG")
-            .ok()
-            .and_then(|v| Level::parse(&v))
-            .unwrap_or(Level::Info)
-    })
+    *THRESHOLD.get_or_init(crate::env::log_level)
 }
 
 /// Whether a message at `level` would be printed.

@@ -7,8 +7,7 @@
 //!   cycle-stamped [`Event`]s (request issue, LLC miss, shaper decisions,
 //!   transaction-queue entry, DRAM bank commands, responses) into a bounded
 //!   ring buffer. The default handle is a no-op whose `record` call is a
-//!   single branch, and the whole mechanism compiles out when the `trace`
-//!   feature is disabled.
+//!   single branch.
 //! * **Chrome trace export** — [`chrome_trace_json`] converts a recorded
 //!   event stream into Chrome `trace_event` JSON that opens directly in
 //!   Perfetto, with request lifecycles drawn as async spans per domain and

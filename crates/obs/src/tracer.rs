@@ -4,12 +4,10 @@
 //! share one buffer). The default handle is a no-op whose [`Tracer::record`]
 //! is a single branch on a `None` — the event payload is built inside a
 //! closure that is never invoked, so disabled tracing costs nothing
-//! measurable on the simulation hot path. Compiling the crate without the
-//! `trace` feature removes even that branch.
+//! measurable on the simulation hot path.
 
 use crate::event::{Event, EventKind};
 use dg_sim::clock::Cycle;
-#[cfg(feature = "trace")]
 use std::sync::{Arc, Mutex};
 
 /// Fixed-capacity circular event store. Once full, the oldest events are
@@ -86,7 +84,6 @@ impl RingBuffer {
 /// entirely when tracing is off.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    #[cfg(feature = "trace")]
     inner: Option<Arc<Mutex<RingBuffer>>>,
 }
 
@@ -97,40 +94,22 @@ impl Tracer {
     }
 
     /// A handle recording into a fresh ring buffer of `capacity` events.
-    /// Without the `trace` feature this is equivalent to [`Tracer::noop`].
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     pub fn ring(capacity: usize) -> Self {
-        #[cfg(feature = "trace")]
-        {
-            Tracer {
-                inner: Some(Arc::new(Mutex::new(RingBuffer::new(capacity)))),
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Tracer {}
+        Tracer {
+            inner: Some(Arc::new(Mutex::new(RingBuffer::new(capacity)))),
         }
     }
 
     /// True when this handle actually stores events.
     #[inline]
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Records one event at `cycle`. The closure building the payload runs
     /// only when tracing is enabled.
     #[inline]
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     pub fn record(&self, cycle: Cycle, kind: impl FnOnce() -> EventKind) {
-        #[cfg(feature = "trace")]
         if let Some(ring) = &self.inner {
             let event = Event {
                 cycle,
@@ -144,37 +123,23 @@ impl Tracer {
 
     /// The recorded events in order (oldest first). Empty for a no-op handle.
     pub fn snapshot(&self) -> Vec<Event> {
-        #[cfg(feature = "trace")]
-        {
-            match &self.inner {
-                Some(ring) => ring
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .snapshot(),
-                None => Vec::new(),
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
+        match &self.inner {
+            Some(ring) => ring
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .snapshot(),
+            None => Vec::new(),
         }
     }
 
     /// Number of events lost to ring-buffer wraparound.
     pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            match &self.inner {
-                Some(ring) => ring
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .dropped(),
-                None => 0,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
+        match &self.inner {
+            Some(ring) => ring
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .dropped(),
+            None => 0,
         }
     }
 }
@@ -244,7 +209,6 @@ mod tests {
         assert_eq!(t.dropped(), 0);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn clones_share_one_ring() {
         let t = Tracer::ring(8);

@@ -29,7 +29,7 @@ pub fn drain() -> Vec<(String, ProfileReport)> {
     all
 }
 
-#[cfg(all(test, feature = "prof"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::span;

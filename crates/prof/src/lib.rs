@@ -23,8 +23,7 @@
 //! - [`span`]/[`start`]/[`stop`]: a thread-local hierarchical span
 //!   profiler ([`ProfScope`] RAII guards over a frame stack) producing a
 //!   per-component host-time attribution tree ([`ProfileReport`]) with
-//!   JSON and collapsed-stack (flamegraph) exports. Compiled out entirely
-//!   when the `prof` feature is off.
+//!   JSON and collapsed-stack (flamegraph) exports.
 //! - [`EngineCounters`]/[`EngineTelemetry`]: counters describing how the
 //!   event-driven engine covered simulated time (warp distances, skip
 //!   efficiency, scan backoff, per-component polls).

@@ -7,18 +7,14 @@
 //! [`ProfileReport`] with per-node self/total/call-count attribution.
 //!
 //! Cost model: when the profiler is not running, `span()` is one
-//! thread-local boolean load (and with the `prof` cargo feature disabled
-//! it compiles out entirely). The hot path never allocates once a span
+//! thread-local boolean load. The hot path never allocates once a span
 //! name has been seen at a given tree position.
 
-#[cfg(feature = "prof")]
 use std::cell::{Cell, RefCell};
-#[cfg(feature = "prof")]
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-#[cfg(feature = "prof")]
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static FRAMES: RefCell<Option<FrameStack>> = const { RefCell::new(None) };
@@ -27,7 +23,6 @@ thread_local! {
 /// Name given to the implicit root span.
 pub const ROOT_SPAN: &str = "run";
 
-#[cfg(feature = "prof")]
 struct NodeData {
     name: &'static str,
     children: Vec<usize>,
@@ -36,7 +31,6 @@ struct NodeData {
     child_ns: u64,
 }
 
-#[cfg(feature = "prof")]
 struct FrameStack {
     nodes: Vec<NodeData>,
     /// Indices into `nodes`; `stack[0]` is the root.
@@ -44,7 +38,6 @@ struct FrameStack {
     started: Instant,
 }
 
-#[cfg(feature = "prof")]
 impl FrameStack {
     fn new() -> Self {
         FrameStack {
@@ -115,7 +108,6 @@ impl FrameStack {
     }
 }
 
-#[cfg(feature = "prof")]
 fn build_node(nodes: &[NodeData], idx: usize, total_override: u64) -> ProfileNode {
     let n = &nodes[idx];
     let total_ns = if idx == 0 { total_override } else { n.total_ns };
@@ -136,73 +128,43 @@ fn build_node(nodes: &[NodeData], idx: usize, total_override: u64) -> ProfileNod
 
 /// Starts profiling on the current thread, resetting any previous tree.
 pub fn start() {
-    #[cfg(feature = "prof")]
-    {
-        FRAMES.with(|f| *f.borrow_mut() = Some(FrameStack::new()));
-        ACTIVE.with(|a| a.set(true));
-    }
+    FRAMES.with(|f| *f.borrow_mut() = Some(FrameStack::new()));
+    ACTIVE.with(|a| a.set(true));
 }
 
 /// Stops profiling and returns the attribution tree, or `None` when the
-/// profiler was not running (or the crate was built without `prof`).
-#[allow(clippy::needless_return)] // return required: a cfg(not) tail follows
+/// profiler was not running.
 pub fn stop() -> Option<ProfileReport> {
-    #[cfg(feature = "prof")]
-    {
-        ACTIVE.with(|a| a.set(false));
-        return FRAMES
-            .with(|f| f.borrow_mut().take())
-            .map(FrameStack::finish);
-    }
-    #[cfg(not(feature = "prof"))]
-    None
+    ACTIVE.with(|a| a.set(false));
+    FRAMES
+        .with(|f| f.borrow_mut().take())
+        .map(FrameStack::finish)
 }
 
 /// Whether the profiler is currently recording on this thread.
-#[allow(clippy::needless_return)] // return required: a cfg(not) tail follows
 pub fn is_enabled() -> bool {
-    #[cfg(feature = "prof")]
-    {
-        return ACTIVE.with(|a| a.get());
-    }
-    #[cfg(not(feature = "prof"))]
-    false
+    ACTIVE.with(|a| a.get())
 }
 
 /// Opens a span; time from now until the guard drops is charged to `name`
 /// under the currently open span. A no-op (one boolean load) when the
 /// profiler is off.
 #[inline]
-#[allow(clippy::needless_return)] // return required: a cfg(not) tail follows
 pub fn span(name: &'static str) -> ProfScope {
-    #[cfg(feature = "prof")]
-    {
-        if !ACTIVE.with(|a| a.get()) {
-            return ProfScope { live: None };
-        }
-        let idx = FRAMES.with(|f| f.borrow_mut().as_mut().map(|s| s.push(name)));
-        return ProfScope {
-            live: idx.map(|idx| (idx, Instant::now())),
-        };
+    if !ACTIVE.with(|a| a.get()) {
+        return ProfScope { live: None };
     }
-    #[cfg(not(feature = "prof"))]
-    {
-        let _ = name;
-        ProfScope {}
+    let idx = FRAMES.with(|f| f.borrow_mut().as_mut().map(|s| s.push(name)));
+    ProfScope {
+        live: idx.map(|idx| (idx, Instant::now())),
     }
 }
 
 /// RAII span guard returned by [`span`].
-#[cfg(feature = "prof")]
 pub struct ProfScope {
     live: Option<(usize, Instant)>,
 }
 
-/// RAII span guard returned by [`span`] (zero-sized without `prof`).
-#[cfg(not(feature = "prof"))]
-pub struct ProfScope {}
-
-#[cfg(feature = "prof")]
 impl Drop for ProfScope {
     #[inline]
     fn drop(&mut self) {
@@ -348,7 +310,7 @@ impl ProfileReport {
     }
 }
 
-#[cfg(all(test, feature = "prof"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;

@@ -20,19 +20,21 @@
 //! host-time span profile of every job, writes the profile artifact to
 //! PATH plus a collapsed-stack `.folded` sibling (flamegraph input), and
 //! prints the host-cost leaderboard; host time is machine-dependent, so
-//! none of it enters the merged report. `--shards N` (or the `DG_SHARDS`
-//! env var) runs every job on the NoC topology, partitioned into N
-//! conservative-PDES shards — results are byte-identical for any N, fault
-//! plans included (but differ from a run without `--shards`, whose cores
-//! are wired straight to the memory path with no NoC hop).
+//! none of it enters the merged report. `--shards N` runs every job on the
+//! NoC topology, partitioned into N conservative-PDES shards — results are
+//! byte-identical for any N, fault plans included (but differ from a run
+//! without `--shards`, whose cores are wired straight to the memory path
+//! with no NoC hop).
 //!
 //! Live telemetry (`dg-mon`): `--live` renders an in-terminal dashboard,
 //! `--events PATH` streams snapshots as append-only JSONL (torn tails are
-//! repaired on `--resume`, like the journal), and `--stall-s N` (or
-//! `DG_MON_STALL_S`) arms the stall watchdog, which cancels any job whose
-//! *simulated* clock stops advancing for N host seconds. None of these
-//! change the merged report. Diagnostics go through the leveled `DG_LOG`
-//! facade (`error|warn|info|debug`, default `info`).
+//! repaired on `--resume`, like the journal), and `--stall-s N` arms the
+//! stall watchdog, which cancels any job whose *simulated* clock stops
+//! advancing for N host seconds. None of these change the merged report.
+//! Diagnostics go through the leveled `DG_LOG` facade
+//! (`error|warn|info|debug`, default `info`). The environment variables
+//! `dg-run` reads are checked before anything runs (see `dg_mon::env`);
+//! one that does not parse is a usage error.
 //!
 //! Fault injection (`dg-fault`): `--fault-seed N` arms the deterministic
 //! simulation-fault plan (`--fault-rate F` scales what fraction of jobs
@@ -83,6 +85,34 @@ struct Args {
     print_jobs: bool,
 }
 
+impl Args {
+    /// The command a quarantine bundle's repro line starts with: the spec
+    /// plus every given flag that overrides it, so the repro re-runs the
+    /// job on the same topology with the same fault plan.
+    fn repro_prefix(&self) -> String {
+        let mut cmd = format!("dg-run {}", self.spec.display());
+        if let Some(n) = self.shards {
+            cmd += &format!(" --shards {n}");
+        }
+        if let Some(n) = self.fault_seed {
+            cmd += &format!(" --fault-seed {n}");
+        }
+        if let Some(f) = self.fault_rate {
+            cmd += &format!(" --fault-rate {f}");
+        }
+        if let Some(path) = &self.leak {
+            cmd += &format!(" --leak {}", path.display());
+        }
+        if let Some(path) = &self.profile {
+            cmd += &format!(" --profile {}", path.display());
+        }
+        if self.retry_stalled {
+            cmd += " --retry-stalled";
+        }
+        cmd
+    }
+}
+
 fn usage() -> ! {
     // Help goes straight to stderr, not the log facade: it is the
     // interactive contract of the binary, not a diagnostic.
@@ -100,12 +130,7 @@ fn usage() -> ! {
 
 fn parse_args() -> Args {
     let mut spec = None;
-    // Watchdog/interval knobs seed from the environment (DG_MON_STALL_S,
-    // DG_MON_INTERVAL_MS); explicit flags override.
-    let mut cfg = RunnerConfig {
-        monitor: dg_mon::MonitorConfig::from_env(),
-        ..RunnerConfig::default()
-    };
+    let mut cfg = RunnerConfig::default();
     let mut jobs_flag = None;
     let mut out = None;
     let mut leak = None;
@@ -257,6 +282,12 @@ fn ensure_parent(path: &std::path::Path) -> bool {
 }
 
 fn main() -> ExitCode {
+    if let Err(e) = dg_mon::env::check() {
+        // Straight to stderr: the log facade's threshold is itself one of
+        // the variables checked.
+        eprintln!("[error] {e}");
+        return ExitCode::from(2);
+    }
     let args = parse_args();
 
     let mut spec = match ExperimentSpec::load(&args.spec) {
@@ -308,6 +339,7 @@ fn main() -> ExitCode {
         );
     }
 
+    let repro_prefix = args.repro_prefix();
     let out_path = args
         .out
         .unwrap_or_else(|| PathBuf::from(format!("results/{}.json", spec.name)));
@@ -317,7 +349,7 @@ fn main() -> ExitCode {
         let dir = out_path.parent().map(Path::to_path_buf).unwrap_or_default();
         cfg.quarantine = Some(dir.join("quarantine").join(&spec.name));
     }
-    cfg.repro_prefix = Some(format!("dg-run {}", args.spec.display()));
+    cfg.repro_prefix = Some(repro_prefix);
 
     let outcome = match spec.run_filtered(&cfg, args.only.as_deref()) {
         Ok(o) => o,
@@ -382,7 +414,7 @@ fn main() -> ExitCode {
                 folded_path.display()
             );
             if profiles.is_empty() {
-                log_info!("dg-run: note: no profiles collected (dg-prof feature disabled?)");
+                log_info!("dg-run: note: no profiles collected (no job succeeded in this run)");
             }
         }
     }

@@ -6,7 +6,7 @@
 //! * **Jobs** ([`job`]) — stable string ids, per-attempt context, and the
 //!   seed derivation that makes results independent of worker count.
 //! * **Pool** ([`pool`]) — a work-stealing thread pool over
-//!   `crossbeam::deque`, with `--jobs`/`DG_JOBS` resolution.
+//!   `crossbeam::deque`, with `--jobs` resolution.
 //! * **Journal** ([`journal`]) — an append-only fsynced JSONL checkpoint
 //!   enabling `--resume` after a crash or kill.
 //! * **Runner** ([`runner`]) — supervision: retries with budget

@@ -70,17 +70,10 @@ fn find_task<T>(idx: usize, local: &Worker<T>, stealers: &[Stealer<T>]) -> Optio
 }
 
 /// Resolves the worker count: an explicit `--jobs` value wins, then the
-/// `DG_JOBS` environment variable, then the host's available parallelism
-/// (capped at 16 — sweep jobs are memory-hungry simulations).
+/// host's available parallelism (capped at 16 — sweep jobs are
+/// memory-hungry simulations).
 pub fn effective_jobs(explicit: Option<usize>) -> usize {
     if let Some(n) = explicit.filter(|&n| n > 0) {
-        return n;
-    }
-    if let Some(n) = std::env::var("DG_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
         return n;
     }
     std::thread::available_parallelism()

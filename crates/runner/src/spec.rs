@@ -147,8 +147,7 @@ pub struct ExperimentSpec {
     pub profile: bool,
     /// Shard count for the NoC topology (spec key `shards = N`, or forced
     /// by `dg-run --shards N`). `None` wires the cores straight to the
-    /// memory path; jobs may still be switched onto the NoC per-process
-    /// via `DG_SHARDS`.
+    /// memory path.
     pub shards: Option<usize>,
     /// Seed for the deterministic simulation-fault plan (spec table
     /// `[fault] seed = N`, or `dg-run --fault-seed N`). `None` disables
@@ -483,7 +482,7 @@ impl ExperimentSpec {
         // anything runs.
         for j in &jobs {
             let opts = RunOpts {
-                shards: j.shards.or_else(dg_shard::shards_from_env),
+                shards: j.shards,
                 ..RunOpts::new(j.scale.budget)
             };
             if let Err(e) = opts.check() {
@@ -518,8 +517,7 @@ pub struct ColocationJob {
     /// Whether to record a host-time span profile of the run and submit it
     /// to the process-global [`dg_prof::collector`].
     pub profile: bool,
-    /// Shard count for the NoC topology (`None` = direct-wired, with
-    /// `DG_SHARDS` as a per-process fallback at execution time).
+    /// Shard count for the NoC topology (`None` = direct-wired).
     pub shards: Option<usize>,
     /// Deterministic simulation fault drawn from the spec's fault plan
     /// (`None` when the plan is disarmed or skipped this job). Every kind
@@ -644,10 +642,10 @@ pub fn execute_job(job: &ColocationJob, ctx: &JobCtx) -> Result<ColocationResult
 /// simulated time frozen — that the watchdog exists to catch, so the CI
 /// smoke can prove a stalled job is flagged and aborted within budget.
 fn test_stall_hook(job: &ColocationJob, ctx: &JobCtx) -> Result<(), SimError> {
-    let Ok(pattern) = std::env::var("DG_MON_TEST_STALL") else {
+    let Some(pattern) = dg_mon::env::test_stall() else {
         return Ok(());
     };
-    if pattern.is_empty() || !job.id.contains(&pattern) {
+    if !job.id.contains(&pattern) {
         return Ok(());
     }
     let started = std::time::Instant::now();
@@ -685,8 +683,6 @@ fn execute_job_inner(job: &ColocationJob, ctx: &JobCtx) -> Result<ColocationResu
         .fault
         .filter(|f| f.fires_on(ctx.attempt))
         .map(|f| f.kind);
-    // Spec/CLI shard counts win; `DG_SHARDS` switches a whole process onto
-    // the NoC topology (the differential-oracle CI gate relies on this).
     // Supervision is always on: `ctx.expired()` is false without a
     // wall-clock timeout or a live monitor, and supervised runs are
     // identical to unsupervised ones.
@@ -695,7 +691,7 @@ fn execute_job_inner(job: &ColocationJob, ctx: &JobCtx) -> Result<ColocationResu
         vec![victim, corunner],
         kind.clone(),
         RunOpts {
-            shards: job.shards.or_else(dg_shard::shards_from_env),
+            shards: job.shards,
             abort: Some(&mut || ctx.expired()),
             probe: ctx.monitor.as_ref(),
             fault,

@@ -9,21 +9,7 @@ use dg_obs::{Event, RunReport, Tracer};
 use dg_sim::clock::Cycle;
 use dg_sim::config::SystemConfig;
 use dg_sim::error::SimError;
-use dg_system::{
-    positive_from_env, ColocationResult, MemoryKind, ShardConfig, ShardedSystemBuilder,
-};
-
-/// The shard count requested through the `DG_SHARDS` environment variable,
-/// `None` when unset. Presence selects the NoC topology even for
-/// `DG_SHARDS=1` — that is the differential oracle against `DG_SHARDS=N`.
-///
-/// # Panics
-///
-/// Panics when set to something that is not a positive integer; a silently
-/// ignored typo would invalidate a sweep.
-pub fn shards_from_env() -> Option<usize> {
-    positive_from_env("DG_SHARDS")
-}
+use dg_system::{ColocationResult, MemoryKind, ShardConfig, ShardedSystemBuilder};
 
 /// Options for [`run_colocation`]. Start from [`RunOpts::new`] and
 /// override fields with struct-update syntax.
@@ -118,7 +104,7 @@ pub struct RunOutput {
 /// control-plane faults are implemented here — the run is driven to the
 /// fault's trigger cycle, which then either fires a deterministic panic or
 /// pins the simulated clock (heartbeating the frozen cycle until the
-/// supervisor cancels or [`dg_fault::freeze_cap`] expires). A fault fires
+/// supervisor cancels or [`dg_fault::FREEZE_CAP`] expires). A fault fires
 /// only if the primary core is still running at its trigger cycle.
 ///
 /// # Errors

@@ -10,8 +10,8 @@
 //! (engine telemetry aside) to the `S = 1` reference, because the logical
 //! topology — every core↔channel message takes one NoC hop — does not
 //! depend on the partitioning, and all cross-component communication is
-//! replayed in the global `(deliver_at, sender, seq)` order. `DG_SHARDS=1`
-//! vs `DG_SHARDS=N` is the repo's differential oracle for it;
+//! replayed in the global `(deliver_at, sender, seq)` order. `dg-run
+//! --shards 1` vs `--shards N` is the repo's differential oracle for it;
 //! [`check_lookahead_contract`] checks the component promises it rests on.
 //!
 //! See DESIGN.md ("Sharded simulation") for the topology, the barrier
@@ -21,7 +21,7 @@ pub mod experiment;
 pub mod lookahead;
 
 pub use dg_system::{ShardConfig, ShardedSystemBuilder, System as ShardedSystem};
-pub use experiment::{run_colocation, shards_from_env, RunOpts, RunOutput};
+pub use experiment::{run_colocation, RunOpts, RunOutput};
 pub use lookahead::{
     check_lookahead_contract, replay_naive, replay_skipping, LookaheadViolation, Schedule,
 };

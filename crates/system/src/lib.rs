@@ -45,4 +45,4 @@ pub mod system;
 pub use builder::{build_memory, MemoryKind, ShardedSystemBuilder, SystemBuilder};
 pub use experiment::{ColocationResult, CoreResult};
 pub use profile::{profile_victim, select_defense_rdag, ProfilePoint};
-pub use system::{event_skipping_default, memory_sections, positive_from_env, ShardConfig, System};
+pub use system::{memory_sections, ShardConfig, System};

@@ -119,33 +119,6 @@ impl ShardConfig {
     }
 }
 
-/// Whether a newly built system starts on the event-driven engine: yes,
-/// unless `DG_NO_SKIP` is set to a value other than empty or `0`, which
-/// forces the naive per-cycle loop as the differential oracle. Read at
-/// every construction (not cached), so a process may toggle it between
-/// runs.
-pub fn event_skipping_default() -> bool {
-    std::env::var("DG_NO_SKIP").map_or(true, |v| v.is_empty() || v == "0")
-}
-
-/// The positive integer in environment variable `var`, `None` when unset.
-///
-/// # Panics
-///
-/// Panics when set to anything else: a silently ignored typo would
-/// invalidate a sweep.
-pub fn positive_from_env(var: &str) -> Option<usize> {
-    std::env::var(var).ok().map(|raw| parse_positive(var, &raw))
-}
-
-fn parse_positive(var: &str, raw: &str) -> usize {
-    raw.trim()
-        .parse()
-        .ok()
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| panic!("{var} must be a positive integer, got {raw:?}"))
-}
-
 /// The balanced contiguous partition: element `s` of `shards` owns global
 /// indices `[total·s/shards, total·(s+1)/shards)`. A pure function of the
 /// counts, so every shard count induces the same global ordering.
@@ -254,8 +227,8 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if [`ShardConfig::check`] rejects `scfg`, or
-    /// `DG_SHARD_PARTIES` is set to anything but a positive integer.
+    /// Panics if [`ShardConfig::check`] rejects `scfg`, or `DG_NO_SKIP` or
+    /// `DG_SHARD_PARTIES` does not parse ([`dg_mon::env`]).
     pub(crate) fn new(
         mut cfg: SystemConfig,
         scfg: ShardConfig,
@@ -278,7 +251,9 @@ impl System {
             build_lanes(&mut cfg, &kind, n_cores)
         };
         let map = ChannelMap::new(lanes.len() as u32, line);
-        let skip = event_skipping_default();
+        // `DG_NO_SKIP=1` forces the naive per-cycle loop, the differential
+        // oracle; read at every construction so a process may toggle it.
+        let skip = !dg_mon::env::no_skip();
 
         let s = scfg.shards;
         let mut router = Router {
@@ -320,7 +295,7 @@ impl System {
                 skip,
             ))));
         }
-        let cap = positive_from_env("DG_SHARD_PARTIES")
+        let cap = dg_mon::env::shard_parties()
             .or(scfg.max_parties)
             .unwrap_or(usize::MAX)
             .min(s);
@@ -974,24 +949,6 @@ mod tests {
         assert_eq!(d.latency_p99, Some(d.latency_hdr.p99));
         assert_eq!(d.mean_latency, Some(20_000.0));
         assert_eq!(d.latency_hdr.count, 100);
-    }
-
-    /// `DG_SHARDS` and `DG_SHARD_PARTIES` accept positive integers only: a
-    /// typo panics instead of silently changing how a sweep runs.
-    #[test]
-    fn env_counts_must_be_positive_integers() {
-        assert_eq!(super::parse_positive("DG_SHARD_PARTIES", " 3 "), 3);
-        for bad in ["0", "-1", "two", ""] {
-            let r = std::panic::catch_unwind(|| super::parse_positive("DG_SHARD_PARTIES", bad));
-            let msg = r
-                .expect_err(bad)
-                .downcast::<String>()
-                .expect("formatted message");
-            assert!(
-                msg.contains("DG_SHARD_PARTIES must be a positive integer"),
-                "{msg}"
-            );
-        }
     }
 
     #[test]
