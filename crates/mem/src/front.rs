@@ -59,9 +59,10 @@ pub trait MemorySubsystem: Send {
     ///   core, and each layer credits the refusals it would have counted
     ///   (DAGguise shapers count `rejected` and trace `ShaperReject`).
     ///
-    /// Settling is idempotent for a layer's own bookkeeping, so composites
-    /// may call a nested layer more than once over a span. Layers with no
-    /// per-cycle accounting keep the default no-op.
+    /// Settling is idempotent for a layer's own bookkeeping, so a caller
+    /// may settle a span more than once, e.g. once for the layer's own
+    /// span and once per refused request. Layers with no per-cycle
+    /// accounting keep the default no-op.
     fn settle_warp(&mut self, _from: Cycle, _to: Cycle, _refused: &[MemRequest]) {}
 
     /// Aggregate statistics.
@@ -70,11 +71,9 @@ pub trait MemorySubsystem: Send {
     /// Mutable statistics access (used to finalize measurement windows).
     fn stats_mut(&mut self) -> &mut MemStats;
 
-    /// Re-derives any cached aggregate statistics from nested components.
-    /// Multi-channel assemblies keep a merged [`MemStats`] view that goes
-    /// stale as channels tick; callers that read [`stats`](Self::stats)
-    /// mid-run (e.g. interval samplers) refresh first. Single-path
-    /// subsystems have nothing cached and ignore it.
+    /// Re-derives any cached aggregate statistics. No memory path caches
+    /// any and the engine never calls it; it remains only because the
+    /// benchmark package's (`perfbench/`) wrappers forward it.
     fn refresh_stats(&mut self) {}
 
     /// Free request slots at the acceptance boundary (for flow control).
@@ -379,10 +378,6 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
 
     fn stats_mut(&mut self) -> &mut MemStats {
         self.inner.stats_mut()
-    }
-
-    fn refresh_stats(&mut self) {
-        self.inner.refresh_stats();
     }
 
     fn free_slots(&self) -> usize {

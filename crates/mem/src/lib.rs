@@ -40,7 +40,7 @@ pub mod controller;
 pub mod front;
 pub mod stats;
 
-pub use channel::{merge_interference, ChannelMap, MultiChannelMemory};
+pub use channel::{merge_interference, ChannelMap};
 pub use controller::{MemoryController, SchedPolicy};
 pub use front::{DomainShaper, MemorySubsystem, PassThrough, ShapedMemory};
 pub use stats::{BankStats, DomainStats, MemStats};

@@ -32,10 +32,10 @@ struct ProbeShared {
 
 /// Lock-light progress channel between one running job and the monitor.
 ///
-/// Clones share state. All counters are monotonic: [`record`]
-/// (ProgressProbe::record) uses `fetch_max`, so late or out-of-order
-/// publishes (e.g. from shard workers racing the coordinator) can never
-/// move a value backwards.
+/// Clones share state. All counters are monotonic:
+/// [`record`](ProgressProbe::record) uses `fetch_max`, so late or
+/// out-of-order publishes (e.g. from shard workers racing the coordinator)
+/// can never move a value backwards.
 #[derive(Debug, Clone, Default)]
 pub struct ProgressProbe {
     shared: Arc<ProbeShared>,

@@ -109,9 +109,9 @@ fn push_kv_value(line: &mut String, v: &str) {
 }
 
 /// Formats and prints one log line under the stderr gate. Callers go
-/// through the [`log_error!`](crate::log_error)/…/[`log_debug!`]
-/// (crate::log_debug) macros, which also apply the level filter before
-/// arguments are formatted.
+/// through the [`log_error!`](crate::log_error)/…/
+/// [`log_debug!`](crate::log_debug) macros, which also apply the level
+/// filter before arguments are formatted.
 pub fn log_kv(level: Level, msg: fmt::Arguments<'_>, kv: &[(&str, &dyn fmt::Display)]) {
     if !enabled(level) {
         return;

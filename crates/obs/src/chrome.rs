@@ -24,30 +24,6 @@ const PID_REQUESTS: u64 = 1;
 /// Process id used for per-bank DRAM command timelines.
 const PID_DRAM: u64 = 2;
 
-/// The pid pair one event stream's entries land on. Sharded exports give
-/// each shard its own pair so the viewer draws per-shard lanes; shard 0's
-/// pair coincides with the classic single-system layout.
-#[derive(Debug, Clone, Copy)]
-struct PidLanes {
-    requests: u64,
-    dram: u64,
-}
-
-impl PidLanes {
-    const SINGLE: PidLanes = PidLanes {
-        requests: PID_REQUESTS,
-        dram: PID_DRAM,
-    };
-
-    /// The lanes of shard `s`: pids `2s+1` (requests) and `2s+2` (dram).
-    fn shard(s: usize) -> PidLanes {
-        PidLanes {
-            requests: 2 * s as u64 + 1,
-            dram: 2 * s as u64 + 2,
-        }
-    }
-}
-
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Map(
         fields
@@ -57,18 +33,18 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
-fn event_entry(e: &Event, lanes: PidLanes) -> Value {
+fn event_entry(e: &Event) -> Value {
     let (ph, pid, tid): (&str, u64, u64) = match e.kind {
-        EventKind::Issue { domain, .. } => ("b", lanes.requests, u64::from(domain.0)),
-        EventKind::Response { domain, .. } => ("e", lanes.requests, u64::from(domain.0)),
-        EventKind::BankCommand { bank, .. } => ("i", lanes.dram, u64::from(bank)),
+        EventKind::Issue { domain, .. } => ("b", PID_REQUESTS, u64::from(domain.0)),
+        EventKind::Response { domain, .. } => ("e", PID_REQUESTS, u64::from(domain.0)),
+        EventKind::BankCommand { bank, .. } => ("i", PID_DRAM, u64::from(bank)),
         // Counter tracks: one per shaper queue (on the owning domain's
         // thread) and one for controller in-flight occupancy.
-        EventKind::ShaperQueueDepth { domain, .. } => ("C", lanes.requests, u64::from(domain.0)),
-        EventKind::TxqOccupancy { .. } => ("C", lanes.dram, 0),
+        EventKind::ShaperQueueDepth { domain, .. } => ("C", PID_REQUESTS, u64::from(domain.0)),
+        EventKind::TxqOccupancy { .. } => ("C", PID_DRAM, 0),
         kind => (
             "i",
-            lanes.requests,
+            PID_REQUESTS,
             u64::from(kind.domain().map(|d| d.0).unwrap_or(0)),
         ),
     };
@@ -112,27 +88,27 @@ fn flow_entry(ph: &str, cycle: u64, id: u64, pid: u64, tid: u64) -> Value {
 
 /// Emits the entry for `e` plus any flow event linking it into its
 /// request's issue → DRAM → completion chain.
-fn event_entries(e: &Event, lanes: PidLanes, entries: &mut Vec<Value>) {
-    entries.push(event_entry(e, lanes));
+fn event_entries(e: &Event, entries: &mut Vec<Value>) {
+    entries.push(event_entry(e));
     match e.kind {
         EventKind::Issue { id, domain, .. } => {
             entries.push(flow_entry(
                 "s",
                 e.cycle,
                 id.0,
-                lanes.requests,
+                PID_REQUESTS,
                 u64::from(domain.0),
             ));
         }
         EventKind::TxqEnqueue { id, bank, .. } => {
-            entries.push(flow_entry("t", e.cycle, id.0, lanes.dram, u64::from(bank)));
+            entries.push(flow_entry("t", e.cycle, id.0, PID_DRAM, u64::from(bank)));
         }
         EventKind::Response { id, domain, .. } => {
             entries.push(flow_entry(
                 "f",
                 e.cycle,
                 id.0,
-                lanes.requests,
+                PID_REQUESTS,
                 u64::from(domain.0),
             ));
         }
@@ -184,7 +160,7 @@ pub fn chrome_trace(events: &[Event]) -> Value {
         process_name(PID_DRAM, "dram"),
     ];
     for e in events {
-        event_entries(e, PidLanes::SINGLE, &mut entries);
+        event_entries(e, &mut entries);
     }
     obj(vec![
         ("traceEvents", Value::Seq(entries)),
@@ -195,39 +171,6 @@ pub fn chrome_trace(events: &[Event]) -> Value {
 /// Serializes the Chrome trace object to a JSON string.
 pub fn chrome_trace_json(events: &[Event]) -> String {
     serde_json::to_string(&chrome_trace(events)).expect("value serialization is infallible")
-}
-
-/// Merges per-shard event streams into one trace, each shard on its own
-/// pair of pid lanes ("shardN requests" / "shardN dram"). Thread ids keep
-/// their global meaning (domain / bank index), so the same request drawn at
-/// a different shard count lands on a lane whose *name* differs but whose
-/// thread row matches — convenient when eyeballing S=1 vs S=N runs.
-///
-/// A one-element slice produces the same lane layout as [`chrome_trace`]
-/// except for the process names.
-pub fn chrome_trace_sharded(shard_events: &[Vec<Event>]) -> Value {
-    let mut entries = Vec::new();
-    for (s, _) in shard_events.iter().enumerate() {
-        let lanes = PidLanes::shard(s);
-        entries.push(process_name(lanes.requests, &format!("shard{s} requests")));
-        entries.push(process_name(lanes.dram, &format!("shard{s} dram")));
-    }
-    for (s, events) in shard_events.iter().enumerate() {
-        let lanes = PidLanes::shard(s);
-        for e in events {
-            event_entries(e, lanes, &mut entries);
-        }
-    }
-    obj(vec![
-        ("traceEvents", Value::Seq(entries)),
-        ("displayTimeUnit", Value::Str("ms".to_string())),
-    ])
-}
-
-/// Serializes the sharded Chrome trace object to a JSON string.
-pub fn chrome_trace_sharded_json(shard_events: &[Vec<Event>]) -> String {
-    serde_json::to_string(&chrome_trace_sharded(shard_events))
-        .expect("value serialization is infallible")
 }
 
 #[cfg(test)]
@@ -401,74 +344,5 @@ mod tests {
         let a = chrome_trace_json(&sample_events());
         let b = chrome_trace_json(&sample_events());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sharded_trace_puts_each_shard_on_its_own_pid_lanes() {
-        let shard0 = sample_events();
-        let shard1 = vec![Event {
-            cycle: 20,
-            kind: EventKind::BankCommand {
-                cmd: crate::event::BankCmd::Rd,
-                bank: 5,
-            },
-        }];
-        let v = chrome_trace_sharded(&[shard0, shard1]);
-        let tev = v.get("traceEvents").and_then(Value::as_seq).unwrap();
-        // 4 process-name metadata entries lead, one pid pair per shard.
-        let names: Vec<(u64, &str)> = tev
-            .iter()
-            .filter(|e| e.get("name").and_then(Value::as_str) == Some("process_name"))
-            .map(|e| {
-                (
-                    e.get("pid").and_then(Value::as_u64).unwrap(),
-                    e.get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(Value::as_str)
-                        .unwrap(),
-                )
-            })
-            .collect();
-        assert_eq!(
-            names,
-            vec![
-                (1, "shard0 requests"),
-                (2, "shard0 dram"),
-                (3, "shard1 requests"),
-                (4, "shard1 dram"),
-            ]
-        );
-        // Shard 0's entries keep the classic pids; shard 1's bank command
-        // rides its own dram lane with the global bank index as tid.
-        let issue = tev
-            .iter()
-            .find(|e| e.get("ph").and_then(Value::as_str) == Some("b"))
-            .expect("issue entry");
-        assert_eq!(issue.get("pid").and_then(Value::as_u64), Some(1));
-        let rd = tev
-            .iter()
-            .find(|e| e.get("name").and_then(Value::as_str) == Some("RD"))
-            .expect("shard1 RD entry");
-        assert_eq!(rd.get("pid").and_then(Value::as_u64), Some(4));
-        assert_eq!(rd.get("tid").and_then(Value::as_u64), Some(5));
-    }
-
-    #[test]
-    fn one_shard_trace_matches_single_layout_up_to_lane_names() {
-        let single = chrome_trace_json(&sample_events());
-        let sharded = chrome_trace_sharded_json(&[sample_events()]);
-        assert_eq!(
-            sharded
-                .replace("shard0 requests", "requests")
-                .replace("shard0 dram", "dram"),
-            single,
-        );
-    }
-
-    #[test]
-    fn sharded_export_round_trips_through_parser() {
-        let s = chrome_trace_sharded_json(&[sample_events(), sample_events()]);
-        let parsed: Value = serde_json::from_str(&s).expect("valid JSON");
-        assert!(parsed.get("traceEvents").is_some());
     }
 }

@@ -32,9 +32,7 @@ pub mod leak;
 pub mod report;
 pub mod tracer;
 
-pub use chrome::{
-    chrome_trace, chrome_trace_json, chrome_trace_sharded, chrome_trace_sharded_json,
-};
+pub use chrome::{chrome_trace, chrome_trace_json};
 pub use event::{BankCmd, Event, EventKind};
 pub use interval::{IntervalSample, IntervalSampler};
 pub use leak::{

@@ -20,7 +20,7 @@
 //!
 //! Three independent pieces live here:
 //!
-//! - [`span`]/[`start`]/[`stop`]: a thread-local hierarchical span
+//! - [`span()`]/[`start`]/[`stop`]: a thread-local hierarchical span
 //!   profiler ([`ProfScope`] RAII guards over a frame stack) producing a
 //!   per-component host-time attribution tree ([`ProfileReport`]) with
 //!   JSON and collapsed-stack (flamegraph) exports.

@@ -46,6 +46,12 @@ pub fn job_seed(id: &str) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The defense segment of a sweep job id (`{sweep}/{point}/{defense}`),
+/// the key the per-defense leaderboards group by.
+pub(crate) fn defense_of(id: &str) -> &str {
+    id.rsplit('/').next().unwrap_or(id)
+}
+
 /// The cycle budget for a given retry attempt: `base * escalation^attempt`,
 /// saturating. Escalation keeps retries meaningful — a job that hit
 /// `SimError::Deadline` at the base budget reruns with more headroom

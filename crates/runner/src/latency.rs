@@ -7,7 +7,7 @@
 //! so the leaderboard — like everything else in the merged report — is
 //! byte-identical across worker counts and kill/`--resume` cycles.
 
-use crate::job::JobRecord;
+use crate::job::{defense_of, JobRecord};
 use crate::runner::SweepOutcome;
 use dg_prof::HistSnapshot;
 use dg_system::ColocationResult;
@@ -33,11 +33,6 @@ pub struct LatencyRow {
     pub p999: u64,
     /// Largest observed latency.
     pub max: u64,
-}
-
-/// The defense segment of a job id (`{sweep}/{point}/{defense}`).
-fn defense_of(id: &str) -> &str {
-    id.rsplit('/').next().unwrap_or(id)
 }
 
 /// Iterates `(defense, victim-domain snapshot)` over successful jobs that

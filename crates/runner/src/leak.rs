@@ -8,7 +8,7 @@
 //! for the id shape), so one row aggregates every victim × co-runner ×
 //! seed point that ran under that defense.
 
-use crate::job::JobRecord;
+use crate::job::{defense_of, JobRecord};
 use crate::runner::SweepOutcome;
 use dg_obs::LeakSummary;
 use dg_system::ColocationResult;
@@ -28,11 +28,6 @@ pub struct LeakRow {
     pub error_rate: f64,
     /// Number of jobs that carried a leakage summary.
     pub jobs: u64,
-}
-
-/// The defense segment of a job id (`{sweep}/{point}/{defense}`).
-fn defense_of(id: &str) -> &str {
-    id.rsplit('/').next().unwrap_or(id)
 }
 
 fn leaky_records(

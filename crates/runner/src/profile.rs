@@ -8,6 +8,7 @@
 //! artifact (plus a collapsed-stack sibling for flamegraphs), answering
 //! *where does the simulator itself spend wall time per defense?*
 
+use crate::job::defense_of;
 use dg_prof::ProfileReport;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
@@ -25,11 +26,6 @@ pub struct HostCostRow {
     pub coverage: f64,
     /// The three hottest components by self time, `(span, self_ns)`.
     pub top_self: Vec<(String, u64)>,
-}
-
-/// The defense segment of a job id (`{sweep}/{point}/{defense}`).
-fn defense_of(id: &str) -> &str {
-    id.rsplit('/').next().unwrap_or(id)
 }
 
 /// Groups per-job profiles by defense and merges each group, sorted by

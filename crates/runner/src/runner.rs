@@ -593,12 +593,19 @@ fn write_quarantine_bundle<J: JobDesc>(
         ]),
         None => Value::Null,
     };
-    let repro = format!(
+    let mut repro = format!(
         "{} --only '{id}' --retries {} --escalation {}",
         cfg.repro_prefix.as_deref().unwrap_or("dg-run <SPEC.toml>"),
         cfg.retries,
         cfg.escalation
     );
+    // The watchdogs too, so a re-run of a cancelled job is bounded again.
+    if let Some(stall) = cfg.monitor.stall_timeout {
+        repro += &format!(" --stall-s {}", stall.as_secs_f64());
+    }
+    if let Some(timeout) = cfg.timeout {
+        repro += &format!(" --timeout-s {}", timeout.as_secs());
+    }
     let doc = Value::Map(vec![
         ("id".to_string(), id.to_value()),
         ("seed".to_string(), job_seed(id).to_value()),

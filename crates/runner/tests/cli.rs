@@ -1,6 +1,7 @@
 //! `dg-run` end to end: the repro command in a quarantine bundle carries
-//! every flag that overrode the spec, so it re-runs the failed job on the
-//! same topology with the same fault plan.
+//! every flag that overrode the spec and the watchdog that cancelled the
+//! job, so it re-runs the failed job on the same topology with the same
+//! fault plan, bounded the same way.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -41,7 +42,7 @@ fn quarantine_repro_keeps_the_spec_overrides() {
     let doc = std::fs::read_to_string(&bundle).expect("quarantine bundle");
     let repro = format!(
         "dg-run {} --shards 4 --fault-seed 462 --fault-rate 1 --leak {} --profile {} \
-         --retry-stalled --only '{id}' --retries 0 --escalation 2",
+         --retry-stalled --only '{id}' --retries 0 --escalation 2 --stall-s 0.2",
         spec.display(),
         leak.display(),
         profile.display(),

@@ -1,9 +1,9 @@
 //! Whole-run golden pins: FNV-1a hashes of `run_colocation` reports
 //! (engine section zeroed — it describes how simulated time was covered,
 //! not what happened), event traces and interval samples, for every memory
-//! kind on the direct-wired topology and for both defenses of interest on
-//! the NoC topology at one and two shards. A refactor of the simulation
-//! engine must leave every hash unchanged.
+//! kind on the direct-wired topology (one and two channels) and for both
+//! defenses of interest on the NoC topology at one and two shards. A
+//! refactor of the simulation engine must leave every hash unchanged.
 
 #[allow(dead_code)]
 mod common;
@@ -192,5 +192,40 @@ fn noc_topology_reports_are_pinned_at_one_and_two_shards() {
             ("dagguise/2", "4a54e497e1e43460"),
         ],
         &got,
+    );
+}
+
+#[test]
+fn observed_two_channel_run_report_events_and_intervals_are_pinned() {
+    // Two dense protected streams, core 0's on channel 1 and core 1's on
+    // channel 0, keep both lanes' shapers back-pressured: a warp settles
+    // refusals whose core order is the reverse of their channel order.
+    let traces = vec![stream(200, 64, 128, 0), stream(160, 1 << 30, 128, 0)];
+    let template = Some(RdagTemplate::new(4, 100, 0.01));
+    let kind = MemoryKind::Dagguise {
+        protected: vec![template, template],
+    };
+    let opts = RunOpts {
+        trace_capacity: Some(1 << 16),
+        metrics_window: Some(5_000),
+        ..RunOpts::new(BUDGET)
+    };
+    let out = run_colocation(&two_channels(), traces, kind, opts).expect("run completes");
+    let rejecting = out.report.shapers.iter().filter(|s| s.rejected > 0);
+    assert_eq!(rejecting.count(), 2, "both lanes must refuse");
+    assert_eq!(out.report.trace.events_dropped, 0);
+    assert!(!out.report.intervals.is_empty());
+    let intervals = serde_json::to_string(&out.report.intervals).expect("samples serialize");
+    check(
+        &[
+            ("report", "a9527e8548ce61a4"),
+            ("events", "bb3fc20bbd49a81a"),
+            ("intervals", "5be9b7480de5ce23"),
+        ],
+        &[
+            ("report".to_string(), report_hash(&out)),
+            ("events".to_string(), fnv(&chrome_trace_json(&out.events))),
+            ("intervals".to_string(), fnv(&intervals)),
+        ],
     );
 }

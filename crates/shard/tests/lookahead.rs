@@ -77,19 +77,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn promises_hold_on_multi_channel_assemblies(sends in schedules()) {
-        let mut cfg = SystemConfig::two_core();
-        cfg.dram_org.channels = 4;
-        let kind = MemoryKind::Dagguise {
-            protected: vec![Some(RdagTemplate::new(4, 100, 0.001)), None],
-        };
-        let make = || build_memory(&cfg, kind.clone(), DOMAINS);
-        if let Err(v) = check_lookahead_contract(make, &sends, 30_000) {
-            panic!("multi-channel assembly violated the lookahead contract: {v}");
-        }
-    }
 }
 
 /// The traced core workload used by the determinism oracle also stresses

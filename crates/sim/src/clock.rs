@@ -97,6 +97,7 @@ impl Default for ClockRatio {
 /// assert_eq!(earliest_event(Some(7), None), Some(7));
 /// assert_eq!(earliest_event(Some(7), Some(3)), Some(3));
 /// ```
+#[inline]
 pub fn earliest_event(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),

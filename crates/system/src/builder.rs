@@ -1,4 +1,8 @@
-//! Builder for the memory/defense configurations the paper evaluates.
+//! Builders for the memory/defense configurations the paper evaluates:
+//! [`SystemBuilder`] and [`ShardedSystemBuilder`] assemble a [`System`],
+//! which owns one memory path per channel and routes between them;
+//! [`build_memory`] builds one channel's path alone, for harnesses that
+//! drive it without cores.
 
 use dagguise::{Shaper, ShaperConfig};
 use dg_cpu::{Core, DagCore, DagWorkload, MemTrace, TraceCore};
@@ -7,8 +11,7 @@ use dg_defenses::{
     TemporalPartition, TpConfig,
 };
 use dg_mem::{
-    ChannelMap, DomainShaper, MemoryController, MemorySubsystem, MultiChannelMemory, PassThrough,
-    SchedPolicy, ShapedMemory,
+    DomainShaper, MemoryController, MemorySubsystem, PassThrough, SchedPolicy, ShapedMemory,
 };
 use dg_rdag::template::RdagTemplate;
 use dg_sim::config::{RowPolicy, SystemConfig};
@@ -157,37 +160,27 @@ impl ShardedSystemBuilder {
     }
 }
 
-/// Builds just the memory path for `domains` security domains, applying the
-/// same row-policy discipline as [`SystemBuilder::build`]. Used by leakage
-/// probes and attack harnesses that drive the memory subsystem directly,
-/// without cores.
+/// Builds just the memory path of a one-channel `cfg` for `domains`
+/// security domains, applying the same row-policy discipline as
+/// [`SystemBuilder::build`]. Used by leakage probes and attack harnesses
+/// that drive the memory subsystem directly, without cores.
 ///
 /// # Panics
 ///
-/// Panics if a per-domain defense list does not match `domains`.
+/// Panics if `cfg` has more than one channel (a [`System`] routes between
+/// channels) or a per-domain defense list does not match `domains`.
 pub fn build_memory(
     cfg: &SystemConfig,
     kind: MemoryKind,
     domains: usize,
 ) -> Box<dyn MemorySubsystem> {
+    assert_eq!(
+        cfg.dram_org.channels, 1,
+        "build_memory builds one channel's memory path"
+    );
     let mut cfg = cfg.clone();
     cfg.cores = domains;
-    build_memory_into(&mut cfg, kind, domains)
-}
-
-/// The whole memory path: one lane per channel ([`build_lanes`]), behind a
-/// line-interleaved [`MultiChannelMemory`] when there are several.
-pub(crate) fn build_memory_into(
-    cfg: &mut SystemConfig,
-    kind: MemoryKind,
-    domains: usize,
-) -> Box<dyn MemorySubsystem> {
-    let mut lanes = build_lanes(cfg, &kind, domains);
-    if lanes.len() == 1 {
-        return lanes.pop().expect("one lane");
-    }
-    let map = ChannelMap::new(lanes.len() as u32, cfg.dram_org.line_bytes);
-    Box::new(MultiChannelMemory::new(lanes, map))
+    build_single_channel(&mut cfg, kind, domains, 0)
 }
 
 /// The memory path of every channel in `cfg` (index = channel id), each

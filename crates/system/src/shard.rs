@@ -2,10 +2,12 @@
 //! the one event engine — the per-cycle tick, the quiescence warp and the
 //! settlement of the cycles a warp skips.
 //!
-//! The NoC hop latency `L` fixes the topology. At `L = 0` (the
-//! direct-wired system of the paper's Table 2, always one shard) the single
-//! memory endpoint is the whole memory path: a core's send is a direct
-//! call into it, refused the same cycle, completions reach their cores the
+//! A shard owns one endpoint per memory channel and maps addresses between
+//! the global and channel-local forms with [`ChannelMap`]: requests enter a
+//! channel channel-local, completions leave it global. The NoC hop latency
+//! `L` fixes the topology. At `L = 0` (the direct-wired system of the
+//! paper's Table 2, always one shard) a core's send is a direct call into
+//! its channel, refused the same cycle, completions reach their cores the
 //! cycle they complete, and all cores share one L3. At `L ≥ 1` every
 //! core↔channel message — including one between a core and a channel in
 //! the *same* shard — takes the hop: requests leave through the shard's
@@ -42,24 +44,16 @@ const CHAN_POLL_NAMES: [&str; 8] = [
 ];
 
 /// The labels of the components one quiescence scan of a shard polls, in
-/// scan order: the memory endpoint (`mem` at hop 0, else each channel by
-/// global index), then each core.
+/// scan order: each channel, then each core, by global index.
 fn poll_labels(
-    noc: Cycle,
     (core_base, cores): (usize, usize),
     (chan_base, chans): (usize, usize),
 ) -> Vec<&'static str> {
     let name =
         |names: &'static [&'static str; 8], tail, i: usize| names.get(i).copied().unwrap_or(tail);
-    let memory: Vec<_> = if noc == 0 {
-        vec!["mem"]
-    } else {
-        (chan_base..chan_base + chans)
-            .map(|c| name(&CHAN_POLL_NAMES, "chan8plus", c))
-            .collect()
-    };
+    let chans = (chan_base..chan_base + chans).map(|c| name(&CHAN_POLL_NAMES, "chan8plus", c));
     let cores = (core_base..core_base + cores).map(|i| name(&CORE_POLL_NAMES, "core8plus", i));
-    memory.into_iter().chain(cores).collect()
+    chans.chain(cores).collect()
 }
 
 /// When a shard stops advancing (evaluated after every tick at hop 0,
@@ -139,19 +133,22 @@ struct PortState {
     seq: u64,
     /// Requests issued in the current superstep, against the link window.
     sent: u64,
-    /// At hop 0, the first request the memory refused during the core's
-    /// last tick. By the [`Core`] contract it is offered again on every
-    /// later tick until accepted, which is what a warp settles.
+    /// At hop 0, the first request a channel refused during the core's
+    /// last tick, in global form. By the [`Core`] contract it is offered
+    /// again on every later tick until accepted, which is what a warp
+    /// settles.
     refused: Option<MemRequest>,
 }
 
-/// The memory path as one core sees it during its tick: a direct call
-/// into the memory endpoint at hop 0, otherwise the NoC egress port, which
-/// stamps each accepted request with its delivery cycle and pushes it onto
-/// the shard's ring. The link window back-pressures the core through its
-/// ordinary `try_send`-retry path, identically for every shard count.
+/// The memory path as one core sees it during its tick: at hop 0 a direct
+/// call into the request's channel (the one shard owns every channel),
+/// otherwise the NoC egress port, which stamps each accepted request with
+/// its delivery cycle and pushes it onto the shard's ring. The link window
+/// back-pressures the core through its ordinary `try_send`-retry path,
+/// identically for every shard count.
 struct Port<'a> {
-    direct: Option<&'a mut (dyn MemorySubsystem + 'static)>,
+    direct: Option<&'a mut [ShardChannel]>,
+    map: ChannelMap,
     ring: &'a SpscRing<StampedReq>,
     state: &'a mut PortState,
     core: u32,
@@ -163,8 +160,13 @@ struct Port<'a> {
 impl MemorySubsystem for Port<'_> {
     fn try_send(&mut self, req: MemRequest, now: Cycle) -> Result<(), MemRequest> {
         let state = &mut *self.state;
-        if let Some(mem) = &mut self.direct {
-            let r = mem.try_send(req, now);
+        if let Some(channels) = &mut self.direct {
+            let ch = &mut channels[self.map.channel_of(req.addr) as usize];
+            let mut local = req;
+            local.addr = self.map.to_local(req.addr);
+            // A refusal hands back the global request, so the core's retry
+            // path never observes local addresses.
+            let r = ch.mem.try_send(local, now).map_err(|_| req);
             if r.is_err() && state.refused.is_none() {
                 state.refused = Some(req);
             }
@@ -199,13 +201,20 @@ impl MemorySubsystem for Port<'_> {
 
     fn free_slots(&self) -> usize {
         match &self.direct {
-            Some(mem) => mem.free_slots(),
+            // The tightest channel bounds what any one address stream can
+            // send.
+            Some(channels) => channels
+                .iter()
+                .map(|ch| ch.mem.free_slots())
+                .min()
+                .unwrap_or(0),
             None => (LINK_WINDOW - self.state.sent) as usize,
         }
     }
 }
 
-/// A memory endpoint owned by a shard, with its NoC ingress queue.
+/// A memory channel owned by a shard, with its NoC ingress queue (empty
+/// at hop 0).
 struct ShardChannel {
     mem: Box<dyn MemorySubsystem>,
     /// Requests awaiting delivery, sorted by `(deliver_at, core, seq)` —
@@ -272,7 +281,6 @@ pub(crate) struct Shard {
     fault: Option<FaultState>,
     /// Reusable scratch buffers keeping the per-tick path allocation-free.
     resp_buf: Vec<MemResponse>,
-    refused_buf: Vec<MemRequest>,
     instr_buf: Vec<u64>,
     bytes_buf: Vec<u64>,
     /// Placeholder statistics handed to cores through their ports.
@@ -290,7 +298,6 @@ impl Shard {
         noc: Cycle,
         skip: bool,
     ) -> Self {
-        debug_assert!(noc > 0 || channels.len() == 1, "hop 0 has one endpoint");
         let (n_cores, n_chans) = (cores.len(), channels.len());
         let ring_capacity = if noc == 0 {
             0
@@ -319,7 +326,6 @@ impl Shard {
             noc,
             skip,
             engine: EngineCounters::with_poll_labels(poll_labels(
-                noc,
                 (core_base, n_cores),
                 (chan_base, n_chans),
             )),
@@ -329,7 +335,6 @@ impl Shard {
             sampler: None,
             fault: None,
             resp_buf: Vec::new(),
-            refused_buf: Vec::new(),
             instr_buf: Vec::new(),
             bytes_buf: Vec::new(),
             port_stats: MemStats::new(0, 64),
@@ -375,11 +380,11 @@ impl Shard {
         self.cores[gidx - self.core_base].as_ref()
     }
 
-    /// The memory path of a direct-wired (hop 0) shard: its one endpoint.
+    /// The memory path of a direct-wired (hop 0) one-channel shard.
     pub(crate) fn memory(&self) -> &dyn MemorySubsystem {
-        assert_eq!(
-            self.noc, 0,
-            "only a direct-wired system has one memory path"
+        assert!(
+            self.noc == 0 && self.channels.len() == 1,
+            "only a direct-wired one-channel system has one memory path"
         );
         self.channels[0].mem.as_ref()
     }
@@ -445,9 +450,7 @@ impl Shard {
             let _prof = dg_prof::span("mem_tick");
             self.resp_buf.clear();
             if self.noc == 0 {
-                // The one endpoint's completions are this cycle's
-                // deliveries, already in global form.
-                self.channels[0].mem.tick_into(now, &mut self.resp_buf);
+                self.tick_channels(now);
             } else {
                 self.noc_exchange(now);
             }
@@ -462,7 +465,6 @@ impl Shard {
         }
         {
             let _prof = dg_prof::span("core_tick");
-            let direct = self.noc == 0;
             let Self {
                 core_base,
                 cores,
@@ -470,6 +472,7 @@ impl Shard {
                 l3,
                 channels,
                 req_link,
+                map,
                 noc,
                 port_stats,
                 ..
@@ -477,10 +480,8 @@ impl Shard {
             for (i, (core, state)) in cores.iter_mut().zip(ports.iter_mut()).enumerate() {
                 state.refused = None;
                 let mut port = Port {
-                    direct: channels
-                        .first_mut()
-                        .filter(|_| direct)
-                        .map(|ch| ch.mem.as_mut()),
+                    direct: (*noc == 0).then_some(&mut channels[..]),
+                    map: *map,
                     ring: req_link,
                     state,
                     core: (*core_base + i) as u32,
@@ -493,6 +494,20 @@ impl Shard {
         }
         if self.sampler.as_ref().is_some_and(|s| s.due(now + 1)) {
             self.feed_sampler(now + 1, IntervalSampler::sample);
+        }
+    }
+
+    /// Ticks the channels in index order, appending their completions to
+    /// `resp_buf` and rewriting them to global addresses in place.
+    #[inline]
+    fn tick_channels(&mut self, now: Cycle) {
+        for (c, ch) in self.channels.iter_mut().enumerate() {
+            let first = self.resp_buf.len();
+            ch.mem.tick_into(now, &mut self.resp_buf);
+            let channel = (self.chan_base + c) as u32;
+            for resp in &mut self.resp_buf[first..] {
+                resp.addr = self.map.to_global(channel, resp.addr);
+            }
         }
     }
 
@@ -517,25 +532,23 @@ impl Shard {
                 }
                 ch.ingress.pop_front();
             }
-        }
-        for (c, ch) in self.channels.iter_mut().enumerate() {
-            let channel = (self.chan_base + c) as u32;
             // Injection precedes the tick, so a refused head can be taken
             // on the cycle after the channel acts: make it due again then.
             if ch.refused.is_some() && ch.mem.next_event_at(now) == Some(now) {
                 ch.refused = None;
             }
-            ch.mem.tick_into(now, &mut self.resp_buf);
-            for mut resp in self.resp_buf.drain(..) {
-                resp.addr = map.to_global(channel, resp.addr);
-                self.resp_out.push(StampedResp {
-                    deliver_at: now + self.noc,
-                    channel,
-                    seq: ch.resp_seq,
-                    resp,
-                });
-                ch.resp_seq += 1;
-            }
+        }
+        self.tick_channels(now);
+        for resp in self.resp_buf.drain(..) {
+            let c = self.map.channel_of(resp.addr) as usize - self.chan_base;
+            let ch = &mut self.channels[c];
+            self.resp_out.push(StampedResp {
+                deliver_at: now + self.noc,
+                channel: (self.chan_base + c) as u32,
+                seq: ch.resp_seq,
+                resp,
+            });
+            ch.resp_seq += 1;
         }
         while self
             .resp_ingress
@@ -559,10 +572,7 @@ impl Shard {
             .extend(self.cores.iter().map(|c| c.instructions_retired()));
         self.bytes_buf.clear();
         self.bytes_buf.resize(self.cores.len(), 0);
-        for ch in &mut self.channels {
-            // Multi-channel paths cache their merged view; bring it up to
-            // date before sampling mid-run byte counts.
-            ch.mem.refresh_stats();
+        for ch in &self.channels {
             for (b, d) in self.bytes_buf.iter_mut().zip(ch.mem.stats().domains()) {
                 *b += d.bandwidth.bytes();
             }
@@ -571,31 +581,28 @@ impl Shard {
     }
 
     /// The earliest cycle from `now` at which anything owned can act —
-    /// the memory endpoints, their NoC ingress, due responses, the cores,
-    /// and the armed fault's boundaries — or `None` when everything is
-    /// passive until further input.
+    /// the channels, their NoC ingress, due responses, the cores, and the
+    /// armed fault's boundaries — or `None` when everything is passive
+    /// until further input. At hop 0 the NoC queues stay empty and no
+    /// link window is ever used.
     #[inline]
     pub(crate) fn next_event(&mut self, now: Cycle, step_end: Cycle) -> Option<Cycle> {
         let _prof = dg_prof::span("quiescence_scan");
         // The scan polls every component once, in its label order.
         self.engine.scan();
         let mut ev: Option<Cycle> = None;
-        if self.noc == 0 {
-            ev = self.channels[0].mem.next_event_at(now);
-        } else {
-            for ch in &self.channels {
-                ev = earliest_event(ev, ch.mem.next_event_at(now));
-                ev = earliest_event(ev, ch.ingress_event(now));
-            }
-            if let Some(front) = self.resp_ingress.front() {
-                ev = earliest_event(ev, Some(front.deliver_at));
-            }
-            // A core that used up its link window may be parked on a
-            // refusal only the next superstep lifts (the window resets at
-            // its start), not a memory event: it wakes at `step_end`.
-            if self.ports.iter().any(|p| p.sent >= LINK_WINDOW) {
-                ev = earliest_event(ev, Some(step_end));
-            }
+        for ch in &self.channels {
+            ev = earliest_event(ev, ch.mem.next_event_at(now));
+            ev = earliest_event(ev, ch.ingress_event(now));
+        }
+        if let Some(front) = self.resp_ingress.front() {
+            ev = earliest_event(ev, Some(front.deliver_at));
+        }
+        // A core that used up its link window may be parked on a refusal
+        // only the next superstep lifts (the window resets at its start),
+        // not a memory event: it wakes at `step_end`.
+        if self.ports.iter().any(|p| p.sent >= LINK_WINDOW) {
+            ev = earliest_event(ev, Some(step_end));
         }
         for core in &self.cores {
             ev = earliest_event(ev, core.next_event_at(now));
@@ -631,13 +638,15 @@ impl Shard {
     }
 
     /// Settles the skipped span `[from, to)` in every owned channel
-    /// ([`MemorySubsystem::settle_warp`]): stall charges of the skipped bus
-    /// edges, and one refusal per skipped cycle for each request refused on
-    /// the last tick — a parked NoC ingress head, or at hop 0 (one
-    /// endpoint) each core's first refused send, in core order. With
-    /// tracing on, cycle by cycle, so the replayed trace events interleave
-    /// as the naive loop records them. Then replays the interval-sampler
-    /// windows the span closes.
+    /// ([`MemorySubsystem::settle_warp`]): first each channel's own span,
+    /// stall charges of the skipped bus edges and a parked NoC ingress
+    /// head's refusals; then, at hop 0, each core's first refused send, in
+    /// core order, to its channel in local form — one refusal per skipped
+    /// cycle each. A channel's own bookkeeping settles idempotently, so a
+    /// second call over the span only credits its request. With tracing
+    /// on, cycle by cycle, so the replayed trace events interleave as the
+    /// naive loop records them. Then replays the interval-sampler windows
+    /// the span closes.
     #[inline]
     pub(crate) fn settle_warp(&mut self, from: Cycle, to: Cycle) {
         {
@@ -645,15 +654,18 @@ impl Shard {
             let per_cycle = self.traced
                 && (self.channels.iter().any(|ch| ch.refused.is_some())
                     || self.ports.iter().any(|p| p.refused.is_some()));
+            let map = self.map;
             let mut t = from;
             while t < to {
                 let next = if per_cycle { t + 1 } else { to };
                 for ch in &mut self.channels {
-                    self.refused_buf.clear();
-                    self.refused_buf.extend(ch.refused);
-                    self.refused_buf
-                        .extend(self.ports.iter().filter_map(|p| p.refused));
-                    ch.mem.settle_warp(t, next, &self.refused_buf);
+                    ch.mem.settle_warp(t, next, ch.refused.as_slice());
+                }
+                for req in self.ports.iter().filter_map(|p| p.refused) {
+                    let mut local = req;
+                    local.addr = map.to_local(req.addr);
+                    let ch = &mut self.channels[map.channel_of(req.addr) as usize - self.chan_base];
+                    ch.mem.settle_warp(t, next, std::slice::from_ref(&local));
                 }
                 t = next;
             }
@@ -733,12 +745,8 @@ impl Shard {
         })
     }
 
-    /// The owned memory endpoints, in global order, with any cached merged
-    /// statistics brought up to date.
-    pub(crate) fn endpoints(&mut self) -> impl Iterator<Item = &dyn MemorySubsystem> {
-        for ch in &mut self.channels {
-            ch.mem.refresh_stats();
-        }
+    /// The owned memory channels, in global order.
+    pub(crate) fn endpoints(&self) -> impl Iterator<Item = &dyn MemorySubsystem> {
         self.channels.iter().map(|ch| ch.mem.as_ref())
     }
 }
@@ -749,14 +757,14 @@ mod tests {
 
     #[test]
     fn scans_count_polls_under_every_component_label() {
-        // Hop 0: one memory endpoint, then the cores.
-        let mut hop0 = EngineCounters::with_poll_labels(poll_labels(0, (0, 2), (0, 1)));
+        // One channel, then the cores.
+        let mut hop0 = EngineCounters::with_poll_labels(poll_labels((0, 2), (0, 1)));
         hop0.scan();
         hop0.scan();
-        assert_eq!(hop0.polls(), vec![("mem", 2), ("core0", 2), ("core1", 2)]);
-        // A NoC shard past eight channels and cores: every component from
+        assert_eq!(hop0.polls(), vec![("chan0", 2), ("core0", 2), ("core1", 2)]);
+        // A shard past eight channels and cores: every component from
         // global index eight on is polled under its shared tail label.
-        let labels = poll_labels(64, (6, 5), (7, 3));
+        let labels = poll_labels((6, 5), (7, 3));
         assert_eq!(
             labels,
             [
@@ -791,7 +799,7 @@ mod tests {
         assert_eq!(
             names,
             [
-                "mem",
+                "chan0",
                 "core0",
                 "core1",
                 "chan7",

@@ -49,7 +49,7 @@ use dg_sim::config::SystemConfig;
 use dg_sim::error::SimError;
 
 use crate::barrier::SpinBarrier;
-use crate::builder::{build_lanes, build_memory_into, MemoryKind};
+use crate::builder::{build_lanes, MemoryKind};
 use crate::msg::{StampedReq, StampedResp};
 use crate::shard::{Shard, StopWhen};
 
@@ -242,15 +242,8 @@ impl System {
         cfg.cores = n_cores;
         let mem_label = kind.label();
         let direct = scfg.noc_latency == 0;
-        let line = cfg.dram_org.line_bytes;
-        // Directly wired cores see the whole memory path as one endpoint;
-        // on the NoC every channel is an endpoint of its own.
-        let lanes = if direct {
-            vec![build_memory_into(&mut cfg, kind, n_cores)]
-        } else {
-            build_lanes(&mut cfg, &kind, n_cores)
-        };
-        let map = ChannelMap::new(lanes.len() as u32, line);
+        let lanes = build_lanes(&mut cfg, &kind, n_cores);
+        let map = ChannelMap::new(lanes.len() as u32, cfg.dram_org.line_bytes);
         // `DG_NO_SKIP=1` forces the naive per-cycle loop, the differential
         // oracle; read at every construction so a process may toggle it.
         let skip = !dg_mon::env::no_skip();
@@ -416,7 +409,8 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics unless the cores are wired straight to it (`noc_latency` 0).
+    /// Panics unless the cores are wired straight to it (`noc_latency` 0)
+    /// and it has one channel.
     pub fn memory(&mut self) -> &dyn MemorySubsystem {
         self.single().memory()
     }
@@ -702,7 +696,7 @@ impl System {
     pub fn report(&self, name: &str) -> RunReport {
         let end = self.now;
         let clock_hz = self.cfg.core.clock_hz;
-        let mut shards: Vec<_> = self.shards.iter().map(lock).collect();
+        let shards: Vec<_> = self.shards.iter().map(lock).collect();
         let mut engine = EngineCounters::default();
         let mut cores = Vec::with_capacity(self.n_cores);
         for s in &shards {
@@ -710,9 +704,8 @@ impl System {
             cores.extend(s.core_reports(end));
         }
         let (interval_window, intervals) = shards[0].intervals();
-        let mems: Vec<&dyn MemorySubsystem> =
-            shards.iter_mut().flat_map(|s| s.endpoints()).collect();
-        // One endpoint's statistics are read in place (their window was
+        let mems: Vec<&dyn MemorySubsystem> = shards.iter().flat_map(|s| s.endpoints()).collect();
+        // One channel's statistics are read in place (their window was
         // finalized when the run stopped); several are merged into a copy.
         let (domains, dram, banks) = if let [mem] = mems[..] {
             memory_sections(mem.stats(), self.n_cores, clock_hz)
@@ -949,6 +942,105 @@ mod tests {
         assert_eq!(d.latency_p99, Some(d.latency_hdr.p99));
         assert_eq!(d.mean_latency, Some(20_000.0));
         assert_eq!(d.latency_hdr.count, 100);
+    }
+
+    /// What a [`Prober`] saw: each refused send as (offered, handed back)
+    /// addresses, and the address of each response it received.
+    #[derive(Default)]
+    struct ProbeLog {
+        refused: Vec<(u64, u64)>,
+        responses: Vec<u64>,
+    }
+
+    /// A domain-0 core that offers a fixed list of reads as fast as the
+    /// memory takes them, retrying a refused one first on the next tick.
+    struct Prober {
+        addrs: Vec<u64>,
+        sent: usize,
+        log: std::sync::Arc<std::sync::Mutex<ProbeLog>>,
+    }
+
+    impl dg_cpu::Core for Prober {
+        fn domain(&self) -> dg_sim::types::DomainId {
+            dg_sim::types::DomainId(0)
+        }
+
+        fn tick(
+            &mut self,
+            now: dg_sim::clock::Cycle,
+            _l3: &mut dg_cache::SetAssocCache,
+            mem: &mut dyn dg_mem::MemorySubsystem,
+        ) {
+            use dg_sim::types::{DomainId, MemRequest, ReqId};
+            while let Some(&addr) = self.addrs.get(self.sent) {
+                let id = ReqId::compose(DomainId(0), self.sent as u64);
+                match mem.try_send(MemRequest::read(DomainId(0), addr, now).with_id(id), now) {
+                    Ok(()) => self.sent += 1,
+                    Err(back) => {
+                        self.log.lock().unwrap().refused.push((addr, back.addr));
+                        break;
+                    }
+                }
+            }
+        }
+
+        fn on_response(&mut self, resp: &dg_sim::types::MemResponse, _now: dg_sim::clock::Cycle) {
+            self.log.lock().unwrap().responses.push(resp.addr);
+        }
+
+        fn finished(&self) -> bool {
+            self.log.lock().unwrap().responses.len() == self.addrs.len()
+        }
+
+        fn instructions_retired(&self) -> u64 {
+            0
+        }
+
+        fn finished_at(&self) -> Option<dg_sim::clock::Cycle> {
+            None
+        }
+    }
+
+    #[test]
+    fn two_channel_direct_system_keeps_cores_in_global_addresses() {
+        use dg_sim::types::DomainId;
+        let mut cfg = SystemConfig::two_core();
+        cfg.dram_org.channels = 2;
+        // A burst of odd lines overflows channel 1's transaction queue;
+        // a few even lines go to channel 0.
+        let odd = (0..100u64).map(|i| (2 * i + 1) * 64);
+        let addrs: Vec<u64> = odd.chain((0..8u64).map(|i| 2 * i * 64)).collect();
+        let log = std::sync::Arc::default();
+        let prober = Prober {
+            addrs: addrs.clone(),
+            sent: 0,
+            log: std::sync::Arc::clone(&log),
+        };
+        let mut sys = SystemBuilder::new(cfg)
+            .core(Box::new(prober))
+            .memory(MemoryKind::Insecure)
+            .build();
+        sys.run_until_finished(10_000_000).unwrap();
+        let report = sys.report("two_channel");
+        let log = log.lock().unwrap();
+        // A refused send hands back the request as offered, in global form.
+        assert!(!log.refused.is_empty(), "channel 1 must push back");
+        for &(offered, back) in &log.refused {
+            assert_eq!(back, offered);
+        }
+        // Responses reach the core with global addresses.
+        let (mut got, mut want) = (log.responses.clone(), addrs);
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+        // The report's per-domain reads are the sum over both channels.
+        let reads: Vec<u64> = sys
+            .single()
+            .endpoints()
+            .map(|m| m.stats().domain(DomainId(0)).reads)
+            .collect();
+        assert_eq!(reads, [8, 100]);
+        assert_eq!(report.domains[0].reads, 108);
     }
 
     #[test]
