@@ -37,8 +37,8 @@ cargo fmt --all --check
 echo "=== clippy ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "=== docs (no broken intra-doc links) ==="
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps --workspace
+echo "=== docs (no rustdoc warnings) ==="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "=== config surface (DG_ variables read only in dg_mon::env) ==="
 # Every setting is a flag, a spec or config field, or one of the four

@@ -21,7 +21,7 @@ enum LastCol {
 /// [`DramDevice::horizon`] and [`DramDevice::blocking_reason`]. Deliberately
 /// device-local (no domains, no observability types) so higher layers can
 /// map it onto their own attribution categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BlockReason {
     /// The target bank's own timing horizon (tRCD/tRAS/tRP/tRC/tWR).
     Bank,
@@ -38,10 +38,10 @@ pub enum BlockReason {
 }
 
 /// The rank-wide part of [`DramDevice::horizon`] for every command kind,
-/// snapshotted by [`DramDevice::rank_horizons`]: the in-progress refresh,
+/// as [`DramDevice::rank_horizons`] returns it: the in-progress refresh,
 /// and per kind the latest of its activation-window or data-bus terms and
 /// the command bus, folded in `horizon`'s tie order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RankHorizons {
     refresh_until: Cycle,
     act: (Cycle, BlockReason),
@@ -116,6 +116,9 @@ pub struct DramDevice {
     refresh_until: Cycle,
     /// Count of issued refreshes (statistics).
     refreshes: u64,
+    /// The rank-wide horizon terms of the fields above, refolded by
+    /// [`issue`](Self::issue), their only mutator.
+    rank: RankHorizons,
 }
 
 impl DramDevice {
@@ -123,7 +126,7 @@ impl DramDevice {
     /// parameters into CPU cycles with `ratio`.
     pub fn new(org: DramOrg, timing: DramTiming, ratio: ClockRatio) -> Self {
         let t = CpuTiming::from_dram(timing, ratio);
-        Self {
+        let mut device = Self {
             banks: vec![Bank::new(); org.banks as usize],
             next_cmd: 0,
             next_act_any: 0,
@@ -136,7 +139,16 @@ impl DramDevice {
             refresh_until: 0,
             refreshes: 0,
             timing: t,
-        }
+            rank: RankHorizons {
+                refresh_until: 0,
+                act: (0, BlockReason::Rrd),
+                read: (0, BlockReason::Bus),
+                write: (0, BlockReason::Bus),
+                cmd_bus: 0,
+            },
+        };
+        device.rank = device.fold_rank();
+        device
     }
 
     /// The converted timing parameters in CPU cycles.
@@ -191,16 +203,7 @@ impl DramDevice {
     /// occupancy. Pure observation: never mutates device state, so
     /// attribution layers can call it freely without perturbing timing.
     pub fn horizon(&self, cmd: DramCommand) -> (Cycle, BlockReason) {
-        // Horizons are considered in tie-priority order: refresh, the bank's
-        // own term, then the rank-wide terms.
-        let best = latest(
-            [
-                (self.refresh_until, BlockReason::Refresh),
-                (self.bank_horizon(cmd), BlockReason::Bank),
-            ]
-            .into_iter()
-            .chain(self.rank_terms(cmd)),
-        );
+        let best = self.rank.horizon(cmd, self.bank_horizon(cmd));
         // Every horizon is an issue edge plus whole DRAM cycles.
         debug_assert!(
             best.0.is_multiple_of(self.timing.cmd_cycle),
@@ -237,6 +240,14 @@ impl DramDevice {
     /// [`bank_horizon`](Self::bank_horizon) combines the two with
     /// [`RankHorizons::horizon`] instead of asking the device per command.
     pub fn rank_horizons(&self) -> RankHorizons {
+        self.rank
+    }
+
+    /// Folds the rank-wide terms per command kind, in `horizon`'s tie
+    /// order: refresh, then (with the bank's own term between them, see
+    /// [`RankHorizons::horizon`]) the activation window or data bus, then
+    /// the command bus.
+    fn fold_rank(&self) -> RankHorizons {
         let tail = |cmd: DramCommand| latest(self.rank_terms(cmd));
         RankHorizons {
             refresh_until: self.refresh_until,
@@ -341,13 +352,13 @@ impl DramDevice {
     /// Panics if `t` is earlier than [`earliest`](Self::earliest) allows —
     /// schedulers must only issue legal commands.
     pub fn issue(&mut self, cmd: DramCommand, t: Cycle) -> Option<Cycle> {
-        assert!(t >= self.earliest(cmd, 0), "illegal issue of {cmd} at {t}");
+        assert!(t >= self.horizon(cmd).0, "illegal issue of {cmd} at {t}");
         assert!(
             t.is_multiple_of(self.timing.cmd_cycle),
             "command at {t} not on a DRAM bus edge"
         );
         self.next_cmd = t + self.timing.cmd_cycle;
-        match cmd {
+        let done = match cmd {
             DramCommand::Activate { bank, row } => {
                 self.banks[bank as usize].activate(t, row, &self.timing);
                 self.next_act_any = t + self.timing.tRRD;
@@ -390,7 +401,9 @@ impl DramDevice {
                 self.refreshes += 1;
                 None
             }
-        }
+        };
+        self.rank = self.fold_rank();
+        done
     }
 }
 
@@ -612,11 +625,25 @@ mod tests {
         cmds
     }
 
+    /// The horizon of `cmd` folded from every term in tie-priority order:
+    /// refresh, the bank's own term, then the rank-wide terms.
+    fn folded_horizon(d: &DramDevice, cmd: DramCommand) -> (Cycle, BlockReason) {
+        latest(
+            [
+                (d.refresh_until, BlockReason::Refresh),
+                (d.bank_horizon(cmd), BlockReason::Bank),
+            ]
+            .into_iter()
+            .chain(d.rank_terms(cmd)),
+        )
+    }
+
     #[test]
     fn rank_snapshot_combines_to_the_horizon_after_random_legal_sequences() {
         // Seeded random legal command streams, REF included: after every
-        // issue, the snapshot combined with each command's bank term must
-        // give `horizon`'s cycle and reason, ties included.
+        // issue, the snapshot the device keeps, combined with each
+        // command's bank term, must give the fold of every term: cycle and
+        // reason, ties included.
         let mut seen = std::collections::HashSet::new();
         for seed in 0..64u64 {
             let mut rng = dg_sim::rng::DetRng::new(seed);
@@ -655,12 +682,13 @@ mod tests {
                 d.issue(cmd, now);
                 let snap = d.rank_horizons();
                 for c in all_commands(&d) {
-                    let want = d.horizon(c);
+                    let want = folded_horizon(&d, c);
                     assert_eq!(
                         snap.horizon(c, d.bank_horizon(c)),
                         want,
                         "seed {seed}: {c} after {cmd} at {now}"
                     );
+                    assert_eq!(d.horizon(c), want, "seed {seed}: {c} after {cmd} at {now}");
                     seen.insert(format!("{:?}", want.1));
                 }
             }

@@ -144,8 +144,8 @@ impl BankPlan {
     }
 }
 
-/// A bank's oldest pending transaction, as the scheduler, stall attribution
-/// and the wake-up computation read it.
+/// A bank's oldest pending transaction, as the scheduler and stall
+/// attribution read it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Head {
     seq: u64,
@@ -362,7 +362,11 @@ impl Plan {
 
     /// The first bus edge at which [`Plan::pick`] returns a command (the
     /// earliest horizon among the commands it may pick; `Cycle::MAX`: none
-    /// pending). It holds until a command issues or a transaction arrives.
+    /// pending). It holds until a command issues or a transaction arrives,
+    /// so it is the controller's issue edge: the edges before it only
+    /// repeat the same stall charges, which stay owed across a warp — a
+    /// bank head whose command turns legal without being picked included,
+    /// since its owed charge switches cause at its horizon by itself.
     fn pick_from(&self) -> Cycle {
         match self.policy {
             SchedPolicy::Fcfs => self
@@ -432,30 +436,6 @@ impl Plan {
                 cmd: DramCommand::Precharge { bank },
             })
         })
-    }
-
-    /// The first command-bus edge `>= first_edge` (itself an edge) at which
-    /// a tick could act on the pending transactions, or `None` with none
-    /// pending. The plan holds until a command issues, so until then:
-    ///
-    /// - the scheduler issues nothing before [`Plan::pick_from`];
-    /// - every bank head is charged the same stall on each edge, except
-    ///   when its command turns legal (the charge lapses).
-    ///
-    /// The edges before this one repeat identical charges, which stay owed
-    /// across a warp. Every horizon is a bus edge, so a command's first
-    /// legal edge is its horizon or `first_edge`. A head the pick may take
-    /// needs no second look: its horizon is at or after `pick_from`.
-    fn next_issue_edge(&self, first_edge: Cycle) -> Option<Cycle> {
-        let pick = self.pick_from();
-        let mut wake = (pick != Cycle::MAX).then(|| pick.max(first_edge));
-        for b in bits(self.pending) {
-            let head = self.heads[b].expect("a pending bank has a head");
-            if head.horizon > first_edge {
-                wake = Some(wake.map_or(head.horizon, |w| w.min(head.horizon)));
-            }
-        }
-        wake
     }
 }
 
@@ -1041,24 +1021,24 @@ impl MemorySubsystem for MemoryController {
     }
 
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        let first_edge = now.next_multiple_of(self.device.timing().cmd_cycle);
-        // Completions are collected the cycle `done` is reached.
-        let mut ev = (self.next_done != Cycle::MAX).then(|| self.next_done.max(now));
-        // A refresh drain acts on every command-bus edge; otherwise the
-        // next edge that can act is the issue edge, and the edges before it
-        // only repeat the same stall charges, which stay owed across a warp.
-        let issue = if self.refresh_pending {
-            Some(first_edge)
+        // The next bus edge that can act: every edge of a refresh drain;
+        // otherwise the issue edge (`Plan::pick_from`) or the refresh
+        // deadline, whichever comes first. Both are bus edges (horizons are
+        // edges, deadlines whole tREFI periods), so only an edge already
+        // passed needs rounding up to the first edge from `now`.
+        let edge = if self.refresh_pending {
+            0
         } else {
-            self.plan.next_issue_edge(first_edge)
+            self.plan.pick_from().min(self.device.refresh_deadline())
         };
-        ev = dg_sim::clock::earliest_event(ev, issue);
-        // Refresh maintenance wakes the controller even when fully idle:
-        // the first edge at or after the deadline (itself an edge: whole
-        // tREFI periods) flips `refresh_pending`.
-        let deadline = self.device.refresh_deadline();
-        debug_assert!(deadline.is_multiple_of(self.device.timing().cmd_cycle));
-        dg_sim::clock::earliest_event(ev, Some(deadline.max(first_edge)))
+        debug_assert!(edge == Cycle::MAX || edge.is_multiple_of(self.device.timing().cmd_cycle));
+        let edge = if edge < now {
+            now.next_multiple_of(self.device.timing().cmd_cycle)
+        } else {
+            edge
+        };
+        // Completions are collected the cycle `done` is reached.
+        Some(edge.min(self.next_done.max(now)))
     }
 
     /// Passes the skipped cycles of `[from, to)`: their stall charges join
@@ -1066,14 +1046,23 @@ impl MemorySubsystem for MemoryController {
     /// warped span), and their tFAW stalls are counted. Cycles already
     /// passed are skipped, so overlapping calls count each edge once.
     fn settle_warp(&mut self, from: Cycle, to: Cycle, _refused: &[MemRequest]) {
-        let cmd_cycle = self.device.timing().cmd_cycle;
-        let first = from.max(self.settled_until).next_multiple_of(cmd_cycle);
-        self.settled_until = self.settled_until.max(to);
-        if first >= to {
+        if to <= self.settled_until {
             return;
         }
-        debug_assert!(!self.refresh_pending, "warped across a refresh drain");
-        self.count_faw_stalls(first, to.next_multiple_of(cmd_cycle));
+        let from = from.max(self.settled_until);
+        self.settled_until = to;
+        let cmd_cycle = self.device.timing().cmd_cycle;
+        debug_assert!(
+            !self.refresh_pending || from.next_multiple_of(cmd_cycle) >= to,
+            "warped across a refresh drain"
+        );
+        if self.plan.faw_banks == 0 {
+            return;
+        }
+        let first = from.next_multiple_of(cmd_cycle);
+        if first < to {
+            self.count_faw_stalls(first, to.next_multiple_of(cmd_cycle));
+        }
     }
 
     fn stats(&self) -> &MemStats {
@@ -1477,11 +1466,20 @@ mod tests {
     fn event_driven_ticking_with_settlement_matches_every_cycle() {
         // The default clock ratio spaces command-bus edges several CPU
         // cycles apart, so settlement must count edges, not cycles.
+        //
+        // The controller wakes only on issue edges, completions and refresh
+        // edges, not where a bank head's command turns legal unpicked: owed
+        // stall charges cover that lapse. The pinned tick counts show the
+        // lapse edges gone where they exist — open-row conflicts the
+        // FR-FCFS pick must pass over, and FCFS heads behind the oldest
+        // (4,559 and 3,438 ticks with them) — while the responses, bank
+        // counters and interference still equal the every-cycle drive's.
+        // Closed-row FR-FCFS may pick every bank head, so it had none.
         let sends = stress_sends();
-        for (policy, row) in [
-            (SchedPolicy::FrFcfs, RowPolicy::Closed),
-            (SchedPolicy::FrFcfs, RowPolicy::Open),
-            (SchedPolicy::Fcfs, RowPolicy::Open),
+        for (policy, row, pinned_ticks) in [
+            (SchedPolicy::FrFcfs, RowPolicy::Closed, 3_094),
+            (SchedPolicy::FrFcfs, RowPolicy::Open, 4_469),
+            (SchedPolicy::Fcfs, RowPolicy::Open, 3_017),
         ] {
             let c = SystemConfig::two_core().with_row_policy(row);
             let horizon = STRESS_HORIZON;
@@ -1502,6 +1500,7 @@ mod tests {
                 ticks_evented * 4 < ticks_every,
                 "{what}: {ticks_evented} of {ticks_every} cycles ticked"
             );
+            assert_eq!(ticks_evented, pinned_ticks, "{what}: event-driven ticks");
             let report = every.interference_report();
             assert!(report.total_stall_cycles > 0, "{what}: stalls charged");
             if row == RowPolicy::Closed {

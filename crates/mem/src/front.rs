@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 
 use dg_obs::{InterferenceReport, ShaperReport, ShaperTimelineReport, Tracer};
-use dg_sim::clock::Cycle;
+use dg_sim::clock::{earliest_event, CachedEvent, Cycle};
 use dg_sim::types::{DomainId, MemRequest, MemResponse};
 
 use crate::stats::MemStats;
@@ -42,6 +42,12 @@ pub trait MemorySubsystem: Send {
     /// passive: it wakes only on external input. The default `Some(now)`
     /// ("always active") is conservative and disables cycle skipping for
     /// implementations that do not opt in.
+    ///
+    /// This is a no-op contract the engine caches on: every tick before `t`
+    /// does nothing, so the answer stays valid — and the engine keeps it
+    /// without asking again — until the subsystem accepts a request or is
+    /// ticked at or after `t`. A refused request and
+    /// [`settle_warp`](Self::settle_warp) must leave it unchanged.
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }
@@ -144,11 +150,12 @@ pub trait DomainShaper: Send {
     /// `None` means the shaper wakes only on external input. The default
     /// `Some(now)` is conservative and disables cycle skipping.
     ///
-    /// This is a no-op contract, not only a hint for the event engine: the
-    /// naive engine still ticks every cycle, and a tick before this cycle
-    /// (with no accept or response since it was read) must do nothing, so
-    /// implementations check it first and return at once — in O(1), since
-    /// the engine asks on every quiescence scan.
+    /// This is a no-op contract, not only a hint for the event engine: a
+    /// tick before this cycle (with no accept or response since it was
+    /// read) must do nothing. [`ShapedMemory`] relies on it under both
+    /// engines, ticking a shaper only when its kept answer is due or it
+    /// took input, and asking again after each such tick — so the answer
+    /// must be O(1).
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }
@@ -249,9 +256,16 @@ impl DomainShaper for PassThrough {
 /// A memory subsystem whose domains each pass through a [`DomainShaper`]
 /// before reaching the shared controller — the deployment shape of
 /// Figure 3/8.
+///
+/// It keeps each shaper's last `next_event_at` answer and ticks (then
+/// polls again) only the shapers that are due or took an accept or a
+/// response since their last tick: by the shaper no-op contract every
+/// other tick would do nothing.
 pub struct ShapedMemory<M: MemorySubsystem> {
     inner: M,
     shapers: Vec<Box<dyn DomainShaper>>,
+    /// Each shaper's last `next_event_at` answer.
+    events: Vec<CachedEvent>,
     /// Reusable per-tick buffer for controller completions (zero-alloc path).
     completions: Vec<MemResponse>,
     /// Reusable per-tick buffer for shaper emissions (zero-alloc path).
@@ -272,6 +286,7 @@ impl<M: MemorySubsystem> ShapedMemory<M> {
         }
         Self {
             inner,
+            events: vec![CachedEvent::STALE; shapers.len()],
             shapers,
             completions: Vec::new(),
             emissions: Vec::new(),
@@ -306,7 +321,9 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
             "no shaper for domain {}",
             req.domain
         );
-        self.shapers[idx].try_accept(req, now)
+        self.shapers[idx].try_accept(req, now)?;
+        self.events[idx].touch();
+        Ok(())
     }
 
     fn tick_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
@@ -318,6 +335,7 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
         for resp in completions.drain(..) {
             let idx = resp.domain.0 as usize;
             if idx < self.shapers.len() {
+                self.events[idx].touch();
                 if let Some(r) = self.shapers[idx].on_response(&resp, now) {
                     out.push(r);
                 }
@@ -326,14 +344,18 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
             }
         }
         self.completions = completions;
-        // 2. Let each shaper emit into the transaction queue as space allows.
-        //    Fixed iteration order keeps the simulation deterministic.
+        // 2. Let each due shaper emit into the transaction queue as space
+        //    allows. Fixed iteration order keeps the simulation
+        //    deterministic.
         let _prof = dg_prof::span("shaper");
         let mut emissions = std::mem::take(&mut self.emissions);
-        for s in &mut self.shapers {
+        for (s, event) in self.shapers.iter_mut().zip(&mut self.events) {
             let space = self.inner.free_slots();
             if space == 0 {
                 break;
+            }
+            if !event.due(now) {
+                continue;
             }
             emissions.clear();
             s.tick_into(now, space, &mut emissions);
@@ -343,6 +365,7 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
                     .try_send(req, now)
                     .expect("shaper exceeded advertised space");
             }
+            event.set(s.next_event_at(now + 1));
         }
         self.emissions = emissions;
     }
@@ -352,11 +375,16 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
         // shaper executors the same cycle) or any shaper wants to emit.
         // With the transaction queue full no shaper can emit, so their due
         // slots wait for the completion that frees a slot — a controller
-        // event.
+        // event. A shaper's kept answer stands unless it is stale.
         let mut ev = self.inner.next_event_at(now);
         if self.inner.free_slots() > 0 {
-            for s in &self.shapers {
-                ev = dg_sim::clock::earliest_event(ev, s.next_event_at(now));
+            for (s, event) in self.shapers.iter().zip(&self.events) {
+                let at = if event.stale(now) {
+                    s.next_event_at(now)
+                } else {
+                    event.at()
+                };
+                ev = earliest_event(ev, at);
             }
         }
         ev

@@ -5,7 +5,7 @@
 //! supervision chunk / per superstep), so publishing progress costs a few
 //! `fetch_max` instructions and no locks. The [`MonitorHub`] owns one slot
 //! per pool worker; the monitor thread samples the slots periodically,
-//! folds them into a monotonic [`TelemetrySnapshot`](crate::TelemetrySnapshot),
+//! folds them into a monotonic [`TelemetrySnapshot`],
 //! and runs the stall watchdog over the same stamps.
 //!
 //! The probe doubles as the watchdog's escalation path: `cancel(reason)`

@@ -28,12 +28,12 @@ pub struct EngineCounters {
     pub backoff_suppressed: u64,
     /// Largest backoff the failure streak reached.
     pub max_backoff: u64,
-    /// Quiescence scans run: each polls every component of `poll_labels`
-    /// once, so one count stands for every component's polls.
-    pub scans: u64,
-    /// The label of each component a scan polls (`next_event_at`), in scan
-    /// order, fixed when the engine is built. Components may share one.
+    /// The label of each component the engine polls (`next_event_at`), in
+    /// scan order, fixed when the engine is built. Components may share one.
     poll_labels: Vec<&'static str>,
+    /// Real `next_event_at` calls per component, indexed like
+    /// `poll_labels`.
+    poll_counts: Vec<u64>,
     /// Poll counts merged in from other engines, by label in first-seen
     /// order.
     merged_polls: Vec<(&'static str, u64)>,
@@ -43,8 +43,10 @@ impl EngineCounters {
     /// Counters for an engine whose quiescence scan polls components
     /// labelled `labels`, in that order.
     pub fn with_poll_labels(labels: impl IntoIterator<Item = &'static str>) -> Self {
+        let poll_labels: Vec<_> = labels.into_iter().collect();
         Self {
-            poll_labels: labels.into_iter().collect(),
+            poll_counts: vec![0; poll_labels.len()],
+            poll_labels,
             ..Self::default()
         }
     }
@@ -63,20 +65,28 @@ impl EngineCounters {
         self.warp_distance.record(distance);
     }
 
-    /// Records one quiescence scan, which polls every labelled component.
+    /// Records one real `next_event_at` call of component `i` (an index
+    /// into the labels the engine was built with).
     #[inline]
+    pub fn poll(&mut self, i: usize) {
+        self.poll_counts[i] += 1;
+    }
+
+    /// Records a scan that polls every labelled component once.
     pub fn scan(&mut self) {
-        self.scans += 1;
+        for count in &mut self.poll_counts {
+            *count += 1;
+        }
     }
 
     /// `next_event_at` poll counts per component label, in first-seen
-    /// order: this engine's labels in scan order (none before its first
-    /// scan), then labels only merged in.
+    /// order: this engine's polled labels in scan order, then labels only
+    /// merged in. A label never polled is left out.
     pub fn polls(&self) -> Vec<(&'static str, u64)> {
         let mut polls = Vec::new();
-        if self.scans > 0 {
-            for &label in &self.poll_labels {
-                add_polls(&mut polls, label, self.scans);
+        for (&label, &count) in self.poll_labels.iter().zip(&self.poll_counts) {
+            if count > 0 {
+                add_polls(&mut polls, label, count);
             }
         }
         for &(label, count) in &self.merged_polls {
@@ -143,7 +153,7 @@ fn add_polls(polls: &mut Vec<(&'static str, u64)>, label: &'static str, count: u
 pub struct ComponentPolls {
     /// Component name as used in the quiescence scan.
     pub component: String,
-    /// Number of polls over the run.
+    /// Real `next_event_at` calls over the run.
     pub count: u64,
 }
 
@@ -167,7 +177,7 @@ pub struct EngineTelemetry {
     pub backoff_suppressed: u64,
     /// Largest backoff reached.
     pub max_backoff: u64,
-    /// Per-component poll counts.
+    /// Per-component counts of real `next_event_at` calls.
     pub polls: Vec<ComponentPolls>,
 }
 

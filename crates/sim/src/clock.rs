@@ -106,6 +106,76 @@ pub fn earliest_event(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     }
 }
 
+/// A component's last `next_event_at` answer, kept until it may change.
+///
+/// Under the no-op contract of `next_event_at` (every tick before the
+/// answered cycle does nothing, absent input), an answer changes only when
+/// the component takes input — a request or a response, which the caller
+/// reports with [`touch`](Self::touch) — or is ticked on or after the
+/// answered cycle. An engine that ticks every cycle it does not warp over,
+/// and warps only up to the earliest answer, therefore needs to poll a
+/// component again only when its entry is [`stale`](Self::stale).
+///
+/// # Example
+///
+/// ```
+/// use dg_sim::clock::CachedEvent;
+///
+/// let mut e = CachedEvent::STALE;
+/// assert!(e.stale(0));
+/// e.set(Some(10));
+/// assert!(!e.stale(10) && e.due(10) && !e.due(9));
+/// assert!(e.stale(11)); // cycle 10 was ticked since the poll
+/// e.touch();
+/// assert!(e.stale(0));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CachedEvent {
+    at: Option<Cycle>,
+    fresh: bool,
+}
+
+impl CachedEvent {
+    /// An entry that must be polled before it is read.
+    pub const STALE: Self = Self {
+        at: None,
+        fresh: false,
+    };
+
+    /// The component took input: its answer must be polled again.
+    #[inline]
+    pub fn touch(&mut self) {
+        self.fresh = false;
+    }
+
+    /// Records a freshly polled answer.
+    #[inline]
+    pub fn set(&mut self, at: Option<Cycle>) {
+        *self = Self { at, fresh: true };
+    }
+
+    /// The recorded answer (meaningful while the entry is not stale).
+    #[inline]
+    pub fn at(&self) -> Option<Cycle> {
+        self.at
+    }
+
+    /// Whether the answer must be polled again before it is read at `now`:
+    /// the component took input since, or its answer lies before `now`, so
+    /// a tick it was due in has passed.
+    #[inline]
+    pub fn stale(&self, now: Cycle) -> bool {
+        !self.fresh || self.at.is_some_and(|t| t < now)
+    }
+
+    /// Whether a tick at `now` may do anything: the component took input
+    /// since its answer, or the answer is due.
+    #[inline]
+    pub fn due(&self, now: Cycle) -> bool {
+        !self.fresh || self.at.is_some_and(|t| t <= now)
+    }
+}
+
 /// Converts a bandwidth expressed in bytes per CPU cycle into GB/s for the
 /// paper's 2.4 GHz clock.
 ///

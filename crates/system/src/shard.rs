@@ -24,7 +24,7 @@ use dg_fault::SimFaultKind;
 use dg_mem::{ChannelMap, MemStats, MemorySubsystem};
 use dg_obs::{CoreReport, IntervalSample, IntervalSampler, Tracer};
 use dg_prof::EngineCounters;
-use dg_sim::clock::{earliest_event, Cycle};
+use dg_sim::clock::{earliest_event, CachedEvent, Cycle};
 use dg_sim::types::{MemRequest, MemResponse};
 
 use crate::msg::{SpscRing, StampedReq, StampedResp};
@@ -145,12 +145,15 @@ struct PortState {
 /// otherwise the NoC egress port, which stamps each accepted request with
 /// its delivery cycle and pushes it onto the shard's ring. The link window
 /// back-pressures the core through its ordinary `try_send`-retry path,
-/// identically for every shard count.
+/// identically for every shard count. An accepted request is input to the
+/// core and (at hop 0) to its channel: both calendar entries go stale.
 struct Port<'a> {
     direct: Option<&'a mut [ShardChannel]>,
     map: ChannelMap,
     ring: &'a SpscRing<StampedReq>,
     state: &'a mut PortState,
+    /// The core's calendar entry.
+    event: &'a mut CachedEvent,
     core: u32,
     deliver_at: Cycle,
     /// Placeholder statistics (cores never read them).
@@ -167,8 +170,13 @@ impl MemorySubsystem for Port<'_> {
             // A refusal hands back the global request, so the core's retry
             // path never observes local addresses.
             let r = ch.mem.try_send(local, now).map_err(|_| req);
-            if r.is_err() && state.refused.is_none() {
-                state.refused = Some(req);
+            match r {
+                Ok(()) => {
+                    ch.event.touch();
+                    self.event.touch();
+                }
+                Err(_) if state.refused.is_none() => state.refused = Some(req),
+                Err(_) => {}
             }
             return r;
         }
@@ -186,6 +194,7 @@ impl MemorySubsystem for Port<'_> {
         self.ring.push(stamped).map_err(|back| back.req)?;
         state.seq += 1;
         state.sent += 1;
+        self.event.touch();
         Ok(())
     }
 
@@ -213,10 +222,12 @@ impl MemorySubsystem for Port<'_> {
     }
 }
 
-/// A memory channel owned by a shard, with its NoC ingress queue (empty
-/// at hop 0).
+/// A memory channel owned by a shard, with its calendar entry and its NoC
+/// ingress queue (empty at hop 0).
 struct ShardChannel {
     mem: Box<dyn MemorySubsystem>,
+    /// The channel's last `next_event_at` answer.
+    event: CachedEvent,
     /// Requests awaiting delivery, sorted by `(deliver_at, core, seq)` —
     /// the router appends sorted, non-overlapping batches.
     ingress: VecDeque<StampedReq>,
@@ -231,6 +242,20 @@ struct ShardChannel {
 }
 
 impl ShardChannel {
+    /// The channel's next event from `now`, through its calendar entry:
+    /// polled (counted as poll `label`) only when stale.
+    fn next_event_at(
+        &mut self,
+        now: Cycle,
+        engine: &mut EngineCounters,
+        label: usize,
+    ) -> Option<Cycle> {
+        let mem = &self.mem;
+        calendar(&mut self.event, now, engine, label, || {
+            mem.next_event_at(now)
+        })
+    }
+
     /// When the NoC ingress next needs a tick: its head's delivery cycle,
     /// unless the channel refused that head.
     fn ingress_event(&self, now: Cycle) -> Option<Cycle> {
@@ -241,13 +266,48 @@ impl ShardChannel {
     }
 }
 
+/// `entry`'s answer at `now`, polled through `poll` — one real call,
+/// counted as poll `label` — only when stale ([`CachedEvent::stale`]). In
+/// debug builds a kept answer is checked against a fresh call: it may be
+/// earlier (the component then gets a tick that does nothing) but never
+/// later, or a warp would skip the component's event.
+#[inline]
+fn calendar(
+    entry: &mut CachedEvent,
+    now: Cycle,
+    engine: &mut EngineCounters,
+    label: usize,
+    poll: impl Fn() -> Option<Cycle>,
+) -> Option<Cycle> {
+    if entry.stale(now) {
+        engine.poll(label);
+        entry.set(poll());
+    } else {
+        debug_assert_eq!(
+            earliest_event(entry.at(), poll()),
+            entry.at(),
+            "kept next event of poll {label} is later than a fresh poll at {now}"
+        );
+    }
+    entry.at()
+}
+
 /// A partition element of a [`crate::System`].
+///
+/// Its quiescence scan reads an event calendar: each channel's and each
+/// core's last `next_event_at` answer, polled again only when stale —
+/// after the component took input (a request through a [`Port`] or NoC
+/// injection, or a response) or was due on a tick since. Ticks never pass
+/// an answer unseen (a warp stops at the earliest), so under the no-op
+/// contract of `next_event_at` a kept answer equals a fresh one.
 pub(crate) struct Shard {
     /// Global index of the first owned core (the partition is contiguous).
     core_base: usize,
     /// Global index of the first owned channel.
     chan_base: usize,
     cores: Vec<Box<dyn Core>>,
+    /// Each core's calendar entry.
+    core_events: Vec<CachedEvent>,
     ports: Vec<PortState>,
     /// One L3 shared by every core (hop 0) or one private slice per core.
     l3: Vec<SetAssocCache>,
@@ -308,12 +368,14 @@ impl Shard {
             core_base,
             chan_base,
             ports: cores.iter().map(|_| PortState::default()).collect(),
+            core_events: vec![CachedEvent::STALE; n_cores],
             cores,
             l3,
             channels: channels
                 .into_iter()
                 .map(|mem| ShardChannel {
                     mem,
+                    event: CachedEvent::STALE,
                     ingress: VecDeque::new(),
                     refused: None,
                     resp_seq: 0,
@@ -341,8 +403,16 @@ impl Shard {
         }
     }
 
+    /// Turns skipping on or off. (Re)enabling it marks every calendar
+    /// entry stale, so the first scan after it polls every component.
     pub(crate) fn set_event_skipping(&mut self, on: bool) {
         self.skip = on;
+        if on {
+            self.core_events.fill(CachedEvent::STALE);
+            for ch in &mut self.channels {
+                ch.event.touch();
+            }
+        }
     }
 
     pub(crate) fn inject_fault(&mut self, kind: SimFaultKind) {
@@ -458,8 +528,10 @@ impl Shard {
                 f.apply(now, &mut self.resp_buf);
             }
             for resp in &self.resp_buf {
-                if let Some(core) = self.cores.get_mut(resp.domain.0 as usize - self.core_base) {
+                let i = resp.domain.0 as usize - self.core_base;
+                if let Some(core) = self.cores.get_mut(i) {
                     core.on_response(resp, now);
+                    self.core_events[i].touch();
                 }
             }
         }
@@ -468,6 +540,7 @@ impl Shard {
             let Self {
                 core_base,
                 cores,
+                core_events,
                 ports,
                 l3,
                 channels,
@@ -477,13 +550,15 @@ impl Shard {
                 port_stats,
                 ..
             } = self;
-            for (i, (core, state)) in cores.iter_mut().zip(ports.iter_mut()).enumerate() {
+            let cores = cores.iter_mut().zip(core_events.iter_mut());
+            for (i, ((core, event), state)) in cores.zip(ports.iter_mut()).enumerate() {
                 state.refused = None;
                 let mut port = Port {
                     direct: (*noc == 0).then_some(&mut channels[..]),
                     map: *map,
                     ring: req_link,
                     state,
+                    event,
                     core: (*core_base + i) as u32,
                     deliver_at: now + *noc,
                     stats: port_stats,
@@ -518,7 +593,7 @@ impl Shard {
     /// this cycle's due responses into `resp_buf`.
     fn noc_exchange(&mut self, now: Cycle) {
         let map = self.map;
-        for ch in &mut self.channels {
+        for (c, ch) in self.channels.iter_mut().enumerate() {
             ch.refused = None;
             while let Some(front) = ch.ingress.front() {
                 if front.deliver_at > now {
@@ -530,11 +605,12 @@ impl Shard {
                     ch.refused = Some(req);
                     break;
                 }
+                ch.event.touch();
                 ch.ingress.pop_front();
             }
             // Injection precedes the tick, so a refused head can be taken
             // on the cycle after the channel acts: make it due again then.
-            if ch.refused.is_some() && ch.mem.next_event_at(now) == Some(now) {
+            if ch.refused.is_some() && ch.next_event_at(now, &mut self.engine, c) == Some(now) {
                 ch.refused = None;
             }
         }
@@ -588,11 +664,10 @@ impl Shard {
     #[inline]
     pub(crate) fn next_event(&mut self, now: Cycle, step_end: Cycle) -> Option<Cycle> {
         let _prof = dg_prof::span("quiescence_scan");
-        // The scan polls every component once, in its label order.
-        self.engine.scan();
         let mut ev: Option<Cycle> = None;
-        for ch in &self.channels {
-            ev = earliest_event(ev, ch.mem.next_event_at(now));
+        let engine = &mut self.engine;
+        for (c, ch) in self.channels.iter_mut().enumerate() {
+            ev = earliest_event(ev, ch.next_event_at(now, engine, c));
             ev = earliest_event(ev, ch.ingress_event(now));
         }
         if let Some(front) = self.resp_ingress.front() {
@@ -604,8 +679,11 @@ impl Shard {
         if self.ports.iter().any(|p| p.sent >= LINK_WINDOW) {
             ev = earliest_event(ev, Some(step_end));
         }
-        for core in &self.cores {
-            ev = earliest_event(ev, core.next_event_at(now));
+        // Core polls are labelled after the channels'.
+        let first = self.channels.len();
+        for (i, (core, event)) in self.cores.iter().zip(&mut self.core_events).enumerate() {
+            let at = calendar(event, now, engine, first + i, || core.next_event_at(now));
+            ev = earliest_event(ev, at);
         }
         if let Some(f) = &self.fault {
             ev = earliest_event(ev, f.next_event(now));
@@ -754,14 +832,20 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MemoryKind, SystemBuilder};
+    use dg_cpu::DagWorkload;
+    use dg_rdag::template::RdagTemplate;
+    use dg_sim::config::SystemConfig;
 
     #[test]
-    fn scans_count_polls_under_every_component_label() {
-        // One channel, then the cores.
+    fn polls_count_under_every_component_label() {
+        // One channel, then the cores; a component counts each real poll,
+        // and one never polled is left out.
         let mut hop0 = EngineCounters::with_poll_labels(poll_labels((0, 2), (0, 1)));
-        hop0.scan();
-        hop0.scan();
-        assert_eq!(hop0.polls(), vec![("chan0", 2), ("core0", 2), ("core1", 2)]);
+        hop0.poll(0);
+        hop0.poll(2);
+        hop0.poll(0);
+        assert_eq!(hop0.polls(), vec![("chan0", 2), ("core1", 1)]);
         // A shard past eight channels and cores: every component from
         // global index eight on is polled under its shared tail label.
         let labels = poll_labels((6, 5), (7, 3));
@@ -779,15 +863,17 @@ mod tests {
             ]
         );
         let mut noc = EngineCounters::with_poll_labels(labels);
-        for _ in 0..4 {
-            noc.scan();
+        for (i, n) in [4, 3, 5, 4, 1, 6, 0, 2].into_iter().enumerate() {
+            for _ in 0..n {
+                noc.poll(i);
+            }
         }
         let expected = [
             ("chan7", 4),
             ("chan8plus", 8),
             ("core6", 4),
-            ("core7", 4),
-            ("core8plus", 12),
+            ("core7", 1),
+            ("core8plus", 8),
         ];
         assert_eq!(noc.polls(), expected);
         // Merged into a report, the shards' labels keep first-seen order.
@@ -800,7 +886,6 @@ mod tests {
             names,
             [
                 "chan0",
-                "core0",
                 "core1",
                 "chan7",
                 "chan8plus",
@@ -809,5 +894,37 @@ mod tests {
                 "core8plus"
             ]
         );
+    }
+
+    #[test]
+    fn idle_dag_cores_are_polled_only_when_they_change() {
+        // Two DAG-chain cores with long gaps under DAGguise: the shaper
+        // wakes the channel for every rDAG slot, fakes included, while each
+        // core acts only at its chain's issue times and responses. The
+        // calendar polls a core only then, far less often than the channel.
+        let cfg = SystemConfig::two_core();
+        let mut sys = SystemBuilder::new(cfg)
+            .dag_core(DagWorkload::chain(20, 10_000, 64 * 131))
+            .dag_core(DagWorkload::chain(20, 10_000, 64 * 131))
+            .memory(MemoryKind::Dagguise {
+                protected: vec![Some(RdagTemplate::new(4, 100, 0.01)), None],
+            })
+            .build();
+        sys.run_until_finished(10_000_000)
+            .expect("the chains finish");
+        let polls = sys.report("idle").engine.polls;
+        let count = |label: &str| {
+            let p = polls.iter().find(|p| p.component == label);
+            p.map_or(0, |p| p.count)
+        };
+        let chan = count("chan0");
+        assert!(chan > 1_000, "the channel was polled {chan} times");
+        for core in ["core0", "core1"] {
+            let n = count(core);
+            assert!(
+                n > 0 && n * 100 <= chan,
+                "{core}: {n} polls, channel {chan}"
+            );
+        }
     }
 }

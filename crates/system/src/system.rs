@@ -1,6 +1,6 @@
 //! The simulated system: cores, caches and memory channels partitioned
-//! into shards of the one event engine ([`crate::shard`]), the drivers
-//! that advance them, and report assembly.
+//! into shards of the one event engine (the crate-private `shard`
+//! module), the drivers that advance them, and report assembly.
 //!
 //! # Topology
 //!
