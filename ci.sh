@@ -41,7 +41,7 @@ echo "=== docs (no rustdoc warnings) ==="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "=== config surface (DG_ variables read only in dg_mon::env) ==="
-# Every setting is a flag, a spec or config field, or one of the four
+# Every setting is a flag, a spec or config field, or one of the three
 # variables crates/mon/src/env.rs reads under one parse rule. A "DG_ name in
 # any other source file is a second config surface. Writes are allowed:
 # perfbench toggles DG_NO_SKIP between its runs.
@@ -98,16 +98,16 @@ echo "=== environment check (a bad DG_ value is a usage error) ==="
 # A set variable that does not parse must stop dg-run with exit 2 and a
 # message naming it, before any job runs: no journal, no report.
 rc=0
-DG_SHARD_PARTIES=0 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 \
+DG_NO_SKIP=2 "$DG_RUN" examples/smoke.toml --quiet --jobs 2 \
   --journal "$SMOKE_DIR/badenv.jsonl" --out "$SMOKE_DIR/badenv.json" \
   2> "$SMOKE_DIR/badenv.err" || rc=$?
 [ "$rc" -eq 2 ] \
-  || { echo "env: expected exit 2 for DG_SHARD_PARTIES=0, got $rc"; exit 1; }
-grep -q 'DG_SHARD_PARTIES' "$SMOKE_DIR/badenv.err" \
+  || { echo "env: expected exit 2 for DG_NO_SKIP=2, got $rc"; exit 1; }
+grep -q 'DG_NO_SKIP' "$SMOKE_DIR/badenv.err" \
   || { echo "env: the error does not name the variable"; exit 1; }
 [ ! -e "$SMOKE_DIR/badenv.jsonl" ] && [ ! -e "$SMOKE_DIR/badenv.json" ] \
   || { echo "env: jobs ran despite the bad value"; exit 1; }
-echo "env: DG_SHARD_PARTIES=0 refused with exit 2 before any job ran"
+echo "env: DG_NO_SKIP=2 refused with exit 2 before any job ran"
 
 echo "=== live telemetry (dg-run --live --events: no observer effect) ==="
 # The same sweep with the dashboard, the events stream, and an (ample)

@@ -7,11 +7,9 @@
 //! into real vs fake traffic, and reports the energy the suppression
 //! optimisation saves for defense rDAGs of increasing density.
 
-use dg_dram::power::PowerParams;
 use dg_rdag::template::RdagTemplate;
 use dg_runner::material::docdist_trace;
 use dg_sim::config::SystemConfig;
-use dg_sim::types::DomainId;
 use dg_system::{MemoryKind, SystemBuilder};
 use serde::Serialize;
 
@@ -30,7 +28,6 @@ fn main() {
     let args = dg_bench::parse_harness_args();
     let scale = args.scale;
     let cfg = SystemConfig::two_core();
-    let p = PowerParams::default();
     let victim = docdist_trace(&scale, 0);
 
     let mut rows = Vec::new();
@@ -45,12 +42,12 @@ fn main() {
             .build();
         sys.run_until_core_finished(0, scale.budget)
             .expect("victim finishes");
-        let stats = sys.memory().stats();
-        let e = stats.energy;
-        let d0 = stats.domain(DomainId(0));
-        let unsuppressed = e.total_unsuppressed_nj(&p);
-        let savings = if unsuppressed > 0.0 {
-            100.0 * e.suppression_savings_nj(&p) / unsuppressed
+        let report = sys.report("energy_model");
+        let e = &report.dram.energy;
+        let d0 = &report.domains[0];
+        // Suppression saves exactly the fakes' access energy.
+        let savings = if e.total_unsuppressed_nj > 0.0 {
+            100.0 * e.fake_nj / e.total_unsuppressed_nj
         } else {
             0.0
         };
@@ -58,8 +55,8 @@ fn main() {
             format!("{seqs}x{weight}"),
             (d0.reads + d0.writes).to_string(),
             d0.fakes.to_string(),
-            format!("{:.0}", e.real_nj(&p)),
-            format!("{:.0}", e.fake_nj(&p)),
+            format!("{:.0}", e.real_nj),
+            format!("{:.0}", e.fake_nj),
             format!("{savings:.1}%"),
         ]);
         data.push(EnergyRow {
@@ -67,8 +64,8 @@ fn main() {
             weight,
             real_accesses: d0.reads + d0.writes,
             fake_accesses: d0.fakes,
-            real_nj: e.real_nj(&p),
-            fake_nj: e.fake_nj(&p),
+            real_nj: e.real_nj,
+            fake_nj: e.fake_nj,
             suppression_savings_pct: savings,
         });
     }

@@ -389,9 +389,9 @@ fn main() {
             name, mc, single_spm, sharded_spm, speedup
         );
         // The "fast" side runs one worker thread per shard, capped by the
-        // host (DG_SHARD_PARTIES-style effective parallelism): the thread
-        // count that actually drove the measurement, recorded so trend
-        // analytics never compare runs taken at different widths.
+        // host's parallelism: the thread count that actually drove the
+        // measurement, recorded so trend analytics never compare runs taken
+        // at different widths.
         let threads = std::thread::available_parallelism()
             .map_or(1, |n| n.get())
             .min(SCALE64_SHARDS);

@@ -289,6 +289,19 @@ impl FaultSink {
     }
 }
 
+/// Truncates an append-only JSONL file to its valid prefix — everything
+/// up to the last well-formed line — and syncs the truncation to disk.
+/// A torn tail left in place would sit mid-file once appending resumes.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn truncate_torn_tail(path: &Path, valid_len: u64) -> io::Result<()> {
+    let file = OpenOptions::new().write(true).open(path)?;
+    file.set_len(valid_len)?;
+    file.sync_data()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,7 +32,7 @@ pub mod plan;
 pub mod retry;
 pub mod sim;
 
-pub use io::{FaultSink, IoPlan};
+pub use io::{truncate_torn_tail, FaultSink, IoPlan};
 pub use plan::{IoFault, IoFaultKind, IoStream};
 pub use retry::{is_transient, retry_io, RetryPolicy};
 pub use sim::{draw_sim_fault, hold_frozen_clock, SimFault, SimFaultKind, FREEZE_CAP};

@@ -1,8 +1,8 @@
-//! The four environment variables the simulator reads; every other setting
-//! is a command-line flag or a spec/config field. DESIGN.md
+//! The three environment variables the simulator reads; every other
+//! setting is a command-line flag or a spec/config field. DESIGN.md
 //! ("Configuration surface") tabulates them.
 //!
-//! One rule covers all four: unset or empty means the default, and a set
+//! One rule covers all three: unset or empty means the default, and a set
 //! value that does not parse is an error naming the variable. Binaries
 //! call [`check`] before any work and exit with a usage error; the readers
 //! panic with the same message when a library caller skipped that check.
@@ -13,8 +13,6 @@ use crate::log::Level;
 
 /// `1` forces the naive per-cycle engine, `0` keeps the event engine.
 const NO_SKIP: &str = "DG_NO_SKIP";
-/// Positive cap on a sharded system's worker threads.
-const SHARD_PARTIES: &str = "DG_SHARD_PARTIES";
 /// Threshold of the leveled log facade.
 const LOG: &str = "DG_LOG";
 /// Job-id substring: the matching job holds its simulated clock until a
@@ -46,13 +44,6 @@ fn parse_no_skip(raw: Option<&str>) -> Result<bool, String> {
     Ok(on.unwrap_or(false))
 }
 
-/// `DG_SHARD_PARTIES`: the worker-thread cap, `None` for no cap.
-fn parse_shard_parties(raw: Option<&str>) -> Result<Option<usize>, String> {
-    parse(SHARD_PARTIES, "a positive integer", raw, |v| {
-        v.parse().ok().filter(|&n| n >= 1)
-    })
-}
-
 /// `DG_LOG`: the log threshold, `info` by default.
 fn parse_log(raw: Option<&str>) -> Result<Level, String> {
     let level = parse(LOG, "one of error, warn, info, debug", raw, Level::parse)?;
@@ -75,10 +66,9 @@ fn read<T>(var: &str, parse: fn(Option<&str>) -> Result<T, String>) -> Result<T,
     )
 }
 
-/// Validates all four variables; binaries call this before any work.
+/// Validates all three variables; binaries call this before any work.
 pub fn check() -> Result<(), String> {
     read(NO_SKIP, parse_no_skip)?;
-    read(SHARD_PARTIES, parse_shard_parties)?;
     read(LOG, parse_log)?;
     read(MON_TEST_STALL, parse_test_stall)?;
     Ok(())
@@ -87,11 +77,6 @@ pub fn check() -> Result<(), String> {
 /// The current `DG_NO_SKIP`; panics when it does not parse.
 pub fn no_skip() -> bool {
     read(NO_SKIP, parse_no_skip).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The current `DG_SHARD_PARTIES`; panics when it does not parse.
-pub fn shard_parties() -> Option<usize> {
-    read(SHARD_PARTIES, parse_shard_parties).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The current `DG_LOG`; panics when it does not parse.
@@ -118,18 +103,6 @@ mod tests {
         for bad in ["true", "2", "yes"] {
             let want = format!("DG_NO_SKIP must be 0 or 1, got {bad:?}");
             assert_eq!(parse_no_skip(Some(bad)), Err(want));
-        }
-    }
-
-    #[test]
-    fn shard_parties_is_an_optional_positive_count() {
-        assert_eq!(parse_shard_parties(None), Ok(None));
-        assert_eq!(parse_shard_parties(Some("")), Ok(None));
-        assert_eq!(parse_shard_parties(Some("1")), Ok(Some(1)));
-        assert_eq!(parse_shard_parties(Some(" 3 ")), Ok(Some(3)));
-        for bad in ["0", "-1", "two", "1.5"] {
-            let want = format!("DG_SHARD_PARTIES must be a positive integer, got {bad:?}");
-            assert_eq!(parse_shard_parties(Some(bad)), Err(want));
         }
     }
 

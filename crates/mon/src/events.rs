@@ -9,8 +9,8 @@
 //! journal the stream is observability, not recovery state, so appends
 //! flush but do not fsync.
 
-use dg_fault::{retry_io, FaultSink, IoPlan, IoStream, RetryPolicy};
-use std::fs::{File, OpenOptions};
+use dg_fault::{retry_io, truncate_torn_tail, FaultSink, IoPlan, IoStream, RetryPolicy};
+use std::fs::File;
 use std::io::{self, Read};
 use std::path::Path;
 
@@ -78,13 +78,6 @@ pub fn scan_events(path: &Path) -> io::Result<EventsScan> {
     })
 }
 
-/// Truncates an events file to its valid prefix, dropping a damaged tail.
-pub fn truncate_events(path: &Path, valid_len: u64) -> io::Result<()> {
-    let f = OpenOptions::new().write(true).open(path)?;
-    f.set_len(valid_len)?;
-    f.sync_data()
-}
-
 /// Appends snapshots to an events file, stamping each with the next
 /// sequence number.
 ///
@@ -113,7 +106,7 @@ impl EventsWriter {
         let next_seq = if resume && path.exists() {
             let scan = scan_events(path)?;
             if scan.dropped_partial_tail {
-                truncate_events(path, scan.valid_len)?;
+                truncate_torn_tail(path, scan.valid_len)?;
                 repaired_tail = true;
             }
             scan.last_seq + 1

@@ -26,9 +26,9 @@
 //! * [`log_error!`]/[`log_warn!`]/[`log_info!`]/[`log_debug!`] — the
 //!   leveled structured-log facade (`DG_LOG`) that shares a stderr gate
 //!   with the dashboard so diagnostics never shear the live region.
-//! * [`env`](mod@env) — the four environment variables the simulator reads
-//!   (`DG_NO_SKIP`, `DG_SHARD_PARTIES`, `DG_LOG`, `DG_MON_TEST_STALL`),
-//!   parsed under one rule.
+//! * [`env`](mod@env) — the three environment variables the simulator
+//!   reads (`DG_NO_SKIP`, `DG_LOG`, `DG_MON_TEST_STALL`), parsed under one
+//!   rule.
 //!
 //! The cardinal rule is **no observer effect**: monitoring may change
 //! wall-clock timing but never simulation results — merged reports are
@@ -47,7 +47,7 @@ pub mod trend;
 
 pub use config::MonitorConfig;
 pub use dashboard::Dashboard;
-pub use events::{scan_events, truncate_events, EventsScan, EventsWriter};
+pub use events::{scan_events, EventsScan, EventsWriter};
 pub use heartbeat::{JobState, MonitorHub, ProgressProbe};
 pub use telemetry::{GroupProgress, TelemetrySnapshot, WorkerSnapshot};
 pub use trend::{analyze_document, TrendOptions, TrendReport, TrendRow, Verdict};

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dg-run spec.toml [--jobs N] [--journal PATH] [--resume PATH]
-//!                  [--retries N] [--backoff-ms N] [--escalation N]
+//!                  [--retries N] [--escalation N]
 //!                  [--timeout-s N] [--out PATH] [--leak PATH]
 //!                  [--profile PATH] [--shards N] [--live] [--events PATH]
 //!                  [--stall-s N] [--retry-stalled] [--max-failures N]
@@ -118,7 +118,7 @@ fn usage() -> ! {
     // interactive contract of the binary, not a diagnostic.
     eprintln!(
         "usage: dg-run <spec.toml|spec.json> [--jobs N] [--journal PATH] [--resume PATH]\n\
-         \x20              [--retries N] [--backoff-ms N] [--escalation N] [--timeout-s N]\n\
+         \x20              [--retries N] [--escalation N] [--timeout-s N]\n\
          \x20              [--out PATH] [--leak PATH] [--profile PATH] [--shards N]\n\
          \x20              [--live] [--events PATH] [--stall-s N] [--retry-stalled]\n\
          \x20              [--max-failures N] [--only PAT] [--fault-seed N]\n\
@@ -164,10 +164,6 @@ fn parse_args() -> Args {
             "--resume" => cfg.resume = Some(PathBuf::from(value("--resume"))),
             "--retries" => match value("--retries").parse() {
                 Ok(n) => cfg.retries = n,
-                Err(_) => usage(),
-            },
-            "--backoff-ms" => match value("--backoff-ms").parse() {
-                Ok(ms) => cfg.backoff = Duration::from_millis(ms),
                 Err(_) => usage(),
             },
             "--escalation" => match value("--escalation").parse() {

@@ -11,7 +11,7 @@
 use crate::job::JobRecord;
 use dg_fault::{retry_io, FaultSink, IoPlan, IoStream, RetryPolicy};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, Read};
 use std::path::Path;
 
@@ -135,21 +135,10 @@ pub struct JournalReplay<R> {
     pub dropped_partial_tail: bool,
     /// Byte length of the valid prefix — everything up to and including
     /// the last well-formed line. When a partial tail was dropped, the
-    /// file must be truncated to this length before appending, or the
-    /// half-written line would end up mid-file and poison the next resume.
+    /// file must be truncated to this length ([`dg_fault::truncate_torn_tail`])
+    /// before appending, or the half-written line would end up mid-file and
+    /// poison the next resume.
     pub valid_len: u64,
-}
-
-/// Truncates a journal to its valid prefix (see
-/// [`JournalReplay::valid_len`]) and syncs the truncation to disk.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn truncate_journal(path: &Path, valid_len: u64) -> io::Result<()> {
-    let file = OpenOptions::new().write(true).open(path)?;
-    file.set_len(valid_len)?;
-    file.sync_data()
 }
 
 /// Replays a journal file written by [`JournalWriter`].
@@ -261,7 +250,7 @@ mod tests {
         assert!(replay.dropped_partial_tail);
 
         // Repairing to the valid prefix makes the file appendable again.
-        truncate_journal(&path, replay.valid_len).unwrap();
+        dg_fault::truncate_torn_tail(&path, replay.valid_len).unwrap();
         let mut w = JournalWriter::open_append(&path).unwrap();
         w.append(&entry("b", 2)).unwrap();
         drop(w);
@@ -301,7 +290,7 @@ mod tests {
             assert_eq!(replay.valid_len, 0, "{name}");
             // The "repair" degenerates to truncating to zero — and the
             // file stays appendable.
-            truncate_journal(&path, replay.valid_len).unwrap();
+            dg_fault::truncate_torn_tail(&path, replay.valid_len).unwrap();
             let mut w = JournalWriter::open_append(&path).unwrap();
             w.append(&entry("a", 1)).unwrap();
             drop(w);

@@ -41,8 +41,6 @@ pub struct RunnerConfig {
     pub jobs: usize,
     /// Extra attempts granted to jobs that hit [`SimError::Deadline`].
     pub retries: u32,
-    /// Base sleep before a retry; doubles per attempt.
-    pub backoff: Duration,
     /// Cycle-budget multiplier applied per retry attempt.
     pub escalation: u64,
     /// Optional per-attempt wall-clock timeout. Cooperative: executors
@@ -85,7 +83,6 @@ impl Default for RunnerConfig {
         Self {
             jobs: effective_jobs(None),
             retries: 2,
-            backoff: Duration::from_millis(50),
             escalation: 2,
             timeout: None,
             journal: None,
@@ -294,7 +291,7 @@ where
             // Cut the half-written line off before we append to this file
             // again; left in place it would sit mid-file and poison the
             // next resume.
-            crate::journal::truncate_journal(path, replay.valid_len)?;
+            dg_fault::truncate_torn_tail(path, replay.valid_len)?;
         }
         for entry in replay.entries {
             resumed.insert(entry.id.clone(), entry);
@@ -369,7 +366,6 @@ where
                         );
                     }
                     hub.job_retrying(worker);
-                    std::thread::sleep(cfg.backoff * 2u32.saturating_pow(attempt).min(1 << 10));
                     attempt += 1;
                 }
                 Ok(Err(e)) => {
@@ -773,7 +769,6 @@ mod tests {
     fn quiet() -> RunnerConfig {
         RunnerConfig {
             verbose: false,
-            backoff: Duration::from_millis(1),
             ..RunnerConfig::default()
         }
     }

@@ -39,7 +39,6 @@ fn quiet() -> RunnerConfig {
     RunnerConfig {
         jobs: 2,
         verbose: false,
-        backoff: Duration::from_millis(1),
         ..RunnerConfig::default()
     }
 }

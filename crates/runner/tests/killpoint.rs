@@ -47,7 +47,6 @@ fn quiet() -> RunnerConfig {
     RunnerConfig {
         jobs: 2,
         verbose: false,
-        backoff: Duration::from_millis(1),
         ..RunnerConfig::default()
     }
 }

@@ -33,7 +33,6 @@ fn quiet(jobs: usize) -> RunnerConfig {
     RunnerConfig {
         jobs,
         verbose: false,
-        backoff: Duration::from_millis(1),
         ..RunnerConfig::default()
     }
 }

@@ -7,7 +7,6 @@ use dg_runner::{
     ExperimentSpec, RunnerConfig,
 };
 use std::path::PathBuf;
-use std::time::Duration;
 
 const SPEC: &str = r#"
 name = "it"
@@ -33,7 +32,6 @@ fn quiet(jobs: usize) -> RunnerConfig {
     RunnerConfig {
         jobs,
         verbose: false,
-        backoff: Duration::from_millis(1),
         ..RunnerConfig::default()
     }
 }

@@ -34,6 +34,8 @@
 //! assert!(end > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod barrier;
 pub mod builder;
 pub mod experiment;

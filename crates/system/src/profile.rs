@@ -10,7 +10,6 @@ use dg_rdag::template::RdagTemplate;
 use dg_sim::clock::Cycle;
 use dg_sim::config::SystemConfig;
 use dg_sim::error::SimError;
-use dg_sim::types::DomainId;
 use serde::{Deserialize, Serialize};
 
 use crate::builder::{MemoryKind, SystemBuilder};
@@ -51,14 +50,9 @@ pub fn profile_victim(
         })
         .build();
     sys.run_until_core_finished(0, budget)?;
-    let end = sys.cores()[0].finished_at().expect("finished").max(1);
-    let ipc = sys.cores()[0].instructions_retired() as f64 / end as f64;
-    let allocated_gbps = sys
-        .memory()
-        .stats()
-        .domain(DomainId(0))
-        .bandwidth
-        .gbps(cfg.core.clock_hz);
+    let report = sys.report("profile");
+    let ipc = report.cores[0].ipc;
+    let allocated_gbps = report.domains[0].bandwidth_gbps;
     Ok(ProfilePoint {
         template,
         ipc,
@@ -86,8 +80,7 @@ pub fn baseline_alone(
         .memory(MemoryKind::Insecure)
         .build();
     sys.run_until_core_finished(0, budget)?;
-    let end = sys.cores()[0].finished_at().expect("finished").max(1);
-    Ok(sys.cores()[0].instructions_retired() as f64 / end as f64)
+    Ok(sys.report("baseline").cores[0].ipc)
 }
 
 /// Selects a cost-effective defense rDAG from sweep results: the highest

@@ -10,11 +10,11 @@
 //! its channel, refused the same cycle, completions reach their cores the
 //! cycle they complete, and all cores share one L3. At `L ≥ 1` every
 //! core↔channel message — including one between a core and a channel in
-//! the *same* shard — takes the hop: requests leave through the shard's
-//! bounded SPSC egress ring, responses through its response outbox, and
-//! the coordinator routes both at the next barrier; each core has a private
-//! L3 slice. Keeping the logical topology independent of the partitioning
-//! is what makes an `S`-shard run byte-identical to the single-shard one.
+//! the *same* shard — takes the hop: requests and responses leave through
+//! the shard's two outboxes, which the coordinator drains and routes at
+//! the next barrier; each core has a private L3 slice. Keeping the logical
+//! topology independent of the partitioning is what makes an `S`-shard run
+//! byte-identical to the single-shard one.
 
 use std::collections::VecDeque;
 
@@ -27,12 +27,7 @@ use dg_prof::EngineCounters;
 use dg_sim::clock::{earliest_event, CachedEvent, Cycle};
 use dg_sim::types::{MemRequest, MemResponse};
 
-use crate::msg::{SpscRing, StampedReq, StampedResp};
-
-/// Per-core requests admitted onto the NoC per superstep. Far above any
-/// core's outstanding-miss limit, so it never binds; it gives the egress
-/// ring a provable capacity bound.
-const LINK_WINDOW: u64 = 256;
+use crate::msg::{StampedReq, StampedResp};
 
 /// Static poll labels for the quiescence scan; global indices from eight
 /// on share a tail label.
@@ -131,8 +126,6 @@ impl FaultState {
 struct PortState {
     /// Next request sequence number (stamps the NoC total order).
     seq: u64,
-    /// Requests issued in the current superstep, against the link window.
-    sent: u64,
     /// At hop 0, the first request a channel refused during the core's
     /// last tick, in global form. By the [`Core`] contract it is offered
     /// again on every later tick until accepted, which is what a warp
@@ -142,15 +135,14 @@ struct PortState {
 
 /// The memory path as one core sees it during its tick: at hop 0 a direct
 /// call into the request's channel (the one shard owns every channel),
-/// otherwise the NoC egress port, which stamps each accepted request with
-/// its delivery cycle and pushes it onto the shard's ring. The link window
-/// back-pressures the core through its ordinary `try_send`-retry path,
-/// identically for every shard count. An accepted request is input to the
-/// core and (at hop 0) to its channel: both calendar entries go stale.
+/// otherwise the NoC egress port, which stamps each request with its
+/// delivery cycle and appends it to the shard's request outbox; the NoC
+/// link never refuses. An accepted request is input to the core and (at
+/// hop 0) to its channel: both calendar entries go stale.
 struct Port<'a> {
     direct: Option<&'a mut [ShardChannel]>,
     map: ChannelMap,
-    ring: &'a SpscRing<StampedReq>,
+    outbox: &'a mut Vec<StampedReq>,
     state: &'a mut PortState,
     /// The core's calendar entry.
     event: &'a mut CachedEvent,
@@ -180,20 +172,13 @@ impl MemorySubsystem for Port<'_> {
             }
             return r;
         }
-        if state.sent >= LINK_WINDOW {
-            return Err(req);
-        }
-        let stamped = StampedReq {
+        self.outbox.push(StampedReq {
             deliver_at: self.deliver_at,
             core: self.core,
             seq: state.seq,
             req,
-        };
-        // A full ring is unreachable by construction (its capacity covers
-        // every core's window), but back-pressure is the safe answer.
-        self.ring.push(stamped).map_err(|back| back.req)?;
+        });
         state.seq += 1;
-        state.sent += 1;
         self.event.touch();
         Ok(())
     }
@@ -217,7 +202,8 @@ impl MemorySubsystem for Port<'_> {
                 .map(|ch| ch.mem.free_slots())
                 .min()
                 .unwrap_or(0),
-            None => (LINK_WINDOW - self.state.sent) as usize,
+            // The NoC link is unbounded.
+            None => usize::MAX,
         }
     }
 }
@@ -315,10 +301,9 @@ pub(crate) struct Shard {
     /// Responses awaiting delivery to owned cores, sorted by
     /// `(deliver_at, channel, seq)`.
     resp_ingress: VecDeque<StampedResp>,
-    /// Bounded egress link toward the router (requests).
-    req_link: SpscRing<StampedReq>,
-    /// Egress outbox toward the router (responses; the response network is
-    /// modeled with guaranteed delivery, see DESIGN.md).
+    /// Egress outboxes toward the router, drained at every barrier (the
+    /// NoC is modeled with guaranteed delivery, see DESIGN.md).
+    req_out: Vec<StampedReq>,
     resp_out: Vec<StampedResp>,
     map: ChannelMap,
     /// NoC hop latency `L` in CPU cycles (also the superstep width).
@@ -359,11 +344,6 @@ impl Shard {
         skip: bool,
     ) -> Self {
         let (n_cores, n_chans) = (cores.len(), channels.len());
-        let ring_capacity = if noc == 0 {
-            0
-        } else {
-            cores.len() as u64 * LINK_WINDOW
-        };
         Self {
             core_base,
             chan_base,
@@ -382,7 +362,7 @@ impl Shard {
                 })
                 .collect(),
             resp_ingress: VecDeque::new(),
-            req_link: SpscRing::new(ring_capacity as usize),
+            req_out: Vec::new(),
             resp_out: Vec::new(),
             map,
             noc,
@@ -441,22 +421,9 @@ impl Shard {
         }
     }
 
-    pub(crate) fn cores(&self) -> &[Box<dyn Core>] {
-        &self.cores
-    }
-
     /// The owned core with global index `gidx`.
     pub(crate) fn core(&self, gidx: usize) -> &dyn Core {
         self.cores[gidx - self.core_base].as_ref()
-    }
-
-    /// The memory path of a direct-wired (hop 0) one-channel shard.
-    pub(crate) fn memory(&self) -> &dyn MemorySubsystem {
-        assert!(
-            self.noc == 0 && self.channels.len() == 1,
-            "only a direct-wired one-channel system has one memory path"
-        );
-        self.channels[0].mem.as_ref()
     }
 
     /// The stop condition's value, if it holds (for the owned cores).
@@ -502,9 +469,6 @@ impl Shard {
             end - start <= self.noc,
             "superstep wider than the lookahead"
         );
-        for p in &mut self.ports {
-            p.sent = 0;
-        }
         self.run(&mut { start }, end, &StopWhen::Never);
     }
 
@@ -544,7 +508,7 @@ impl Shard {
                 ports,
                 l3,
                 channels,
-                req_link,
+                req_out,
                 map,
                 noc,
                 port_stats,
@@ -556,7 +520,7 @@ impl Shard {
                 let mut port = Port {
                     direct: (*noc == 0).then_some(&mut channels[..]),
                     map: *map,
-                    ring: req_link,
+                    outbox: req_out,
                     state,
                     event,
                     core: (*core_base + i) as u32,
@@ -659,10 +623,9 @@ impl Shard {
     /// The earliest cycle from `now` at which anything owned can act —
     /// the channels, their NoC ingress, due responses, the cores, and the
     /// armed fault's boundaries — or `None` when everything is passive
-    /// until further input. At hop 0 the NoC queues stay empty and no
-    /// link window is ever used.
+    /// until further input. At hop 0 the NoC queues stay empty.
     #[inline]
-    pub(crate) fn next_event(&mut self, now: Cycle, step_end: Cycle) -> Option<Cycle> {
+    pub(crate) fn next_event(&mut self, now: Cycle) -> Option<Cycle> {
         let _prof = dg_prof::span("quiescence_scan");
         let mut ev: Option<Cycle> = None;
         let engine = &mut self.engine;
@@ -672,12 +635,6 @@ impl Shard {
         }
         if let Some(front) = self.resp_ingress.front() {
             ev = earliest_event(ev, Some(front.deliver_at));
-        }
-        // A core that used up its link window may be parked on a refusal
-        // only the next superstep lifts (the window resets at its start),
-        // not a memory event: it wakes at `step_end`.
-        if self.ports.iter().any(|p| p.sent >= LINK_WINDOW) {
-            ev = earliest_event(ev, Some(step_end));
         }
         // Core polls are labelled after the channels'.
         let first = self.channels.len();
@@ -700,7 +657,7 @@ impl Shard {
             self.engine.backoff_suppressed += 1;
             return now;
         }
-        let target = self.next_event(now, end).map_or(end, |t| t.min(end));
+        let target = self.next_event(now).map_or(end, |t| t.min(end));
         if target > now {
             self.engine.warp(target - now);
             self.warp_fail_streak = 0;
@@ -770,9 +727,7 @@ impl Shard {
         reqs: &mut Vec<StampedReq>,
         resps: &mut Vec<StampedResp>,
     ) {
-        while let Some(sr) = self.req_link.pop() {
-            reqs.push(sr);
-        }
+        reqs.append(&mut self.req_out);
         resps.append(&mut self.resp_out);
     }
 

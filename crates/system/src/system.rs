@@ -25,9 +25,11 @@
 //! superstep's start — skipping globally quiescent spans entirely.
 //!
 //! With more than one worker thread, workers and the coordinator meet at
-//! two spin barriers per superstep (release → execute → join); shard slots
-//! are uncontended mutexes, and a panicking worker raises a flag instead
-//! of hanging the barrier. A single-threaded run needs no threads at all.
+//! two spin barriers per superstep (release → execute → join). The barrier
+//! is the only synchronization: a worker fills its shard's outboxes under
+//! the shard's (uncontended) mutex and the coordinator drains them under
+//! it after the join, and a panicking worker raises a flag instead of
+//! hanging the barrier. A single-threaded run needs no threads at all.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,8 +72,7 @@ pub struct ShardConfig {
     /// Upper bound on worker threads (`None` = one per host CPU, capped at
     /// the shard count). Results are identical for every value; forcing 1
     /// gives the single-threaded reference for self-relative speedup
-    /// measurements. `DG_SHARD_PARTIES`, read when a system is built,
-    /// overrides it.
+    /// measurements.
     pub max_parties: Option<usize>,
 }
 
@@ -227,8 +228,8 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if [`ShardConfig::check`] rejects `scfg`, or `DG_NO_SKIP` or
-    /// `DG_SHARD_PARTIES` does not parse ([`dg_mon::env`]).
+    /// Panics if [`ShardConfig::check`] rejects `scfg`, or `DG_NO_SKIP`
+    /// does not parse ([`dg_mon::env`]).
     pub(crate) fn new(
         mut cfg: SystemConfig,
         scfg: ShardConfig,
@@ -288,10 +289,7 @@ impl System {
                 skip,
             ))));
         }
-        let cap = dg_mon::env::shard_parties()
-            .or(scfg.max_parties)
-            .unwrap_or(usize::MAX)
-            .min(s);
+        let cap = scfg.max_parties.unwrap_or(usize::MAX).min(s);
         // Probing the host costs a measurable share of building a small
         // system, so it is skipped when one worker is all a run can use.
         let parties = match cap {
@@ -394,32 +392,6 @@ impl System {
     /// barrier.
     pub fn set_progress_probe(&mut self, probe: ProgressProbe) {
         self.progress = Some(probe);
-    }
-
-    /// The cores (for result extraction).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a multi-shard system.
-    pub fn cores(&mut self) -> &[Box<dyn Core>] {
-        self.single().cores()
-    }
-
-    /// The memory path (for statistics).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the cores are wired straight to it (`noc_latency` 0)
-    /// and it has one channel.
-    pub fn memory(&mut self) -> &dyn MemorySubsystem {
-        self.single().memory()
-    }
-
-    /// IPC of core `i` as of now.
-    pub fn ipc(&self, i: usize) -> f64 {
-        lock(&self.shards[self.router.core_home[i]])
-            .core(i)
-            .ipc_at(self.now)
     }
 
     /// Whether core `domain` has finished.
@@ -610,9 +582,9 @@ impl System {
                 // Global quiescence skip: the next superstep starts at the
                 // earliest event any shard promises (all in-flight messages
                 // are routed, so their delivery cycles are included).
-                let hint = shards.iter().fold(None, |ev, m| {
-                    earliest_event(ev, lock(m).next_event(end, end))
-                });
+                let hint = shards
+                    .iter()
+                    .fold(None, |ev, m| earliest_event(ev, lock(m).next_event(end)));
                 *now = hint.map_or(limit, |t| t.min(limit));
                 if *now > end {
                     shards.iter().for_each(|m| lock(m).settle_warp(end, *now));
@@ -825,12 +797,11 @@ mod tests {
             .build();
         let end = sys.run_until_finished(10_000_000).unwrap();
         assert!(end > 0);
-        assert!(sys.ipc(0) > 0.0);
-        assert!(sys.ipc(1) > 0.0);
+        let report = sys.report("two_core");
+        assert!(report.cores.iter().all(|c| c.ipc > 0.0));
         // Both cores' misses reached DRAM.
-        let s = sys.memory().stats();
-        assert!(s.domain(dg_sim::types::DomainId(0)).reads >= 200);
-        assert!(s.domain(dg_sim::types::DomainId(1)).reads >= 200);
+        assert!(report.domains[0].reads >= 200);
+        assert!(report.domains[1].reads >= 200);
     }
 
     #[test]
@@ -1041,6 +1012,46 @@ mod tests {
             .collect();
         assert_eq!(reads, [8, 100]);
         assert_eq!(report.domains[0].reads, 108);
+    }
+
+    /// More requests than any core's miss limit leave one core in one
+    /// superstep: the NoC link takes them all, every response comes back
+    /// in global form, and the report does not depend on the shard count.
+    #[test]
+    fn noc_egress_takes_a_burst_at_every_shard_count() {
+        let mut cfg = SystemConfig::two_core();
+        cfg.dram_org.channels = 2;
+        let addrs: Vec<u64> = (0..600u64).map(|i| i * 64).collect();
+        let run = |shards| {
+            let log = std::sync::Arc::<std::sync::Mutex<ProbeLog>>::default();
+            let prober = Prober {
+                addrs: addrs.clone(),
+                sent: 0,
+                log: std::sync::Arc::clone(&log),
+            };
+            let scfg = super::ShardConfig {
+                shards,
+                noc_latency: 64,
+                max_parties: None,
+            };
+            let mut sys = super::System::new(
+                cfg.clone(),
+                scfg,
+                vec![Box::new(prober)],
+                MemoryKind::Insecure,
+            );
+            sys.run_until_finished(10_000_000).unwrap();
+            // The report asks the prober whether it finished, which takes
+            // the log's lock: read it first.
+            let report = outcome(&sys);
+            let log = log.lock().unwrap();
+            assert!(log.refused.is_empty(), "the NoC link refused a send");
+            let mut got = log.responses.clone();
+            got.sort_unstable();
+            assert_eq!(got, addrs, "{shards} shard(s)");
+            report
+        };
+        assert_eq!(run(1), run(2));
     }
 
     #[test]

@@ -47,9 +47,10 @@ fn engine_run(fault: Option<SimFaultKind>, naive: bool) -> (u64, Vec<(u64, Optio
     }
     sys.run_until_core_finished(0, 200_000_000).unwrap();
     let cores = sys
-        .cores()
+        .report("fault")
+        .cores
         .iter()
-        .map(|c| (c.instructions_retired(), c.finished_at()))
+        .map(|c| (c.instructions, c.finished.then_some(c.cycles)))
         .collect();
     (sys.now(), cores)
 }

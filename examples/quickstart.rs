@@ -50,15 +50,14 @@ fn main() {
         .run_until_finished(2_000_000_000)
         .expect("run completes");
     println!("finished in {end} cycles");
-    for i in 0..2 {
+    let report = system.report("quickstart");
+    for (i, core) in report.cores.iter().enumerate() {
         println!(
             "core {i}: {} instructions, IPC {:.3}",
-            system.cores()[i].instructions_retired(),
-            system.ipc(i)
+            core.instructions, core.ipc
         );
     }
-    let stats = system.memory().stats();
-    let d0 = stats.domain(DomainId(0));
+    let d0 = &report.domains[0];
     println!(
         "victim domain: {} reads + {} writes forwarded, {} fake requests \
          covered its pattern",
@@ -66,6 +65,6 @@ fn main() {
     );
     println!(
         "memory latency seen by the victim: mean {:.0} cycles",
-        d0.mean_latency().unwrap_or(0.0)
+        d0.mean_latency.unwrap_or(0.0)
     );
 }

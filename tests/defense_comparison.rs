@@ -96,7 +96,6 @@ fn temporal_partitioning_has_worse_latency_than_fixed_service() {
     // requests pay the full period — the rotation penalty lives in the
     // latency tail (§8: TP "performs worse than FS").
     use dagguise_repro::prelude::*;
-    use dg_sim::types::DomainId as D;
 
     let cfg = SystemConfig::two_core();
     let p99_latency = |kind: MemoryKind| {
@@ -106,11 +105,8 @@ fn temporal_partitioning_has_worse_latency_than_fixed_service() {
             .memory(kind)
             .build();
         sys.run_until_finished(BUDGET).expect("finishes");
-        sys.memory()
-            .stats()
-            .domain(D(0))
-            .latency_hdr
-            .quantile(0.99)
+        sys.report("tp_vs_fs").domains[0]
+            .latency_p99
             .expect("victim issued requests")
     };
 
