@@ -111,7 +111,7 @@ pub enum JobState {
     Idle,
     /// Executing an attempt.
     Running,
-    /// Between a failed attempt and its backoff-delayed retry.
+    /// Between a failed attempt and its retry, which starts at once.
     Retrying,
 }
 
@@ -249,7 +249,7 @@ impl MonitorHub {
         probe
     }
 
-    /// Marks `worker` as waiting out a retry backoff.
+    /// Marks `worker` as about to retry its failed attempt.
     pub fn job_retrying(&self, worker: usize) {
         self.retries.fetch_add(1, Ordering::Relaxed);
         let mut slot = lock(&self.slots[worker % self.slots.len()]);

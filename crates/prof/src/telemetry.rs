@@ -24,9 +24,12 @@ pub struct EngineCounters {
     pub warp_distance: LogHistogram,
     /// Quiescence scans that found no skippable gap.
     pub failed_scans: u64,
-    /// Ticks where the scan was suppressed by the adaptive backoff.
+    /// Ticks where the scan was suppressed by the adaptive backoff, which
+    /// a failed scan arms only while a core is due: near zero when the
+    /// cores wait on memory, a large share of the ticks on compute-bound
+    /// loads.
     pub backoff_suppressed: u64,
-    /// Largest backoff the failure streak reached.
+    /// Largest backoff the streak of failed scans with a core due reached.
     pub max_backoff: u64,
     /// The label of each component the engine polls (`next_event_at`), in
     /// scan order, fixed when the engine is built. Components may share one.
@@ -173,9 +176,10 @@ pub struct EngineTelemetry {
     pub warp_distance: HistSnapshot,
     /// Quiescence scans that found nothing to skip.
     pub failed_scans: u64,
-    /// Ticks where the adaptive backoff suppressed the scan.
+    /// Ticks where the adaptive backoff suppressed the scan (armed by a
+    /// failed scan only while a core is due, see `EngineCounters`).
     pub backoff_suppressed: u64,
-    /// Largest backoff reached.
+    /// Largest backoff the streak of failed scans with a core due reached.
     pub max_backoff: u64,
     /// Per-component counts of real `next_event_at` calls.
     pub polls: Vec<ComponentPolls>,

@@ -5,10 +5,9 @@
 //!
 //! * **panic isolation** — each attempt runs under `catch_unwind`, so one
 //!   bad config point records a failure instead of killing the sweep;
-//! * **bounded retry with backoff** — attempts that return
-//!   [`SimError::Deadline`] are re-executed in place with an escalated
-//!   cycle budget (see [`JobCtx::budget`]) after a short exponential
-//!   backoff sleep, up to `retries` extra attempts;
+//! * **bounded retry** — attempts that return [`SimError::Deadline`] are
+//!   re-executed in place at once with an escalated cycle budget (see
+//!   [`JobCtx::budget`]), up to `retries` extra attempts;
 //! * **crash-safe journaling** — every terminal record is appended (and
 //!   fsynced) to the journal before the sweep moves on, enabling
 //!   `--resume`;
