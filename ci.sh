@@ -16,13 +16,15 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "=== engine differential + zero-allocation suites (release) ==="
 # Naive vs event engine byte-identity under back-pressure (direct-wired
-# and NoC topologies), the counting-allocator proof that the per-tick path
-# never allocates, the whole-run golden report hashes, and the
+# and NoC topologies, every memory kind), the counting-allocator proof that
+# the per-tick path never allocates, the whole-run golden report hashes,
+# every memory path's next_event_at promise against a naive replay
+# (lookahead), the fixed-schedule defenses' unit tests, and the
 # controller's golden and every-cycle vs event-driven tests, at the
 # optimization level the benchmarks run.
 cargo test --release -q -p dg-system --test determinism --test zero_alloc
-cargo test --release -q -p dg-shard --test determinism --test golden
-cargo test --release -q -p dg-mem
+cargo test --release -q -p dg-shard --test determinism --test golden --test lookahead
+cargo test --release -q -p dg-defenses -p dg-mem
 # The rank-horizon snapshot's equivalence with DramDevice::horizon (cycle
 # and blocking reason, tie order included) under random command streams.
 cargo test --release -q -p dg-dram

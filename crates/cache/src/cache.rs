@@ -77,16 +77,6 @@ impl SetAssocCache {
         self.misses
     }
 
-    /// Hit rate over all accesses so far (0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     fn index(&self, addr: Addr) -> (u64, u64) {
         let line = addr / self.line_bytes;
         (line % self.sets, line / self.sets)
@@ -249,15 +239,6 @@ mod tests {
         c.flush();
         assert!(!c.contains(0x0));
         assert!(!c.access(0x0, false).hit);
-    }
-
-    #[test]
-    fn hit_rate() {
-        let mut c = small();
-        assert_eq!(c.hit_rate(), 0.0);
-        c.access(0x0, false);
-        c.access(0x0, false);
-        assert_eq!(c.hit_rate(), 0.5);
     }
 
     #[test]

@@ -27,8 +27,6 @@
 //! assert_eq!(shaper.stats().fakes_emitted, 0);
 //! ```
 
-pub mod manager;
 pub mod shaper;
 
-pub use manager::{ShaperManager, ShaperSnapshot};
 pub use shaper::{Shaper, ShaperConfig, ShaperStats};

@@ -70,12 +70,6 @@ impl MemTrace {
     pub fn total_instructions(&self) -> u64 {
         self.ops.iter().map(|op| op.instrs_before + 1).sum::<u64>() + self.tail_instrs
     }
-
-    /// Concatenates another trace after this one.
-    pub fn extend_with(&mut self, other: &MemTrace) {
-        self.ops.extend_from_slice(&other.ops);
-        self.tail_instrs += other.tail_instrs;
-    }
 }
 
 impl FromIterator<TraceOp> for MemTrace {
@@ -109,18 +103,6 @@ mod tests {
         t.tail_instrs = 5;
         // 10 + 1 + 20 + 1 + 5.
         assert_eq!(t.total_instructions(), 37);
-    }
-
-    #[test]
-    fn extend_concatenates() {
-        let mut a = MemTrace::new();
-        a.load(0, 1);
-        let mut b = MemTrace::new();
-        b.store(64, 2);
-        b.tail_instrs = 3;
-        a.extend_with(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.tail_instrs, 3);
     }
 
     #[test]

@@ -15,224 +15,119 @@
 //! touch the same bank, letting the stride shrink to `tRC/3` while
 //! maintaining non-interference.
 
-use std::collections::VecDeque;
-
-use dg_dram::{AddressMapper, MapScheme};
 use dg_sim::clock::Cycle;
 use dg_sim::config::SystemConfig;
-use dg_sim::types::{MemRequest, MemResponse};
-use serde::{Deserialize, Serialize};
+use dg_sim::types::MemRequest;
 
-use dg_mem::{MemStats, MemorySubsystem};
+use crate::schedule::{FixedSchedule, IssueRule, Queue, ScheduleConfig};
 
 /// Configuration of a Fixed Service controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FsConfig {
-    /// Number of security domains sharing the schedule.
-    pub domains: usize,
+pub type FsConfig = ScheduleConfig<Slots>;
+
+/// The Fixed Service / FS-BTA memory subsystem.
+///
+/// Slot `k` fires at cycle `k × stride`, belongs to domain `k mod domains`,
+/// and — with BTA — may only issue a request whose bank lies in group
+/// `k mod bank_groups`. Service is fully deterministic: a request issued in
+/// a slot completes exactly `service` cycles later.
+pub type FixedService = FixedSchedule<SlotRule>;
+
+/// The slot parameters of Fixed Service.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slots {
     /// Slot stride in CPU cycles.
     pub stride: Cycle,
-    /// Deterministic service latency (slot start → response) in CPU cycles.
-    pub service: Cycle,
     /// Bank groups for BTA (1 = plain FS, 3 = FS-BTA).
     pub bank_groups: u32,
-    /// Per-domain request queue capacity.
-    pub queue_capacity: usize,
 }
 
 impl FsConfig {
     /// Plain Fixed Service for `domains` domains: the stride covers a full
     /// bank cycle (`tRC`), the worst-case stage occupancy.
     pub fn fixed_service(cfg: &SystemConfig, domains: usize) -> Self {
-        let r = cfg.clock_ratio;
-        Self {
-            domains,
-            stride: r.dram_to_cpu(cfg.timing.tRC),
-            service: r.dram_to_cpu(cfg.timing.tRCD + cfg.timing.tCAS + cfg.timing.tBURST),
-            bank_groups: 1,
-            queue_capacity: cfg.queues.transaction_queue,
-        }
+        Self::slotted(cfg, domains, 1)
     }
 
     /// FS-BTA: triple bank alternation lets slots issue three times as
     /// often while the per-bank ACT-to-ACT spacing still respects `tRC`.
     pub fn fs_bta(cfg: &SystemConfig, domains: usize) -> Self {
-        let r = cfg.clock_ratio;
-        Self {
-            domains,
-            stride: r.dram_to_cpu(cfg.timing.tRC.div_ceil(3)),
-            service: r.dram_to_cpu(cfg.timing.tRCD + cfg.timing.tCAS + cfg.timing.tBURST),
-            bank_groups: 3,
-            queue_capacity: cfg.queues.transaction_queue,
-        }
+        Self::slotted(cfg, domains, 3)
+    }
+
+    /// Slots that alternate over `bank_groups` groups issue that many
+    /// times as often as a full bank cycle allows.
+    fn slotted(cfg: &SystemConfig, domains: usize, bank_groups: u32) -> Self {
+        let t = &cfg.timing;
+        let stride_dram = t.tRC.div_ceil(u64::from(bank_groups));
+        let stride = cfg.clock_ratio.dram_to_cpu(stride_dram);
+        let rule = Slots {
+            stride,
+            bank_groups,
+        };
+        Self::with_rule(cfg, domains, t.tRCD + t.tCAS + t.tBURST, rule)
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Scheduled {
-    resp: MemResponse,
-}
-
-/// The Fixed Service / FS-BTA memory subsystem.
-///
-/// Requests wait in per-domain queues (private by construction: occupancy
-/// of one domain's queue is invisible to others). Slot `k` fires at cycle
-/// `k × stride`, belongs to domain `k mod domains`, and — with BTA — may
-/// only issue a request whose bank lies in group `k mod bank_groups`.
-/// Service is fully deterministic: a request issued in a slot completes
-/// exactly `service` cycles later.
+/// The Fixed Service issue rule: fires every slot whose boundary has been
+/// reached, serving the owning domain's first request in the slot's bank
+/// group, or wasting the slot (no-skip) when there is none.
 #[derive(Debug)]
-pub struct FixedService {
-    config: FsConfig,
-    mapper: AddressMapper,
-    queues: Vec<VecDeque<MemRequest>>,
-    in_flight: Vec<Scheduled>,
+pub struct SlotRule {
+    slots: Slots,
     next_slot: u64,
-    stats: MemStats,
-    /// Slots owned by each domain that fired with no eligible request.
-    wasted_slots: u64,
-    issued: u64,
-}
-
-impl FixedService {
-    /// Builds the controller for `cfg.domains` domains.
-    pub fn new(sys: &SystemConfig, config: FsConfig) -> Self {
-        assert!(config.domains > 0, "need at least one domain");
-        assert!(config.stride > 0, "stride must be positive");
-        let mapper = AddressMapper::new(
-            MapScheme::BankInterleaved,
-            sys.dram_org.banks,
-            sys.dram_org.row_bytes,
-            sys.dram_org.line_bytes,
-        );
-        Self {
-            mapper,
-            queues: (0..config.domains).map(|_| VecDeque::new()).collect(),
-            in_flight: Vec::new(),
-            next_slot: 0,
-            stats: MemStats::new(config.domains + 2, sys.dram_org.line_bytes),
-            wasted_slots: 0,
-            issued: 0,
-            config,
-        }
-    }
-
     /// Slots that fired with no eligible request (wasted bandwidth).
-    pub fn wasted_slots(&self) -> u64 {
-        self.wasted_slots
-    }
-
-    /// Requests issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &FsConfig {
-        &self.config
-    }
-
-    fn fire_slot(&mut self, slot: u64, now: Cycle) {
-        let domain = (slot % self.config.domains as u64) as usize;
-        let group = (slot % u64::from(self.config.bank_groups)) as u32;
-        let q = &mut self.queues[domain];
-        let pos = q.iter().position(|r| {
-            self.config.bank_groups == 1
-                || self.mapper.decode(r.addr).bank % self.config.bank_groups == group
-        });
-        match pos {
-            Some(i) => {
-                let req = q.remove(i).expect("position valid");
-                self.issued += 1;
-                self.in_flight.push(Scheduled {
-                    resp: MemResponse {
-                        id: req.id,
-                        domain: req.domain,
-                        addr: req.addr,
-                        req_type: req.req_type,
-                        kind: req.kind,
-                        arrived_at: req.created_at,
-                        completed_at: now + self.config.service,
-                    },
-                });
-            }
-            None => self.wasted_slots += 1,
-        }
-    }
+    wasted: u64,
 }
 
-impl MemorySubsystem for FixedService {
-    fn try_send(&mut self, req: MemRequest, _now: Cycle) -> Result<(), MemRequest> {
-        let d = req.domain.0 as usize;
-        assert!(d < self.queues.len(), "domain {} out of range", req.domain);
-        if self.queues[d].len() >= self.config.queue_capacity {
-            return Err(req);
+impl IssueRule for SlotRule {
+    type Params = Slots;
+
+    fn new(_sys: &SystemConfig, config: &FsConfig) -> Self {
+        assert!(config.rule.stride > 0, "stride must be positive");
+        Self {
+            slots: config.rule,
+            next_slot: 0,
+            wasted: 0,
         }
-        self.queues[d].push_back(req);
-        Ok(())
     }
 
-    fn tick_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
-        // Fire every slot whose boundary has been reached. Slots skipped by
-        // the event-driven engine while all queues were empty are replayed
-        // here with their original timestamps, so wasted-slot accounting and
-        // any future issue times match the naive per-cycle loop exactly.
-        while self.next_slot * self.config.stride <= now {
+    fn issue(
+        &mut self,
+        queues: &mut [Queue],
+        now: Cycle,
+        mut start: impl FnMut(MemRequest, Cycle),
+    ) {
+        // Slots skipped by the event-driven engine while all queues were
+        // empty are replayed here with their original timestamps, so
+        // wasted-slot accounting and any future issue times match the naive
+        // per-cycle loop exactly.
+        let (stride, groups) = (self.slots.stride, self.slots.bank_groups);
+        while self.next_slot * stride <= now {
             let slot = self.next_slot;
-            let at = slot * self.config.stride;
             self.next_slot += 1;
-            self.fire_slot(slot, at);
-        }
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].resp.completed_at <= now {
-                let s = self.in_flight.swap_remove(i);
-                self.stats.record(&s.resp);
-                out.push(s.resp);
-            } else {
-                i += 1;
+            let q = &mut queues[(slot % queues.len() as u64) as usize];
+            let group = (slot % u64::from(groups)) as u32;
+            match q.iter().position(|&(_, bank)| bank % groups == group) {
+                Some(i) => start(q.remove(i).expect("position valid").0, slot * stride),
+                None => self.wasted += 1,
             }
         }
     }
 
-    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        // In-flight completions are delivered at their completed_at cycle.
-        let mut ev = self
-            .in_flight
-            .iter()
-            .map(|s| s.resp.completed_at.max(now))
-            .min();
-        // With queued work, the next slot boundary may issue (never skip
-        // it: whether a slot serves or wastes depends on queue contents).
-        // With all queues empty, wasted slots replay lazily in tick_into.
-        if self.queues.iter().any(|q| !q.is_empty()) {
-            let boundary = (self.next_slot * self.config.stride).max(now);
-            ev = dg_sim::clock::earliest_event(ev, Some(boundary));
-        }
-        ev
-    }
-
-    fn stats(&self) -> &MemStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut MemStats {
-        &mut self.stats
-    }
-
-    fn free_slots(&self) -> usize {
-        self.queues
-            .iter()
-            .map(|q| self.config.queue_capacity - q.len())
-            .min()
-            .unwrap_or(0)
+    fn next_issue(&self, _queues: &[Queue], now: Cycle) -> Option<Cycle> {
+        // Never skip the next boundary with work queued: whether a slot
+        // serves or wastes depends on queue contents. With all queues empty,
+        // wasted slots replay lazily in `issue`.
+        Some((self.next_slot * self.slots.stride).max(now))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_sim::types::{DomainId, ReqId};
+    use dg_dram::{AddressMapper, MapScheme};
+    use dg_mem::MemorySubsystem;
+    use dg_sim::types::{DomainId, MemResponse, ReqId};
 
     fn sys() -> SystemConfig {
         let mut c = SystemConfig::two_core();
@@ -260,15 +155,12 @@ mod tests {
         // Only domain 1 has traffic; its requests are served every 2nd slot.
         fs.try_send(req(1, 0x40, 1, 0), 0).unwrap();
         fs.try_send(req(1, 0x80, 2, 0), 0).unwrap();
-        let done = drive(&mut fs, cfg.stride * 6);
+        let done = drive(&mut fs, cfg.rule.stride * 6);
         assert_eq!(done.len(), 2);
         // Domain 1 owns odd slots: requests issue at stride*1 and stride*3.
-        assert_eq!(done[0].completed_at, cfg.stride + cfg.service);
-        assert_eq!(done[1].completed_at, cfg.stride * 3 + cfg.service);
-        assert!(
-            fs.wasted_slots() >= 3,
-            "domain 0's slots are wasted (no-skip)"
-        );
+        assert_eq!(done[0].completed_at, cfg.rule.stride + cfg.service);
+        assert_eq!(done[1].completed_at, cfg.rule.stride * 3 + cfg.service);
+        assert!(fs.rule.wasted >= 3, "domain 0's slots are wasted (no-skip)");
     }
 
     #[test]
@@ -279,7 +171,7 @@ mod tests {
         // Run A: domain 0 alone.
         let mut fs_a = FixedService::new(&s, cfg);
         fs_a.try_send(req(0, 0x40, 1, 0), 0).unwrap();
-        let a = drive(&mut fs_a, cfg.stride * 8);
+        let a = drive(&mut fs_a, cfg.rule.stride * 8);
 
         // Run B: domain 1 floods the controller.
         let mut fs_b = FixedService::new(&s, cfg);
@@ -287,7 +179,7 @@ mod tests {
         for i in 0..16 {
             fs_b.try_send(req(1, 0x1000 + i * 64, i, 0), 0).unwrap();
         }
-        let b = drive(&mut fs_b, cfg.stride * 8);
+        let b = drive(&mut fs_b, cfg.rule.stride * 8);
 
         let a0: Vec<_> = a.iter().filter(|r| r.domain == DomainId(0)).collect();
         let b0: Vec<_> = b.iter().filter(|r| r.domain == DomainId(0)).collect();
@@ -303,8 +195,8 @@ mod tests {
         let s = sys();
         let fs = FsConfig::fixed_service(&s, 2);
         let bta = FsConfig::fs_bta(&s, 2);
-        assert_eq!(bta.stride, fs.stride.div_ceil(3));
-        assert_eq!(bta.bank_groups, 3);
+        assert_eq!(bta.rule.stride, fs.rule.stride.div_ceil(3));
+        assert_eq!(bta.rule.bank_groups, 3);
     }
 
     #[test]
@@ -320,11 +212,11 @@ mod tests {
             col: 0,
         });
         fs.try_send(req(0, addr, 1, 0), 0).unwrap();
-        let done = drive(&mut fs, cfg.stride * 4);
+        let done = drive(&mut fs, cfg.rule.stride * 4);
         assert_eq!(done.len(), 1);
         // Issued in slot 1 (the first group-1 slot), not slot 0.
-        assert_eq!(done[0].completed_at, cfg.stride + cfg.service);
-        assert!(fs.wasted_slots() >= 1);
+        assert_eq!(done[0].completed_at, cfg.rule.stride + cfg.service);
+        assert!(fs.rule.wasted >= 1);
     }
 
     #[test]
@@ -373,7 +265,7 @@ mod tests {
         let cfg = FsConfig::fixed_service(&s, 2);
         let mut fs = FixedService::new(&s, cfg);
         fs.try_send(req(0, 0x40, 1, 0), 0).unwrap();
-        drive(&mut fs, cfg.stride * 4);
+        drive(&mut fs, cfg.rule.stride * 4);
         assert_eq!(fs.stats().domain(DomainId(0)).reads, 1);
     }
 }

@@ -16,28 +16,24 @@
 //! the shared data bus is time-sliced at burst granularity, which costs a
 //! bounded, load-independent delay folded into the service constant.
 
-use std::collections::VecDeque;
-
-use dg_dram::{AddressMapper, MapScheme};
 use dg_sim::clock::Cycle;
 use dg_sim::config::SystemConfig;
-use dg_sim::types::{MemRequest, MemResponse};
-use serde::{Deserialize, Serialize};
+use dg_sim::types::MemRequest;
 
-use dg_mem::{MemStats, MemorySubsystem};
+use crate::schedule::{FixedSchedule, IssueRule, Queue, ScheduleConfig};
 
-/// Configuration for bank-partitioned Fixed Service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FsSpatialConfig {
-    /// Number of security domains (must divide the bank count).
-    pub domains: usize,
+/// Configuration for bank-partitioned Fixed Service. Its service latency
+/// includes the bounded bus time-slice delay.
+pub type FsSpatialConfig = ScheduleConfig<Partitions>;
+
+/// The spatially-partitioned Fixed Service controller.
+pub type FsSpatial = FixedSchedule<PartitionRule>;
+
+/// The bank-partition parameters of FS-spatial.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Partitions {
     /// Per-bank issue interval in CPU cycles (tRC).
     pub bank_interval: Cycle,
-    /// Deterministic service latency in CPU cycles (includes the bounded
-    /// bus time-slice delay).
-    pub service: Cycle,
-    /// Per-domain queue capacity.
-    pub queue_capacity: usize,
 }
 
 impl FsSpatialConfig {
@@ -47,150 +43,80 @@ impl FsSpatialConfig {
     ///
     /// Panics if `domains` does not divide the bank count.
     pub fn new(sys: &SystemConfig, domains: usize) -> Self {
-        assert!(domains > 0, "need at least one domain");
-        assert_eq!(
-            sys.dram_org.banks as usize % domains,
-            0,
+        assert!(
+            domains > 0 && (sys.dram_org.banks as usize).is_multiple_of(domains),
             "domains must divide the bank count"
         );
-        let r = sys.clock_ratio;
-        Self {
-            domains,
-            bank_interval: r.dram_to_cpu(sys.timing.tRC),
-            service: r.dram_to_cpu(
-                sys.timing.tRCD + sys.timing.tCAS + sys.timing.tBURST + sys.timing.tBURST,
-            ),
-            queue_capacity: sys.queues.transaction_queue,
-        }
+        let t = &sys.timing;
+        let rule = Partitions {
+            bank_interval: sys.clock_ratio.dram_to_cpu(t.tRC),
+        };
+        ScheduleConfig::with_rule(sys, domains, t.tRCD + t.tCAS + t.tBURST + t.tBURST, rule)
     }
 }
 
-/// The spatially-partitioned Fixed Service controller.
+/// The FS-spatial issue rule: each domain owns `banks / domains` banks, its
+/// requests are remapped into that partition, and a domain's queue head
+/// issues as soon as its partition bank is free — one request per free
+/// bank per cycle, independently of the other partitions.
 #[derive(Debug)]
-pub struct FsSpatial {
-    config: FsSpatialConfig,
-    banks_per_domain: u32,
-    mapper: AddressMapper,
-    queues: Vec<VecDeque<MemRequest>>,
-    /// Next legal issue cycle per (domain-local) bank.
-    bank_free: Vec<Vec<Cycle>>,
-    in_flight: Vec<MemResponse>,
-    stats: MemStats,
-}
-
-impl FsSpatial {
-    /// Builds the controller.
-    pub fn new(sys: &SystemConfig, config: FsSpatialConfig) -> Self {
-        let banks_per_domain = sys.dram_org.banks / config.domains as u32;
-        let mapper = AddressMapper::new(
-            MapScheme::BankInterleaved,
-            sys.dram_org.banks,
-            sys.dram_org.row_bytes,
-            sys.dram_org.line_bytes,
-        );
-        Self {
-            banks_per_domain,
-            mapper,
-            queues: (0..config.domains).map(|_| VecDeque::new()).collect(),
-            bank_free: (0..config.domains)
-                .map(|_| vec![0; banks_per_domain as usize])
-                .collect(),
-            in_flight: Vec::new(),
-            stats: MemStats::new(config.domains + 2, sys.dram_org.line_bytes),
-            config,
-        }
-    }
-
+pub struct PartitionRule {
+    bank_interval: Cycle,
     /// Banks owned by each domain.
-    pub fn banks_per_domain(&self) -> u32 {
-        self.banks_per_domain
-    }
+    banks_per_domain: u32,
+    /// Next legal issue cycle per domain-local bank: a request's global
+    /// bank folded into its domain's partition.
+    bank_free: Vec<Vec<Cycle>>,
 }
 
-impl MemorySubsystem for FsSpatial {
-    fn try_send(&mut self, req: MemRequest, _now: Cycle) -> Result<(), MemRequest> {
-        let d = req.domain.0 as usize;
-        assert!(d < self.queues.len(), "domain {} out of range", req.domain);
-        if self.queues[d].len() >= self.config.queue_capacity {
-            return Err(req);
+impl IssueRule for PartitionRule {
+    type Params = Partitions;
+
+    fn new(sys: &SystemConfig, config: &FsSpatialConfig) -> Self {
+        let banks_per_domain = sys.dram_org.banks / config.domains as u32;
+        Self {
+            bank_interval: config.rule.bank_interval,
+            banks_per_domain,
+            bank_free: vec![vec![0; banks_per_domain as usize]; config.domains],
         }
-        self.queues[d].push_back(req);
-        Ok(())
     }
 
-    fn tick_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
-        // Issue: each domain may start one request per free partition bank
-        // per cycle — partitions are fully independent.
-        for d in 0..self.config.domains {
-            // Requests are remapped into the domain's partition: the bank
-            // is the global bank folded into the partition.
-            while let Some(req) = self.queues[d].front().copied() {
-                let local_bank =
-                    (self.mapper.decode(req.addr).bank % self.banks_per_domain) as usize;
-                if self.bank_free[d][local_bank] > now {
+    fn issue(
+        &mut self,
+        queues: &mut [Queue],
+        now: Cycle,
+        mut start: impl FnMut(MemRequest, Cycle),
+    ) {
+        for (q, bank_free) in queues.iter_mut().zip(&mut self.bank_free) {
+            while let Some(&(req, bank)) = q.front() {
+                let free = &mut bank_free[(bank % self.banks_per_domain) as usize];
+                if *free > now {
                     break;
                 }
-                self.queues[d].pop_front();
-                self.bank_free[d][local_bank] = now + self.config.bank_interval;
-                self.in_flight.push(MemResponse {
-                    id: req.id,
-                    domain: req.domain,
-                    addr: req.addr,
-                    req_type: req.req_type,
-                    kind: req.kind,
-                    arrived_at: req.created_at,
-                    completed_at: now + self.config.service,
-                });
-            }
-        }
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].completed_at <= now {
-                let resp = self.in_flight.swap_remove(i);
-                self.stats.record(&resp);
-                out.push(resp);
-            } else {
-                i += 1;
+                *free = now + self.bank_interval;
+                q.pop_front();
+                start(req, now);
             }
         }
     }
 
-    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        let mut ev = self.in_flight.iter().map(|r| r.completed_at.max(now)).min();
-        // Issue is head-of-line per domain: the next event for a non-empty
-        // queue is when the head request's partition bank frees up.
-        for d in 0..self.config.domains {
-            if let Some(req) = self.queues[d].front() {
-                let local_bank =
-                    (self.mapper.decode(req.addr).bank % self.banks_per_domain) as usize;
-                let at = self.bank_free[d][local_bank].max(now);
-                ev = dg_sim::clock::earliest_event(ev, Some(at));
-            }
-        }
-        ev
-    }
-
-    fn stats(&self) -> &MemStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut MemStats {
-        &mut self.stats
-    }
-
-    fn free_slots(&self) -> usize {
-        self.queues
+    fn next_issue(&self, queues: &[Queue], now: Cycle) -> Option<Cycle> {
+        // Issue is head-of-line per domain: a non-empty queue's next event
+        // is when its head request's partition bank frees up.
+        queues
             .iter()
-            .map(|q| self.config.queue_capacity - q.len())
+            .zip(&self.bank_free)
+            .filter_map(|(q, free)| Some(free[(q.front()?.1 % self.banks_per_domain) as usize]))
+            .map(|at| at.max(now))
             .min()
-            .unwrap_or(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_sim::types::{DomainId, ReqId};
+    use dg_mem::MemorySubsystem;
+    use dg_sim::types::{DomainId, MemResponse, ReqId};
 
     fn sys() -> SystemConfig {
         let mut c = SystemConfig::two_core();
@@ -214,9 +140,9 @@ mod tests {
     fn partitions_divide_banks() {
         let s = sys();
         let fs = FsSpatial::new(&s, FsSpatialConfig::new(&s, 2));
-        assert_eq!(fs.banks_per_domain(), 4);
+        assert_eq!(fs.rule.banks_per_domain, 4);
         let fs8 = FsSpatial::new(&s, FsSpatialConfig::new(&s, 8));
-        assert_eq!(fs8.banks_per_domain(), 1);
+        assert_eq!(fs8.rule.banks_per_domain, 1);
     }
 
     #[test]
@@ -270,11 +196,11 @@ mod tests {
         // Two requests from one domain serialize on its single bank.
         fs.try_send(req(0, 0x0, 1), 0).unwrap();
         fs.try_send(req(0, 0x40, 2), 0).unwrap();
-        let done = drive(&mut fs, cfg8.bank_interval * 3);
+        let done = drive(&mut fs, cfg8.rule.bank_interval * 3);
         assert_eq!(done.len(), 2);
         assert_eq!(
             done[1].completed_at - done[0].completed_at,
-            cfg8.bank_interval
+            cfg8.rule.bank_interval
         );
     }
 }

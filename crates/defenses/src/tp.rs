@@ -7,180 +7,112 @@
 //! rotation, and dead time must be reserved at each period's end so the
 //! last request drains before the next domain begins.
 
-use std::collections::VecDeque;
-
 use dg_sim::clock::Cycle;
 use dg_sim::config::SystemConfig;
-use dg_sim::types::{MemRequest, MemResponse};
-use serde::{Deserialize, Serialize};
+use dg_sim::types::MemRequest;
 
-use dg_mem::{MemStats, MemorySubsystem};
+use crate::schedule::{FixedSchedule, IssueRule, Queue, ScheduleConfig};
 
 /// Configuration for the Temporal Partitioning controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TpConfig {
-    /// Number of security domains in the rotation.
-    pub domains: usize,
+pub type TpConfig = ScheduleConfig<Periods>;
+
+/// The Temporal Partitioning memory subsystem.
+pub type TemporalPartition = FixedSchedule<PeriodRule>;
+
+/// The period parameters of Temporal Partitioning.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Periods {
     /// Period length per domain in CPU cycles.
     pub period: Cycle,
-    /// Deterministic service latency in CPU cycles.
-    pub service: Cycle,
     /// Issue interval within a period (bank occupancy) in CPU cycles.
     pub issue_interval: Cycle,
-    /// Per-domain queue capacity.
-    pub queue_capacity: usize,
 }
 
 impl TpConfig {
     /// A TP configuration with periods of `slots_per_period` request slots.
     pub fn new(sys: &SystemConfig, domains: usize, slots_per_period: u64) -> Self {
-        let r = sys.clock_ratio;
-        let issue_interval = r.dram_to_cpu(sys.timing.tRC);
-        Self {
-            domains,
+        let t = &sys.timing;
+        let issue_interval = sys.clock_ratio.dram_to_cpu(t.tRC);
+        let rule = Periods {
             period: issue_interval * slots_per_period,
-            service: r.dram_to_cpu(sys.timing.tRCD + sys.timing.tCAS + sys.timing.tBURST),
             issue_interval,
-            queue_capacity: sys.queues.transaction_queue,
-        }
+        };
+        ScheduleConfig::with_rule(sys, domains, t.tRCD + t.tCAS + t.tBURST, rule)
     }
 }
 
-/// The Temporal Partitioning memory subsystem.
+/// The Temporal Partitioning issue rule: on each slot boundary of a period
+/// whose dead time has not begun, the period's owner issues its oldest
+/// request.
 #[derive(Debug)]
-pub struct TemporalPartition {
-    config: TpConfig,
-    queues: Vec<VecDeque<MemRequest>>,
-    in_flight: Vec<MemResponse>,
-    stats: MemStats,
-    issued: u64,
-}
+pub struct PeriodRule(TpConfig);
 
-impl TemporalPartition {
-    /// Builds the controller.
-    pub fn new(sys: &SystemConfig, config: TpConfig) -> Self {
-        assert!(config.domains > 0, "need at least one domain");
-        assert!(
-            config.period >= config.issue_interval,
-            "period must hold at least one slot"
-        );
-        Self {
-            queues: (0..config.domains).map(|_| VecDeque::new()).collect(),
-            in_flight: Vec::new(),
-            stats: MemStats::new(config.domains + 2, sys.dram_org.line_bytes),
-            issued: 0,
-            config,
-        }
-    }
-
-    /// Requests issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
+impl PeriodRule {
     /// The domain owning the period containing `now`, and whether a new
     /// issue at `now` would still drain before the period ends.
     fn slot_at(&self, now: Cycle) -> Option<usize> {
-        let period_idx = now / self.config.period;
-        let offset = now % self.config.period;
-        // Issue only on slot boundaries within the period.
-        if !offset.is_multiple_of(self.config.issue_interval) {
+        let (p, service) = (self.0.rule, self.0.service);
+        let offset = now % p.period;
+        // Issue only on slot boundaries within the period, and not in the
+        // dead time: the response must complete inside the owner's period.
+        if !offset.is_multiple_of(p.issue_interval) || offset + service > p.period {
             return None;
         }
-        // Dead time: the response must complete inside the owner's period.
-        if offset + self.config.service > self.config.period {
-            return None;
-        }
-        Some((period_idx % self.config.domains as u64) as usize)
+        Some(((now / p.period) % self.0.domains as u64) as usize)
     }
 }
 
-impl MemorySubsystem for TemporalPartition {
-    fn try_send(&mut self, req: MemRequest, _now: Cycle) -> Result<(), MemRequest> {
-        let d = req.domain.0 as usize;
-        assert!(d < self.queues.len(), "domain {} out of range", req.domain);
-        if self.queues[d].len() >= self.config.queue_capacity {
-            return Err(req);
-        }
-        self.queues[d].push_back(req);
-        Ok(())
+impl IssueRule for PeriodRule {
+    type Params = Periods;
+
+    fn new(_sys: &SystemConfig, config: &TpConfig) -> Self {
+        assert!(
+            config.rule.period >= config.rule.issue_interval,
+            "period must hold at least one slot"
+        );
+        Self(*config)
     }
 
-    fn tick_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
+    fn issue(
+        &mut self,
+        queues: &mut [Queue],
+        now: Cycle,
+        mut start: impl FnMut(MemRequest, Cycle),
+    ) {
         if let Some(domain) = self.slot_at(now) {
-            if let Some(req) = self.queues[domain].pop_front() {
-                self.issued += 1;
-                self.in_flight.push(MemResponse {
-                    id: req.id,
-                    domain: req.domain,
-                    addr: req.addr,
-                    req_type: req.req_type,
-                    kind: req.kind,
-                    arrived_at: req.created_at,
-                    completed_at: now + self.config.service,
-                });
-            }
-        }
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].completed_at <= now {
-                let resp = self.in_flight.swap_remove(i);
-                self.stats.record(&resp);
-                out.push(resp);
-            } else {
-                i += 1;
+            if let Some((req, _)) = queues[domain].pop_front() {
+                start(req, now);
             }
         }
     }
 
-    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        // Completions in flight are delivered at their completed_at cycle.
-        let mut ev = self.in_flight.iter().map(|r| r.completed_at.max(now)).min();
+    fn next_issue(&self, queues: &[Queue], now: Cycle) -> Option<Cycle> {
         // Queued work is served at the owner's next usable slot boundary,
         // computed analytically: walk at most one full rotation plus one
         // period; every owner appears within that horizon with a usable
         // first slot (offset 0) whenever service fits in a period.
-        if self.queues.iter().any(|q| !q.is_empty()) && self.config.service <= self.config.period {
-            let p0 = now / self.config.period;
-            for p in p0..=p0 + self.config.domains as u64 {
-                let owner = (p % self.config.domains as u64) as usize;
-                if self.queues[owner].is_empty() {
-                    continue;
-                }
-                let period_start = p * self.config.period;
-                let from = now.max(period_start) - period_start;
-                let offset = from.next_multiple_of(self.config.issue_interval);
-                // Dead time: the issue must drain inside the owner's period.
-                if offset + self.config.service <= self.config.period {
-                    ev = dg_sim::clock::earliest_event(ev, Some(period_start + offset));
-                    break;
-                }
-            }
+        let (period, service) = (self.0.rule.period, self.0.service);
+        if service > period {
+            return None;
         }
-        ev
-    }
-
-    fn stats(&self) -> &MemStats {
-        &self.stats
-    }
-
-    fn stats_mut(&mut self) -> &mut MemStats {
-        &mut self.stats
-    }
-
-    fn free_slots(&self) -> usize {
-        self.queues
-            .iter()
-            .map(|q| self.config.queue_capacity - q.len())
-            .min()
-            .unwrap_or(0)
+        let (p0, domains) = (now / period, self.0.domains as u64);
+        (p0..=p0 + domains).find_map(|p| {
+            if queues[(p % domains) as usize].is_empty() {
+                return None;
+            }
+            let start = p * period;
+            let offset = (now.max(start) - start).next_multiple_of(self.0.rule.issue_interval);
+            // Dead time: the issue must drain inside the owner's period.
+            (offset + service <= period).then_some(start + offset)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_sim::types::{DomainId, ReqId};
+    use dg_mem::MemorySubsystem;
+    use dg_sim::types::{DomainId, MemResponse, ReqId};
 
     fn sys() -> SystemConfig {
         let mut c = SystemConfig::two_core();
@@ -208,9 +140,9 @@ mod tests {
         // Domain 1's request arrives at cycle 0 but period 0 belongs to
         // domain 0: it issues at the start of period 1.
         tp.try_send(req(1, 0x40, 1), 0).unwrap();
-        let done = drive(&mut tp, cfg.period * 3);
+        let done = drive(&mut tp, cfg.rule.period * 3);
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].completed_at, cfg.period + cfg.service);
+        assert_eq!(done[0].completed_at, cfg.rule.period + cfg.service);
     }
 
     #[test]
@@ -220,12 +152,12 @@ mod tests {
         let tp = TemporalPartition::new(&s, cfg);
         // Last slot boundary in the period is at period - issue_interval;
         // with service > issue_interval that slot is dead.
-        let last_boundary = cfg.period - cfg.issue_interval;
-        if cfg.service > cfg.issue_interval {
-            assert_eq!(tp.slot_at(last_boundary), None);
+        let last_boundary = cfg.rule.period - cfg.rule.issue_interval;
+        if cfg.service > cfg.rule.issue_interval {
+            assert_eq!(tp.rule.slot_at(last_boundary), None);
         }
         // Slot 0 of period 0 is usable by domain 0.
-        assert_eq!(tp.slot_at(0), Some(0));
+        assert_eq!(tp.rule.slot_at(0), Some(0));
     }
 
     #[test]
@@ -235,14 +167,14 @@ mod tests {
 
         let mut alone = TemporalPartition::new(&s, cfg);
         alone.try_send(req(0, 0x40, 1), 0).unwrap();
-        let a = drive(&mut alone, cfg.period * 4);
+        let a = drive(&mut alone, cfg.rule.period * 4);
 
         let mut loaded = TemporalPartition::new(&s, cfg);
         loaded.try_send(req(0, 0x40, 1), 0).unwrap();
         for i in 0..8 {
             loaded.try_send(req(1, 0x1000 + i * 64, i), 0).unwrap();
         }
-        let b = drive(&mut loaded, cfg.period * 4);
+        let b = drive(&mut loaded, cfg.rule.period * 4);
 
         let a0: Vec<_> = a.iter().filter(|r| r.domain == DomainId(0)).collect();
         let b0: Vec<_> = b.iter().filter(|r| r.domain == DomainId(0)).collect();
@@ -257,11 +189,14 @@ mod tests {
         for i in 0..4 {
             tp.try_send(req(0, i * 64, i), 0).unwrap();
         }
-        let done = drive(&mut tp, cfg.period);
+        let done = drive(&mut tp, cfg.rule.period);
         assert_eq!(done.len(), 4);
         // Issued at consecutive slot boundaries.
         for (i, r) in done.iter().enumerate() {
-            assert_eq!(r.completed_at, cfg.issue_interval * i as u64 + cfg.service);
+            assert_eq!(
+                r.completed_at,
+                cfg.rule.issue_interval * i as u64 + cfg.service
+            );
         }
     }
 
@@ -286,18 +221,18 @@ mod tests {
         // that actually produces activity (issue at the start of period 1).
         tp.try_send(req(1, 0x40, 1), 0).unwrap();
         let predicted = tp.next_event_at(1).expect("queued work must wake");
-        assert_eq!(predicted, cfg.period);
+        assert_eq!(predicted, cfg.rule.period);
         // All ticks strictly before the prediction are provably inert.
         for now in 1..predicted {
             assert!(tp.tick(now).is_empty());
-            assert_eq!(tp.issued(), 0);
+            assert_eq!(tp.issued, 0);
         }
         assert!(tp.tick(predicted).is_empty());
-        assert_eq!(tp.issued(), 1);
+        assert_eq!(tp.issued, 1);
         // Now the only event left is the in-flight completion.
         assert_eq!(
             tp.next_event_at(predicted + 1),
-            Some(cfg.period + cfg.service)
+            Some(cfg.rule.period + cfg.service)
         );
     }
 }

@@ -138,13 +138,6 @@ impl EnergyCounter {
             / 1000.0
     }
 
-    /// Energy saved by the §4.4 suppression optimisation: fake requests
-    /// update timing state only, so their DIMM access energy is avoided
-    /// entirely (the command-bus energy is second-order and ignored).
-    pub fn suppression_savings_nj(&self, p: &PowerParams) -> f64 {
-        self.fake_nj(p)
-    }
-
     /// Background energy over the elapsed cycles, in nanojoules.
     pub fn background_nj(&self, p: &PowerParams) -> f64 {
         let seconds = self.cycles as f64 / p.clock_hz;
@@ -207,7 +200,7 @@ mod tests {
         for _ in 0..5 {
             e.record_access(false, true);
         }
-        let saved = e.suppression_savings_nj(&p);
+        let saved = e.fake_nj(&p);
         assert!(saved > 0.0);
         assert!((e.total_unsuppressed_nj(&p) - e.total_suppressed_nj(&p) - saved).abs() < 1e-9);
     }

@@ -76,12 +76,6 @@ impl CpuTiming {
     pub fn closed_row_read_latency(&self) -> Cycle {
         self.tRCD + self.tCAS + self.tBURST
     }
-
-    /// Worst-case single read service time when a conflicting row is open:
-    /// PRE → ACT → RD → data (the "row conflict delay" ε of Figure 1d).
-    pub fn row_conflict_read_latency(&self) -> Cycle {
-        self.tRP + self.tRCD + self.tCAS + self.tBURST
-    }
 }
 
 #[cfg(test)]
@@ -109,6 +103,5 @@ mod tests {
     fn derived_latencies() {
         let t = CpuTiming::from_dram(DramTiming::default(), ClockRatio::new(1));
         assert_eq!(t.closed_row_read_latency(), 11 + 11 + 4);
-        assert_eq!(t.row_conflict_read_latency(), 11 + 11 + 11 + 4);
     }
 }

@@ -77,11 +77,6 @@ impl IoPlan {
         Ok(Self::from_faults(faults))
     }
 
-    /// Whether any fault is scheduled at all (fired or not).
-    pub fn is_armed(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Consults the plan for a write of `len` bytes starting at stream
     /// position `pos`. Returns the fault kind to inject plus the armed
     /// byte offset (the split point for partial writes), marking the
@@ -232,12 +227,6 @@ impl FaultSink {
         self.pending.extend_from_slice(bytes);
     }
 
-    /// Whether staged bytes remain untransferred (a failed drain leaves
-    /// its remainder staged).
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Writes all staged bytes to the file, consulting the fault plan.
     /// On an injected partial write, the transferred prefix is unstaged
     /// (and counted into the position) before the error returns, so a
@@ -339,7 +328,7 @@ mod tests {
         assert_eq!(err.kind(), io::Error::from_raw_os_error(28).kind());
         // Still full on every retry; nothing leaked to the file.
         assert!(sink.drain().is_err());
-        assert!(sink.has_pending());
+        assert!(!sink.pending.is_empty());
         assert_eq!(std::fs::read(&path).unwrap(), b"0123456789");
         std::fs::remove_file(&path).unwrap();
     }
@@ -366,7 +355,7 @@ mod tests {
         let err = sink.drain().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         assert_eq!(sink.position(), 4);
-        assert!(sink.has_pending());
+        assert!(!sink.pending.is_empty());
         // The retry writes only the remainder — no duplicated prefix.
         sink.drain().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"0123456789");

@@ -208,14 +208,6 @@ impl MemStats {
         }
         out
     }
-
-    /// Aggregate bandwidth across all domains in bytes/cycle.
-    pub fn total_bytes_per_cycle(&self) -> f64 {
-        self.per_domain
-            .iter()
-            .map(|d| d.bandwidth.bytes_per_cycle())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -273,14 +265,5 @@ mod tests {
         assert_eq!(s.dropped, 1);
         s.record(&resp(0, ReqKind::Real, ReqType::Read, 10));
         assert_eq!(s.dropped, 1);
-    }
-
-    #[test]
-    fn total_bandwidth_sums_domains() {
-        let mut s = MemStats::new(2, 64);
-        s.record(&resp(0, ReqKind::Real, ReqType::Read, 10));
-        s.record(&resp(1, ReqKind::Real, ReqType::Read, 10));
-        s.set_cycles(128);
-        assert!((s.total_bytes_per_cycle() - 1.0).abs() < 1e-12);
     }
 }

@@ -118,11 +118,6 @@ impl IntervalSampler {
     pub fn samples(&self) -> &[IntervalSample] {
         &self.samples
     }
-
-    /// Consumes the sampler, returning its samples.
-    pub fn into_samples(self) -> Vec<IntervalSample> {
-        self.samples
-    }
 }
 
 #[cfg(test)]

@@ -52,25 +52,6 @@ impl ClockRatio {
     pub fn dram_to_cpu(self, dram_cycles: u64) -> Cycle {
         dram_cycles * self.cpu_per_dram
     }
-
-    /// Converts a duration in CPU cycles to whole DRAM cycles, rounding up.
-    ///
-    /// Rounding up is the conservative direction for timing constraints: a
-    /// constraint of `x` CPU cycles is satisfied after `ceil(x / ratio)` DRAM
-    /// cycles.
-    pub fn cpu_to_dram_ceil(self, cpu_cycles: Cycle) -> u64 {
-        cpu_cycles.div_ceil(self.cpu_per_dram)
-    }
-
-    /// Returns true when `cycle` falls on a DRAM command-bus edge.
-    pub fn is_dram_edge(self, cycle: Cycle) -> bool {
-        cycle.is_multiple_of(self.cpu_per_dram)
-    }
-
-    /// The first DRAM command-bus edge at or after `cycle`.
-    pub fn next_dram_edge(self, cycle: Cycle) -> Cycle {
-        cycle.next_multiple_of(self.cpu_per_dram)
-    }
 }
 
 impl Default for ClockRatio {
@@ -209,28 +190,6 @@ mod tests {
         let r = ClockRatio::new(3);
         assert_eq!(r.dram_to_cpu(0), 0);
         assert_eq!(r.dram_to_cpu(39), 117);
-    }
-
-    #[test]
-    fn cpu_to_dram_rounds_up() {
-        let r = ClockRatio::new(3);
-        assert_eq!(r.cpu_to_dram_ceil(0), 0);
-        assert_eq!(r.cpu_to_dram_ceil(1), 1);
-        assert_eq!(r.cpu_to_dram_ceil(3), 1);
-        assert_eq!(r.cpu_to_dram_ceil(4), 2);
-    }
-
-    #[test]
-    fn dram_edges() {
-        let r = ClockRatio::new(3);
-        assert!(r.is_dram_edge(0));
-        assert!(!r.is_dram_edge(1));
-        assert!(!r.is_dram_edge(2));
-        assert!(r.is_dram_edge(3));
-        assert_eq!(r.next_dram_edge(0), 0);
-        assert_eq!(r.next_dram_edge(1), 3);
-        assert_eq!(r.next_dram_edge(3), 3);
-        assert_eq!(r.next_dram_edge(4), 6);
     }
 
     #[test]

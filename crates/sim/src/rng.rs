@@ -57,32 +57,10 @@ impl DetRng {
         ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
     }
 
-    /// Returns a value uniformly distributed in `[lo, hi]` (inclusive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        lo + self.next_below(hi - lo + 1)
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn next_bool(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         (self.next_u64() as f64 / u64::MAX as f64) < p
-    }
-
-    /// Returns a uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        // 53 random mantissa bits.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Derives an independent child generator; useful for giving each
-    /// component its own stream from one experiment seed.
-    pub fn fork(&mut self) -> Self {
-        Self::new(self.next_u64())
     }
 }
 
@@ -115,17 +93,6 @@ mod tests {
         for _ in 0..1000 {
             let v = r.next_below(17);
             assert!(v < 17);
-            let w = r.next_range(5, 9);
-            assert!((5..=9).contains(&w));
-        }
-    }
-
-    #[test]
-    fn f64_in_unit_interval() {
-        let mut r = DetRng::new(5);
-        for _ in 0..1000 {
-            let v = r.next_f64();
-            assert!((0.0..1.0).contains(&v));
         }
     }
 
@@ -143,13 +110,6 @@ mod tests {
         let mut r = DetRng::new(42);
         let hits = (0..10_000).filter(|_| r.next_bool(0.3)).count();
         assert!((2500..3500).contains(&hits), "hits = {hits}");
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut a = DetRng::new(7);
-        let mut c = a.fork();
-        assert_ne!(a.next_u64(), c.next_u64());
     }
 
     #[test]

@@ -22,7 +22,11 @@
 //! every shard's egress, sorts the batch by the partition-independent key
 //! `(deliver_at, sender, seq)`, routes it, evaluates stop/abort/deadline
 //! conditions, and folds the shards' next-event hints into the next
-//! superstep's start — skipping globally quiescent spans entirely.
+//! superstep's start — skipping globally quiescent spans entirely. A
+//! run's budget never moves a barrier: a budget that ends inside a
+//! superstep or a skip returns without barrier work, and the next run
+//! finishes that superstep or skip first, so a split run stops where the
+//! unsplit one does.
 //!
 //! With more than one worker thread, workers and the coordinator meet at
 //! two spin barriers per superstep (release → execute → join). The barrier
@@ -153,6 +157,17 @@ fn stop_value(shards: &[Slot], core_home: &[usize], stop: &StopWhen, now: Cycle)
     }
 }
 
+/// Warps every shard from `*now` toward the quiescence-skip target `to`,
+/// stopping at `limit`, and returns the target if the limit cut it short.
+fn skip_toward(shards: &[Slot], now: &mut Cycle, to: Cycle, limit: Cycle) -> Option<Cycle> {
+    let at = to.min(limit);
+    if at > *now {
+        shards.iter().for_each(|m| lock(m).settle_warp(*now, at));
+    }
+    *now = at;
+    (at < to).then_some(to)
+}
+
 /// NoC routing: where each core and channel lives, and the batch buffers
 /// reused across supersteps.
 struct Router {
@@ -213,6 +228,12 @@ pub struct System {
     /// Worker threads of a NoC run, resolved when the system is built.
     parties: usize,
     now: Cycle,
+    /// The end of a superstep that a NoC run's budget cut short; the next
+    /// run finishes it before any barrier work.
+    step_end: Option<Cycle>,
+    /// The target of a quiescence skip that a NoC run's budget capped; the
+    /// next run finishes the skip first.
+    skip_to: Option<Cycle>,
     mem_label: &'static str,
     n_cores: usize,
     tracer: Tracer,
@@ -306,6 +327,8 @@ impl System {
                 .collect(),
             parties,
             now: 0,
+            step_end: None,
+            skip_to: None,
             mem_label,
             n_cores,
             tracer: Tracer::noop(),
@@ -529,13 +552,17 @@ impl System {
             claimed,
             parties,
             now,
+            step_end,
+            skip_to,
             progress,
             scfg,
             ..
         } = self;
         let (shards, claimed, parties) = (&*shards, &*claimed, *parties);
-        if let Some(t) = stop_value(shards, &router.core_home, stop, *now) {
-            return Ok(t);
+        if step_end.is_none() && skip_to.is_none() {
+            if let Some(t) = stop_value(shards, &router.core_home, stop, *now) {
+                return Ok(t);
+            }
         }
         let (origin, limit, n) = (*now, *now + budget, shards.len());
         // Each thread first claims its own stripe (stable shard→thread
@@ -563,16 +590,28 @@ impl System {
                     "supervisor cancelled after {after} cycles"
                 )));
             }
+            // A budget never moves a barrier: an earlier run's capped skip
+            // and cut superstep are finished before any barrier work.
+            if let Some(to) = skip_to.take() {
+                let from = *now;
+                *skip_to = skip_toward(shards, now, to, limit);
+                skipped += *now - from;
+            }
             if *now >= limit {
                 return Err(SimError::Deadline { budget });
             }
-            let end = (*now + scfg.noc_latency).min(limit);
+            let step = step_end.take().unwrap_or(*now + scfg.noc_latency);
+            let end = step.min(limit);
             for c in claimed {
                 c.0.store(false, Ordering::Relaxed);
             }
             steps += 1;
             exec(*now, end);
             *now = end;
+            if end < step {
+                *step_end = Some(step);
+                return Err(SimError::Deadline { budget });
+            }
             router.exchange(shards);
             let _prof = dg_prof::span("shard_hint");
             // Stop conditions are evaluated only at barriers, with the same
@@ -585,10 +624,7 @@ impl System {
                 let hint = shards
                     .iter()
                     .fold(None, |ev, m| earliest_event(ev, lock(m).next_event(end)));
-                *now = hint.map_or(limit, |t| t.min(limit));
-                if *now > end {
-                    shards.iter().for_each(|m| lock(m).settle_warp(end, *now));
-                }
+                *skip_to = skip_toward(shards, now, hint.unwrap_or(limit), limit);
                 skipped += *now - end;
             }
             if let Some(p) = progress {
@@ -869,6 +905,47 @@ mod tests {
         assert_eq!(sliced_end, end);
         assert_eq!(sliced.now(), whole.now());
         assert_eq!(outcome(&sliced), outcome(&whole));
+    }
+
+    /// A NoC run split by its budget ends on the unsplit run's barrier: a
+    /// budget that cuts a superstep or caps a quiescence skip leaves the
+    /// rest of it to the next call, before any barrier work.
+    #[test]
+    fn noc_runs_compose_across_budget_splits() {
+        let mut cfg = SystemConfig::two_core();
+        cfg.dram_org.channels = 2;
+        let build = |shards| {
+            crate::ShardedSystemBuilder::new(
+                cfg.clone(),
+                super::ShardConfig {
+                    shards,
+                    noc_latency: 64,
+                    max_parties: None,
+                },
+            )
+            .trace_core(small_trace(500, 0))
+            .trace_core(small_trace(500, 1 << 30))
+            .memory(MemoryKind::Insecure)
+            .build()
+        };
+        for shards in [1, 2] {
+            let mut whole = build(shards);
+            let end = whole.run_until_core_finished(0, 100_000_000).unwrap();
+            for budget in [63, 1_000, 12_345] {
+                let mut split = build(shards);
+                let split_end = loop {
+                    match split.run_until_core_finished(0, budget) {
+                        Ok(t) => break t,
+                        Err(SimError::Deadline { .. }) => {}
+                        Err(e) => panic!("unexpected {e:?}"),
+                    }
+                };
+                let at = format!("{shards} shard(s), budget {budget}");
+                assert_eq!(split_end, end, "{at}");
+                assert_eq!(split.now(), whole.now(), "{at}");
+                assert_eq!(outcome(&split), outcome(&whole), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! traces diffable across defense variants).
 
 use dg_cpu::{DagReq, DagWorkload, MemTrace};
+use dg_defenses::IntervalDistribution;
 use dg_obs::{chrome_trace_json, Tracer};
 use dg_rdag::template::RdagTemplate;
 use dg_sim::config::SystemConfig;
@@ -208,7 +209,20 @@ fn artifacts(sys: &System) -> (String, String) {
 
 #[test]
 fn back_pressured_runs_match_naive_engine_byte_for_byte() {
-    for kind in [dagguise(), MemoryKind::Insecure] {
+    let kinds = [
+        dagguise(),
+        MemoryKind::Insecure,
+        MemoryKind::Camouflage {
+            protected: vec![Some(IntervalDistribution::figure2()), None],
+        },
+        MemoryKind::FixedService,
+        MemoryKind::FsBta,
+        MemoryKind::FsSpatial,
+        MemoryKind::TemporalPartition {
+            slots_per_period: 4,
+        },
+    ];
+    for kind in kinds {
         let mut fast = saturated(&kind, 1_000, false);
         fast.run_until_finished(200_000_000).unwrap();
         let mut naive = saturated(&kind, 1_000, true);
