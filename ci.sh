@@ -14,6 +14,20 @@ echo "=== perfbench self-tests ==="
 # BENCHMARK.json, digests, capture/replay divergence detection.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "=== perfbench traced pass (dagguise-idle: simulator and replay agree) ==="
+# The traced pass replays the calls captured at the cores' memory boundary
+# into a DAGguise stack built from public constructors: every response,
+# every accept/refuse answer and every channel promise must agree with the
+# cycles the system ticked, and every run must match the naive-engine
+# digest. The last line is the result record.
+pb_last=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --workload dagguise-idle --seed 7 --seconds 0 --trace 1 | tail -n 1)
+case "$pb_last" in
+  '{"correct": true, "attempted": '*', "failed": 0, '*)
+    echo "perfbench: traced dagguise-idle pass correct, 0 failed" ;;
+  *) echo "perfbench: traced dagguise-idle pass failed: ${pb_last:0:200}"; exit 1 ;;
+esac
+
 echo "=== engine differential + zero-allocation suites (release) ==="
 # Naive vs event engine byte-identity under back-pressure (direct-wired
 # and NoC topologies, every memory kind), the counting-allocator proof that

@@ -1,15 +1,19 @@
 //! The no-op contract of `DomainShaper::next_event_at`, checked on the
 //! shapers themselves: a twin ticked only when its `next_event_at` is due
 //! (or right after an accept or a response) must emit exactly what a twin
-//! ticked on every cycle emits, and end with the same report.
+//! ticked on every cycle emits, and end with the same report. The same
+//! holds one level up, for a `ShapedMemory` that runs its fake traffic
+//! between contacts.
 
 use dagguise::{Shaper, ShaperConfig};
 use dg_dram::{AddressMapper, MapScheme};
-use dg_mem::{DomainShaper, PassThrough};
+use dg_mem::{
+    DomainShaper, MemoryController, MemorySubsystem, PassThrough, SchedPolicy, ShapedMemory,
+};
 use dg_obs::ShaperReport;
 use dg_rdag::template::RdagTemplate;
 use dg_sim::clock::Cycle;
-use dg_sim::config::SystemConfig;
+use dg_sim::config::{RowPolicy, SystemConfig};
 use dg_sim::rng::DetRng;
 use dg_sim::types::{DomainId, MemRequest, MemResponse, ReqId, ReqKind};
 
@@ -184,5 +188,144 @@ fn pass_through_ticked_only_when_due_matches_every_cycle() {
             out.emissions.len()
         );
         assert!(lazy_ticks < CYCLES, "the lazy twin ticked every cycle");
+    }
+}
+
+/// A DAGguise-shaped memory as the system builds it: closed-row FR-FCFS,
+/// a shaper for domain 0 and a pass-through front for domain 1.
+fn shaped_memory(template: RdagTemplate) -> ShapedMemory<MemoryController> {
+    let mut cfg = config();
+    cfg.row_policy = RowPolicy::Closed;
+    let shapers: Vec<Box<dyn DomainShaper>> = vec![
+        Box::new(Shaper::new(ShaperConfig::from_system(
+            DomainId(0),
+            template,
+            &cfg,
+        ))),
+        Box::new(PassThrough::new(DomainId(1), 16)),
+    ];
+    ShapedMemory::new(MemoryController::new(&cfg, SchedPolicy::FrFcfs), shapers)
+}
+
+/// Sparse real sends from both domains: long quiet stretches between
+/// short bursts, over the first half of `horizon`.
+fn sparse_sends(seed: u64, horizon: Cycle) -> Vec<(Cycle, MemRequest)> {
+    let cfg = config();
+    let mut rng = DetRng::new(seed);
+    let mut sends = Vec::new();
+    let mut now = 0;
+    let mut id = 0;
+    while now < horizon / 2 {
+        now += if rng.next_bool(0.7) {
+            rng.next_below(5)
+        } else {
+            2_000 + rng.next_below(6_000)
+        };
+        id += 1;
+        let d = DomainId(rng.next_below(2) as u16);
+        let addr = rng.next_below(1 << 24) * cfg.dram_org.line_bytes;
+        let req = if rng.next_bool(0.05) {
+            MemRequest::write(d, addr, now)
+        } else {
+            MemRequest::read(d, addr, now)
+        };
+        sends.push((now, req.with_id(ReqId::compose(d, id))));
+    }
+    sends
+}
+
+/// What a core and a report see of one shaped-memory run.
+#[derive(Debug, PartialEq)]
+struct MemOutcome {
+    /// (tick cycle, id, completion cycle) of every response.
+    responses: Vec<(Cycle, ReqId, Cycle)>,
+    /// The cycles of refused sends.
+    refused: Vec<Cycle>,
+    stats: String,
+    interference: Option<dg_obs::InterferenceReport>,
+    shapers: Vec<ShaperReport>,
+}
+
+/// How a twin decides which cycles to tick.
+type Promise = fn(&ShapedMemory<MemoryController>, Cycle) -> Option<Cycle>;
+
+/// Drives `mem` over `sends` for `horizon` cycles: every cycle, or only at
+/// the cycles `promise` names and at sends. A span skipped after a
+/// promised event is settled, as the engine settles its warps; a span
+/// skipped after a `None` promise is not — the memory runs what it left
+/// out, settlement included, at its next contact. Sends follow the tick of
+/// their cycle, and a refused one is dropped. Returns the outcome after a
+/// final settle of the empty span at `horizon`, and the number of ticks.
+fn drive_memory(
+    mut mem: ShapedMemory<MemoryController>,
+    sends: &[(Cycle, MemRequest)],
+    horizon: Cycle,
+    promise: Option<Promise>,
+) -> (MemOutcome, u64) {
+    let (mut responses, mut refused) = (Vec::new(), Vec::new());
+    let (mut buf, mut next, mut ticks) = (Vec::new(), 0, 0);
+    let mut now = 0;
+    while now < horizon {
+        buf.clear();
+        mem.tick_into(now, &mut buf);
+        ticks += 1;
+        responses.extend(buf.iter().map(|r| (now, r.id, r.completed_at)));
+        while let Some(&(at, req)) = sends.get(next).filter(|(at, _)| *at <= now) {
+            debug_assert_eq!(at, now, "a send was skipped");
+            if mem.try_send(req, now).is_err() {
+                refused.push(now);
+            }
+            next += 1;
+        }
+        now += 1;
+        if let Some(promise) = promise {
+            let event = promise(&mem, now);
+            let send = sends.get(next).map_or(horizon, |&(at, _)| at.max(now));
+            let to = event.map_or(horizon, |t| t.max(now)).min(send).min(horizon);
+            if event.is_some() && to > now {
+                mem.settle_warp(now, to, &[]);
+            }
+            now = to;
+        }
+    }
+    mem.settle_warp(horizon, horizon, &[]);
+    let outcome = MemOutcome {
+        responses,
+        refused,
+        stats: format!("{:?}", mem.stats()),
+        interference: mem.interference(),
+        shapers: mem.shaper_reports(),
+    };
+    (outcome, ticks)
+}
+
+#[test]
+fn shaped_memory_ticked_only_at_promises_and_sends_matches_every_cycle() {
+    const HORIZON: Cycle = 120_000;
+    for (seqs, weight, writes) in [(4, 100, 0.01), (2, 40, 0.25)] {
+        let template = RdagTemplate::new(seqs, weight, writes);
+        for seed in 0..3 {
+            let what = format!("template ({seqs}, {weight}, {writes}), seed {seed}");
+            let sends = sparse_sends(seed, HORIZON);
+            let drive = |promise| drive_memory(shaped_memory(template), &sends, HORIZON, promise);
+            let (every, _) = drive(None);
+            let (eager, eager_ticks) = drive(Some(MemorySubsystem::next_event_at_eager));
+            let (lazy, lazy_ticks) = drive(Some(MemorySubsystem::next_event_at));
+            let r = &every.shapers[0];
+            assert!(
+                r.real_forwarded > 0 && r.fakes_emitted > 10 * r.real_forwarded,
+                "{what}: the drive must be mostly fake traffic: {r:?}"
+            );
+            assert!(every.responses.len() > 20, "{what}: {every:?}");
+            assert_eq!(every.responses, lazy.responses, "{what}: responses differ");
+            assert_eq!(every, lazy, "{what}: lazy end state differs");
+            assert_eq!(every, eager, "{what}: eager end state differs");
+            // Fakes never wake the lazy twin: it ticks around the real
+            // requests only.
+            assert!(
+                lazy_ticks * 2 < eager_ticks,
+                "{what}: {lazy_ticks} lazy ticks, {eager_ticks} eager"
+            );
+        }
     }
 }

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use dg_obs::{InterferenceReport, ShaperReport, ShaperTimelineReport, Tracer};
 use dg_sim::clock::{earliest_event, CachedEvent, Cycle};
-use dg_sim::types::{DomainId, MemRequest, MemResponse};
+use dg_sim::types::{DomainId, MemRequest, MemResponse, ReqKind};
 
 use crate::stats::MemStats;
 
@@ -37,19 +37,35 @@ pub trait MemorySubsystem: Send {
     }
 
     /// The earliest cycle `t >= now` at which a tick of this subsystem could
-    /// change its state or produce a response, assuming no new requests are
-    /// sent to it in the meantime. `None` means the subsystem is fully
-    /// passive: it wakes only on external input. The default `Some(now)`
+    /// produce a response or change whether it accepts a request, assuming
+    /// no new requests are sent to it in the meantime. `None` means the
+    /// subsystem wakes only on external input. The default `Some(now)`
     /// ("always active") is conservative and disables cycle skipping for
     /// implementations that do not opt in.
     ///
-    /// This is a no-op contract the engine caches on: every tick before `t`
-    /// does nothing, so the answer stays valid — and the engine keeps it
-    /// without asking again — until the subsystem accepts a request or is
-    /// ticked at or after `t`. A refused request and
+    /// This is a no-op contract the engine caches on: no tick before `t`
+    /// changes what a core can see, so the answer stays valid — and the
+    /// engine keeps it without asking again — until the subsystem accepts a
+    /// request or is ticked at or after `t`. A refused request and
     /// [`settle_warp`](Self::settle_warp) must leave it unchanged.
+    ///
+    /// A subsystem may leave out internal events no core can observe (a
+    /// shaper's fake traffic, DRAM commands, refresh) and run them at its
+    /// next contact instead: `tick_into`, `try_send` or `settle_warp` first
+    /// runs, in cycle order, the skipped events before the contact's cycle.
+    /// [`next_event_at_eager`](Self::next_event_at_eager) is then the
+    /// answer that includes them. Only [`ShapedMemory`] does so.
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
+    }
+
+    /// [`next_event_at`](Self::next_event_at) with the internal events
+    /// included: the earliest cycle from `now` at which a tick could change
+    /// any state, for a caller that ticks every event itself. The NoC
+    /// engine needs it: its barriers and quiescence skips are placed from
+    /// these answers, so they must not depend on how lazily a channel runs.
+    fn next_event_at_eager(&self, now: Cycle) -> Option<Cycle> {
+        self.next_event_at(now)
     }
 
     /// Settles the per-cycle bookkeeping of a warped span `[from, to)`:
@@ -68,7 +84,10 @@ pub trait MemorySubsystem: Send {
     /// Settling is idempotent for a layer's own bookkeeping, so a caller
     /// may settle a span more than once, e.g. once for the layer's own
     /// span and once per refused request. Layers with no per-cycle
-    /// accounting keep the default no-op.
+    /// accounting keep the default no-op. A lazily run subsystem (see
+    /// [`next_event_at`](Self::next_event_at)) first runs its skipped
+    /// events before `to`, so settling the empty span `[now, now)` brings
+    /// it up to `now`.
     fn settle_warp(&mut self, _from: Cycle, _to: Cycle, _refused: &[MemRequest]) {}
 
     /// Aggregate statistics.
@@ -261,6 +280,19 @@ impl DomainShaper for PassThrough {
 /// polls again) only the shapers that are due or took an accept or a
 /// response since their last tick: by the shaper no-op contract every
 /// other tick would do nothing.
+///
+/// While no core request is inside it — none queued in a shaper, none in
+/// flight in the controller — nothing it does is visible to a core: fake
+/// emissions and completions, DRAM commands and refresh are internal
+/// events. It then runs them lazily: [`MemorySubsystem::next_event_at`]
+/// answers `None`, and the next contact first runs the skipped events in
+/// cycle order, settling the controller's spans between them as the
+/// engine's warps do. An accepted request ends lazy mode; a shaper refuses
+/// only while it holds a request, so a back-pressured core always finds it
+/// off; the last real response turns it back on. Every response and
+/// refusal a core sees thus still falls on a cycle the caller ticked.
+/// Under an enabled tracer it runs eagerly, so trace events keep the
+/// per-cycle loop's order across channels.
 pub struct ShapedMemory<M: MemorySubsystem> {
     inner: M,
     shapers: Vec<Box<dyn DomainShaper>>,
@@ -270,6 +302,13 @@ pub struct ShapedMemory<M: MemorySubsystem> {
     completions: Vec<MemResponse>,
     /// Reusable per-tick buffer for shaper emissions (zero-alloc path).
     emissions: Vec<MemRequest>,
+    /// Core requests accepted and not yet answered.
+    real: usize,
+    /// The first cycle not yet run: ticks and settlements have covered
+    /// every cycle before it (kept current whenever `real` is 0).
+    cursor: Cycle,
+    /// Whether `next_event_at` may leave internal events out (no tracer).
+    lazy: bool,
 }
 
 impl<M: MemorySubsystem> ShapedMemory<M> {
@@ -290,6 +329,9 @@ impl<M: MemorySubsystem> ShapedMemory<M> {
             shapers,
             completions: Vec::new(),
             emissions: Vec::new(),
+            real: 0,
+            cursor: 0,
+            lazy: true,
         }
     }
 
@@ -301,6 +343,25 @@ impl<M: MemorySubsystem> ShapedMemory<M> {
     /// Requests buffered across all shapers.
     pub fn pending(&self) -> usize {
         self.shapers.iter().map(|s| s.pending()).sum()
+    }
+
+    /// Runs the internal events skipped before `to`, in cycle order, and
+    /// settles the controller's spans between them. Only called while no
+    /// core request is inside, so none of these ticks answers a core.
+    #[cold]
+    #[inline(never)]
+    fn catch_up(&mut self, to: Cycle) {
+        let mut none = Vec::new();
+        while self.cursor < to {
+            let at = self.next_event_at_eager(self.cursor).filter(|&t| t < to);
+            let next = at.unwrap_or(to);
+            self.inner.settle_warp(self.cursor, next, &[]);
+            self.cursor = next;
+            if let Some(t) = at {
+                self.tick_into(t, &mut none);
+                debug_assert!(none.is_empty(), "an internal event answered a core");
+            }
+        }
     }
 }
 
@@ -321,18 +382,39 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
             "no shaper for domain {}",
             req.domain
         );
-        self.shapers[idx].try_accept(req, now)?;
-        self.events[idx].touch();
-        Ok(())
+        if self.real == 0 && self.cursor < now {
+            self.catch_up(now);
+        }
+        match self.shapers[idx].try_accept(req, now) {
+            Ok(()) => {
+                self.events[idx].touch();
+                self.real += usize::from(req.kind == ReqKind::Real);
+                Ok(())
+            }
+            Err(req) => {
+                assert!(
+                    self.shapers[idx].pending() > 0,
+                    "shaper {idx} refused a request while holding none"
+                );
+                Err(req)
+            }
+        }
     }
 
     fn tick_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
+        if self.real == 0 && self.cursor < now {
+            self.catch_up(now);
+        }
+        self.cursor = now + 1;
         // 1. Advance the controller and route completions back through the
         //    owning shapers; only real responses escape to the cores.
         let mut completions = std::mem::take(&mut self.completions);
         completions.clear();
         self.inner.tick_into(now, &mut completions);
         for resp in completions.drain(..) {
+            if resp.kind == ReqKind::Real {
+                self.real -= 1;
+            }
             let idx = resp.domain.0 as usize;
             if idx < self.shapers.len() {
                 self.events[idx].touch();
@@ -371,6 +453,14 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
     }
 
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
+        if self.lazy && self.real == 0 {
+            None
+        } else {
+            self.next_event_at_eager(now)
+        }
+    }
+
+    fn next_event_at_eager(&self, now: Cycle) -> Option<Cycle> {
         // The assembly acts whenever the controller acts (completions feed
         // shaper executors the same cycle) or any shaper wants to emit.
         // With the transaction queue full no shaper can emit, so their due
@@ -391,8 +481,14 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
     }
 
     fn settle_warp(&mut self, from: Cycle, to: Cycle, refused: &[MemRequest]) {
+        if self.real == 0 {
+            if self.cursor < to {
+                self.catch_up(to);
+            }
+        } else {
+            self.inner.settle_warp(from, to, &[]);
+        }
         // Core requests stop at the shapers, so the refusals are theirs.
-        self.inner.settle_warp(from, to, &[]);
         for req in refused {
             if let Some(s) = self.shapers.get_mut(req.domain.0 as usize) {
                 s.settle_refusals(req, from, to);
@@ -421,6 +517,7 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
+        self.lazy = !tracer.enabled();
         self.inner.set_tracer(tracer.clone());
         for s in &mut self.shapers {
             s.set_tracer(tracer.clone());
@@ -451,7 +548,7 @@ mod tests {
     use super::*;
     use crate::controller::{MemoryController, SchedPolicy};
     use dg_sim::config::SystemConfig;
-    use dg_sim::types::{ReqId, ReqKind, ReqType};
+    use dg_sim::types::{ReqId, ReqType};
 
     fn mk_req(domain: u16, addr: u64, id: u64) -> MemRequest {
         MemRequest::read(DomainId(domain), addr, 0).with_id(ReqId(id))

@@ -90,18 +90,12 @@ impl IntervalSampler {
         self.window_start = now;
     }
 
-    /// Replays every window boundary in `(window_start, target]` with the
-    /// given (unchanged) cumulative counters, recording the same zero-delta
-    /// samples the naive cycle loop would have produced while the system was
-    /// quiescent. The event-driven engine calls this when warping time
-    /// forward: counters cannot change during a warp, so each skipped
-    /// boundary closes with exactly the inputs the per-cycle loop would have
-    /// observed.
-    pub fn advance_to(&mut self, target: Cycle, instructions: &[u64], bytes: &[u64]) {
-        while self.window_start + self.window <= target {
-            let boundary = self.window_start + self.window;
-            self.sample(boundary, instructions, bytes);
-        }
+    /// The cycle that closes the current window. The event-driven engine
+    /// samples there when a warp passes it: it settles the memory state up
+    /// to the boundary first, so each skipped window closes with exactly
+    /// the inputs the per-cycle loop would have observed.
+    pub fn next_boundary(&self) -> Cycle {
+        self.window_start + self.window
     }
 
     /// Flushes the trailing partial window at end-of-run: records a final
@@ -169,7 +163,7 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_replays_skipped_boundaries() {
+    fn sampling_at_each_next_boundary_matches_per_cycle_checks() {
         // Naive reference: per-cycle due() checks over a quiescent stretch.
         let mut naive = IntervalSampler::new(100, 1e9, 1, 1);
         naive.sample(100, &[50], &[6400]);
@@ -178,12 +172,14 @@ mod tests {
                 naive.sample(now, &[50], &[6400]);
             }
         }
-        // Warped: one advance_to call covering the same stretch.
+        // Warped: one sample per boundary the stretch passes.
         let mut warped = IntervalSampler::new(100, 1e9, 1, 1);
         warped.sample(100, &[50], &[6400]);
-        warped.advance_to(350, &[50], &[6400]);
+        while warped.next_boundary() <= 350 {
+            warped.sample(warped.next_boundary(), &[50], &[6400]);
+        }
         assert_eq!(naive.samples(), warped.samples());
-        // Boundaries at 200 and 300 were replayed as zero-delta windows.
+        // Boundaries at 200 and 300 closed as zero-delta windows.
         assert_eq!(warped.samples().len(), 3);
         assert_eq!(warped.samples()[2].start_cycle, 200);
         assert_eq!(warped.samples()[2].ipc[0], 0.0);

@@ -442,3 +442,88 @@ proptest! {
         prop_assert!(fast_trace == naive_trace);
     }
 }
+
+/// Two DAG-chain cores with long dependency gaps under DAGguise, the
+/// shape of the benchmark's idle load: the shaper fills almost every rDAG
+/// slot with a fake, so the memory path acts far more often than either
+/// core. No tracer is installed: a traced DAGguise path runs eagerly, so
+/// only untraced runs reach the shaped memory's lazy mode.
+fn idle_chains(naive: bool) -> System {
+    let mut sys = SystemBuilder::new(SystemConfig::two_core())
+        .dag_core(DagWorkload::chain(20, 10_000, 64 * 131))
+        .dag_core(DagWorkload::chain(20, 10_000, 64 * 131))
+        .memory(dagguise())
+        .build();
+    sys.set_event_skipping(!naive);
+    sys
+}
+
+/// The run report with the engine section normalized away.
+fn outcome(sys: &System) -> String {
+    let mut report = sys.report("untraced");
+    report.engine = Default::default();
+    report.to_json()
+}
+
+#[test]
+fn untraced_idle_chains_match_naive_engine() {
+    let run = |naive: bool| {
+        let mut sys = idle_chains(naive);
+        sys.run_until_finished(10_000_000)
+            .expect("the chains finish");
+        let fakes = sys.report("untraced").shapers[0].fakes_emitted;
+        assert!(fakes > 1_000, "{fakes} fakes");
+        outcome(&sys)
+    };
+    assert_eq!(run(false), run(true), "reports diverged");
+}
+
+#[test]
+fn untraced_idle_chains_sample_windows_like_naive_engine() {
+    // Interval samples read the memory statistics at every window
+    // boundary, including the boundaries inside a warp.
+    let run = |naive: bool| {
+        let mut sys = idle_chains(naive);
+        sys.enable_interval_sampling(5_000);
+        sys.enable_shaper_timelines(5_000);
+        sys.run_until_finished(10_000_000)
+            .expect("the chains finish");
+        let report = sys.report("sampled");
+        assert!(
+            report.intervals.len() > 10,
+            "{} samples",
+            report.intervals.len()
+        );
+        assert!(!report.shaper_timelines.is_empty());
+        outcome(&sys)
+    };
+    assert_eq!(run(false), run(true), "reports diverged");
+}
+
+#[test]
+fn untraced_idle_chains_compose_across_budget_splits() {
+    let mut single = idle_chains(false);
+    let want = single.run_until_finished(10_000_000);
+    let end = *want.as_ref().expect("the chains finish");
+    for budget in [63, 997, 12_345] {
+        let mut split = idle_chains(false);
+        assert_eq!(
+            run_chunked(&mut split, budget, None),
+            want,
+            "budget {budget}"
+        );
+        assert_eq!(split.now(), single.now(), "budget {budget}");
+        assert_eq!(outcome(&split), outcome(&single), "budget {budget}");
+    }
+    // Fixed windows, each ending wherever it ends, against one window of
+    // the same total length.
+    let mut windowed = idle_chains(false);
+    let mut total = 0;
+    for window in [7_919, 20_011, 45_007, end] {
+        windowed.run_for(window);
+        total += window;
+        let mut whole = idle_chains(false);
+        whole.run_for(total);
+        assert_eq!(outcome(&windowed), outcome(&whole), "after {total} cycles");
+    }
+}
