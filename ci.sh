@@ -14,19 +14,23 @@ echo "=== perfbench self-tests ==="
 # BENCHMARK.json, digests, capture/replay divergence detection.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
-echo "=== perfbench traced pass (dagguise-idle: simulator and replay agree) ==="
+echo "=== perfbench traced passes (simulator and replay agree) ==="
 # The traced pass replays the calls captured at the cores' memory boundary
 # into a DAGguise stack built from public constructors: every response,
 # every accept/refuse answer and every channel promise must agree with the
 # cycles the system ticked, and every run must match the naive-engine
-# digest. The last line is the result record.
-pb_last=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-  --workload dagguise-idle --seed 7 --seconds 0 --trace 1 | tail -n 1)
-case "$pb_last" in
-  '{"correct": true, "attempted": '*', "failed": 0, '*)
-    echo "perfbench: traced dagguise-idle pass correct, 0 failed" ;;
-  *) echo "perfbench: traced dagguise-idle pass failed: ${pb_last:0:200}"; exit 1 ;;
-esac
+# digest. The last line is the result record. dagguise-idle covers the
+# shaped memory's lazy fake traffic; dagguise-saturated covers the lazy
+# controller, whose promise the replay checks against every skipped cycle.
+for pb_workload in dagguise-idle dagguise-saturated; do
+  pb_last=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload "$pb_workload" --seed 7 --seconds 0 --trace 1 | tail -n 1)
+  case "$pb_last" in
+    '{"correct": true, "attempted": '*', "failed": 0, '*)
+      echo "perfbench: traced $pb_workload pass correct, 0 failed" ;;
+    *) echo "perfbench: traced $pb_workload pass failed: ${pb_last:0:200}"; exit 1 ;;
+  esac
+done
 
 echo "=== engine differential + zero-allocation suites (release) ==="
 # Naive vs event engine byte-identity under back-pressure (direct-wired

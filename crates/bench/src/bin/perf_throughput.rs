@@ -49,6 +49,8 @@ use dg_sim::clock::Cycle;
 use dg_sim::config::SystemConfig;
 use dg_system::{MemoryKind, SystemBuilder};
 
+const USAGE: &str = "usage: perf_throughput [--quick | --full] [--out <path>] [--profile <path>]";
+
 struct Load {
     name: &'static str,
     /// Chain length for the idle DAG cores (0 = use traces instead).
@@ -252,7 +254,14 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            other => eprintln!("warning: ignoring unknown flag {other}"),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+            other => {
+                eprintln!("error: unknown flag {other}\n{USAGE}");
+                std::process::exit(2);
+            }
         }
     }
     if profile_path.is_some() {

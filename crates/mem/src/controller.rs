@@ -5,7 +5,8 @@ use std::ops::Range;
 
 use dg_dram::command::RowId;
 use dg_dram::{
-    AddressMapper, BlockReason, DramCommand, DramDevice, MapScheme, PhysLoc, RankHorizons,
+    AddressMapper, BlockReason, CpuTiming, DramCommand, DramDevice, MapScheme, PhysLoc,
+    RankHorizons,
 };
 use dg_obs::{BankCmd, EventKind, InterferenceMatrix, InterferenceReport, StallCause, Tracer};
 use dg_sim::clock::Cycle;
@@ -71,6 +72,10 @@ struct BankPlan {
     first_read: Option<u64>,
     first_write: Option<u64>,
     first_conflict: Option<u64>,
+    /// Whether a read, and whether a write, to the head's row is queued:
+    /// the transactions the row the head opens can serve.
+    chain_read: bool,
+    chain_write: bool,
     /// The transactions queued behind the head, counted per domain in
     /// first-seen order. Preallocated like `queue`.
     waits: Vec<(DomainId, u64)>,
@@ -87,6 +92,8 @@ impl BankPlan {
             first_read: None,
             first_write: None,
             first_conflict: None,
+            chain_read: false,
+            chain_write: false,
             waits: Vec::with_capacity(capacity),
         }
     }
@@ -117,6 +124,10 @@ impl BankPlan {
                 None => self.waits.push((p.domain, 1)),
             }
         }
+        if p.row == self.queue[0].row {
+            self.chain_read |= !p.write;
+            self.chain_write |= p.write;
+        }
         let first = match self.open_row {
             Some(row) if row == p.row && p.write => &mut self.first_write,
             Some(row) if row == p.row => &mut self.first_read,
@@ -137,10 +148,42 @@ impl BankPlan {
         self.first_read = None;
         self.first_write = None;
         self.first_conflict = None;
+        (self.chain_read, self.chain_write) = (false, false);
         self.waits.clear();
         for i in 0..self.queue.len() {
             self.note(self.queue[i], i == 0);
         }
+    }
+}
+
+/// The fixed spacings from a bank head's command to the completion of a
+/// column command it leads to: ACT → column (tRCD), PRE → ACT → column
+/// (tRP + tRCD), and column → last data beat for a read (tCAS + tBURST)
+/// and a write (tCWD + tBURST). No command issues sooner after its
+/// predecessor, so a horizon plus a chain bounds a completion from below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Latency {
+    act: Cycle,
+    pre: Cycle,
+    read: Cycle,
+    write: Cycle,
+}
+
+impl Latency {
+    fn new(t: &CpuTiming) -> Self {
+        Self {
+            act: t.tRCD,
+            pre: t.tRP + t.tRCD,
+            read: t.tCAS + t.tBURST,
+            write: t.tCWD + t.tBURST,
+        }
+    }
+
+    /// The shortest column latency among reads (with `read`) and writes
+    /// (with `write`).
+    fn column(&self, read: bool, write: bool) -> Cycle {
+        let read = if read { self.read } else { Cycle::MAX };
+        read.min(if write { self.write } else { Cycle::MAX })
     }
 }
 
@@ -206,6 +249,12 @@ struct Plan {
     /// Earliest horizon among row-hit column commands and bank-head ACTs
     /// (`Cycle::MAX`: none).
     ready: Cycle,
+    /// Earliest cycle any pending transaction could complete (`Cycle::MAX`:
+    /// none pending): per bank, the earliest a row hit's column command
+    /// could finish, or the head's command plus the chain to a column
+    /// command of its row.
+    done_from: Cycle,
+    lat: Latency,
     /// Bank, sequence number and horizon of the oldest row conflict's PRE.
     conflict: Option<(u32, u64, Cycle)>,
     /// Banks with a row hit pending, one bit each.
@@ -231,6 +280,8 @@ impl Plan {
             pending: 0,
             oldest: None,
             ready: Cycle::MAX,
+            done_from: Cycle::MAX,
+            lat: Latency::new(device.timing()),
             conflict: None,
             hit_banks: 0,
             faw_banks: 0,
@@ -301,6 +352,7 @@ impl Plan {
         self.rank = device.rank_horizons();
         self.oldest = None;
         self.ready = Cycle::MAX;
+        self.done_from = Cycle::MAX;
         self.conflict = None;
         self.hit_banks = 0;
         self.faw_banks = 0;
@@ -327,8 +379,19 @@ impl Plan {
         if self.oldest.is_none_or(|(seq, _)| first.seq < seq) {
             self.oldest = Some((first.seq, id));
         }
-        if matches!(cmd, DramCommand::Activate { .. }) {
-            self.ready = self.ready.min(horizon);
+        let lat = self.lat;
+        let chain = match cmd {
+            DramCommand::Activate { .. } => {
+                self.ready = self.ready.min(horizon);
+                Some(lat.act)
+            }
+            DramCommand::Precharge { .. } => Some(lat.pre),
+            _ => None,
+        };
+        if let Some(chain) = chain {
+            // The row the head opens serves the chain's reads and writes.
+            let col = lat.column(bank.chain_read, bank.chain_write);
+            self.done_from = self.done_from.min(horizon + chain + col);
         }
         if reason == BlockReason::Faw {
             self.faw_banks |= 1 << b;
@@ -336,7 +399,9 @@ impl Plan {
         for (first, write) in [(bank.first_read, false), (bank.first_write, true)] {
             if first.is_some() {
                 let col = column_cmd(id, write, false);
-                self.ready = self.ready.min(self.rank.horizon(col, bank.col_at).0);
+                let at = self.rank.horizon(col, bank.col_at).0;
+                self.ready = self.ready.min(at);
+                self.done_from = self.done_from.min(at + lat.column(!write, write));
                 self.hit_banks |= 1 << b;
             }
         }
@@ -564,6 +629,17 @@ impl Stalls<'_> {
 /// One DRAM command may issue per command-bus edge. Refresh takes priority
 /// when due: open banks are drained and precharged, then a rank-wide REF is
 /// issued.
+///
+/// A core sees only completions, and a transaction-queue slot frees only
+/// at one, so without a tracer the controller promises only those: its
+/// `next_event_at` is a lower bound on the next completion, and the
+/// command edges and refreshes before it run at the next contact
+/// (`tick_into`, `try_send` or `settle_warp`), in cycle order, with the
+/// spans between them settled as a warp settles them. A controller driven
+/// only through ticks and sends thus stays exact without `settle_warp`.
+/// `next_event_at_eager` still names every issue and refresh edge, and an
+/// enabled tracer makes the controller answer it, so trace events keep
+/// the per-cycle loop's order.
 #[derive(Debug)]
 pub struct MemoryController {
     device: DramDevice,
@@ -583,12 +659,16 @@ pub struct MemoryController {
     /// Earliest `done` among issued transactions (`Cycle::MAX` when none):
     /// collection is a no-op before it.
     next_done: Cycle,
-    /// Every command-bus edge before this cycle has passed, by a tick or by
-    /// [`MemorySubsystem::settle_warp`]: its stalls are paid or owed.
+    /// Every command-bus edge before this cycle has passed, by a tick, a
+    /// catch-up or [`MemorySubsystem::settle_warp`]: its command issued,
+    /// its stalls are paid or owed.
     settled_until: Cycle,
     plan: Plan,
     /// Sequence number of the next enqueued transaction.
     next_seq: u64,
+    /// Whether `next_event_at` may leave command edges and refresh out
+    /// (no tracer).
+    lazy: bool,
 }
 
 impl MemoryController {
@@ -628,6 +708,7 @@ impl MemoryController {
             settled_until: 0,
             plan,
             next_seq: 0,
+            lazy: true,
         }
     }
 
@@ -726,6 +807,82 @@ impl MemoryController {
     fn first_unpassed_edge(&self) -> Cycle {
         self.settled_until
             .next_multiple_of(self.device.timing().cmd_cycle)
+    }
+
+    /// The first bus edge from `now` that can act: every edge of a refresh
+    /// drain; otherwise the issue edge ([`Plan::pick_from`]) or the refresh
+    /// deadline, whichever comes first (`Cycle::MAX`: none). Both are bus
+    /// edges (horizons are edges, deadlines whole tREFI periods), so only an
+    /// edge already passed needs rounding up to the first edge from `now`.
+    fn command_edge(&self, now: Cycle) -> Cycle {
+        let edge = if self.refresh_pending {
+            0
+        } else {
+            self.plan.pick_from().min(self.device.refresh_deadline())
+        };
+        debug_assert!(edge == Cycle::MAX || edge.is_multiple_of(self.device.timing().cmd_cycle));
+        if edge < now {
+            now.next_multiple_of(self.device.timing().cmd_cycle)
+        } else {
+            edge
+        }
+    }
+
+    /// Brings the controller up to `to`: every cycle before it has passed.
+    /// Command edges the caller did not tick run first (see [`catch_up`]);
+    /// without one, this is a span settle plus one compare.
+    ///
+    /// [`catch_up`]: Self::catch_up
+    #[inline]
+    fn advance(&mut self, to: Cycle) {
+        let edge = self.plan.pick_from().min(self.device.refresh_deadline());
+        if self.refresh_pending || edge < to {
+            self.catch_up(to);
+        } else {
+            self.settle_span(to);
+        }
+    }
+
+    /// Runs the command edges in `[settled_until, to)` in cycle order, as
+    /// ticks would, and settles the spans between them. No transaction
+    /// completes before `to`: a caller that ticks only at `next_event_at`
+    /// is ticked at every completion.
+    #[cold]
+    #[inline(never)]
+    fn catch_up(&mut self, to: Cycle) {
+        let cmd_cycle = self.device.timing().cmd_cycle;
+        loop {
+            let edge = self.command_edge(self.settled_until);
+            if edge >= to {
+                break;
+            }
+            self.settle_span(edge);
+            self.schedule(edge);
+            self.count_faw_stalls(edge, edge + cmd_cycle);
+            self.settled_until = edge + 1;
+        }
+        self.settle_span(to);
+        debug_assert!(self.next_done >= to, "a completion before {to} was skipped");
+    }
+
+    /// Passes the cycles of `[settled_until, to)`, none of which holds a
+    /// command edge that acts: their stall charges join the owed ones,
+    /// which only an issued command changes, and their tFAW stalls are
+    /// counted.
+    fn settle_span(&mut self, to: Cycle) {
+        let from = self.settled_until;
+        if to <= from {
+            return;
+        }
+        self.settled_until = to;
+        if self.plan.faw_banks == 0 {
+            return;
+        }
+        let cmd_cycle = self.device.timing().cmd_cycle;
+        let first = from.next_multiple_of(cmd_cycle);
+        if first < to {
+            self.count_faw_stalls(first, to.next_multiple_of(cmd_cycle));
+        }
     }
 
     /// Pays the stall charges owed up to bus edge `to` by every bank head
@@ -979,6 +1136,9 @@ impl MemorySubsystem for MemoryController {
         if self.txq.len() >= self.capacity {
             return Err(req);
         }
+        if self.settled_until < now {
+            self.advance(now);
+        }
         let loc = self.mapper.decode(req.addr);
         self.tracer.record(now, || EventKind::TxqEnqueue {
             id: req.id,
@@ -1010,6 +1170,9 @@ impl MemorySubsystem for MemoryController {
 
     fn tick_into(&mut self, now: Cycle, out: &mut Vec<MemResponse>) {
         let _prof = dg_prof::span("controller");
+        if self.settled_until < now {
+            self.advance(now);
+        }
         self.collect_into(now, out);
         let cmd_cycle = self.device.timing().cmd_cycle;
         if now.is_multiple_of(cmd_cycle) {
@@ -1020,48 +1183,32 @@ impl MemorySubsystem for MemoryController {
         self.settled_until = now + 1;
     }
 
+    /// Without a tracer, only completions: a lower bound on the next one
+    /// (the issued transactions' earliest `done`, and the scheduler plan's
+    /// bound on the pending ones), read, not recomputed. Command edges and
+    /// refresh change nothing a core sees — a slot frees only at a
+    /// completion — so they run at the next contact instead. Each command
+    /// issued only moves the bound later, so a catch-up never moves the
+    /// answer earlier.
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        // The next bus edge that can act: every edge of a refresh drain;
-        // otherwise the issue edge (`Plan::pick_from`) or the refresh
-        // deadline, whichever comes first. Both are bus edges (horizons are
-        // edges, deadlines whole tREFI periods), so only an edge already
-        // passed needs rounding up to the first edge from `now`.
-        let edge = if self.refresh_pending {
-            0
-        } else {
-            self.plan.pick_from().min(self.device.refresh_deadline())
-        };
-        debug_assert!(edge == Cycle::MAX || edge.is_multiple_of(self.device.timing().cmd_cycle));
-        let edge = if edge < now {
-            now.next_multiple_of(self.device.timing().cmd_cycle)
-        } else {
-            edge
-        };
-        // Completions are collected the cycle `done` is reached.
-        Some(edge.min(self.next_done.max(now)))
+        if !self.lazy {
+            return self.next_event_at_eager(now);
+        }
+        let at = self.next_done.min(self.plan.done_from);
+        (at != Cycle::MAX).then(|| at.max(now))
     }
 
-    /// Passes the skipped cycles of `[from, to)`: their stall charges join
-    /// the owed ones, which no warp changes (no command issues inside a
-    /// warped span), and their tFAW stalls are counted. Cycles already
+    fn next_event_at_eager(&self, now: Cycle) -> Option<Cycle> {
+        // Completions are collected the cycle `done` is reached.
+        Some(self.command_edge(now).min(self.next_done.max(now)))
+    }
+
+    /// Passes the skipped cycles before `to`, running any command edge
+    /// among them first (a lazy controller's catch-up). Cycles already
     /// passed are skipped, so overlapping calls count each edge once.
-    fn settle_warp(&mut self, from: Cycle, to: Cycle, _refused: &[MemRequest]) {
-        if to <= self.settled_until {
-            return;
-        }
-        let from = from.max(self.settled_until);
-        self.settled_until = to;
-        let cmd_cycle = self.device.timing().cmd_cycle;
-        debug_assert!(
-            !self.refresh_pending || from.next_multiple_of(cmd_cycle) >= to,
-            "warped across a refresh drain"
-        );
-        if self.plan.faw_banks == 0 {
-            return;
-        }
-        let first = from.next_multiple_of(cmd_cycle);
-        if first < to {
-            self.count_faw_stalls(first, to.next_multiple_of(cmd_cycle));
+    fn settle_warp(&mut self, _from: Cycle, to: Cycle, _refused: &[MemRequest]) {
+        if to > self.settled_until {
+            self.advance(to);
         }
     }
 
@@ -1078,6 +1225,7 @@ impl MemorySubsystem for MemoryController {
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
+        self.lazy = !tracer.enabled();
         self.tracer = tracer;
     }
 
@@ -1090,6 +1238,7 @@ impl MemorySubsystem for MemoryController {
 mod tests {
     use super::*;
     use dg_sim::types::{DomainId, ReqId};
+    use proptest::prelude::*;
 
     fn cfg() -> SystemConfig {
         let mut c = SystemConfig::two_core();
@@ -1467,19 +1616,17 @@ mod tests {
         // The default clock ratio spaces command-bus edges several CPU
         // cycles apart, so settlement must count edges, not cycles.
         //
-        // The controller wakes only on issue edges, completions and refresh
-        // edges, not where a bank head's command turns legal unpicked: owed
-        // stall charges cover that lapse. The pinned tick counts show the
-        // lapse edges gone where they exist — open-row conflicts the
-        // FR-FCFS pick must pass over, and FCFS heads behind the oldest
-        // (4,559 and 3,438 ticks with them) — while the responses, bank
+        // The controller wakes only at a lower bound on its next
+        // completion; the command edges and refreshes before it run at its
+        // next contact, here the settle of the skipped span. The pinned
+        // tick counts show them gone (3,094, 4,469 and 3,017 ticks waking
+        // at every issue and refresh edge), while the responses, bank
         // counters and interference still equal the every-cycle drive's.
-        // Closed-row FR-FCFS may pick every bank head, so it had none.
         let sends = stress_sends();
         for (policy, row, pinned_ticks) in [
-            (SchedPolicy::FrFcfs, RowPolicy::Closed, 3_094),
-            (SchedPolicy::FrFcfs, RowPolicy::Open, 4_469),
-            (SchedPolicy::Fcfs, RowPolicy::Open, 3_017),
+            (SchedPolicy::FrFcfs, RowPolicy::Closed, 1_298),
+            (SchedPolicy::FrFcfs, RowPolicy::Open, 1_499),
+            (SchedPolicy::Fcfs, RowPolicy::Open, 1_280),
         ] {
             let c = SystemConfig::two_core().with_row_policy(row);
             let horizon = STRESS_HORIZON;
@@ -1684,6 +1831,126 @@ mod tests {
         assert!(drains > 0, "no refresh drain with transactions pending");
         assert!(conflicts > 0, "no row conflict");
         assert!(queued_hits > 0, "no row hit behind its bank head");
+    }
+
+    /// Whether `answer` is no earlier than `promise` (`None`: never).
+    fn not_earlier(answer: Option<Cycle>, promise: Option<Cycle>) -> bool {
+        dg_sim::clock::earliest_event(answer, promise) == promise
+    }
+
+    /// Ticks `mc` at `now`, checks its responses against `promise` (the
+    /// answer it gave before the tick) and appends them to `out`. With no
+    /// input since that answer, a tick only passes edges and completions,
+    /// so the answer after it may not be earlier: the engine keeps an
+    /// answer across such contacts and relies on it.
+    fn tick_checked(
+        mc: &mut MemoryController,
+        now: Cycle,
+        promise: Option<Cycle>,
+        input: bool,
+        out: &mut Vec<(Cycle, u64)>,
+    ) {
+        for r in mc.tick(now) {
+            assert!(
+                promise.is_some_and(|p| r.completed_at >= p),
+                "{:?} completed at {} before the promise {promise:?}",
+                r.id,
+                r.completed_at
+            );
+            out.push((now, r.id.0));
+        }
+        let answer = mc.next_event_at(now + 1);
+        assert!(
+            input || not_earlier(answer, promise),
+            "answer moved from {promise:?} to {answer:?} at {now}"
+        );
+    }
+
+    /// Drives `mc` through `sends` (sorted; refused ones are dropped) for
+    /// `horizon` cycles and returns the responses: every cycle, or (`lazy`)
+    /// only at the cycles `next_event_at` promised, at sends and at the
+    /// last cycle, without ever settling a skipped span — the controller
+    /// catches up at each contact by itself. Also returns the tick count.
+    fn drive_contacts(
+        mc: &mut MemoryController,
+        sends: &[(Cycle, MemRequest)],
+        horizon: Cycle,
+        lazy: bool,
+    ) -> (Vec<(Cycle, u64)>, u64) {
+        let (mut out, mut next_send, mut ticks) = (Vec::new(), 0, 0);
+        let (mut now, mut promise, mut input) = (0, mc.next_event_at(0), true);
+        while now < horizon {
+            tick_checked(mc, now, promise, input, &mut out);
+            ticks += 1;
+            input = false;
+            while let Some(&(_, req)) = sends.get(next_send).filter(|s| s.0 == now) {
+                input |= mc.try_send(req, now).is_ok();
+                next_send += 1;
+            }
+            promise = mc.next_event_at(now + 1);
+            let mut next = now + 1;
+            if lazy && next < horizon - 1 {
+                let send_at = sends.get(next_send).map_or(horizon, |s| s.0);
+                next = promise.map_or(horizon, |p| p.min(horizon)).min(send_at);
+                next = next.min(horizon - 1);
+            }
+            now = next;
+        }
+        (out, ticks)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A controller ticked only at its promises and at sends, catching
+        /// up at each contact, serves exactly what an every-cycle twin
+        /// serves: responses, bank counters (tFAW stalls included) and
+        /// interference, over schedules spanning several refreshes under
+        /// both row and both scheduling policies. No completion lands
+        /// before a promise and no promise moves earlier without input.
+        #[test]
+        fn lazy_controller_ticked_at_promises_matches_every_cycle(
+            banks in 1u32..9,
+            reqs in prop::collection::vec(
+                (0u64..3, 0u64..90, 0u32..8, 0u64..3, 0u64..4, 0u16..3),
+                1..64,
+            ),
+        ) {
+            for (policy, row) in [
+                (SchedPolicy::FrFcfs, RowPolicy::Closed),
+                (SchedPolicy::FrFcfs, RowPolicy::Open),
+                (SchedPolicy::Fcfs, RowPolicy::Open),
+                (SchedPolicy::Fcfs, RowPolicy::Closed),
+            ] {
+                let mut c = SystemConfig::two_core().with_row_policy(row);
+                (c.timing.tREFI, c.timing.tRFC) = (200, 40);
+                let mapper = *MemoryController::new(&c, policy).mapper();
+                let (mut at, mut sends) = (0, Vec::new());
+                for (id, &(burst, gap, bank, row_id, kind, domain)) in reqs.iter().enumerate() {
+                    at += if burst == 0 { gap } else { 0 };
+                    let loc = PhysLoc { bank: bank % banks, row: row_id, col: id as u64 % 4 };
+                    let (domain, addr) = (DomainId(domain), mapper.encode(loc));
+                    let req = if kind == 0 {
+                        MemRequest::write(domain, addr, at)
+                    } else {
+                        MemRequest::read(domain, addr, at)
+                    };
+                    sends.push((at, req.with_id(ReqId(id as u64))));
+                }
+                let horizon = at + 2_500;
+                let (mut runs, mut ticks) = (Vec::new(), Vec::new());
+                for lazy in [false, true] {
+                    let mut mc = MemoryController::new(&c, policy);
+                    let (out, n) = drive_contacts(&mut mc, &sends, horizon, lazy);
+                    prop_assert!(mc.device.refreshes() >= 2, "{policy:?}/{row:?}: refreshes");
+                    ticks.push(n);
+                    runs.push((out, mc.stats().banks.clone(), mc.interference_report()));
+                }
+                let what = format!("{policy:?}/{row:?}, {} sends", sends.len());
+                prop_assert_eq!(&runs[0], &runs[1], "{}: every cycle vs lazy", what);
+                prop_assert!(ticks[1] * 4 < ticks[0], "{what}: ticks {ticks:?}");
+            }
+        }
     }
 
     #[test]

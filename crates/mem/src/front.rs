@@ -54,7 +54,11 @@ pub trait MemorySubsystem: Send {
     /// next contact instead: `tick_into`, `try_send` or `settle_warp` first
     /// runs, in cycle order, the skipped events before the contact's cycle.
     /// [`next_event_at_eager`](Self::next_event_at_eager) is then the
-    /// answer that includes them. Only [`ShapedMemory`] does so.
+    /// answer that includes them. Without a tracer, [`ShapedMemory`] does
+    /// so while no core request is inside it, and
+    /// [`MemoryController`](crate::MemoryController) always: it answers a
+    /// lower bound on its next completion. Such an answer must not move
+    /// earlier across a catch-up, as a kept answer is not asked again.
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }
@@ -75,7 +79,9 @@ pub trait MemorySubsystem: Send {
     /// replayed here to keep both engines byte-identical:
     ///
     /// - a controller charges every pending transaction's stall on each
-    ///   command-bus edge (interference matrix, tFAW stall cycles);
+    ///   command-bus edge (interference matrix, tFAW stall cycles); a lazy
+    ///   one also issues the DRAM commands and refreshes it left out of its
+    ///   answer, as at any contact;
     /// - every back-pressured core offers its refused request again on
     ///   each cycle. `refused` lists those requests in core order, one per
     ///   core, and each layer credits the refusals it would have counted
@@ -286,13 +292,17 @@ impl DomainShaper for PassThrough {
 /// emissions and completions, DRAM commands and refresh are internal
 /// events. It then runs them lazily: [`MemorySubsystem::next_event_at`]
 /// answers `None`, and the next contact first runs the skipped events in
-/// cycle order, settling the controller's spans between them as the
-/// engine's warps do. An accepted request ends lazy mode; a shaper refuses
-/// only while it holds a request, so a back-pressured core always finds it
-/// off; the last real response turns it back on. Every response and
-/// refusal a core sees thus still falls on a cycle the caller ticked.
-/// Under an enabled tracer it runs eagerly, so trace events keep the
-/// per-cycle loop's order across channels.
+/// cycle order, ticking where the engine would with a request inside and
+/// settling the controller's spans between. An accepted request ends lazy
+/// mode; a shaper refuses only while it holds a request, so a
+/// back-pressured core always finds it off; the last real response turns
+/// it back on. Every response and refusal a core sees thus still falls on
+/// a cycle the caller ticked. With a request inside, it folds the
+/// controller's own answer, itself lazy about DRAM commands and refresh
+/// (see [`MemoryController`](crate::MemoryController)); its
+/// [`next_event_at_eager`](MemorySubsystem::next_event_at_eager) folds the
+/// controller's eager answer. Under an enabled tracer it runs eagerly, so
+/// trace events keep the per-cycle loop's order across channels.
 pub struct ShapedMemory<M: MemorySubsystem> {
     inner: M,
     shapers: Vec<Box<dyn DomainShaper>>,
@@ -347,13 +357,16 @@ impl<M: MemorySubsystem> ShapedMemory<M> {
 
     /// Runs the internal events skipped before `to`, in cycle order, and
     /// settles the controller's spans between them. Only called while no
-    /// core request is inside, so none of these ticks answers a core.
+    /// core request is inside, so none of these ticks answers a core. It
+    /// ticks where the engine would with a core request inside: a lazy
+    /// controller runs its own command edges at each contact.
     #[cold]
     #[inline(never)]
     fn catch_up(&mut self, to: Cycle) {
         let mut none = Vec::new();
         while self.cursor < to {
-            let at = self.next_event_at_eager(self.cursor).filter(|&t| t < to);
+            let inner = self.inner.next_event_at(self.cursor);
+            let at = self.next_event(self.cursor, inner).filter(|&t| t < to);
             let next = at.unwrap_or(to);
             self.inner.settle_warp(self.cursor, next, &[]);
             self.cursor = next;
@@ -362,6 +375,27 @@ impl<M: MemorySubsystem> ShapedMemory<M> {
                 debug_assert!(none.is_empty(), "an internal event answered a core");
             }
         }
+    }
+
+    /// The assembly's next event from `now` given the controller's answer
+    /// `inner`. It acts whenever the controller acts (completions feed
+    /// shaper executors the same cycle) or any shaper wants to emit. With
+    /// the transaction queue full no shaper can emit, so their due slots
+    /// wait for the completion that frees a slot — a controller event. A
+    /// shaper's kept answer stands unless it is stale.
+    fn next_event(&self, now: Cycle, inner: Option<Cycle>) -> Option<Cycle> {
+        let mut ev = inner;
+        if self.inner.free_slots() > 0 {
+            for (s, event) in self.shapers.iter().zip(&self.events) {
+                let at = if event.stale(now) {
+                    s.next_event_at(now)
+                } else {
+                    event.at()
+                };
+                ev = earliest_event(ev, at);
+            }
+        }
+        ev
     }
 }
 
@@ -456,28 +490,12 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
         if self.lazy && self.real == 0 {
             None
         } else {
-            self.next_event_at_eager(now)
+            self.next_event(now, self.inner.next_event_at(now))
         }
     }
 
     fn next_event_at_eager(&self, now: Cycle) -> Option<Cycle> {
-        // The assembly acts whenever the controller acts (completions feed
-        // shaper executors the same cycle) or any shaper wants to emit.
-        // With the transaction queue full no shaper can emit, so their due
-        // slots wait for the completion that frees a slot — a controller
-        // event. A shaper's kept answer stands unless it is stale.
-        let mut ev = self.inner.next_event_at(now);
-        if self.inner.free_slots() > 0 {
-            for (s, event) in self.shapers.iter().zip(&self.events) {
-                let at = if event.stale(now) {
-                    s.next_event_at(now)
-                } else {
-                    event.at()
-                };
-                ev = earliest_event(ev, at);
-            }
-        }
-        ev
+        self.next_event(now, self.inner.next_event_at_eager(now))
     }
 
     fn settle_warp(&mut self, from: Cycle, to: Cycle, refused: &[MemRequest]) {

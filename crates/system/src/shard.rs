@@ -666,13 +666,17 @@ impl Shard {
     /// A failed attempt backs off only if a core is due now. Core activity
     /// persists (compute retirement, back-to-back issue), so the streak and
     /// its backoff grow while it lasts. A failure caused only by the memory
-    /// side is an isolated bus edge, completion or rDAG slot, usually
-    /// followed by a quiescent span: it resets the streak and the next tick
-    /// scans again. On the DAGguise-saturated perfbench load (two trace
-    /// cores streaming misses, seed 7) this cuts the ticks run with the
-    /// scan suppressed from 8,179 to 17 and all ticks from 69,567 to
-    /// 61,423, at 7,990 failed scans instead of 8,065. Warps stay exact,
-    /// so no simulated result depends on the backoff.
+    /// side is an isolated completion or rDAG slot, usually followed by a
+    /// quiescent span: it resets the streak and the next tick scans again.
+    /// On the DAGguise-saturated perfbench load (two trace cores streaming
+    /// misses, traced pass, seed 7) this runs 37,347 ticks, 17 of them with
+    /// the scan suppressed, at 13,549 failed scans; backing off after every
+    /// failure would run 49,006 ticks (13,559 suppressed), and never
+    /// backing off 37,341 at 13,560 failed scans (and on the idle load,
+    /// 4,111 ticks with or without it). So the backoff buys nothing on
+    /// either perfbench load; it stays for compute stretches
+    /// (`busy_cores_back_off_the_scan`). Warps stay exact, so no simulated
+    /// result depends on the backoff.
     #[inline]
     fn maybe_warp(&mut self, now: Cycle, end: Cycle) -> Cycle {
         if self.warp_backoff > 0 {

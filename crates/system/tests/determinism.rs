@@ -527,3 +527,133 @@ fn untraced_idle_chains_compose_across_budget_splits() {
         assert_eq!(outcome(&windowed), outcome(&whole), "after {total} cycles");
     }
 }
+
+/// Two trace cores streaming row-missing loads, the shape of the
+/// benchmark's saturated load, with no tracer: a traced memory path runs
+/// eagerly, so only untraced runs reach the controller's lazy mode, which
+/// runs its DRAM commands and refreshes between contacts.
+fn untraced_streams(kind: &MemoryKind, naive: bool) -> System {
+    let mut sys = SystemBuilder::new(SystemConfig::two_core())
+        .trace_core(stream(1_000, 0, 0))
+        .trace_core(stream(1_000, 1 << 30, 0))
+        .memory(kind.clone())
+        .build();
+    sys.set_event_skipping(!naive);
+    sys
+}
+
+/// The memory paths a lazy controller sits in: shaped by DAGguise or
+/// Camouflage, or wired straight to the cores.
+fn streaming_kinds() -> [MemoryKind; 3] {
+    [
+        dagguise(),
+        MemoryKind::Insecure,
+        MemoryKind::Camouflage {
+            protected: vec![Some(IntervalDistribution::figure2()), None],
+        },
+    ]
+}
+
+#[test]
+fn untraced_streaming_misses_match_naive_engine() {
+    for kind in streaming_kinds() {
+        let label = kind.label();
+        let run = |naive: bool, tracer: Option<Tracer>| {
+            let mut sys = untraced_streams(&kind, naive);
+            if let Some(tracer) = tracer {
+                sys.set_tracer(tracer);
+            }
+            sys.run_until_finished(200_000_000)
+                .expect("the streams finish");
+            let report = sys.report("untraced");
+            assert!(report.dram.refreshes >= 2, "{label}: refreshes ran");
+            (outcome(&sys), report.engine.ticks)
+        };
+        let (fast, lazy_ticks) = run(false, None);
+        let (naive, _) = run(true, None);
+        assert_eq!(fast, naive, "{label}: reports diverged");
+        // The same run traced wakes the engine at every command edge.
+        let (_, eager_ticks) = run(false, Some(Tracer::ring(1 << 16)));
+        assert!(
+            lazy_ticks < eager_ticks,
+            "{label}: {lazy_ticks} untraced ticks, {eager_ticks} traced"
+        );
+    }
+}
+
+#[test]
+fn untraced_streaming_misses_sample_windows_like_naive_engine() {
+    for kind in streaming_kinds() {
+        let run = |naive: bool| {
+            let mut sys = untraced_streams(&kind, naive);
+            sys.enable_interval_sampling(1_000);
+            sys.enable_shaper_timelines(1_000);
+            sys.run_until_finished(200_000_000)
+                .expect("the streams finish");
+            let report = sys.report("sampled");
+            assert!(
+                report.intervals.len() > 10,
+                "{} samples",
+                report.intervals.len()
+            );
+            outcome(&sys)
+        };
+        assert_eq!(run(false), run(true), "{}: reports diverged", kind.label());
+    }
+}
+
+#[test]
+fn untraced_streaming_misses_compose_across_budget_splits() {
+    for kind in streaming_kinds() {
+        let label = kind.label();
+        let mut single = untraced_streams(&kind, false);
+        let want = single.run_until_finished(200_000_000);
+        let end = *want.as_ref().expect("the streams finish");
+        for budget in [63, 997, 12_345] {
+            let mut split = untraced_streams(&kind, false);
+            let what = format!("{label}, budget {budget}");
+            assert_eq!(run_chunked(&mut split, budget, None), want, "{what}");
+            assert_eq!(split.now(), single.now(), "{what}");
+            assert_eq!(outcome(&split), outcome(&single), "{what}");
+        }
+        // Fixed windows, each ending wherever it ends, against one window
+        // of the same total length.
+        let mut windowed = untraced_streams(&kind, false);
+        let mut total = 0;
+        for window in [7_919, 20_011, 45_007, end] {
+            windowed.run_for(window);
+            total += window;
+            let mut whole = untraced_streams(&kind, false);
+            whole.run_for(total);
+            let what = format!("{label}, after {total} cycles");
+            assert_eq!(outcome(&windowed), outcome(&whole), "{what}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random DAG workloads, as in `random_dag_workloads_match_naive_engine`,
+    /// untraced so every memory path in `streaming_kinds` runs lazily:
+    /// both engines produce the same reports.
+    #[test]
+    fn untraced_random_dag_workloads_match_naive_engine(
+        a in prop::collection::vec((0u64..64, 0u64..64, 0u64..40, 0u64..4096), 1..48),
+        b in prop::collection::vec((0u64..64, 0u64..64, 0u64..40, 0u64..4096), 1..48),
+    ) {
+        for kind in streaming_kinds() {
+            let run = |naive: bool| {
+                let mut sys = SystemBuilder::new(SystemConfig::two_core())
+                    .dag_core(dag_workload(&a))
+                    .dag_core(dag_workload(&b))
+                    .memory(kind.clone())
+                    .build();
+                sys.set_event_skipping(!naive);
+                sys.run_until_finished(50_000_000).expect("workload finishes");
+                outcome(&sys)
+            };
+            prop_assert_eq!(run(false), run(true), "{}", kind.label());
+        }
+    }
+}
