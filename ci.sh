@@ -265,6 +265,18 @@ if cmp -s "$SMOKE_DIR/sharded1.json" "$SMOKE_DIR/sharded1_faulted.json"; then
 fi
 echo "sharded: 1-shard, 4-shard and monitored 4-shard reports byte-identical; faulted runs too"
 
+echo "=== wrapped trace ring (energy_model --trace on both engines) ==="
+# energy_model's trace overflows its event ring, and its lazy memory paths
+# record caught-up events after later ones; the ring sorts them in by cycle,
+# so the event engine's Chrome trace must equal the naive loop's byte for
+# byte. energy_model writes results/ under the working directory.
+EM="$PWD/target/release/energy_model"
+(cd "$SMOKE_DIR" && "$EM" --trace "$SMOKE_DIR/energy_fast.json" > /dev/null)
+(cd "$SMOKE_DIR" && DG_NO_SKIP=1 "$EM" --trace "$SMOKE_DIR/energy_naive.json" > /dev/null)
+cmp "$SMOKE_DIR/energy_fast.json" "$SMOKE_DIR/energy_naive.json" \
+  || { echo "trace: energy_model Chrome traces differ between engines"; exit 1; }
+echo "trace: energy_model Chrome traces byte-identical on both engines"
+
 echo "=== perf smoke (event-driven engine vs naive loop) ==="
 # The event-driven engine must hold a real wall-clock win on the idle-heavy
 # temporal-partition scenario. The differential test suite already proves

@@ -631,15 +631,16 @@ impl Stalls<'_> {
 /// issued.
 ///
 /// A core sees only completions, and a transaction-queue slot frees only
-/// at one, so without a tracer the controller promises only those: its
-/// `next_event_at` is a lower bound on the next completion, and the
-/// command edges and refreshes before it run at the next contact
-/// (`tick_into`, `try_send` or `settle_warp`), in cycle order, with the
-/// spans between them settled as a warp settles them. A controller driven
-/// only through ticks and sends thus stays exact without `settle_warp`.
-/// `next_event_at_eager` still names every issue and refresh edge, and an
-/// enabled tracer makes the controller answer it, so trace events keep
-/// the per-cycle loop's order.
+/// at one, so the controller promises only those: its `next_event_at` is
+/// a lower bound on the next completion, and the command edges and
+/// refreshes before it run at the next contact (`tick_into`, `try_send` or
+/// `settle_warp`), in cycle order, with the spans between them settled as
+/// a warp settles them. A controller driven only through ticks and sends
+/// thus stays exact without `settle_warp`. Their trace events are recorded
+/// at that contact, stamped with the cycle they happened at; the tracer's
+/// ring keeps events in cycle order. `next_event_at_eager` still names
+/// every issue and refresh edge, for a caller that must tick them (the
+/// NoC).
 #[derive(Debug)]
 pub struct MemoryController {
     device: DramDevice,
@@ -666,9 +667,6 @@ pub struct MemoryController {
     plan: Plan,
     /// Sequence number of the next enqueued transaction.
     next_seq: u64,
-    /// Whether `next_event_at` may leave command edges and refresh out
-    /// (no tracer).
-    lazy: bool,
 }
 
 impl MemoryController {
@@ -708,7 +706,6 @@ impl MemoryController {
             settled_until: 0,
             plan,
             next_seq: 0,
-            lazy: true,
         }
     }
 
@@ -1183,7 +1180,7 @@ impl MemorySubsystem for MemoryController {
         self.settled_until = now + 1;
     }
 
-    /// Without a tracer, only completions: a lower bound on the next one
+    /// Only completions: a lower bound on the next one
     /// (the issued transactions' earliest `done`, and the scheduler plan's
     /// bound on the pending ones), read, not recomputed. Command edges and
     /// refresh change nothing a core sees — a slot frees only at a
@@ -1191,9 +1188,6 @@ impl MemorySubsystem for MemoryController {
     /// issued only moves the bound later, so a catch-up never moves the
     /// answer earlier.
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        if !self.lazy {
-            return self.next_event_at_eager(now);
-        }
         let at = self.next_done.min(self.plan.done_from);
         (at != Cycle::MAX).then(|| at.max(now))
     }
@@ -1204,7 +1198,7 @@ impl MemorySubsystem for MemoryController {
     }
 
     /// Passes the skipped cycles before `to`, running any command edge
-    /// among them first (a lazy controller's catch-up). Cycles already
+    /// among them first (the controller's catch-up). Cycles already
     /// passed are skipped, so overlapping calls count each edge once.
     fn settle_warp(&mut self, _from: Cycle, to: Cycle, _refused: &[MemRequest]) {
         if to > self.settled_until {
@@ -1225,7 +1219,6 @@ impl MemorySubsystem for MemoryController {
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.lazy = !tracer.enabled();
         self.tracer = tracer;
     }
 

@@ -54,11 +54,13 @@ pub trait MemorySubsystem: Send {
     /// next contact instead: `tick_into`, `try_send` or `settle_warp` first
     /// runs, in cycle order, the skipped events before the contact's cycle.
     /// [`next_event_at_eager`](Self::next_event_at_eager) is then the
-    /// answer that includes them. Without a tracer, [`ShapedMemory`] does
-    /// so while no core request is inside it, and
-    /// [`MemoryController`](crate::MemoryController) always: it answers a
-    /// lower bound on its next completion. Such an answer must not move
-    /// earlier across a catch-up, as a kept answer is not asked again.
+    /// answer that includes them. [`ShapedMemory`] does so while no core
+    /// request is inside it, and [`MemoryController`](crate::MemoryController)
+    /// always: it answers a lower bound on its next completion. Such an
+    /// answer must not move earlier across a catch-up, as a kept answer is
+    /// not asked again. An installed tracer changes none of this: a
+    /// catch-up records its events late, at the cycles they happened, and
+    /// the tracer's ring sorts them in.
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }
@@ -79,8 +81,8 @@ pub trait MemorySubsystem: Send {
     /// replayed here to keep both engines byte-identical:
     ///
     /// - a controller charges every pending transaction's stall on each
-    ///   command-bus edge (interference matrix, tFAW stall cycles); a lazy
-    ///   one also issues the DRAM commands and refreshes it left out of its
+    ///   command-bus edge (interference matrix, tFAW stall cycles), and
+    ///   first issues the DRAM commands and refreshes it left out of its
     ///   answer, as at any contact;
     /// - every back-pressured core offers its refused request again on
     ///   each cycle. `refused` lists those requests in core order, one per
@@ -301,8 +303,9 @@ impl DomainShaper for PassThrough {
 /// controller's own answer, itself lazy about DRAM commands and refresh
 /// (see [`MemoryController`](crate::MemoryController)); its
 /// [`next_event_at_eager`](MemorySubsystem::next_event_at_eager) folds the
-/// controller's eager answer. Under an enabled tracer it runs eagerly, so
-/// trace events keep the per-cycle loop's order across channels.
+/// controller's eager answer. A catch-up records its trace events late,
+/// stamped with the cycle they happened at; the tracer's ring keeps events
+/// in cycle order, so a trace reads as the per-cycle loop records it.
 pub struct ShapedMemory<M: MemorySubsystem> {
     inner: M,
     shapers: Vec<Box<dyn DomainShaper>>,
@@ -317,8 +320,6 @@ pub struct ShapedMemory<M: MemorySubsystem> {
     /// The first cycle not yet run: ticks and settlements have covered
     /// every cycle before it (kept current whenever `real` is 0).
     cursor: Cycle,
-    /// Whether `next_event_at` may leave internal events out (no tracer).
-    lazy: bool,
 }
 
 impl<M: MemorySubsystem> ShapedMemory<M> {
@@ -341,7 +342,6 @@ impl<M: MemorySubsystem> ShapedMemory<M> {
             emissions: Vec::new(),
             real: 0,
             cursor: 0,
-            lazy: true,
         }
     }
 
@@ -487,7 +487,7 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
     }
 
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        if self.lazy && self.real == 0 {
+        if self.real == 0 {
             None
         } else {
             self.next_event(now, self.inner.next_event_at(now))
@@ -535,7 +535,6 @@ impl<M: MemorySubsystem> MemorySubsystem for ShapedMemory<M> {
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.lazy = !tracer.enabled();
         self.inner.set_tracer(tracer.clone());
         for s in &mut self.shapers {
             s.set_tracer(tracer.clone());

@@ -8,16 +8,20 @@
 
 use crate::event::{Event, EventKind};
 use dg_sim::clock::Cycle;
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-/// Fixed-capacity circular event store. Once full, the oldest events are
-/// overwritten and counted in [`RingBuffer::dropped`].
+/// Fixed-capacity event store, kept sorted by cycle and, within a cycle, in
+/// recording order. A component that runs its past cycles at a later
+/// contact records their events late; each lands after the events already
+/// kept for its cycle, so the store reads as if every event had been
+/// recorded cycle by cycle. Once full, the earliest-cycle event is evicted;
+/// an event older than every kept one is dropped instead. Both count in
+/// [`RingBuffer::dropped`].
 #[derive(Debug)]
 pub struct RingBuffer {
-    buf: Vec<Event>,
+    buf: VecDeque<Event>,
     capacity: usize,
-    /// Next write position once the buffer has wrapped.
-    next: usize,
     dropped: u64,
 }
 
@@ -30,22 +34,25 @@ impl RingBuffer {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring buffer capacity must be positive");
         RingBuffer {
-            buf: Vec::with_capacity(capacity),
+            buf: VecDeque::with_capacity(capacity),
             capacity,
-            next: 0,
             dropped: 0,
         }
     }
 
-    /// Appends an event, evicting the oldest one when full.
+    /// Stores an event after every kept event of its cycle or earlier,
+    /// evicting the earliest-cycle one when full. Late events land near the
+    /// back, so the insert shifts few elements.
     pub fn push(&mut self, event: Event) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(event);
-        } else {
-            self.buf[self.next] = event;
+        if self.buf.len() == self.capacity {
             self.dropped += 1;
+            if self.buf.front().is_some_and(|e| event.cycle < e.cycle) {
+                return;
+            }
+            self.buf.pop_front();
         }
-        self.next = (self.next + 1) % self.capacity;
+        let at = self.buf.partition_point(|e| e.cycle <= event.cycle);
+        self.buf.insert(at, event);
     }
 
     /// Number of events currently stored.
@@ -58,21 +65,14 @@ impl RingBuffer {
         self.buf.is_empty()
     }
 
-    /// Number of events overwritten because the ring was full.
+    /// Number of events evicted or dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// The stored events in recording order (oldest first).
+    /// The stored events, earliest cycle first.
     pub fn snapshot(&self) -> Vec<Event> {
-        if self.buf.len() < self.capacity {
-            self.buf.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.capacity);
-            out.extend_from_slice(&self.buf[self.next..]);
-            out.extend_from_slice(&self.buf[..self.next]);
-            out
-        }
+        self.buf.iter().cloned().collect()
     }
 }
 
@@ -121,7 +121,8 @@ impl Tracer {
         }
     }
 
-    /// The recorded events in order (oldest first). Empty for a no-op handle.
+    /// The recorded events, earliest cycle first (recording order within a
+    /// cycle). Empty for a no-op handle.
     pub fn snapshot(&self) -> Vec<Event> {
         match &self.inner {
             Some(ring) => ring
@@ -132,7 +133,7 @@ impl Tracer {
         }
     }
 
-    /// Number of events lost to ring-buffer wraparound.
+    /// Number of events lost because the ring was full.
     pub fn dropped(&self) -> u64 {
         match &self.inner {
             Some(ring) => ring
@@ -150,13 +151,7 @@ mod tests {
     use dg_sim::types::{DomainId, ReqId};
 
     fn ev(cycle: Cycle) -> Event {
-        Event {
-            cycle,
-            kind: EventKind::ShaperAccept {
-                id: ReqId(cycle),
-                domain: DomainId(0),
-            },
-        }
+        tagged(cycle, cycle)
     }
 
     #[test]
@@ -192,6 +187,65 @@ mod tests {
         assert_eq!(r.dropped(), 0);
         let cycles: Vec<Cycle> = r.snapshot().iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![0, 1, 2]);
+    }
+
+    fn ids(r: &RingBuffer) -> Vec<(Cycle, u64)> {
+        r.snapshot()
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::ShaperAccept { id, .. } => (e.cycle, id.0),
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
+    fn tagged(cycle: Cycle, id: u64) -> Event {
+        Event {
+            cycle,
+            kind: EventKind::ShaperAccept {
+                id: ReqId(id),
+                domain: DomainId(0),
+            },
+        }
+    }
+
+    #[test]
+    fn late_event_lands_after_its_cycles_events() {
+        let mut r = RingBuffer::new(8);
+        for (c, id) in [(1, 10), (3, 30), (3, 31), (5, 50)] {
+            r.push(tagged(c, id));
+        }
+        r.push(tagged(3, 32));
+        r.push(tagged(0, 0));
+        assert_eq!(r.dropped(), 0);
+        assert_eq!(
+            ids(&r),
+            vec![(0, 0), (1, 10), (3, 30), (3, 31), (3, 32), (5, 50)]
+        );
+    }
+
+    #[test]
+    fn full_ring_evicts_the_earliest_cycle() {
+        let mut r = RingBuffer::new(3);
+        for (c, id) in [(2, 20), (4, 40), (6, 60)] {
+            r.push(tagged(c, id));
+        }
+        r.push(tagged(3, 30));
+        assert_eq!(ids(&r), vec![(3, 30), (4, 40), (6, 60)]);
+        r.push(tagged(3, 31));
+        assert_eq!(ids(&r), vec![(3, 31), (4, 40), (6, 60)]);
+        assert_eq!(r.dropped(), 2);
+    }
+
+    #[test]
+    fn event_older_than_every_kept_one_is_dropped_and_counted() {
+        let mut r = RingBuffer::new(2);
+        for (c, id) in [(5, 50), (7, 70)] {
+            r.push(tagged(c, id));
+        }
+        r.push(tagged(4, 40));
+        assert_eq!(r.dropped(), 1);
+        assert_eq!(ids(&r), vec![(5, 50), (7, 70)]);
     }
 
     #[test]

@@ -329,8 +329,6 @@ pub(crate) struct Shard {
     /// grows with the streak so busy cores are rescanned rarely. A failure
     /// with every core idle resets it.
     warp_fail_streak: Cycle,
-    /// Whether event tracing is on: refusals then settle cycle by cycle.
-    traced: bool,
     pub(crate) sampler: Option<IntervalSampler>,
     fault: Option<FaultState>,
     /// Reusable scratch buffers keeping the per-tick path allocation-free.
@@ -382,7 +380,6 @@ impl Shard {
             )),
             warp_backoff: 0,
             warp_fail_streak: 0,
-            traced: false,
             sampler: None,
             fault: None,
             resp_buf: Vec::new(),
@@ -414,17 +411,14 @@ impl Shard {
     }
 
     /// Installs an observability tracer on every owned core and channel.
-    /// A channel may answer differently under a tracer (a shaped memory
-    /// runs eagerly), so its calendar entry goes stale.
+    /// Tracing changes no component's answers, so the calendar stands.
     pub(crate) fn set_tracer(&mut self, tracer: &Tracer) {
         for core in &mut self.cores {
             core.set_tracer(tracer.clone());
         }
         for ch in &mut self.channels {
             ch.mem.set_tracer(tracer.clone());
-            ch.event.touch();
         }
-        self.traced = tracer.enabled();
     }
 
     pub(crate) fn enable_shaper_timelines(&mut self, window: Cycle) {
@@ -743,29 +737,21 @@ impl Shard {
     /// head's refusals; then, at hop 0, each core's first refused send, in
     /// core order, to its channel in local form — one refusal per skipped
     /// cycle each. A channel's own bookkeeping settles idempotently, so a
-    /// second call over the span only credits its request. With tracing
-    /// on, cycle by cycle, so the replayed trace events interleave as the
-    /// naive loop records them.
+    /// second call over the span only credits its request. The replayed
+    /// trace events land in the tracer's ring by cycle, as the naive loop
+    /// records them.
     #[inline]
     fn settle_channels(&mut self, from: Cycle, to: Cycle) {
         let _prof = dg_prof::span("warp_settle");
-        let per_cycle = self.traced
-            && (self.channels.iter().any(|ch| ch.refused.is_some())
-                || self.ports.iter().any(|p| p.refused.is_some()));
+        for ch in &mut self.channels {
+            ch.mem.settle_warp(from, to, ch.refused.as_slice());
+        }
         let map = self.map;
-        let mut t = from;
-        while t < to {
-            let next = if per_cycle { t + 1 } else { to };
-            for ch in &mut self.channels {
-                ch.mem.settle_warp(t, next, ch.refused.as_slice());
-            }
-            for req in self.ports.iter().filter_map(|p| p.refused) {
-                let mut local = req;
-                local.addr = map.to_local(req.addr);
-                let ch = &mut self.channels[map.channel_of(req.addr) as usize - self.chan_base];
-                ch.mem.settle_warp(t, next, std::slice::from_ref(&local));
-            }
-            t = next;
+        for req in self.ports.iter().filter_map(|p| p.refused) {
+            let mut local = req;
+            local.addr = map.to_local(req.addr);
+            let ch = &mut self.channels[map.channel_of(req.addr) as usize - self.chan_base];
+            ch.mem.settle_warp(from, to, std::slice::from_ref(&local));
         }
     }
 

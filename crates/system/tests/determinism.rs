@@ -87,11 +87,13 @@ fn telemetry_has_no_observer_effect() {
     // The whole dg-leak layer is read-only: running with every telemetry
     // channel enabled — including the host-time span profiler — must leave
     // the simulation outcome byte-identical to a bare run with the same
-    // seed and workload.
+    // seed and workload, and the engine's schedule too: a traced run takes
+    // the memory path every other run takes.
     let mut sys = colocated();
     sys.run_until_core_finished(0, 200_000_000)
         .expect("bare run finishes");
-    let bare = ColocationResult::from_report(&sys.report("bare"));
+    let bare_report = sys.report("bare");
+    let bare = ColocationResult::from_report(&bare_report);
 
     let mut sys = colocated();
     observe(&mut sys);
@@ -107,6 +109,10 @@ fn telemetry_has_no_observer_effect() {
     let observed = ColocationResult::from_report(&report);
 
     assert_eq!(bare, observed, "telemetry must not perturb the simulation");
+    assert_eq!(
+        bare_report.engine, report.engine,
+        "telemetry must not change the engine's ticks, warps, scans or polls"
+    );
     // …and the instrumentation must actually have been on.
     assert!(
         !report.shaper_timelines.is_empty(),
@@ -123,6 +129,25 @@ fn telemetry_has_no_observer_effect() {
             top.iter().any(|(name, _)| name == "sim"),
             "profile should attribute time to the sim phase: {top:?}"
         );
+    }
+
+    // Streaming misses keep the controller busy between core contacts: its
+    // DRAM commands and refreshes run there whether or not a tracer records
+    // them.
+    for kind in streaming_kinds() {
+        let run = |traced: bool| {
+            let mut sys = streams(&kind, false, traced);
+            if traced {
+                sys.enable_interval_sampling(5_000);
+                sys.enable_shaper_timelines(5_000);
+            }
+            sys.run_until_finished(200_000_000)
+                .expect("the streams finish");
+            let report = sys.report("streams");
+            (ColocationResult::from_report(&report), report.engine)
+        };
+        let label = kind.label();
+        assert_eq!(run(false), run(true), "{label}: traced run diverged");
     }
 }
 
@@ -274,23 +299,29 @@ fn back_pressured_two_channel_runs_match_naive_engine() {
             })
             .collect(),
     };
-    let run = |naive: bool| {
-        let mut sys = SystemBuilder::new(cfg.clone())
-            .dag_core(wide.clone())
-            .trace_core(stream(800, 1 << 30, 0))
-            .memory(dagguise())
-            .build();
-        sys.set_tracer(Tracer::ring(1 << 16));
-        sys.set_event_skipping(!naive);
-        sys.run_until_finished(200_000_000).unwrap();
-        let rejected: u64 = sys.report("r").shapers.iter().map(|s| s.rejected).sum();
-        (artifacts(&sys), rejected)
-    };
-    let (fast, rejected) = run(false);
-    let (naive, _) = run(true);
-    assert!(rejected > 0, "the protected core must be back-pressured");
-    assert_eq!(fast.0, naive.0, "reports diverged");
-    assert!(fast.1 == naive.1, "Chrome traces diverged");
+    // A ring small enough to wrap keeps the latest events by cycle, though
+    // each lane records its catch-ups and settled refusals late.
+    for ring in [1 << 16, 1_024] {
+        let run = |naive: bool| {
+            let mut sys = SystemBuilder::new(cfg.clone())
+                .dag_core(wide.clone())
+                .trace_core(stream(800, 1 << 30, 0))
+                .memory(dagguise())
+                .build();
+            sys.set_tracer(Tracer::ring(ring));
+            sys.set_event_skipping(!naive);
+            sys.run_until_finished(200_000_000).unwrap();
+            let report = sys.report("r");
+            let rejected: u64 = report.shapers.iter().map(|s| s.rejected).sum();
+            (artifacts(&sys), rejected, report.trace.events_dropped)
+        };
+        let (fast, rejected, dropped) = run(false);
+        let (naive, _, _) = run(true);
+        assert!(rejected > 0, "the protected core must be back-pressured");
+        assert!(ring > 1_024 || dropped > 0, "the small ring must wrap");
+        assert_eq!(fast.0, naive.0, "ring {ring}: reports diverged");
+        assert!(fast.1 == naive.1, "ring {ring}: Chrome traces diverged");
+    }
 }
 
 #[test]
@@ -417,69 +448,67 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random DAG workloads — wide frontiers that reach the MLP limit,
-    /// diamonds, duplicate dependencies and zero gaps — against the
-    /// DAGguise path, whose private queue back-pressures the protected
-    /// core: both engines produce the same reports and traces.
+    /// diamonds, duplicate dependencies and zero gaps — against every
+    /// memory path in `streaming_kinds`; DAGguise's private queue
+    /// back-pressures the protected core: both engines produce the same
+    /// reports and traces.
     #[test]
     fn random_dag_workloads_match_naive_engine(
         a in prop::collection::vec((0u64..64, 0u64..64, 0u64..40, 0u64..4096), 1..48),
         b in prop::collection::vec((0u64..64, 0u64..64, 0u64..40, 0u64..4096), 1..48),
     ) {
-        let run = |naive: bool| {
-            let mut sys = SystemBuilder::new(SystemConfig::two_core())
-                .dag_core(dag_workload(&a))
-                .dag_core(dag_workload(&b))
-                .memory(dagguise())
-                .build();
-            sys.set_tracer(Tracer::ring(1 << 14));
-            sys.set_event_skipping(!naive);
-            sys.run_until_finished(50_000_000).expect("workload finishes");
-            artifacts(&sys)
-        };
-        let (fast_json, fast_trace) = run(false);
-        let (naive_json, naive_trace) = run(true);
-        prop_assert_eq!(fast_json, naive_json);
-        prop_assert!(fast_trace == naive_trace);
+        for kind in streaming_kinds() {
+            let run = |naive: bool| {
+                let mut sys = SystemBuilder::new(SystemConfig::two_core())
+                    .dag_core(dag_workload(&a))
+                    .dag_core(dag_workload(&b))
+                    .memory(kind.clone())
+                    .build();
+                sys.set_tracer(Tracer::ring(1 << 14));
+                sys.set_event_skipping(!naive);
+                sys.run_until_finished(50_000_000).expect("workload finishes");
+                artifacts(&sys)
+            };
+            let (fast_json, fast_trace) = run(false);
+            let (naive_json, naive_trace) = run(true);
+            prop_assert_eq!(fast_json, naive_json, "{}", kind.label());
+            prop_assert!(fast_trace == naive_trace, "{}", kind.label());
+        }
     }
 }
 
 /// Two DAG-chain cores with long dependency gaps under DAGguise, the
 /// shape of the benchmark's idle load: the shaper fills almost every rDAG
 /// slot with a fake, so the memory path acts far more often than either
-/// core. No tracer is installed: a traced DAGguise path runs eagerly, so
-/// only untraced runs reach the shaped memory's lazy mode.
+/// core. It runs that fake traffic between core contacts, traced or not.
 fn idle_chains(naive: bool) -> System {
     let mut sys = SystemBuilder::new(SystemConfig::two_core())
         .dag_core(DagWorkload::chain(20, 10_000, 64 * 131))
         .dag_core(DagWorkload::chain(20, 10_000, 64 * 131))
         .memory(dagguise())
         .build();
+    sys.set_tracer(Tracer::ring(1 << 16));
     sys.set_event_skipping(!naive);
     sys
 }
 
-/// The run report with the engine section normalized away.
-fn outcome(sys: &System) -> String {
-    let mut report = sys.report("untraced");
-    report.engine = Default::default();
-    report.to_json()
-}
-
 #[test]
-fn untraced_idle_chains_match_naive_engine() {
+fn idle_chains_match_naive_engine() {
     let run = |naive: bool| {
         let mut sys = idle_chains(naive);
         sys.run_until_finished(10_000_000)
             .expect("the chains finish");
-        let fakes = sys.report("untraced").shapers[0].fakes_emitted;
+        let fakes = sys.report("idle").shapers[0].fakes_emitted;
         assert!(fakes > 1_000, "{fakes} fakes");
-        outcome(&sys)
+        artifacts(&sys)
     };
-    assert_eq!(run(false), run(true), "reports diverged");
+    let (fast, naive) = (run(false), run(true));
+    assert_eq!(fast.0, naive.0, "reports diverged");
+    assert!(fast.1 == naive.1, "Chrome traces diverged");
 }
 
 #[test]
-fn untraced_idle_chains_sample_windows_like_naive_engine() {
+fn idle_chains_sample_windows_like_naive_engine() {
     // Interval samples read the memory statistics at every window
     // boundary, including the boundaries inside a warp.
     let run = |naive: bool| {
@@ -495,13 +524,15 @@ fn untraced_idle_chains_sample_windows_like_naive_engine() {
             report.intervals.len()
         );
         assert!(!report.shaper_timelines.is_empty());
-        outcome(&sys)
+        artifacts(&sys)
     };
-    assert_eq!(run(false), run(true), "reports diverged");
+    let (fast, naive) = (run(false), run(true));
+    assert_eq!(fast.0, naive.0, "reports diverged");
+    assert!(fast.1 == naive.1, "Chrome traces diverged");
 }
 
 #[test]
-fn untraced_idle_chains_compose_across_budget_splits() {
+fn idle_chains_compose_across_budget_splits() {
     let mut single = idle_chains(false);
     let want = single.run_until_finished(10_000_000);
     let end = *want.as_ref().expect("the chains finish");
@@ -513,7 +544,7 @@ fn untraced_idle_chains_compose_across_budget_splits() {
             "budget {budget}"
         );
         assert_eq!(split.now(), single.now(), "budget {budget}");
-        assert_eq!(outcome(&split), outcome(&single), "budget {budget}");
+        assert!(artifacts(&split) == artifacts(&single), "budget {budget}");
     }
     // Fixed windows, each ending wherever it ends, against one window of
     // the same total length.
@@ -524,25 +555,30 @@ fn untraced_idle_chains_compose_across_budget_splits() {
         total += window;
         let mut whole = idle_chains(false);
         whole.run_for(total);
-        assert_eq!(outcome(&windowed), outcome(&whole), "after {total} cycles");
+        assert!(
+            artifacts(&windowed) == artifacts(&whole),
+            "after {total} cycles"
+        );
     }
 }
 
 /// Two trace cores streaming row-missing loads, the shape of the
-/// benchmark's saturated load, with no tracer: a traced memory path runs
-/// eagerly, so only untraced runs reach the controller's lazy mode, which
-/// runs its DRAM commands and refreshes between contacts.
-fn untraced_streams(kind: &MemoryKind, naive: bool) -> System {
+/// benchmark's saturated load: the controller runs its DRAM commands and
+/// refreshes between contacts.
+fn streams(kind: &MemoryKind, naive: bool, traced: bool) -> System {
     let mut sys = SystemBuilder::new(SystemConfig::two_core())
         .trace_core(stream(1_000, 0, 0))
         .trace_core(stream(1_000, 1 << 30, 0))
         .memory(kind.clone())
         .build();
+    if traced {
+        sys.set_tracer(Tracer::ring(1 << 16));
+    }
     sys.set_event_skipping(!naive);
     sys
 }
 
-/// The memory paths a lazy controller sits in: shaped by DAGguise or
+/// The memory paths a controller sits in: shaped by DAGguise or
 /// Camouflage, or wired straight to the cores.
 fn streaming_kinds() -> [MemoryKind; 3] {
     [
@@ -555,37 +591,39 @@ fn streaming_kinds() -> [MemoryKind; 3] {
 }
 
 #[test]
-fn untraced_streaming_misses_match_naive_engine() {
+fn streaming_misses_match_naive_engine() {
     for kind in streaming_kinds() {
         let label = kind.label();
-        let run = |naive: bool, tracer: Option<Tracer>| {
-            let mut sys = untraced_streams(&kind, naive);
-            if let Some(tracer) = tracer {
-                sys.set_tracer(tracer);
-            }
+        let run = |naive: bool| {
+            let mut sys = streams(&kind, naive, true);
             sys.run_until_finished(200_000_000)
                 .expect("the streams finish");
-            let report = sys.report("untraced");
+            let report = sys.report("streams");
             assert!(report.dram.refreshes >= 2, "{label}: refreshes ran");
-            (outcome(&sys), report.engine.ticks)
+            (artifacts(&sys), report)
         };
-        let (fast, lazy_ticks) = run(false, None);
-        let (naive, _) = run(true, None);
-        assert_eq!(fast, naive, "{label}: reports diverged");
-        // The same run traced wakes the engine at every command edge.
-        let (_, eager_ticks) = run(false, Some(Tracer::ring(1 << 16)));
+        let ((fast, report), (naive, _)) = (run(false), run(true));
+        assert_eq!(fast.0, naive.0, "{label}: reports diverged");
+        assert!(fast.1 == naive.1, "{label}: Chrome traces diverged");
+        // The traced event engine does not wake at every command edge.
+        let commands: u64 = report
+            .banks
+            .iter()
+            .map(|b| b.acts + b.row_hits + b.row_misses + b.precharges)
+            .sum();
         assert!(
-            lazy_ticks < eager_ticks,
-            "{label}: {lazy_ticks} untraced ticks, {eager_ticks} traced"
+            report.engine.ticks < commands,
+            "{label}: {} ticks for {commands} DRAM commands",
+            report.engine.ticks
         );
     }
 }
 
 #[test]
-fn untraced_streaming_misses_sample_windows_like_naive_engine() {
+fn streaming_misses_sample_windows_like_naive_engine() {
     for kind in streaming_kinds() {
         let run = |naive: bool| {
-            let mut sys = untraced_streams(&kind, naive);
+            let mut sys = streams(&kind, naive, true);
             sys.enable_interval_sampling(1_000);
             sys.enable_shaper_timelines(1_000);
             sys.run_until_finished(200_000_000)
@@ -596,64 +634,40 @@ fn untraced_streaming_misses_sample_windows_like_naive_engine() {
                 "{} samples",
                 report.intervals.len()
             );
-            outcome(&sys)
+            artifacts(&sys)
         };
-        assert_eq!(run(false), run(true), "{}: reports diverged", kind.label());
+        let (fast, naive) = (run(false), run(true));
+        let label = kind.label();
+        assert_eq!(fast.0, naive.0, "{label}: reports diverged");
+        assert!(fast.1 == naive.1, "{label}: Chrome traces diverged");
     }
 }
 
 #[test]
-fn untraced_streaming_misses_compose_across_budget_splits() {
+fn streaming_misses_compose_across_budget_splits() {
     for kind in streaming_kinds() {
         let label = kind.label();
-        let mut single = untraced_streams(&kind, false);
+        let mut single = streams(&kind, false, true);
         let want = single.run_until_finished(200_000_000);
         let end = *want.as_ref().expect("the streams finish");
         for budget in [63, 997, 12_345] {
-            let mut split = untraced_streams(&kind, false);
+            let mut split = streams(&kind, false, true);
             let what = format!("{label}, budget {budget}");
             assert_eq!(run_chunked(&mut split, budget, None), want, "{what}");
             assert_eq!(split.now(), single.now(), "{what}");
-            assert_eq!(outcome(&split), outcome(&single), "{what}");
+            assert!(artifacts(&split) == artifacts(&single), "{what}");
         }
         // Fixed windows, each ending wherever it ends, against one window
         // of the same total length.
-        let mut windowed = untraced_streams(&kind, false);
+        let mut windowed = streams(&kind, false, true);
         let mut total = 0;
         for window in [7_919, 20_011, 45_007, end] {
             windowed.run_for(window);
             total += window;
-            let mut whole = untraced_streams(&kind, false);
+            let mut whole = streams(&kind, false, true);
             whole.run_for(total);
             let what = format!("{label}, after {total} cycles");
-            assert_eq!(outcome(&windowed), outcome(&whole), "{what}");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random DAG workloads, as in `random_dag_workloads_match_naive_engine`,
-    /// untraced so every memory path in `streaming_kinds` runs lazily:
-    /// both engines produce the same reports.
-    #[test]
-    fn untraced_random_dag_workloads_match_naive_engine(
-        a in prop::collection::vec((0u64..64, 0u64..64, 0u64..40, 0u64..4096), 1..48),
-        b in prop::collection::vec((0u64..64, 0u64..64, 0u64..40, 0u64..4096), 1..48),
-    ) {
-        for kind in streaming_kinds() {
-            let run = |naive: bool| {
-                let mut sys = SystemBuilder::new(SystemConfig::two_core())
-                    .dag_core(dag_workload(&a))
-                    .dag_core(dag_workload(&b))
-                    .memory(kind.clone())
-                    .build();
-                sys.set_event_skipping(!naive);
-                sys.run_until_finished(50_000_000).expect("workload finishes");
-                outcome(&sys)
-            };
-            prop_assert_eq!(run(false), run(true), "{}", kind.label());
+            assert!(artifacts(&windowed) == artifacts(&whole), "{what}");
         }
     }
 }
