@@ -37,12 +37,13 @@ echo "=== engine differential + zero-allocation suites (release) ==="
 # and NoC topologies, every memory kind), the counting-allocator proof that
 # the per-tick path never allocates, the whole-run golden report hashes,
 # every memory path's next_event_at promise against a naive replay
-# (lookahead), the fixed-schedule defenses' unit tests, and the
-# controller's golden and every-cycle vs event-driven tests, at the
-# optimization level the benchmarks run.
+# (lookahead), the fixed-schedule defenses' unit tests, the controller's
+# golden and every-cycle vs event-driven tests, and the cache's line words
+# against the three-array reference, at the optimization level the
+# benchmarks run.
 cargo test --release -q -p dg-system --test determinism --test zero_alloc
 cargo test --release -q -p dg-shard --test determinism --test golden --test lookahead
-cargo test --release -q -p dg-defenses -p dg-mem
+cargo test --release -q -p dg-defenses -p dg-mem -p dg-cache
 # The rank-horizon snapshot's equivalence with DramDevice::horizon (cycle
 # and blocking reason, tie order included) under random command streams.
 cargo test --release -q -p dg-dram
@@ -272,10 +273,18 @@ echo "=== wrapped trace ring (energy_model --trace on both engines) ==="
 # byte. energy_model writes results/ under the working directory.
 EM="$PWD/target/release/energy_model"
 (cd "$SMOKE_DIR" && "$EM" --trace "$SMOKE_DIR/energy_fast.json" > /dev/null)
+cp "$SMOKE_DIR/results/energy_model.json" "$SMOKE_DIR/energy_results_fast.json"
 (cd "$SMOKE_DIR" && DG_NO_SKIP=1 "$EM" --trace "$SMOKE_DIR/energy_naive.json" > /dev/null)
 cmp "$SMOKE_DIR/energy_fast.json" "$SMOKE_DIR/energy_naive.json" \
   || { echo "trace: energy_model Chrome traces differ between engines"; exit 1; }
 echo "trace: energy_model Chrome traces byte-identical on both engines"
+# Its results (a DocDist victim under DAGguise, with cache hits and dirty
+# lines) must also equal the committed ones byte for byte, on both engines.
+for results in "$SMOKE_DIR/energy_results_fast.json" "$SMOKE_DIR/results/energy_model.json"; do
+  cmp "$results" results/energy_model.json \
+    || { echo "results: $results differs from the committed results/energy_model.json"; exit 1; }
+done
+echo "results: energy_model.json byte-identical to the committed results on both engines"
 
 echo "=== perf smoke (event-driven engine vs naive loop) ==="
 # The event-driven engine must hold a real wall-clock win on the idle-heavy

@@ -44,6 +44,9 @@ struct Txn {
     req: MemRequest,
     loc: PhysLoc,
     arrived: Cycle,
+    /// The first bus edge not yet passed when it arrived: no command for
+    /// it can issue sooner.
+    edge: Cycle,
     state: TxnState,
 }
 
@@ -54,6 +57,8 @@ struct Pending {
     domain: DomainId,
     row: RowId,
     write: bool,
+    /// [`Txn::edge`].
+    edge: Cycle,
 }
 
 /// One bank's pending transactions in arrival order, with the bank's row
@@ -251,8 +256,9 @@ struct Plan {
     ready: Cycle,
     /// Earliest cycle any pending transaction could complete (`Cycle::MAX`:
     /// none pending): per bank, the earliest a row hit's column command
-    /// could finish, or the head's command plus the chain to a column
-    /// command of its row.
+    /// could finish, or the head's command (from the later of its horizon
+    /// and the head's arrival edge) plus the chain to a column command of
+    /// its row.
     done_from: Cycle,
     lat: Latency,
     /// Bank, sequence number and horizon of the oldest row conflict's PRE.
@@ -306,6 +312,7 @@ impl Plan {
             domain: txn.req.domain,
             row: txn.loc.row,
             write: txn.req.req_type.is_write(),
+            edge: txn.edge,
         };
         bank.queue.push(p);
         bank.note(p, bank.queue.len() == 1);
@@ -390,8 +397,12 @@ impl Plan {
         };
         if let Some(chain) = chain {
             // The row the head opens serves the chain's reads and writes.
+            // The chain starts with a command for the head, which issues
+            // neither before its horizon nor before the head arrived: a
+            // bank idle long before then has a horizon in the past.
             let col = lat.column(bank.chain_read, bank.chain_write);
-            self.done_from = self.done_from.min(horizon + chain + col);
+            let start = horizon.max(first.edge);
+            self.done_from = self.done_from.min(start + chain + col);
         }
         if reason == BlockReason::Faw {
             self.faw_banks |= 1 << b;
@@ -1052,7 +1063,7 @@ impl MemoryController {
         if now < self.next_done {
             return;
         }
-        let mut i = 0;
+        let (mut i, mut next_done) = (0, Cycle::MAX);
         while i < self.txq.len() {
             if let TxnState::Issued { done: d } = self.txq[i].state {
                 if d <= now {
@@ -1079,18 +1090,11 @@ impl MemoryController {
                     out.push(resp);
                     continue;
                 }
+                next_done = next_done.min(d);
             }
             i += 1;
         }
-        self.next_done = self
-            .txq
-            .iter()
-            .filter_map(|t| match t.state {
-                TxnState::Issued { done } => Some(done),
-                TxnState::Pending => None,
-            })
-            .min()
-            .unwrap_or(Cycle::MAX);
+        self.next_done = next_done;
     }
 }
 
@@ -1142,17 +1146,19 @@ impl MemorySubsystem for MemoryController {
             domain: req.domain,
             bank: loc.bank,
         });
+        // The new transaction is charged from the first edge not yet
+        // passed, as a new head or as one more wait behind its bank's, and
+        // no command for it issues before that edge.
+        let (b, from) = (loc.bank as usize, self.first_unpassed_edge());
         let txn = Txn {
             seq: self.next_seq,
             req,
             loc,
             arrived: now,
+            edge: from,
             state: TxnState::Pending,
         };
         self.next_seq += 1;
-        // The new transaction is charged from the first edge not yet
-        // passed: as a new head, or as one more wait behind its bank's.
-        let (b, from) = (loc.bank as usize, self.first_unpassed_edge());
         if self.plan.heads[b].is_none() {
             self.owed[b].head = from;
         }
@@ -1576,6 +1582,48 @@ mod tests {
         (out, ticks)
     }
 
+    #[test]
+    fn a_lone_request_after_a_long_idle_is_promised_exactly() {
+        // A bank idle for 10,000 cycles has an ACT horizon long past. The
+        // promise still starts the ACT chain at the request's arrival
+        // edge, so it names the very cycle the every-cycle drive collects
+        // the read: sent on a bus edge or off one, before the cycle's tick
+        // or after it.
+        let c = SystemConfig::two_core().with_row_policy(RowPolicy::Closed);
+        let cmd_cycle = MemoryController::new(&c, SchedPolicy::FrFcfs)
+            .device
+            .timing()
+            .cmd_cycle;
+        assert!(cmd_cycle > 1, "the default clock ratio spaces bus edges");
+        let idle = 10_000u64.next_multiple_of(cmd_cycle);
+        for (offset, before_tick) in [(0, false), (1, false), (0, true), (1, true)] {
+            let mut mc = MemoryController::new(&c, SchedPolicy::FrFcfs);
+            let at = idle + offset;
+            for now in 0..at {
+                assert!(mc.tick(now).is_empty());
+            }
+            if !before_tick {
+                assert!(mc.tick(at).is_empty());
+            }
+            read_at(&mut mc, 0x40, 1, at);
+            let promise = mc.next_event_at(at + 1);
+            let what = format!("sent at edge + {offset}, before the tick: {before_tick}");
+            assert!(
+                mc.device.refresh_deadline() > at + 1_000,
+                "{what}: no refresh in the way"
+            );
+            let mut now = if before_tick { at } else { at + 1 };
+            let collected = loop {
+                if let Some(r) = mc.tick(now).first() {
+                    assert_eq!(r.id, ReqId(1), "{what}");
+                    break now;
+                }
+                now += 1;
+            };
+            assert_eq!(promise, Some(collected), "{what}: promise");
+        }
+    }
+
     /// Bursts of two domains' requests spread over every bank (tRRD and
     /// tFAW bind), piled onto one bank (bank busy, queue waits), and mixing
     /// reads and writes (bus turnaround), across two refreshes.
@@ -1617,9 +1665,9 @@ mod tests {
         // counters and interference still equal the every-cycle drive's.
         let sends = stress_sends();
         for (policy, row, pinned_ticks) in [
-            (SchedPolicy::FrFcfs, RowPolicy::Closed, 1_298),
-            (SchedPolicy::FrFcfs, RowPolicy::Open, 1_499),
-            (SchedPolicy::Fcfs, RowPolicy::Open, 1_280),
+            (SchedPolicy::FrFcfs, RowPolicy::Closed, 1_297),
+            (SchedPolicy::FrFcfs, RowPolicy::Open, 1_498),
+            (SchedPolicy::Fcfs, RowPolicy::Open, 1_279),
         ] {
             let c = SystemConfig::two_core().with_row_policy(row);
             let horizon = STRESS_HORIZON;

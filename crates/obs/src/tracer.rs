@@ -9,7 +9,7 @@
 use crate::event::{Event, EventKind};
 use dg_sim::clock::Cycle;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Fixed-capacity event store, kept sorted by cycle and, within a cycle, in
 /// recording order. A component that runs its past cycles at a later
@@ -116,32 +116,37 @@ impl Tracer {
                 kind: kind(),
             };
             ring.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .unwrap_or_else(PoisonError::into_inner)
                 .push(event);
         }
+    }
+
+    /// The shared ring, locked (`None` for a no-op handle).
+    fn locked(&self) -> Option<MutexGuard<'_, RingBuffer>> {
+        let ring = self.inner.as_ref()?;
+        Some(ring.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// The recorded events, earliest cycle first (recording order within a
     /// cycle). Empty for a no-op handle.
     pub fn snapshot(&self) -> Vec<Event> {
-        match &self.inner {
-            Some(ring) => ring
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .snapshot(),
-            None => Vec::new(),
-        }
+        self.locked().map_or_else(Vec::new, |ring| ring.snapshot())
+    }
+
+    /// Number of events kept, counted without copying them. 0 for a no-op
+    /// handle.
+    pub fn len(&self) -> usize {
+        self.locked().map_or(0, |ring| ring.len())
+    }
+
+    /// True when no event is kept.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Number of events lost because the ring was full.
     pub fn dropped(&self) -> u64 {
-        match &self.inner {
-            Some(ring) => ring
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .dropped(),
-            None => 0,
-        }
+        self.locked().map_or(0, |ring| ring.dropped())
     }
 }
 
@@ -260,7 +265,22 @@ mod tests {
         assert!(!t.enabled());
         t.record(5, || panic!("payload closure must not run when disabled"));
         assert!(t.snapshot().is_empty());
+        assert!(t.is_empty());
         assert_eq!(t.dropped(), 0);
+    }
+
+    #[test]
+    fn len_counts_the_kept_events() {
+        let t = Tracer::ring(3);
+        for c in 0..5 {
+            assert_eq!(t.len(), t.snapshot().len());
+            t.record(c, || EventKind::LlcMiss {
+                domain: DomainId(0),
+                addr: c * 64,
+            });
+        }
+        assert_eq!((t.len(), t.dropped()), (3, 2));
+        assert!(!t.is_empty());
     }
 
     #[test]

@@ -740,7 +740,7 @@ impl System {
             interval_window,
             intervals,
             trace: TraceSummary {
-                events_recorded: self.tracer.snapshot().len() as u64,
+                events_recorded: self.tracer.len() as u64,
                 events_dropped: self.tracer.dropped(),
             },
             engine: engine.snapshot(),
