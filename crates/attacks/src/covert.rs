@@ -8,13 +8,23 @@
 //! view of how much information the channel carries — near-zero error on
 //! the insecure controller, coin-flip error (zero capacity) once DAGguise
 //! shapes the sender.
+//!
+//! Both ends are cores, a sender and the receiver's [`ProbeCore`], that
+//! run on a system like any other core; [`CovertConfig::transmit`]
+//! decodes the receiver's log after the run.
 
+use crate::probe::ProbeCore;
+use dg_cache::SetAssocCache;
+use dg_cpu::Core;
 use dg_mem::MemorySubsystem;
 use dg_obs::{LeakEstimator, LeakReport};
 use dg_sim::clock::Cycle;
 use dg_sim::rng::DetRng;
-use dg_sim::types::{DomainId, MemRequest, ReqId};
+use dg_sim::types::{DomainId, MemRequest, MemResponse, ReqId};
 use serde::{Deserialize, Serialize};
+
+/// The line every receiver probe reads.
+const RECEIVER_ADDR: u64 = 0x40;
 
 /// Parameters of the covert-channel experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,70 +74,6 @@ impl CovertResult {
     }
 }
 
-/// Runs the covert-channel experiment over `mem`. The sender occupies
-/// `sender_domain`; the receiver probes from `receiver_domain`. The
-/// message is pseudo-random from `seed`.
-///
-/// The caller provides the memory path (insecure controller, shaped
-/// controller, Fixed Service, …); requests enter through the same
-/// `try_send` interface the cores use, so any defense under test shapes
-/// the sender exactly as it would a victim.
-pub fn run_covert_channel<M: MemorySubsystem + ?Sized>(
-    mem: &mut M,
-    sender_domain: DomainId,
-    receiver_domain: DomainId,
-    cfg: &CovertConfig,
-    clock_hz: f64,
-    seed: u64,
-) -> CovertResult {
-    run_covert_inner(
-        mem,
-        sender_domain,
-        receiver_domain,
-        cfg,
-        clock_hz,
-        seed,
-        None,
-    )
-}
-
-/// [`run_covert_channel`] with an online [`LeakEstimator`] attached: every
-/// receiver probe is fed to the estimator keyed by the bit the sender was
-/// transmitting, producing a mutual-information capacity-over-time report
-/// alongside the decode-based [`CovertResult`]. The estimator is a pure
-/// observer — the simulated traffic is identical to the plain run.
-///
-/// The report is permutation-null corrected: alongside the true labelling,
-/// the same latency stream is estimated under cyclically rotated bit
-/// labels. A rotated labelling has the same marginals but no causal
-/// alignment with the sender, so any MI it reads is spurious correlation
-/// between the (secret-independent) latency pattern and the message — a
-/// structural noise floor that shaped memory would otherwise appear to
-/// carry. The nulls' mean is subtracted window-by-window (see
-/// [`LeakReport::subtract_null`]); samples stay signed, the aggregate
-/// mean is clamped at zero.
-pub fn run_covert_channel_estimated<M: MemorySubsystem + ?Sized>(
-    mem: &mut M,
-    sender_domain: DomainId,
-    receiver_domain: DomainId,
-    cfg: &CovertConfig,
-    clock_hz: f64,
-    seed: u64,
-    leak_window: Cycle,
-) -> (CovertResult, LeakReport) {
-    let mut taps = LeakTaps::new(leak_window, clock_hz, cfg.bits);
-    let result = run_covert_inner(
-        mem,
-        sender_domain,
-        receiver_domain,
-        cfg,
-        clock_hz,
-        seed,
-        Some(&mut taps),
-    );
-    (result, taps.report())
-}
-
 /// Latency-bucket width (cycles) and count for the probe's MI histograms.
 /// Coarse buckets keep the per-window contingency table well-populated at
 /// covert-probe observation rates; finer ones inflate the finite-sample
@@ -135,138 +81,189 @@ pub fn run_covert_channel_estimated<M: MemorySubsystem + ?Sized>(
 const LEAK_BUCKET_WIDTH: Cycle = 64;
 const LEAK_BUCKETS: usize = 8;
 
-/// The observed-label estimator plus its permutation-null companions
-/// (same latency stream, cyclically rotated bit labels).
-struct LeakTaps {
-    obs: LeakEstimator,
-    /// (label rotation, estimator) pairs.
-    nulls: Vec<(usize, LeakEstimator)>,
-}
+impl CovertConfig {
+    /// Transmits a pseudo-random message drawn from `seed` and decodes it.
+    ///
+    /// `run` gets the sender and the receiver, to become cores 0 and 1 of
+    /// a system, and the cycles the message takes (one epoch per bit); it
+    /// runs that system for those cycles. The receiver probes a fixed line,
+    /// thinking `probe_gap` cycles between probes. After the run each of
+    /// its probes belongs to the epoch its response completed in, and
+    /// epochs whose mean probe latency exceeds the median are read as 1s.
+    /// The estimator sees every probe keyed by the bit the sender was
+    /// transmitting, in windows of `leak_window` cycles at `clock_hz`.
+    ///
+    /// The report is permutation-null corrected: alongside the true
+    /// labelling, the same latency stream is estimated under cyclically
+    /// rotated bit labels. A rotated labelling has the same marginals but
+    /// no causal alignment with the sender, so any MI it reads is spurious
+    /// correlation between the (secret-independent) latency pattern and the
+    /// message — a structural noise floor that shaped memory would
+    /// otherwise appear to carry. The nulls' mean is subtracted
+    /// window-by-window (see [`LeakReport::subtract_null`]); samples stay
+    /// signed, the aggregate mean is clamped at zero.
+    pub fn transmit(
+        &self,
+        seed: u64,
+        clock_hz: f64,
+        leak_window: Cycle,
+        run: impl FnOnce([Box<dyn Core>; 2], Cycle),
+    ) -> (CovertResult, LeakReport) {
+        let sender = CovertSender::new(DomainId(0), self, seed);
+        let message = sender.message.clone();
+        let receiver = ProbeCore::new(DomainId(1), RECEIVER_ADDR, self.probe_gap, usize::MAX);
+        let log = receiver.log();
+        run(
+            [Box::new(sender), Box::new(receiver)],
+            self.epoch * self.bits as u64,
+        );
 
-impl LeakTaps {
-    fn new(leak_window: Cycle, clock_hz: f64, bits: usize) -> Self {
-        let mk = || LeakEstimator::new(leak_window, clock_hz, 2, LEAK_BUCKET_WIDTH, LEAK_BUCKETS);
-        let mut rots: Vec<usize> = [bits / 4, bits / 2, 3 * bits / 4]
+        let observations = log.observations();
+        let epoch_of = |at: Cycle| ((at / self.epoch) as usize).min(self.bits - 1);
+        // Each epoch's probe latency sum and probe count.
+        let mut epochs = vec![(0u64, 0u64); self.bits];
+        for o in &observations {
+            let e = &mut epochs[epoch_of(o.completed)];
+            *e = (e.0 + o.latency(), e.1 + 1);
+        }
+        // The MI estimate with the message's bits rotated by `rot` as the
+        // probes' labels (0: the bits actually sent).
+        let estimate = |rot: usize| {
+            let mut est =
+                LeakEstimator::new(leak_window, clock_hz, 2, LEAK_BUCKET_WIDTH, LEAK_BUCKETS);
+            for o in &observations {
+                let bit = message[(epoch_of(o.completed) + rot) % self.bits];
+                est.observe(o.completed, bit as usize, o.latency());
+            }
+            est.finish();
+            est.report()
+        };
+        let mut rots: Vec<usize> = [self.bits / 4, self.bits / 2, 3 * self.bits / 4]
             .into_iter()
-            .filter(|&r| r > 0 && r < bits)
+            .filter(|&r| r > 0 && r < self.bits)
             .collect();
         rots.dedup();
-        Self {
-            obs: mk(),
-            nulls: rots.into_iter().map(|r| (r, mk())).collect(),
-        }
-    }
+        let nulls: Vec<LeakReport> = rots.into_iter().map(estimate).collect();
+        let report = estimate(0).subtract_null(&nulls);
 
-    fn observe(&mut self, now: Cycle, idx: usize, sent: &[bool], latency: Cycle) {
-        self.obs.observe(now, sent[idx] as usize, latency);
-        for (rot, est) in &mut self.nulls {
-            est.observe(now, sent[(idx + *rot) % sent.len()] as usize, latency);
-        }
-    }
-
-    fn report(mut self) -> LeakReport {
-        self.obs.finish();
-        let nulls: Vec<LeakReport> = self
-            .nulls
-            .into_iter()
-            .map(|(_, mut e)| {
-                e.finish();
-                e.report()
+        let means: Vec<f64> = epochs
+            .iter()
+            .map(|&(sum, n)| match n {
+                0 => f64::MAX, // starved epoch reads as heavy contention
+                n => sum as f64 / n as f64,
             })
             .collect();
-        self.obs.report().subtract_null(&nulls)
+        let mut sorted: Vec<f64> = means.clone();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let median = sorted[sorted.len() / 2];
+        let decoded: Vec<bool> = means.iter().map(|&m| m > median).collect();
+
+        let errors = message.iter().zip(&decoded).filter(|(a, b)| a != b).count();
+        let result = CovertResult {
+            sent: message,
+            decoded,
+            error_rate: errors as f64 / self.bits as f64,
+            raw_bits_per_sec: clock_hz / self.epoch as f64,
+        };
+        (result, report)
     }
 }
 
-fn run_covert_inner<M: MemorySubsystem + ?Sized>(
-    mem: &mut M,
-    sender_domain: DomainId,
-    receiver_domain: DomainId,
-    cfg: &CovertConfig,
-    clock_hz: f64,
-    seed: u64,
-    mut taps: Option<&mut LeakTaps>,
-) -> CovertResult {
-    let mut rng = DetRng::new(seed);
-    let sent: Vec<bool> = (0..cfg.bits).map(|_| rng.next_bool(0.5)).collect();
+/// The covert sender as a core: during 1-epochs it reads one fresh random
+/// line every `sender_gap` cycles; during 0-epochs it stays silent. Its
+/// requests bypass the caches, so every one reaches the memory path.
+///
+/// A refused request is offered again, unchanged, on every tick until
+/// accepted (the [`Core`] back-pressure contract) — also past the end of
+/// its 1-epoch — and the next fresh request follows `sender_gap` cycles
+/// after the acceptance.
+#[derive(Debug)]
+struct CovertSender {
+    domain: DomainId,
+    cfg: CovertConfig,
+    message: Vec<bool>,
+    rng: DetRng,
+    /// Requests the memory path accepted; the next one's id is `sent + 1`.
+    sent: u64,
+    next_send: Cycle,
+    pending: Option<MemRequest>,
+}
 
-    let mut probe_latencies: Vec<Vec<Cycle>> = vec![Vec::new(); cfg.bits];
-    let mut sender_seq = 0u64;
-    let mut probe_seq = 0u64;
-    let mut sender_next = 0;
-    let mut probe_outstanding: Option<ReqId> = None;
-    let mut probe_next = 0;
-    let horizon = cfg.epoch * cfg.bits as u64;
+impl CovertSender {
+    /// A sender for `domain` transmitting a pseudo-random message drawn
+    /// from `seed`; the same stream then draws its addresses.
+    fn new(domain: DomainId, cfg: &CovertConfig, seed: u64) -> Self {
+        let mut rng = DetRng::new(seed);
+        let message = (0..cfg.bits).map(|_| rng.next_bool(0.5)).collect();
+        Self {
+            domain,
+            cfg: *cfg,
+            message,
+            rng,
+            sent: 0,
+            next_send: 0,
+            pending: None,
+        }
+    }
+}
 
-    for now in 0..horizon {
-        let bit_idx = (now / cfg.epoch) as usize;
-        for resp in mem.tick(now) {
-            if Some(resp.id) == probe_outstanding {
-                probe_outstanding = None;
-                let idx = ((resp.completed_at / cfg.epoch) as usize).min(cfg.bits - 1);
-                probe_latencies[idx].push(resp.latency());
-                if let Some(t) = taps.as_deref_mut() {
-                    t.observe(resp.completed_at, idx, &sent, resp.latency());
-                }
-                probe_next = now + cfg.probe_gap;
+impl Core for CovertSender {
+    fn domain(&self) -> DomainId {
+        self.domain
+    }
+
+    fn tick(&mut self, now: Cycle, _l3: &mut SetAssocCache, mem: &mut dyn MemorySubsystem) {
+        let req = match self.pending.take() {
+            Some(req) => req,
+            None if now >= self.next_send
+                && self.message.get((now / self.cfg.epoch) as usize) == Some(&true) =>
+            {
+                let addr = (self.rng.next_u64() % (1 << 26)) & !63;
+                MemRequest::read(self.domain, addr, now)
+                    .with_id(ReqId::compose(self.domain, self.sent + 1))
             }
-        }
-        // Sender: hammer random lines during 1-epochs, stay silent in 0s.
-        if sent[bit_idx] && now >= sender_next {
-            sender_seq += 1;
-            let addr = (rng.next_u64() % (1 << 26)) & !63;
-            let req = MemRequest::read(sender_domain, addr, now)
-                .with_id(ReqId::compose(sender_domain, sender_seq));
-            if mem.try_send(req, now).is_ok() {
-                sender_next = now + cfg.sender_gap;
+            None => return,
+        };
+        match mem.try_send(req, now) {
+            Ok(()) => {
+                self.sent += 1;
+                self.next_send = now + self.cfg.sender_gap;
             }
-        }
-        // Receiver: constant-pattern probe.
-        if probe_outstanding.is_none() && now >= probe_next {
-            probe_seq += 1;
-            let id = ReqId::compose(receiver_domain, probe_seq);
-            let req = MemRequest::read(receiver_domain, 0x40, now).with_id(id);
-            if mem.try_send(req, now).is_ok() {
-                probe_outstanding = Some(id);
-            }
+            Err(back) => self.pending = Some(back),
         }
     }
 
-    // Decode: epochs whose mean probe latency exceeds the global median
-    // are 1s.
-    let means: Vec<f64> = probe_latencies
-        .iter()
-        .map(|v| {
-            if v.is_empty() {
-                f64::MAX // starved epoch reads as heavy contention
-            } else {
-                v.iter().sum::<u64>() as f64 / v.len() as f64
-            }
-        })
-        .collect();
-    let mut sorted: Vec<f64> = means.clone();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let median = sorted[sorted.len() / 2];
-    let decoded: Vec<bool> = means.iter().map(|&m| m > median).collect();
+    fn on_response(&mut self, _resp: &MemResponse, _now: Cycle) {}
 
-    let errors = sent.iter().zip(&decoded).filter(|(a, b)| a != b).count();
-    let error_rate = errors as f64 / cfg.bits as f64;
-    let raw = clock_hz / cfg.epoch as f64;
-    CovertResult {
-        sent,
-        decoded,
-        error_rate,
-        raw_bits_per_sec: raw,
+    fn finished(&self) -> bool {
+        false
+    }
+
+    fn instructions_retired(&self) -> u64 {
+        self.sent
+    }
+
+    fn finished_at(&self) -> Option<Cycle> {
+        None
+    }
+
+    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
+        if self.pending.is_some() {
+            return None; // parked on the retry
+        }
+        let from = now.max(self.next_send);
+        let epoch = (from / self.cfg.epoch) as usize;
+        let ones_ahead = self.message.iter().skip(epoch).position(|&b| b)?;
+        Some(from.max((epoch + ones_ahead) as Cycle * self.cfg.epoch))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dagguise::{Shaper, ShaperConfig};
-    use dg_mem::{DomainShaper, MemoryController, PassThrough, SchedPolicy, ShapedMemory};
     use dg_rdag::template::RdagTemplate;
     use dg_sim::config::SystemConfig;
+    use dg_system::{MemoryKind, ShardConfig, ShardedSystemBuilder, SystemBuilder};
 
     fn cfg() -> CovertConfig {
         CovertConfig {
@@ -277,11 +274,45 @@ mod tests {
         }
     }
 
+    fn run_on(kind: MemoryKind, seed: u64, skipping: bool) -> (CovertResult, LeakReport) {
+        cfg().transmit(seed, 2.4e9, 8_000, |[sender, receiver], horizon| {
+            let mut sys = SystemBuilder::new(SystemConfig::two_core())
+                .core(sender)
+                .core(receiver)
+                .memory(kind)
+                .build();
+            sys.set_event_skipping(skipping);
+            sys.run_for(horizon)
+        })
+    }
+
+    fn run(kind: MemoryKind, seed: u64) -> (CovertResult, LeakReport) {
+        run_on(kind, seed, true)
+    }
+
+    /// The run across the default 64-cycle NoC hop, on one shard.
+    fn run_on_noc(kind: MemoryKind, seed: u64, skipping: bool) -> (CovertResult, LeakReport) {
+        cfg().transmit(seed, 2.4e9, 8_000, |[sender, receiver], horizon| {
+            let scfg = ShardConfig::default();
+            let mut sys = ShardedSystemBuilder::new(SystemConfig::two_core(), scfg)
+                .core(sender)
+                .core(receiver)
+                .memory(kind)
+                .build();
+            sys.set_event_skipping(skipping);
+            sys.run_for(horizon)
+        })
+    }
+
+    fn dagguise() -> MemoryKind {
+        MemoryKind::Dagguise {
+            protected: vec![Some(RdagTemplate::new(2, 100, 0.0)), None],
+        }
+    }
+
     #[test]
     fn insecure_channel_transmits_reliably() {
-        let sys = SystemConfig::two_core();
-        let mut mc = MemoryController::new(&sys, SchedPolicy::FrFcfs);
-        let r = run_covert_channel(&mut mc, DomainId(0), DomainId(1), &cfg(), 2.4e9, 11);
+        let (r, _) = run(MemoryKind::Insecure, 11);
         assert!(
             r.error_rate < 0.2,
             "contention channel should decode well: e = {}",
@@ -292,18 +323,7 @@ mod tests {
 
     #[test]
     fn dagguise_reduces_channel_to_noise() {
-        let sys = SystemConfig::two_core();
-        let mc = MemoryController::new(&sys, SchedPolicy::FrFcfs);
-        let shapers: Vec<Box<dyn DomainShaper>> = vec![
-            Box::new(Shaper::new(ShaperConfig::from_system(
-                DomainId(0),
-                RdagTemplate::new(2, 100, 0.0),
-                &sys,
-            ))),
-            Box::new(PassThrough::new(DomainId(1), 16)),
-        ];
-        let mut mem = ShapedMemory::new(mc, shapers);
-        let r = run_covert_channel(&mut mem, DomainId(0), DomainId(1), &cfg(), 2.4e9, 11);
+        let (r, _) = run(dagguise(), 11);
         // The shaped sender's traffic is invisible; decoding degenerates
         // to the median split, i.e. a coin flip.
         assert!(
@@ -314,33 +334,13 @@ mod tests {
         assert!(r.capacity_bits_per_sec() < 0.25 * r.raw_bits_per_sec);
     }
 
-    fn shaped(sys: &SystemConfig) -> ShapedMemory<MemoryController> {
-        let mc = MemoryController::new(sys, SchedPolicy::FrFcfs);
-        let shapers: Vec<Box<dyn DomainShaper>> = vec![
-            Box::new(Shaper::new(ShaperConfig::from_system(
-                DomainId(0),
-                RdagTemplate::new(2, 100, 0.0),
-                sys,
-            ))),
-            Box::new(PassThrough::new(DomainId(1), 16)),
-        ];
-        ShapedMemory::new(mc, shapers)
-    }
-
     #[test]
     fn estimator_separates_insecure_from_dagguise() {
         // Mirrors the sweep probe: merge several repetitions with distinct
         // messages so per-run finite-sample noise averages out.
-        let sys = SystemConfig::two_core();
         let seeds = [11u64, 12, 13, 14];
-        let probe = |mem: &mut dyn MemorySubsystem, seed| {
-            run_covert_channel_estimated(mem, DomainId(0), DomainId(1), &cfg(), 2.4e9, seed, 8_000)
-                .1
-        };
-        let insecure = dg_obs::LeakReport::merged(
-            &seeds.map(|s| probe(&mut MemoryController::new(&sys, SchedPolicy::FrFcfs), s)),
-        );
-        let shaped = dg_obs::LeakReport::merged(&seeds.map(|s| probe(&mut shaped(&sys), s)));
+        let insecure = LeakReport::merged(&seeds.map(|s| run(MemoryKind::Insecure, s).1));
+        let shaped = LeakReport::merged(&seeds.map(|s| run(dagguise(), s).1));
 
         assert!(
             insecure.mean_capacity_bps > 0.0,
@@ -357,21 +357,71 @@ mod tests {
     }
 
     #[test]
-    fn estimator_is_a_pure_observer() {
-        let sys = SystemConfig::two_core();
-        let mut a = MemoryController::new(&sys, SchedPolicy::FrFcfs);
-        let plain = run_covert_channel(&mut a, DomainId(0), DomainId(1), &cfg(), 2.4e9, 11);
-        let mut b = MemoryController::new(&sys, SchedPolicy::FrFcfs);
-        let (estimated, _) = run_covert_channel_estimated(
-            &mut b,
-            DomainId(0),
-            DomainId(1),
-            &cfg(),
-            2.4e9,
-            11,
-            8_000,
+    fn both_engines_carry_the_same_channel() {
+        // The sender's wake-ups (next 1-epoch, next gap, parked retry) let
+        // the event engine skip exactly the cycles the per-cycle loop
+        // spends idle.
+        for kind in [MemoryKind::Insecure, dagguise()] {
+            let naive = run_on(kind.clone(), 11, false);
+            assert_eq!(run_on(kind, 11, true), naive);
+        }
+    }
+
+    #[test]
+    fn the_noc_carries_the_channel_without_flooding() {
+        // The NoC refuses a core that has a transaction queue's worth of
+        // requests outstanding on a channel, so the sender's reads cannot
+        // pile up ahead of the probe and starve it: merged as the sweep
+        // probe merges them, the repetitions clear the sweep gate's
+        // 50,000 bits/s floor for the insecure controller. A parked sender
+        // wakes on the response that returns its credit, on both engines
+        // alike.
+        let seeds = [11u64, 12, 13, 14];
+        let runs = seeds.map(|s| run_on_noc(MemoryKind::Insecure, s, true));
+        let merged = LeakReport::merged(&runs.clone().map(|r| r.1));
+        assert!(
+            merged.mean_capacity_bps >= 50_000.0,
+            "NoC channel starved: {} bits/s",
+            merged.mean_capacity_bps
         );
-        assert_eq!(plain, estimated, "estimator must not perturb the channel");
+        assert_eq!(run_on_noc(MemoryKind::Insecure, 11, false), runs[0]);
+    }
+
+    #[test]
+    fn sender_retries_a_refused_request_unchanged() {
+        // A memory that refuses everything: the sender must offer the
+        // same request (address and id) on every tick, 1-epoch or not,
+        // and report itself parked.
+        struct Refuse(Vec<MemRequest>, dg_mem::MemStats);
+        impl MemorySubsystem for Refuse {
+            fn try_send(&mut self, req: MemRequest, _now: Cycle) -> Result<(), MemRequest> {
+                self.0.push(req);
+                Err(req)
+            }
+            fn tick_into(&mut self, _now: Cycle, _out: &mut Vec<MemResponse>) {}
+            fn stats(&self) -> &dg_mem::MemStats {
+                &self.1
+            }
+            fn stats_mut(&mut self) -> &mut dg_mem::MemStats {
+                &mut self.1
+            }
+            fn free_slots(&self) -> usize {
+                0
+            }
+        }
+        let probe = cfg();
+        let mut sender = CovertSender::new(DomainId(0), &probe, 11);
+        let first_one = sender.message.iter().position(|&b| b).unwrap() as Cycle;
+        let start = first_one * probe.epoch;
+        assert_eq!(sender.next_event_at(0), Some(start));
+        let mut mem = Refuse(Vec::new(), dg_mem::MemStats::new(1, 64));
+        let mut l3 = SetAssocCache::new(SystemConfig::two_core().cache.l3_per_core, "L3");
+        for now in start..start + 3 * probe.epoch {
+            sender.tick(now, &mut l3, &mut mem);
+        }
+        assert_eq!(mem.0.len() as Cycle, 3 * probe.epoch);
+        assert!(mem.0.iter().all(|r| *r == mem.0[0]));
+        assert_eq!(sender.next_event_at(start + 3 * probe.epoch), None);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //!   standalone driver against a bare memory controller (for the Figure 1
 //!   scenarios) and as a [`dg_cpu::Core`] ([`probe::ProbeCore`]) for
 //!   full-system attacks.
+//! * [`covert`] — the covert channel between a sender and a receiver
+//!   core ([`covert::CovertConfig::transmit`]).
 //! * [`distinguish`] — trace-distance metrics and the secret
 //!   distinguisher: given receiver latency traces observed under two
 //!   victim secrets, decide whether the channel leaks.
@@ -21,6 +23,6 @@ pub mod covert;
 pub mod distinguish;
 pub mod probe;
 
-pub use covert::{run_covert_channel, run_covert_channel_estimated, CovertConfig, CovertResult};
+pub use covert::{CovertConfig, CovertResult};
 pub use distinguish::{distinguishable, mean_abs_diff, total_variation, LeakVerdict};
-pub use probe::{figure1_scenario, Figure1Scenario, ProbeCore, ProbeObservation};
+pub use probe::{figure1_scenario, Figure1Scenario, ProbeCore, ProbeLog, ProbeObservation};

@@ -8,6 +8,7 @@ use dg_sim::clock::Cycle;
 use dg_sim::config::SystemConfig;
 use dg_sim::types::{DomainId, MemRequest, MemResponse, ReqId};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One probe's receiver-visible observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -25,6 +26,27 @@ impl ProbeObservation {
     }
 }
 
+/// A [`ProbeCore`]'s observations, in completion order. The core appends
+/// to it while the system that runs it owns the core; the caller keeps a
+/// clone of the handle to read it afterwards.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeLog(Arc<Mutex<Vec<ProbeObservation>>>);
+
+impl ProbeLog {
+    /// The observations so far.
+    pub fn observations(&self) -> Vec<ProbeObservation> {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// The attacker's latency trace.
+    pub fn latencies(&self) -> Vec<Cycle> {
+        self.observations().iter().map(|o| o.latency()).collect()
+    }
+}
+
 /// The attacker of §2.2 as a simulated core: emits a read to a fixed
 /// bank/row, waits for the response, idles `think` cycles, repeats.
 /// It bypasses the cache hierarchy (attackers flush or use uncached
@@ -35,8 +57,8 @@ pub struct ProbeCore {
     addr: u64,
     think: Cycle,
     max_probes: usize,
-    /// Collected observations, in order.
-    pub observations: Vec<ProbeObservation>,
+    probes: usize,
+    log: ProbeLog,
     outstanding: Option<ReqId>,
     next_issue: Cycle,
     next_seq: u64,
@@ -46,14 +68,16 @@ pub struct ProbeCore {
 
 impl ProbeCore {
     /// Builds a probe core for `domain` hammering `addr` with `think`
-    /// cycles between a response and the next probe.
+    /// cycles between a response and the next probe. It finishes after
+    /// `max_probes` observations (`usize::MAX`: never).
     pub fn new(domain: DomainId, addr: u64, think: Cycle, max_probes: usize) -> Self {
         Self {
             domain,
             addr,
             think,
             max_probes,
-            observations: Vec::new(),
+            probes: 0,
+            log: ProbeLog::default(),
             outstanding: None,
             next_issue: 0,
             next_seq: 0,
@@ -62,9 +86,9 @@ impl ProbeCore {
         }
     }
 
-    /// The attacker's latency trace.
-    pub fn latencies(&self) -> Vec<Cycle> {
-        self.observations.iter().map(|o| o.latency()).collect()
+    /// A handle to the core's observation log.
+    pub fn log(&self) -> ProbeLog {
+        self.log.clone()
     }
 }
 
@@ -77,7 +101,7 @@ impl Core for ProbeCore {
         if self.finished_at.is_some() {
             return;
         }
-        if self.observations.len() >= self.max_probes {
+        if self.probes >= self.max_probes {
             if self.outstanding.is_none() {
                 self.finished_at = Some(now);
             }
@@ -103,10 +127,16 @@ impl Core for ProbeCore {
     fn on_response(&mut self, resp: &MemResponse, now: Cycle) {
         if self.outstanding == Some(resp.id) {
             self.outstanding = None;
-            self.observations.push(ProbeObservation {
+            self.probes += 1;
+            let obs = ProbeObservation {
                 issued: resp.arrived_at,
                 completed: resp.completed_at,
-            });
+            };
+            self.log
+                .0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(obs);
             self.next_issue = now + self.think;
         }
     }
@@ -116,7 +146,7 @@ impl Core for ProbeCore {
     }
 
     fn instructions_retired(&self) -> u64 {
-        self.observations.len() as u64
+        self.probes as u64
     }
 
     fn finished_at(&self) -> Option<Cycle> {
@@ -127,7 +157,7 @@ impl Core for ProbeCore {
         if self.finished_at.is_some() {
             return None;
         }
-        if self.observations.len() >= self.max_probes {
+        if self.probes >= self.max_probes {
             // Waiting to retire: active only once the last probe returns.
             return if self.outstanding.is_none() {
                 Some(now)
@@ -310,22 +340,15 @@ mod tests {
 
     #[test]
     fn probe_core_drives_a_controller() {
-        let c = cfg();
-        let mut mc = MemoryController::new(&c, SchedPolicy::FrFcfs);
-        let mut l3 = SetAssocCache::new(c.cache.l3_per_core, "L3");
-        let mut probe = ProbeCore::new(DomainId(0), 0x40, 50, 5);
-        for now in 0..100_000 {
-            for r in mc.tick(now) {
-                probe.on_response(&r, now);
-            }
-            probe.tick(now, &mut l3, &mut mc);
-            if probe.finished() {
-                break;
-            }
-        }
-        assert!(probe.finished());
-        assert_eq!(probe.observations.len(), 5);
-        assert_eq!(probe.latencies().len(), 5);
-        assert!(probe.latencies().iter().all(|&l| l > 0));
+        let probe = ProbeCore::new(DomainId(0), 0x40, 50, 5);
+        let log = probe.log();
+        let mut sys = dg_system::SystemBuilder::new(cfg())
+            .core(Box::new(probe))
+            .memory(dg_system::MemoryKind::Insecure)
+            .build();
+        sys.run_until_finished(100_000).unwrap();
+        let latencies = log.latencies();
+        assert_eq!(latencies.len(), 5);
+        assert!(latencies.iter().all(|&l| l > 0));
     }
 }

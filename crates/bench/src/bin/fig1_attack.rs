@@ -1,9 +1,8 @@
 //! Figure 1: memory timing side channels through different contention
 //! types. Prints the attacker's latency trace for each victim scenario.
 
-use dg_attacks::{figure1_scenario, run_covert_channel_estimated, CovertConfig, Figure1Scenario};
+use dg_attacks::{figure1_scenario, CovertConfig, Figure1Scenario};
 use dg_sim::config::SystemConfig;
-use dg_sim::types::DomainId;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -88,20 +87,17 @@ fn main() {
     // Leakage-observed run for --leak: the Figure 1 channel quantified as
     // bits/s through the insecure controller.
     if args.leak.is_some() {
-        let mut mem = dg_system::build_memory(&cfg, dg_system::MemoryKind::Insecure, 2);
-        let (covert, leak) = run_covert_channel_estimated(
-            mem.as_mut(),
-            DomainId(0),
-            DomainId(1),
+        let (leak, summary) = dg_runner::run_covert_probe(
+            &cfg,
+            &dg_system::MemoryKind::Insecure,
+            None,
             &CovertConfig::default(),
-            cfg.core.clock_hz,
-            0xF161,
-            8_000,
+            [0xF161],
         );
         println!(
             "\nCovert-channel probe over insecure memory: {:.0} bits/s mean MI \
              capacity ({:.0} bits/s peak, decode error {:.2}).",
-            leak.mean_capacity_bps, leak.peak_capacity_bps, covert.error_rate
+            leak.mean_capacity_bps, leak.peak_capacity_bps, summary.error_rate
         );
         args.export_leak(&leak);
     }

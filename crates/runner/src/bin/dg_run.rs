@@ -314,6 +314,11 @@ fn main() -> ExitCode {
     if args.max_failures.is_some() {
         spec.max_failures = args.max_failures;
     }
+    // The flags may have combined options the spec alone did not.
+    if let Err(e) = spec.validate() {
+        log_error!("{}: {e}", args.spec.display());
+        return ExitCode::from(2);
+    }
 
     if args.print_jobs {
         // Job ids are the machine-readable output here — stdout, no facade.

@@ -1,5 +1,7 @@
-//! Sweep-level leakage aggregation: merges per-job [`LeakSummary`]s into a
-//! defense leaderboard and a standalone leakage artifact.
+//! Sweep-level leakage: the covert-channel probe every `--leak` run uses
+//! ([`run_covert_probe`]), and the aggregation that merges per-job
+//! [`LeakSummary`]s into a defense leaderboard and a standalone leakage
+//! artifact.
 //!
 //! The leaderboard answers the question the per-job JSON cannot: *ranked
 //! across the whole grid, how much does each defense actually leak?* Jobs
@@ -10,10 +12,60 @@
 
 use crate::job::{defense_of, JobRecord};
 use crate::runner::SweepOutcome;
-use dg_obs::LeakSummary;
-use dg_system::ColocationResult;
+use dg_attacks::CovertConfig;
+use dg_obs::{LeakReport, LeakSummary};
+use dg_shard::{shard_config, ShardedSystemBuilder};
+use dg_sim::clock::Cycle;
+use dg_sim::config::SystemConfig;
+use dg_system::{ColocationResult, MemoryKind};
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
+
+/// The covert channel of the sweep-level probe: small enough to add
+/// negligible time per job, long enough for the estimator to see several
+/// windows.
+pub const LEAK_PROBE: CovertConfig = CovertConfig {
+    epoch: 2_000,
+    bits: 64,
+    sender_gap: 6,
+    probe_gap: 50,
+};
+
+/// Leakage-estimator window in CPU cycles (4 epochs of [`LEAK_PROBE`]).
+const LEAK_WINDOW: Cycle = 8_000;
+
+/// Runs the covert-channel probe ([`CovertConfig::transmit`]) once per
+/// seed, each time on a fresh system with the memory path `kind` and the
+/// topology `shards` selects ([`shard_config`], as for a co-location job).
+/// Returns the repetitions' reports merged over signed windows
+/// ([`LeakReport::merged`]: the finite-sample noise floor shrinks
+/// ∝ 1/√reps, a real channel's capacity does not) and their summary, with
+/// the decode error rate averaged across repetitions.
+pub fn run_covert_probe(
+    cfg: &SystemConfig,
+    kind: &MemoryKind,
+    shards: Option<usize>,
+    probe: &CovertConfig,
+    seeds: impl IntoIterator<Item = u64>,
+) -> (LeakReport, LeakSummary) {
+    let (mut reports, mut error_sum, mut raw) = (Vec::new(), 0.0, 0.0);
+    for seed in seeds {
+        let (covert, report) =
+            probe.transmit(seed, cfg.core.clock_hz, LEAK_WINDOW, |cores, horizon| {
+                let mut b = ShardedSystemBuilder::new(cfg.clone(), shard_config(shards));
+                for core in cores {
+                    b = b.core(core);
+                }
+                b.memory(kind.clone()).build().run_for(horizon)
+            });
+        error_sum += covert.error_rate;
+        raw = covert.raw_bits_per_sec;
+        reports.push(report);
+    }
+    let merged = LeakReport::merged(&reports);
+    let summary = LeakSummary::from_report(&merged, error_sum / reports.len() as f64, raw);
+    (merged, summary)
+}
 
 /// One defense's aggregated leakage across all its grid points.
 #[derive(Debug, Clone, PartialEq, Serialize)]

@@ -21,7 +21,8 @@
 //! * **Material** ([`scale`], [`material`]) — workload scales and trace
 //!   builders shared with `dg-bench`.
 //! * **Leaderboards** ([`leak`], [`latency`], [`profile`]) — sweep-level
-//!   aggregation: covert-channel capacity, merged HDR latency percentiles
+//!   aggregation: covert-channel capacity (from the probe every `--leak`
+//!   run shares, [`run_covert_probe`]), merged HDR latency percentiles
 //!   (deterministic, embedded in the report), and host-time cost per
 //!   defense (nondeterministic, standalone artifact).
 //! * **Live telemetry** (`dg-mon`, wired through [`runner`]) — worker
@@ -50,7 +51,9 @@ pub mod toml;
 pub use job::{attempt_budget, job_seed, JobCtx, JobDesc, JobRecord};
 pub use journal::{replay_journal, JournalEntry, JournalReplay, JournalWriter};
 pub use latency::{latency_leaderboard, latency_table, merged_report_with_latency, LatencyRow};
-pub use leak::{leak_leaderboard, leak_report_json, leak_table, LeakRow};
+pub use leak::{
+    leak_leaderboard, leak_report_json, leak_table, run_covert_probe, LeakRow, LEAK_PROBE,
+};
 pub use pool::{effective_jobs, run_work_stealing};
 pub use profile::{
     host_cost_leaderboard, host_cost_table, merged_profile, profile_report_json, HostCostRow,

@@ -11,16 +11,13 @@ use crate::material::{dna_defense, dna_trace, docdist_defense, docdist_trace, sp
 use crate::runner::{run_sweep, RunnerConfig, SweepOutcome};
 use crate::scale::Scale;
 use crate::toml::parse_toml;
-use dg_attacks::{run_covert_channel_estimated, CovertConfig};
 use dg_defenses::IntervalDistribution;
 use dg_fault::{draw_sim_fault, SimFault};
-use dg_obs::LeakSummary;
 use dg_rdag::template::RdagTemplate;
 use dg_shard::{run_colocation, RunOpts};
 use dg_sim::config::SystemConfig;
 use dg_sim::error::SimError;
-use dg_sim::types::DomainId;
-use dg_system::{build_memory, ColocationResult, MemoryKind};
+use dg_system::{ColocationResult, MemoryKind};
 use dg_workloads::SpecPreset;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::io;
@@ -355,7 +352,7 @@ impl ExperimentSpec {
     }
 
     /// Checks that every grid entry names a known defense, victim, and
-    /// SPEC preset.
+    /// SPEC preset, and that the options can run together.
     ///
     /// # Errors
     ///
@@ -390,6 +387,15 @@ impl ExperimentSpec {
                 "[fault] rate must be within [0, 1], got {}",
                 self.fault_rate
             ));
+        }
+        if self.leak && self.fault_seed.is_some() {
+            // The probe runs on a fault-free system of its own, so its
+            // number would not describe the faulted run.
+            return Err(
+                "the leakage probe (`leak`, --leak) cannot run under a fault plan \
+                 (`[fault]`, --fault-seed): its number would be measured without the fault"
+                    .to_string(),
+            );
         }
         Ok(())
     }
@@ -552,60 +558,9 @@ impl JobDesc for ColocationJob {
 /// Salt separating the leakage probe's RNG stream from the job's.
 const LEAK_PROBE_SALT: u64 = 0x6c65_616b_2d70_7262; // "leak-prb"
 
-/// Leakage-estimator window in CPU cycles (4 covert epochs).
-const LEAK_WINDOW: u64 = 8_000;
-
-/// Independent probe repetitions per job. Each repetition transmits a
-/// different pseudo-random message through a fresh memory instance; the
-/// signed per-window estimates are merged across repetitions so the
-/// finite-sample noise floor shrinks ∝ 1/√reps while a real channel's
-/// capacity is unaffected.
+/// Independent probe repetitions per job, each transmitting a different
+/// pseudo-random message (see [`run_covert_probe`](crate::run_covert_probe)).
 const LEAK_PROBE_REPS: u64 = 8;
-
-/// Covert probe configuration for sweep-level leakage measurement: small
-/// enough to add negligible time per job, long enough for the estimator
-/// to see several windows.
-fn leak_probe_config() -> CovertConfig {
-    CovertConfig {
-        epoch: 2_000,
-        bits: 64,
-        sender_gap: 6,
-        probe_gap: 50,
-    }
-}
-
-/// Runs the covert-channel leakage probe for a job's defense: a sender on
-/// domain 0 and a receiver on domain 1 drive the *same memory path* the
-/// job's colocation run used (fresh instance, no cores), and the online
-/// [`LeakEstimator`](dg_obs::LeakEstimator) reduces the receiver's latency
-/// histograms to a channel-capacity summary. [`LEAK_PROBE_REPS`]
-/// repetitions with distinct messages are merged (signed windows, see
-/// [`LeakReport::merged`](dg_obs::LeakReport::merged)); the quoted decode
-/// error rate is the mean across repetitions.
-fn run_leak_probe(cfg: &SystemConfig, kind: &MemoryKind, seed: u64) -> LeakSummary {
-    let _prof = dg_prof::span("leak_probe");
-    let probe = leak_probe_config();
-    let mut reports = Vec::new();
-    let mut error_sum = 0.0;
-    let mut raw = 0.0;
-    for rep in 0..LEAK_PROBE_REPS {
-        let mut mem = build_memory(cfg, kind.clone(), 2);
-        let (covert, report) = run_covert_channel_estimated(
-            mem.as_mut(),
-            DomainId(0),
-            DomainId(1),
-            &probe,
-            cfg.core.clock_hz,
-            (seed ^ LEAK_PROBE_SALT).wrapping_add(rep.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            LEAK_WINDOW,
-        );
-        error_sum += covert.error_rate;
-        raw = covert.raw_bits_per_sec;
-        reports.push(report);
-    }
-    let merged = dg_obs::LeakReport::merged(&reports);
-    LeakSummary::from_report(&merged, error_sum / LEAK_PROBE_REPS as f64, raw)
-}
 
 /// Executes one grid point. All randomness comes from `ctx.seed` (a pure
 /// function of the job id) and all work is bounded by the escalated cycle
@@ -700,7 +655,13 @@ fn execute_job_inner(job: &ColocationJob, ctx: &JobCtx) -> Result<ColocationResu
     )?
     .result;
     if job.leak {
-        result.leakage = Some(run_leak_probe(&cfg, &kind, ctx.seed));
+        // The covert-channel probe, on the job's memory path and topology.
+        let _prof = dg_prof::span("leak_probe");
+        let seeds = (0..LEAK_PROBE_REPS).map(|rep| {
+            (ctx.seed ^ LEAK_PROBE_SALT).wrapping_add(rep.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        });
+        let probe = crate::run_covert_probe(&cfg, &kind, job.shards, &crate::LEAK_PROBE, seeds);
+        result.leakage = Some(probe.1);
     }
     Ok(result)
 }
@@ -839,6 +800,38 @@ budget = 1234
         assert!(err.contains("rate"), "{err}");
         let bad_key = format!("{SPEC}\n[fault]\nseed = 7\nblast_radius = 3\n");
         assert!(ExperimentSpec::from_toml_str(&bad_key).is_err());
+    }
+
+    #[test]
+    fn leak_probe_under_a_fault_plan_is_rejected() {
+        let both = format!("leak = true\n{SPEC}\n[fault]\nseed = 7\n");
+        let err = ExperimentSpec::from_toml_str(&both).unwrap_err();
+        assert!(err.contains("fault plan"), "{err}");
+    }
+
+    /// The leakage probe runs on the job's topology: its summary agrees
+    /// across shard counts, and the NoC hop changes it.
+    #[test]
+    fn leak_probe_honours_the_topology() {
+        let leakage = |shards: &str| {
+            let spec = ExperimentSpec::from_toml_str(&format!(
+                "name = \"topo\"\nleak = true\n{shards}\n[scale]\npreset = \"smoke\"\n\
+                 [grid]\ndefenses = [\"dagguise\"]\nvictims = [\"docdist\"]\n\
+                 corunners = [\"lbm\"]\n"
+            ))
+            .unwrap();
+            let cfg = RunnerConfig {
+                retries: 0,
+                verbose: false,
+                ..RunnerConfig::default()
+            };
+            let outcome = spec.run(&cfg).unwrap();
+            let (_, result) = outcome.outputs().next().expect("the job succeeds");
+            result.leakage.clone().expect("the probe ran")
+        };
+        let one = leakage("shards = 1");
+        assert_eq!(leakage("shards = 2"), one);
+        assert_ne!(leakage(""), one, "the NoC hop must reach the probe");
     }
 
     /// A stuck bank drawn by the fault plan runs on the NoC topology: it

@@ -58,17 +58,6 @@ impl RunOpts<'_> {
         }
     }
 
-    /// The topology these options select.
-    fn shard_config(&self) -> ShardConfig {
-        match self.shards {
-            None => ShardConfig {
-                noc_latency: 0,
-                ..ShardConfig::default()
-            },
-            Some(shards) => ShardConfig::with_shards(shards),
-        }
-    }
-
     /// Checks up front that the engine can run these options
     /// ([`ShardConfig::check`]), so a report never silently lacks a
     /// section it was asked for.
@@ -79,7 +68,20 @@ impl RunOpts<'_> {
     /// on more than one shard.
     pub fn check(&self) -> Result<(), SimError> {
         let observed = self.trace_capacity.is_some() || self.metrics_window.is_some();
-        self.shard_config().check(observed)
+        shard_config(self.shards).check(observed)
+    }
+}
+
+/// The topology a shard count selects ([`RunOpts::shards`]): `None` wires
+/// the cores straight to the memory path, `Some(n)` is the default NoC
+/// partitioned into `n` shards.
+pub fn shard_config(shards: Option<usize>) -> ShardConfig {
+    match shards {
+        None => ShardConfig {
+            noc_latency: 0,
+            ..ShardConfig::default()
+        },
+        Some(shards) => ShardConfig::with_shards(shards),
     }
 }
 
@@ -127,7 +129,7 @@ pub fn run_colocation(
     opts.check()?;
     let mut sys = {
         let _prof = dg_prof::span("setup");
-        let mut b = ShardedSystemBuilder::new(cfg.clone(), opts.shard_config());
+        let mut b = ShardedSystemBuilder::new(cfg.clone(), shard_config(opts.shards));
         for t in traces {
             b = b.trace_core(t);
         }

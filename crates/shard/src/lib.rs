@@ -21,7 +21,7 @@ pub mod experiment;
 pub mod lookahead;
 
 pub use dg_system::{ShardConfig, ShardedSystemBuilder, System as ShardedSystem};
-pub use experiment::{run_colocation, RunOpts, RunOutput};
+pub use experiment::{run_colocation, shard_config, RunOpts, RunOutput};
 pub use lookahead::{
     check_lookahead_contract, replay_naive, replay_skipping, LookaheadViolation, Schedule,
 };

@@ -1,8 +1,8 @@
 //! Builders for the memory/defense configurations the paper evaluates:
 //! [`SystemBuilder`] and [`ShardedSystemBuilder`] assemble a [`System`],
 //! which owns one memory path per channel and routes between them;
-//! [`build_memory`] builds one channel's path alone, for harnesses that
-//! drive it without cores.
+//! [`build_memory`] builds one channel's path alone, for component tests
+//! that drive it without cores.
 
 use dagguise::{Shaper, ShaperConfig};
 use dg_cpu::{Core, DagCore, DagWorkload, MemTrace, TraceCore};
@@ -149,6 +149,11 @@ impl ShardedSystemBuilder {
         Self(self.0.trace_core(trace))
     }
 
+    /// Adds an already-built core.
+    pub fn core(self, core: Box<dyn Core>) -> Self {
+        Self(self.0.core(core))
+    }
+
     /// Selects the memory path (instantiated once per channel).
     pub fn memory(self, kind: MemoryKind) -> Self {
         Self(self.0.memory(kind))
@@ -162,8 +167,9 @@ impl ShardedSystemBuilder {
 
 /// Builds just the memory path of a one-channel `cfg` for `domains`
 /// security domains, applying the same row-policy discipline as
-/// [`SystemBuilder::build`]. Used by leakage probes and attack harnesses
-/// that drive the memory subsystem directly, without cores.
+/// [`SystemBuilder::build`]. For component tests that drive the memory
+/// subsystem directly, without cores; every harness, the attack and
+/// leakage probes included, runs its cores on a [`System`].
 ///
 /// # Panics
 ///

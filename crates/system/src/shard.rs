@@ -131,14 +131,19 @@ struct PortState {
     /// again on every later tick until accepted, which is what a warp
     /// settles.
     refused: Option<MemRequest>,
+    /// Per global channel, the requests the core may still have
+    /// outstanding there on the NoC (one per transaction-queue slot); each
+    /// response returns one as it reaches the core's shard.
+    credits: Vec<usize>,
 }
 
 /// The memory path as one core sees it during its tick: at hop 0 a direct
 /// call into the request's channel (the one shard owns every channel),
-/// otherwise the NoC egress port, which stamps each request with its
-/// delivery cycle and appends it to the shard's request outbox; the NoC
-/// link never refuses. An accepted request is input to the core and (at
-/// hop 0) to its channel: both calendar entries go stale.
+/// otherwise the NoC egress port, which refuses a request when the core
+/// holds no credit for its channel, and else spends one, stamps the request
+/// with its delivery cycle and appends it to the shard's request outbox.
+/// An accepted request is input to the core and (at hop 0) to its channel:
+/// both calendar entries go stale.
 struct Port<'a> {
     direct: Option<&'a mut [ShardChannel]>,
     map: ChannelMap,
@@ -172,6 +177,8 @@ impl MemorySubsystem for Port<'_> {
             }
             return r;
         }
+        let credits = &mut state.credits[self.map.channel_of(req.addr) as usize];
+        *credits = credits.checked_sub(1).ok_or(req)?;
         self.outbox.push(StampedReq {
             deliver_at: self.deliver_at,
             core: self.core,
@@ -202,8 +209,7 @@ impl MemorySubsystem for Port<'_> {
                 .map(|ch| ch.mem.free_slots())
                 .min()
                 .unwrap_or(0),
-            // The NoC link is unbounded.
-            None => usize::MAX,
+            None => self.state.credits.iter().copied().min().unwrap_or(0),
         }
     }
 }
@@ -341,20 +347,27 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Assembles a shard owning `cores` (global indices `core_base..`) and
-    /// `channels` (global indices `chan_base..`), both contiguous.
+    /// `channels` (global indices `chan_base..`), both contiguous. On the
+    /// NoC each core holds `credits` per channel of the system.
     pub(crate) fn new(
         (core_base, cores): (usize, Vec<Box<dyn Core>>),
         l3: Vec<SetAssocCache>,
         (chan_base, channels): (usize, Vec<Box<dyn MemorySubsystem>>),
         map: ChannelMap,
-        noc: Cycle,
+        (noc, credits): (Cycle, usize),
         skip: bool,
     ) -> Self {
         let (n_cores, n_chans) = (cores.len(), channels.len());
         Self {
             core_base,
             chan_base,
-            ports: cores.iter().map(|_| PortState::default()).collect(),
+            ports: cores
+                .iter()
+                .map(|_| PortState {
+                    credits: vec![credits; map.channels() as usize],
+                    ..PortState::default()
+                })
+                .collect(),
             core_events: vec![CachedEvent::STALE; n_cores],
             cores,
             l3,
@@ -597,13 +610,10 @@ impl Shard {
             });
             ch.resp_seq += 1;
         }
-        while self
-            .resp_ingress
-            .front()
-            .is_some_and(|f| f.deliver_at <= now)
-        {
-            let due = self.resp_ingress.pop_front().map(|sr| sr.resp);
-            self.resp_buf.extend(due);
+        while let Some(sr) = self.resp_ingress.pop_front_if(|f| f.deliver_at <= now) {
+            let port = &mut self.ports[sr.resp.domain.0 as usize - self.core_base];
+            port.credits[sr.channel as usize] += 1;
+            self.resp_buf.push(sr.resp);
         }
     }
 

@@ -306,7 +306,7 @@ impl System {
                 l3,
                 (chan_range.start, endpoints),
                 map,
-                scfg.noc_latency,
+                (scfg.noc_latency, cfg.queues.transaction_queue),
                 skip,
             ))));
         }
@@ -1091,11 +1091,13 @@ mod tests {
         assert_eq!(report.domains[0].reads, 108);
     }
 
-    /// More requests than any core's miss limit leave one core in one
-    /// superstep: the NoC link takes them all, every response comes back
-    /// in global form, and the report does not depend on the shard count.
+    /// A burst of more requests than both channels have transaction-queue
+    /// slots: the NoC port takes a queue's worth per channel, then refuses
+    /// the core until responses return credits, handing each refused
+    /// request back as offered. Every response comes back in global form,
+    /// and the report does not depend on the shard count.
     #[test]
-    fn noc_egress_takes_a_burst_at_every_shard_count() {
+    fn noc_credits_push_back_on_a_burst_at_every_shard_count() {
         let mut cfg = SystemConfig::two_core();
         cfg.dram_org.channels = 2;
         let addrs: Vec<u64> = (0..600u64).map(|i| i * 64).collect();
@@ -1122,7 +1124,12 @@ mod tests {
             // the log's lock: read it first.
             let report = outcome(&sys);
             let log = log.lock().unwrap();
-            assert!(log.refused.is_empty(), "the NoC link refused a send");
+            // Lines alternate channels, so the first 64 spend every credit.
+            let slots = cfg.queues.transaction_queue as u64;
+            assert_eq!(log.refused.first(), Some(&(2 * slots * 64, 2 * slots * 64)));
+            for &(offered, back) in &log.refused {
+                assert_eq!(back, offered);
+            }
             let mut got = log.responses.clone();
             got.sort_unstable();
             assert_eq!(got, addrs, "{shards} shard(s)");

@@ -5,89 +5,29 @@
 //!
 //! Run with: `cargo run --release --example attack_demo`
 
-use dagguise::{Shaper, ShaperConfig};
 use dagguise_repro::prelude::*;
 use dg_attacks::{distinguishable, LeakVerdict, ProbeCore};
-use dg_cache::SetAssocCache;
-use dg_cpu::TraceCore;
-use dg_defenses::{CamouflageShaper, FixedService, FsConfig, IntervalDistribution};
-use dg_mem::{
-    DomainShaper, MemoryController, MemorySubsystem, PassThrough, SchedPolicy, ShapedMemory,
-};
-
-#[derive(Clone, Copy)]
-enum Defense {
-    Insecure,
-    Camouflage,
-    Dagguise,
-    FsBta,
-}
+use dg_defenses::IntervalDistribution;
 
 /// Runs the DocDist victim (chosen secret) on core 0 and the probe
 /// attacker on core 1; returns the attacker's ordered latency trace.
-fn observe(secret: u64, defense: Defense) -> Vec<u64> {
-    let mut cfg = SystemConfig::two_core();
-    if !matches!(defense, Defense::Insecure) {
-        cfg.row_policy = dg_sim::config::RowPolicy::Closed;
-    }
+fn observe(secret: u64, defense: &MemoryKind) -> Vec<u64> {
     let victim_trace = dg_workloads::DocDistWorkload::small(secret).record().0;
-    let mut victim = TraceCore::new(DomainId(0), victim_trace, &cfg);
-    let mut attacker = ProbeCore::new(DomainId(1), 0x40, 120, 300);
-    let mut l3 = SetAssocCache::new(cfg.cache.l3_per_core, "L3");
-
-    let mut mem: Box<dyn MemorySubsystem> = match defense {
-        Defense::Insecure => Box::new(MemoryController::new(&cfg, SchedPolicy::FrFcfs)),
-        Defense::FsBta => {
-            let fs = FsConfig::fs_bta(&cfg, 2);
-            Box::new(FixedService::new(&cfg, fs))
-        }
-        Defense::Camouflage => {
-            let mc = MemoryController::new(&cfg, SchedPolicy::FrFcfs);
-            let shapers: Vec<Box<dyn DomainShaper>> = vec![
-                Box::new(CamouflageShaper::new(
-                    DomainId(0),
-                    IntervalDistribution::new(vec![150, 300]),
-                    &cfg,
-                    42,
-                )),
-                Box::new(PassThrough::new(DomainId(1), 32)),
-            ];
-            Box::new(ShapedMemory::new(mc, shapers))
-        }
-        Defense::Dagguise => {
-            let mc = MemoryController::new(&cfg, SchedPolicy::FrFcfs);
-            let shapers: Vec<Box<dyn DomainShaper>> = vec![
-                Box::new(Shaper::new(ShaperConfig::from_system(
-                    DomainId(0),
-                    RdagTemplate::new(4, 50, 0.25),
-                    &cfg,
-                ))),
-                Box::new(PassThrough::new(DomainId(1), 32)),
-            ];
-            Box::new(ShapedMemory::new(mc, shapers))
-        }
-    };
-
-    use dg_cpu::Core as _;
-    let mut now = 0u64;
-    while !attacker.finished() && now < 2_000_000_000 {
-        for resp in mem.tick(now) {
-            match resp.domain {
-                DomainId(0) => victim.on_response(&resp, now),
-                DomainId(1) => attacker.on_response(&resp, now),
-                _ => {}
-            }
-        }
-        victim.tick(now, &mut l3, mem.as_mut());
-        attacker.tick(now, &mut l3, mem.as_mut());
-        now += 1;
-    }
-    attacker.latencies()
+    let attacker = ProbeCore::new(DomainId(1), 0x40, 120, 300);
+    let log = attacker.log();
+    let mut sys = SystemBuilder::new(SystemConfig::two_core())
+        .trace_core(victim_trace)
+        .core(Box::new(attacker))
+        .memory(defense.clone())
+        .build();
+    sys.run_until_core_finished(1, 2_000_000_000)
+        .expect("attacker finishes its probes");
+    log.latencies()
 }
 
-fn verdict(defense: Defense, name: &str) {
-    let a = observe(0, defense);
-    let b = observe(1, defense);
+fn verdict(defense: MemoryKind, name: &str) {
+    let a = observe(0, &defense);
+    let b = observe(1, &defense);
     match distinguishable(&a, &b) {
         LeakVerdict::Indistinguishable => {
             println!("{name:>10}: attacker latency traces IDENTICAL across secrets — no leak")
@@ -102,10 +42,20 @@ fn main() {
     println!("Attacker: fixed-pattern probe to one bank, 300 probes, 120-cycle think time.");
     println!("Victim:   DocDist computing over a private document (secret 0 vs secret 1).\n");
 
-    verdict(Defense::Insecure, "insecure");
-    verdict(Defense::Camouflage, "camouflage");
-    verdict(Defense::Dagguise, "dagguise");
-    verdict(Defense::FsBta, "fs-bta");
+    verdict(MemoryKind::Insecure, "insecure");
+    verdict(
+        MemoryKind::Camouflage {
+            protected: vec![Some(IntervalDistribution::new(vec![150, 300])), None],
+        },
+        "camouflage",
+    );
+    verdict(
+        MemoryKind::Dagguise {
+            protected: vec![Some(RdagTemplate::new(4, 50, 0.25)), None],
+        },
+        "dagguise",
+    );
+    verdict(MemoryKind::FsBta, "fs-bta");
 
     println!(
         "\nDAGguise and Fixed Service close the channel; the insecure \

@@ -1,70 +1,41 @@
 //! End-to-end security tests: the receiver's observations must be
 //! bit-identical across victim secrets under DAGguise (and Fixed
-//! Service), and must differ under the insecure baseline — the full-stack
-//! analogue of the §5 property, with the real DRAM timing model, caches
-//! and workloads in the loop.
+//! Service), and must differ under the insecure baseline and Camouflage —
+//! the full-stack analogue of the §5 property, with the real DRAM timing
+//! model, caches and workloads in the loop, on the `System` every harness
+//! runs.
 
-use dagguise::{Shaper, ShaperConfig};
 use dagguise_repro::prelude::*;
 use dg_attacks::ProbeCore;
-use dg_cache::SetAssocCache;
-use dg_cpu::{Core, TraceCore};
-use dg_defenses::{FixedService, FsConfig};
-use dg_mem::{
-    DomainShaper, MemoryController, MemorySubsystem, PassThrough, SchedPolicy, ShapedMemory,
-};
-use dg_sim::config::RowPolicy;
+use dg_defenses::IntervalDistribution;
 use dg_workloads::{DnaWorkload, DocDistWorkload};
 
-enum Defense {
-    Insecure,
-    Dagguise(RdagTemplate),
-    FsBta,
+/// Runs `victim_trace` on core 0 and a probe attacker on core 1 over
+/// `kind` until the attacker has its `probes` observations; returns its
+/// ordered latencies. Runs on both engines and checks that the event
+/// engine shows the attacker exactly what the per-cycle loop does.
+fn attacker_view(victim_trace: MemTrace, kind: &MemoryKind, probes: usize) -> Vec<u64> {
+    let [event, naive] = [true, false].map(|skipping| {
+        let attacker = ProbeCore::new(DomainId(1), 0x40, 150, probes);
+        let log = attacker.log();
+        let mut sys = SystemBuilder::new(SystemConfig::two_core())
+            .trace_core(victim_trace.clone())
+            .core(Box::new(attacker))
+            .memory(kind.clone())
+            .build();
+        sys.set_event_skipping(skipping);
+        sys.run_until_core_finished(1, 500_000_000)
+            .expect("attacker never finished");
+        log.latencies()
+    });
+    assert_eq!(event, naive, "the engines disagree on the attacker's view");
+    event
 }
 
-/// Runs `victim_trace` on core 0 and a probe attacker on core 1; returns
-/// the attacker's ordered latency observations.
-fn attacker_view(victim_trace: MemTrace, defense: &Defense, probes: usize) -> Vec<u64> {
-    let mut cfg = SystemConfig::two_core();
-    if !matches!(defense, Defense::Insecure) {
-        cfg.row_policy = RowPolicy::Closed;
+fn dagguise(template: RdagTemplate) -> MemoryKind {
+    MemoryKind::Dagguise {
+        protected: vec![Some(template), None],
     }
-    let mut victim = TraceCore::new(DomainId(0), victim_trace, &cfg);
-    let mut attacker = ProbeCore::new(DomainId(1), 0x40, 150, probes);
-    let mut l3 = SetAssocCache::new(cfg.cache.l3_per_core, "L3");
-
-    let mut mem: Box<dyn MemorySubsystem> = match defense {
-        Defense::Insecure => Box::new(MemoryController::new(&cfg, SchedPolicy::FrFcfs)),
-        Defense::FsBta => Box::new(FixedService::new(&cfg, FsConfig::fs_bta(&cfg, 2))),
-        Defense::Dagguise(template) => {
-            let mc = MemoryController::new(&cfg, SchedPolicy::FrFcfs);
-            let shapers: Vec<Box<dyn DomainShaper>> = vec![
-                Box::new(Shaper::new(ShaperConfig::from_system(
-                    DomainId(0),
-                    *template,
-                    &cfg,
-                ))),
-                Box::new(PassThrough::new(DomainId(1), 32)),
-            ];
-            Box::new(ShapedMemory::new(mc, shapers))
-        }
-    };
-
-    let mut now = 0u64;
-    while !attacker.finished() {
-        assert!(now < 500_000_000, "attacker never finished");
-        for resp in mem.tick(now) {
-            match resp.domain {
-                DomainId(0) => victim.on_response(&resp, now),
-                DomainId(1) => attacker.on_response(&resp, now),
-                _ => {}
-            }
-        }
-        victim.tick(now, &mut l3, mem.as_mut());
-        attacker.tick(now, &mut l3, mem.as_mut());
-        now += 1;
-    }
-    attacker.latencies()
 }
 
 fn docdist(secret: u64) -> MemTrace {
@@ -77,14 +48,26 @@ fn dna(secret: u64) -> MemTrace {
 
 #[test]
 fn insecure_baseline_leaks_docdist_secret() {
-    let a = attacker_view(docdist(0), &Defense::Insecure, 150);
-    let b = attacker_view(docdist(1), &Defense::Insecure, 150);
+    let a = attacker_view(docdist(0), &MemoryKind::Insecure, 150);
+    let b = attacker_view(docdist(1), &MemoryKind::Insecure, 150);
     assert_ne!(a, b, "contention must expose the secret on the baseline");
 }
 
 #[test]
+fn camouflage_leaks_docdist_secret() {
+    // Distribution shaping keeps the victim's interval histogram but not
+    // its ordering, so the secret still reaches the attacker.
+    let camouflage = MemoryKind::Camouflage {
+        protected: vec![Some(IntervalDistribution::new(vec![150, 300])), None],
+    };
+    let a = attacker_view(docdist(0), &camouflage, 150);
+    let b = attacker_view(docdist(1), &camouflage, 150);
+    assert_ne!(a, b, "Camouflage must not hide the secret");
+}
+
+#[test]
 fn dagguise_hides_docdist_secret_bit_exactly() {
-    let d = Defense::Dagguise(RdagTemplate::new(4, 50, 0.25));
+    let d = dagguise(RdagTemplate::new(4, 50, 0.25));
     let a = attacker_view(docdist(0), &d, 150);
     let b = attacker_view(docdist(1), &d, 150);
     assert_eq!(a, b, "attacker must observe identical latencies");
@@ -93,7 +76,7 @@ fn dagguise_hides_docdist_secret_bit_exactly() {
 
 #[test]
 fn dagguise_hides_dna_secret_bit_exactly() {
-    let d = Defense::Dagguise(RdagTemplate::new(8, 50, 0.125));
+    let d = dagguise(RdagTemplate::new(8, 50, 0.125));
     let a = attacker_view(dna(3), &d, 150);
     let b = attacker_view(dna(4), &d, 150);
     assert_eq!(a, b);
@@ -102,7 +85,7 @@ fn dagguise_hides_dna_secret_bit_exactly() {
 #[test]
 fn dagguise_hides_victim_presence_entirely() {
     // Not just which secret: whether the victim runs at all is invisible.
-    let d = Defense::Dagguise(RdagTemplate::new(4, 50, 0.25));
+    let d = dagguise(RdagTemplate::new(4, 50, 0.25));
     let busy = attacker_view(docdist(0), &d, 150);
     let idle = attacker_view(MemTrace::new(), &d, 150);
     assert_eq!(busy, idle, "an idle victim looks exactly like a busy one");
@@ -110,8 +93,8 @@ fn dagguise_hides_victim_presence_entirely() {
 
 #[test]
 fn fs_bta_hides_docdist_secret_bit_exactly() {
-    let a = attacker_view(docdist(0), &Defense::FsBta, 150);
-    let b = attacker_view(docdist(1), &Defense::FsBta, 150);
+    let a = attacker_view(docdist(0), &MemoryKind::FsBta, 150);
+    let b = attacker_view(docdist(1), &MemoryKind::FsBta, 150);
     assert_eq!(a, b);
 }
 
@@ -123,7 +106,7 @@ fn dagguise_secrecy_holds_across_defense_rdag_choices() {
         RdagTemplate::new(2, 100, 0.25),
         RdagTemplate::new(8, 25, 0.1),
     ] {
-        let d = Defense::Dagguise(template);
+        let d = dagguise(template);
         let a = attacker_view(docdist(0), &d, 80);
         let b = attacker_view(docdist(1), &d, 80);
         assert_eq!(a, b, "leak under template {template:?}");
