@@ -7,7 +7,9 @@ echo "=== build (release) ==="
 cargo build --release --workspace
 
 echo "=== tests ==="
-cargo test -q --workspace
+# Every test target runs, so one failing test does not hide the rest; the
+# step still fails if any test does.
+cargo test -q --workspace --no-fail-fast
 
 echo "=== perfbench self-tests ==="
 # The repository benchmark's own checks: metric names against

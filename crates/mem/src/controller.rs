@@ -5,8 +5,7 @@ use std::ops::Range;
 
 use dg_dram::command::RowId;
 use dg_dram::{
-    AddressMapper, BlockReason, CpuTiming, DramCommand, DramDevice, MapScheme, PhysLoc,
-    RankHorizons,
+    AddressMapper, BlockReason, CpuTiming, DramCommand, DramDevice, MapScheme, RankHorizons,
 };
 use dg_obs::{BankCmd, EventKind, InterferenceMatrix, InterferenceReport, StallCause, Tracer};
 use dg_sim::clock::Cycle;
@@ -28,37 +27,29 @@ pub enum SchedPolicy {
     FrFcfs,
 }
 
+/// A pending transaction. Its bank's queue is the only record of it until
+/// its column command issues.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxnState {
-    /// Waiting for its column access (may still need ACT/PRE first).
-    Pending,
-    /// Column command issued; data completes at `done`.
-    Issued { done: Cycle },
-}
-
-#[derive(Debug, Clone)]
-struct Txn {
-    /// Arrival order, unique per controller: links a [`Pending`] entry to
-    /// its transaction across queue removals.
+struct Pending {
+    /// Arrival order, unique per controller: the age FCFS and FR-FCFS
+    /// compare, and the order a cycle's completions leave in.
     seq: u64,
     req: MemRequest,
-    loc: PhysLoc,
+    row: RowId,
     arrived: Cycle,
     /// The first bus edge not yet passed when it arrived: no command for
     /// it can issue sooner.
     edge: Cycle,
-    state: TxnState,
 }
 
-/// A pending transaction as its bank's queue holds it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Pending {
-    seq: u64,
-    domain: DomainId,
-    row: RowId,
-    write: bool,
-    /// [`Txn::edge`].
-    edge: Cycle,
+impl Pending {
+    fn domain(&self) -> DomainId {
+        self.req.domain
+    }
+
+    fn write(&self) -> bool {
+        self.req.req_type.is_write()
+    }
 }
 
 /// One bank's pending transactions in arrival order, with the bank's row
@@ -72,11 +63,11 @@ struct BankPlan {
     act_at: Cycle,
     col_at: Cycle,
     pre_at: Cycle,
-    /// Sequence numbers of the oldest row-hit read, the oldest row-hit
-    /// write and the oldest row conflict.
-    first_read: Option<u64>,
-    first_write: Option<u64>,
-    first_conflict: Option<u64>,
+    /// Sequence number and domain of the oldest row-hit read, the oldest
+    /// row-hit write and the oldest row conflict.
+    first_read: Option<(u64, DomainId)>,
+    first_write: Option<(u64, DomainId)>,
+    first_conflict: Option<(u64, DomainId)>,
     /// Whether a read, and whether a write, to the head's row is queued:
     /// the transactions the row the head opens can serve.
     chain_read: bool,
@@ -124,28 +115,22 @@ impl BankPlan {
     /// Files `p`, the bank's newest transaction, into the derived fields.
     fn note(&mut self, p: Pending, head: bool) {
         if !head {
-            match self.waits.iter_mut().find(|w| w.0 == p.domain) {
+            match self.waits.iter_mut().find(|w| w.0 == p.domain()) {
                 Some(w) => w.1 += 1,
-                None => self.waits.push((p.domain, 1)),
+                None => self.waits.push((p.domain(), 1)),
             }
         }
         if p.row == self.queue[0].row {
-            self.chain_read |= !p.write;
-            self.chain_write |= p.write;
+            self.chain_read |= !p.write();
+            self.chain_write |= p.write();
         }
         let first = match self.open_row {
-            Some(row) if row == p.row && p.write => &mut self.first_write,
+            Some(row) if row == p.row && p.write() => &mut self.first_write,
             Some(row) if row == p.row => &mut self.first_read,
             Some(_) => &mut self.first_conflict,
             None => return,
         };
-        first.get_or_insert(p.seq);
-    }
-
-    /// The domain of queued transaction `seq`.
-    fn domain_of(&self, seq: u64) -> DomainId {
-        let p = self.queue.iter().find(|p| p.seq == seq);
-        p.expect("a planned transaction is queued").domain
+        first.get_or_insert((p.seq, p.domain()));
     }
 
     /// Re-derives the derived fields from the queue.
@@ -206,6 +191,18 @@ struct Head {
     reason: BlockReason,
 }
 
+impl Head {
+    /// The head's command, as a pick for bank `bank`.
+    fn pick(&self, bank: u32) -> Pick {
+        Pick {
+            bank,
+            seq: self.seq,
+            domain: self.domain,
+            cmd: self.cmd,
+        }
+    }
+}
+
 /// The command the scheduler picked, and the transaction it serves.
 #[derive(Debug, Clone, Copy)]
 struct Pick {
@@ -215,28 +212,52 @@ struct Pick {
     cmd: DramCommand,
 }
 
+/// A command the pick may take: its horizon, and the sequence number and
+/// bank of the transaction it serves. Sequence numbers are unique, so
+/// candidates order by `(horizon, seq)`.
+type Candidate = (Cycle, u64, u32);
+
+/// Keeps in `first` the earlier of it and `candidate`.
+fn keep_first(first: &mut Option<Candidate>, candidate: Candidate) {
+    if first.is_none_or(|f| candidate < f) {
+        *first = Some(candidate);
+    }
+}
+
+/// The horizon of `candidate` (`Cycle::MAX`: none).
+fn horizon_of(candidate: Option<Candidate>) -> Cycle {
+    candidate.map_or(Cycle::MAX, |(h, _, _)| h)
+}
+
 /// The pending transactions, queued per bank in arrival order, and the
 /// views the scheduler, stall attribution and the wake-up computation read
-/// instead of asking the device.
+/// instead of asking the device. The bank queues are the only record of a
+/// pending transaction.
 ///
 /// Device horizons, and with them every required command, move only when a
 /// command issues, and a command to one bank moves only that bank's row
 /// buffer and bank-local terms; the rank-wide terms are one
 /// [`RankHorizons`] snapshot. So after a command issues, the plan drops the
 /// served transaction, re-derives only the issuing bank from the device,
-/// and refolds the views — each bank head's horizon, the earliest horizon
-/// the pick can take, the oldest row conflict — from the per-bank state in
-/// one pass over the banks: all commands of one kind in one bank share a
-/// horizon. Only a REF, which moves every bank, re-derives everything
-/// ([`Plan::rebuild`], also the test oracle). An enqueue folds the new
-/// transaction in O(1). Completions only remove issued transactions, which
-/// the plan does not hold.
+/// and refolds the views — each bank head's horizon, the earliest
+/// `(horizon, seq)` row hit and bank-head ACT, the oldest row conflict —
+/// from the per-bank state in one walk over the pending banks: all
+/// commands of one kind in one bank share a horizon. The same walk pays
+/// each other bank head's owed stall charge ([`Payer`]) from its stored
+/// [`Head`] just before refolding it, so a command costs one pass over the
+/// pending banks. Only a REF, which moves every bank, re-derives every
+/// bank from its own queue ([`Plan::rebuild`], also the test oracle). An
+/// enqueue folds the new transaction in O(1).
 ///
 /// Against the dense plan of every pending transaction rebuilt after each
 /// command, this plan together with owed stall charges ([`Owed`]) measured
 /// 21.9% faster on the DAGguise saturated benchmark (median of ten
 /// alternating pairs, 2-CPU x86-64 host) and 2.5% slower on the idle one,
-/// where one to three transactions are pending.
+/// where one to three transactions are pending. Paying in the walk,
+/// picking from the folded minima and holding each transaction once then
+/// measured 10.9% to 13.0% faster on the saturated benchmark and 4.4% to
+/// 7.5% on the idle one (ten alternating pairs at each of four seeds, same
+/// host).
 #[derive(Debug, PartialEq)]
 struct Plan {
     policy: SchedPolicy,
@@ -251,9 +272,10 @@ struct Plan {
     /// Sequence number and bank of the oldest pending transaction (FCFS's
     /// only candidate).
     oldest: Option<(u64, u32)>,
-    /// Earliest horizon among row-hit column commands and bank-head ACTs
-    /// (`Cycle::MAX`: none).
-    ready: Cycle,
+    /// The earliest `(horizon, seq)` row-hit column command, and bank-head
+    /// ACT: at the pick horizon, FR-FCFS's picks.
+    first_hit: Option<Candidate>,
+    first_act: Option<Candidate>,
     /// Earliest cycle any pending transaction could complete (`Cycle::MAX`:
     /// none pending): per bank, the earliest a row hit's column command
     /// could finish, or the head's command (from the later of its horizon
@@ -261,8 +283,8 @@ struct Plan {
     /// its row.
     done_from: Cycle,
     lat: Latency,
-    /// Bank, sequence number and horizon of the oldest row conflict's PRE.
-    conflict: Option<(u32, u64, Cycle)>,
+    /// The oldest row conflict's PRE.
+    conflict: Option<Candidate>,
     /// Banks with a row hit pending, one bit each.
     hit_banks: u64,
     /// Banks whose head waits on tFAW, one bit each.
@@ -285,7 +307,8 @@ impl Plan {
             heads: vec![None; banks],
             pending: 0,
             oldest: None,
-            ready: Cycle::MAX,
+            first_hit: None,
+            first_act: None,
             done_from: Cycle::MAX,
             lat: Latency::new(device.timing()),
             conflict: None,
@@ -302,83 +325,93 @@ impl Plan {
         self.row_policy == RowPolicy::Closed
     }
 
-    /// Appends pending `txn`. Its bank's state is unchanged since the last
-    /// command, so the device need not be asked.
-    fn push(&mut self, txn: &Txn) {
-        let b = txn.loc.bank as usize;
+    /// Appends `p`, a new pending transaction to bank `b`. The bank's state
+    /// is unchanged since the last command, so the device need not be
+    /// asked.
+    fn push(&mut self, b: usize, p: Pending) {
         let bank = &mut self.banks[b];
-        let p = Pending {
-            seq: txn.seq,
-            domain: txn.req.domain,
-            row: txn.loc.row,
-            write: txn.req.req_type.is_write(),
-            edge: txn.edge,
-        };
         bank.queue.push(p);
         bank.note(p, bank.queue.len() == 1);
         self.pending |= 1 << b;
         self.fold(b);
     }
 
-    /// Updates the plan after `device` issued a command to `bank` that
-    /// served the transaction `served` (column commands) or not (ACT, PRE).
-    fn update(&mut self, bank: u32, served: Option<u64>, device: &DramDevice) {
+    /// Updates the plan after `device` issued a command to `bank`: the
+    /// column command of queued transaction `served`, or an ACT or PRE
+    /// (`None`). Returns the served transaction. The walk that refolds the
+    /// pending banks pays every other bank's head charge owed before the
+    /// command (`payer`), from the head stored before the command, just
+    /// before refolding it; the issuing bank's is paid already.
+    fn update(
+        &mut self,
+        bank: u32,
+        served: Option<u64>,
+        device: &DramDevice,
+        payer: &mut Payer,
+    ) -> Option<Pending> {
         let plan = &mut self.banks[bank as usize];
-        if let Some(seq) = served {
+        let served = served.map(|seq| {
             let i = plan.queue.iter().position(|p| p.seq == seq);
             plan.queue
-                .remove(i.expect("the served transaction is planned"));
-        }
+                .remove(i.expect("the served transaction is planned"))
+        });
         plan.sync(bank, device);
         plan.renote();
         if plan.queue.is_empty() {
             self.pending &= !(1 << bank);
             self.heads[bank as usize] = None;
         }
-        self.refold(device);
+        self.clear_views(device);
+        for b in bits(self.pending) {
+            if b != bank as usize {
+                let head = self.heads[b].as_ref().expect("a pending bank has a head");
+                payer.head(b, head);
+            }
+            self.fold(b);
+        }
+        served
     }
 
-    /// Re-derives every bank from the queue and the current device state.
-    fn rebuild(&mut self, txq: &VecDeque<Txn>, device: &DramDevice) {
+    /// Re-derives every bank from its own queue and the current device
+    /// state, in place.
+    fn rebuild(&mut self, device: &DramDevice) {
+        self.pending = 0;
         for (b, bank) in self.banks.iter_mut().enumerate() {
-            bank.queue.clear();
             bank.sync(b as u32, device);
             bank.renote();
+            self.pending |= u64::from(!bank.queue.is_empty()) << b;
         }
         self.heads.fill(None);
-        self.pending = 0;
-        self.refold(device);
-        for txn in txq.iter().filter(|t| t.state == TxnState::Pending) {
-            self.push(txn);
+        self.clear_views(device);
+        for b in bits(self.pending) {
+            self.fold(b);
         }
     }
 
-    /// Takes a new rank snapshot and refolds every pending bank into the
-    /// views.
-    fn refold(&mut self, device: &DramDevice) {
+    /// Takes a new rank snapshot and empties the views for a refold of
+    /// every pending bank.
+    fn clear_views(&mut self, device: &DramDevice) {
         self.rank = device.rank_horizons();
         self.oldest = None;
-        self.ready = Cycle::MAX;
+        self.first_hit = None;
+        self.first_act = None;
         self.done_from = Cycle::MAX;
         self.conflict = None;
         self.hit_banks = 0;
         self.faw_banks = 0;
-        for b in bits(self.pending) {
-            self.fold(b);
-        }
     }
 
     /// Folds pending bank `b` into the views. Every fold is a minimum, so
     /// folding a bank again after it gained a transaction is exact.
     fn fold(&mut self, b: usize) {
         let bank = &self.banks[b];
-        let first = bank.queue[0];
+        let first = &bank.queue[0];
         let id = b as u32;
         let cmd = required_cmd(id, bank.open_row, first, self.auto_precharge());
         let (horizon, reason) = self.rank.horizon(cmd, bank.term(cmd));
         self.heads[b] = Some(Head {
             seq: first.seq,
-            domain: first.domain,
+            domain: first.domain(),
             cmd,
             horizon,
             reason,
@@ -389,7 +422,7 @@ impl Plan {
         let lat = self.lat;
         let chain = match cmd {
             DramCommand::Activate { .. } => {
-                self.ready = self.ready.min(horizon);
+                keep_first(&mut self.first_act, (horizon, first.seq, id));
                 Some(lat.act)
             }
             DramCommand::Precharge { .. } => Some(lat.pre),
@@ -408,18 +441,18 @@ impl Plan {
             self.faw_banks |= 1 << b;
         }
         for (first, write) in [(bank.first_read, false), (bank.first_write, true)] {
-            if first.is_some() {
+            if let Some((seq, _)) = first {
                 let col = column_cmd(id, write, false);
                 let at = self.rank.horizon(col, bank.col_at).0;
-                self.ready = self.ready.min(at);
+                keep_first(&mut self.first_hit, (at, seq, id));
                 self.done_from = self.done_from.min(at + lat.column(!write, write));
                 self.hit_banks |= 1 << b;
             }
         }
-        if let Some(seq) = bank.first_conflict {
+        if let Some((seq, _)) = bank.first_conflict {
             if self.conflict.is_none_or(|(_, oldest, _)| seq < oldest) {
                 let pre = DramCommand::Precharge { bank: id };
-                self.conflict = Some((id, seq, self.rank.horizon(pre, bank.pre_at).0));
+                self.conflict = Some((self.rank.horizon(pre, bank.pre_at).0, seq, id));
             }
         }
     }
@@ -428,10 +461,16 @@ impl Plan {
         self.heads[bank as usize].as_ref()
     }
 
+    /// The earliest horizon among row-hit column commands and bank-head
+    /// ACTs (`Cycle::MAX`: none).
+    fn ready(&self) -> Cycle {
+        horizon_of(self.first_hit).min(horizon_of(self.first_act))
+    }
+
     /// The oldest row conflict's PRE, when FR-FCFS may pick it: open rows,
     /// and no pending transaction hits the conflicting bank's open row.
-    fn pickable_conflict(&self) -> Option<(u32, u64, Cycle)> {
-        self.conflict.filter(|&(bank, _, _)| {
+    fn pickable_conflict(&self) -> Option<Candidate> {
+        self.conflict.filter(|&(_, _, bank)| {
             self.row_policy == RowPolicy::Open && self.hit_banks & (1 << bank) == 0
         })
     }
@@ -451,7 +490,7 @@ impl Plan {
                 .map_or(Cycle::MAX, |h| h.horizon),
             SchedPolicy::FrFcfs => self
                 .pickable_conflict()
-                .map_or(self.ready, |(_, _, h)| h.min(self.ready)),
+                .map_or(self.ready(), |(h, _, _)| h.min(self.ready())),
         }
     }
 
@@ -461,56 +500,75 @@ impl Plan {
     /// (open rows) the PRE of the oldest row conflict once no pending
     /// transaction hits the open row. Commands of one kind to one bank
     /// share a horizon, so the per-bank oldest of each kind are the only
-    /// candidates.
+    /// candidates. Up to the pick horizon ([`Plan::ready`]) no legal row
+    /// hit or ACT has an earlier horizon than another, so the folded
+    /// earliest `(horizon, seq)` candidates are the picks; only an edge
+    /// already past it scans the banks.
     fn pick(&self, now: Cycle) -> Option<Pick> {
-        let as_pick = |bank: u32, h: &Head| Pick {
-            bank,
-            seq: h.seq,
-            domain: h.domain,
-            cmd: h.cmd,
-        };
         if self.policy == SchedPolicy::Fcfs {
             let (_, b) = self.oldest?;
-            return self
-                .head(b)
-                .filter(|h| h.horizon <= now)
-                .map(|h| as_pick(b, h));
+            return self.head(b).filter(|h| h.horizon <= now).map(|h| h.pick(b));
         }
-        let auto_precharge = self.auto_precharge();
-        let mut hit: Option<Pick> = None;
+        let legal = |c: Option<Candidate>| c.filter(|&(h, _, _)| h <= now);
+        let first = if now <= self.ready() {
+            match legal(self.first_hit) {
+                Some((_, seq, b)) => Some(self.hit(b, seq)),
+                None => legal(self.first_act).and_then(|(_, _, b)| self.head(b).map(|h| h.pick(b))),
+            }
+        } else {
+            self.scan(now)
+        };
+        first.or_else(|| {
+            let (_, seq, bank) = legal(self.pickable_conflict())?;
+            let conflict = self.banks[bank as usize].first_conflict;
+            Some(Pick {
+                bank,
+                seq,
+                domain: conflict.expect("a conflict is queued").1,
+                cmd: DramCommand::Precharge { bank },
+            })
+        })
+    }
+
+    /// The column command of row hit `seq`, bank `b`'s oldest row-hit read
+    /// or write.
+    fn hit(&self, b: u32, seq: u64) -> Pick {
+        let bank = &self.banks[b as usize];
+        let (write, domain) = match (bank.first_read, bank.first_write) {
+            (Some((s, domain)), _) if s == seq => (false, domain),
+            (_, Some((s, domain))) if s == seq => (true, domain),
+            _ => unreachable!("a row-hit candidate is its bank's oldest"),
+        };
+        Pick {
+            bank: b,
+            seq,
+            domain,
+            cmd: column_cmd(b, write, self.auto_precharge()),
+        }
+    }
+
+    /// The oldest legal row hit at `now`, else the oldest legal bank-head
+    /// ACT, found by scanning the banks.
+    fn scan(&self, now: Cycle) -> Option<Pick> {
+        let mut hit: Option<(u64, u32)> = None;
         for b in bits(self.hit_banks) {
             let (bank, id) = (&self.banks[b], b as u32);
             for (first, write) in [(bank.first_read, false), (bank.first_write, true)] {
-                let Some(seq) = first.filter(|&s| hit.is_none_or(|p| s < p.seq)) else {
+                let Some((seq, _)) = first.filter(|&(s, _)| hit.is_none_or(|h| s < h.0)) else {
                     continue;
                 };
-                let cmd = column_cmd(id, write, auto_precharge);
-                if self.rank.horizon(cmd, bank.col_at).0 <= now {
-                    let domain = bank.domain_of(seq);
-                    hit = Some(Pick {
-                        bank: id,
-                        seq,
-                        domain,
-                        cmd,
-                    });
+                let col = column_cmd(id, write, false);
+                if self.rank.horizon(col, bank.col_at).0 <= now {
+                    hit = Some((seq, id));
                 }
             }
         }
-        hit.or_else(|| {
+        hit.map(|(seq, b)| self.hit(b, seq)).or_else(|| {
             bits(self.pending)
                 .map(|b| (b as u32, self.heads[b].expect("a pending bank has a head")))
                 .filter(|(_, h)| matches!(h.cmd, DramCommand::Activate { .. }) && h.horizon <= now)
                 .min_by_key(|(_, h)| h.seq)
-                .map(|(b, h)| as_pick(b, &h))
-        })
-        .or_else(|| {
-            let (bank, seq, horizon) = self.pickable_conflict()?;
-            (horizon <= now).then(|| Pick {
-                bank,
-                seq,
-                domain: self.banks[bank as usize].domain_of(seq),
-                cmd: DramCommand::Precharge { bank },
-            })
+                .map(|(b, h)| h.pick(b))
         })
     }
 }
@@ -584,7 +642,7 @@ struct Owed {
     waits: Cycle,
 }
 
-/// What a bank's stall charges are resolved against: the plan, the
+/// What a bank's stall charges are resolved against: its head, the
 /// resource owners and the refresh drain. Each bank's charges are owed
 /// from the last change to any of these that moves them, and they repeat
 /// on every bus edge until then, so one charge per bank pays a whole span.
@@ -592,22 +650,18 @@ struct Owed {
 /// Every bound is a bus edge, so a span's stall cycles (its edges times the
 /// edge spacing, as the per-edge charges sum to) are a difference of bounds.
 struct Stalls<'a> {
-    plan: &'a Plan,
     leak: &'a LeakTrack,
     refresh_pending: bool,
 }
 
 impl Stalls<'_> {
-    /// Charges bank `b`'s head for the bus edges in `[from, to)`. Before its
-    /// horizon the device holds its command back: the domain whose earlier
-    /// command made the blocking resource busy is charged. From then on it
-    /// is legal but not picked, which (with no command issued, since an
-    /// issue holds the command bus past every horizon) only a refresh
-    /// drain does.
-    fn head(&self, matrix: &mut InterferenceMatrix, b: usize, from: Cycle, to: Cycle) {
-        let Some(head) = self.plan.heads[b] else {
-            return;
-        };
+    /// Charges `head`, bank `b`'s head, for the bus edges in `[from, to)`.
+    /// Before its horizon the device holds its command back: the domain
+    /// whose earlier command made the blocking resource busy is charged.
+    /// From then on it is legal but not picked, which (with no command
+    /// issued, since an issue holds the command bus past every horizon)
+    /// only a refresh drain does.
+    fn head(&self, matrix: &mut InterferenceMatrix, b: usize, head: &Head, from: Cycle, to: Cycle) {
         let victim = head.domain.0;
         let blocked = to.min(head.horizon).saturating_sub(from);
         if blocked > 0 {
@@ -620,26 +674,72 @@ impl Stalls<'_> {
         }
     }
 
-    /// Charges bank `b`'s queue waits for the bus edges in `[from, to)`:
-    /// FCFS within a bank, a transaction behind an older same-bank
-    /// transaction waits on that owner, whatever the device says.
-    fn waits(&self, matrix: &mut InterferenceMatrix, b: usize, from: Cycle, to: Cycle) {
-        let Some(head) = self.plan.heads[b].filter(|_| to > from) else {
+    /// Charges the queue waits behind `head` for the bus edges in
+    /// `[from, to)`: FCFS within a bank, a transaction behind an older
+    /// same-bank transaction waits on that owner, whatever the device says.
+    fn waits(
+        &self,
+        matrix: &mut InterferenceMatrix,
+        head: &Head,
+        waits: &[(DomainId, u64)],
+        from: Cycle,
+        to: Cycle,
+    ) {
+        if to <= from {
             return;
-        };
-        for &(victim, n) in &self.plan.banks[b].waits {
+        }
+        for &(victim, n) in waits {
             let cycles = n * (to - from);
             matrix.charge(victim.0, Some(head.domain.0), StallCause::QueueWait, cycles);
         }
     }
 }
 
-/// The shared memory controller: a global transaction queue feeding a
-/// command scheduler that drives the DRAM device.
+/// Pays owed stall charges up to bus edge `to` into `matrix`, before a
+/// change that moves them.
+struct Payer<'a> {
+    stalls: Stalls<'a>,
+    matrix: &'a mut InterferenceMatrix,
+    owed: &'a mut [Owed],
+    to: Cycle,
+}
+
+impl Payer<'_> {
+    /// Pays the charge owed by `head`, bank `b`'s head.
+    fn head(&mut self, b: usize, head: &Head) {
+        let from = &mut self.owed[b].head;
+        debug_assert!(*from <= self.to, "stalls paid past {}", self.to);
+        self.stalls.head(self.matrix, b, head, *from, self.to);
+        *from = self.to;
+    }
+
+    /// Pays the charge owed by the queue `waits` behind bank `b`'s `head`.
+    fn waits(&mut self, b: usize, head: Option<&Head>, waits: &[(DomainId, u64)]) {
+        let from = &mut self.owed[b].waits;
+        debug_assert!(*from <= self.to, "stalls paid past {}", self.to);
+        if let Some(head) = head {
+            self.stalls.waits(self.matrix, head, waits, *from, self.to);
+        }
+        *from = self.to;
+    }
+}
+
+/// The shared memory controller: a transaction queue feeding a command
+/// scheduler that drives the DRAM device.
 ///
 /// One DRAM command may issue per command-bus edge. Refresh takes priority
 /// when due: open banks are drained and precharged, then a rank-wide REF is
 /// issued.
+///
+/// The transaction queue is a count of the transactions held: a pending
+/// one lives only in its bank's queue in the scheduler [`Plan`], and one
+/// whose column command issued only in the in-flight list, ordered by
+/// completion cycle and then arrival, so a cycle's completions leave from
+/// its front in arrival order. Each issued command costs one walk over the
+/// pending banks: the issuing bank's stall charges are paid first, then
+/// the plan's walk pays every other head's and replans, and only then does
+/// the command move the resource owners ([`LeakTrack`]) those charges
+/// were resolved against.
 ///
 /// A core sees only completions, and a transaction-queue slot frees only
 /// at one, so the controller promises only those: its `next_event_at` is
@@ -656,8 +756,12 @@ impl Stalls<'_> {
 pub struct MemoryController {
     device: DramDevice,
     mapper: AddressMapper,
-    txq: VecDeque<Txn>,
+    /// Transactions held, pending or in flight; at most `capacity`.
+    queued: usize,
     capacity: usize,
+    /// Transactions whose column command issued, with the cycle their data
+    /// completes, ordered by `(done, seq)`.
+    in_flight: VecDeque<(Cycle, Pending)>,
     stats: MemStats,
     refresh_pending: bool,
     tracer: Tracer,
@@ -695,17 +799,14 @@ impl MemoryController {
         let banks = cfg.dram_org.banks as usize;
         let mut stats = MemStats::new(domains, cfg.dram_org.line_bytes);
         stats.banks = vec![BankStats::default(); banks];
-        let plan = Plan::new(
-            cfg.queues.transaction_queue,
-            banks,
-            (policy, cfg.row_policy),
-            &device,
-        );
+        let capacity = cfg.queues.transaction_queue;
+        let plan = Plan::new(capacity, banks, (policy, cfg.row_policy), &device);
         Self {
             device,
             mapper,
-            txq: VecDeque::with_capacity(cfg.queues.transaction_queue),
-            capacity: cfg.queues.transaction_queue,
+            queued: 0,
+            capacity,
+            in_flight: VecDeque::with_capacity(capacity),
             stats,
             refresh_pending: false,
             tracer: Tracer::noop(),
@@ -799,14 +900,16 @@ impl MemoryController {
     pub fn interference_report(&self) -> InterferenceReport {
         let mut matrix = self.stalls.clone();
         let view = Stalls {
-            plan: &self.plan,
             leak: &self.leak,
             refresh_pending: self.refresh_pending,
         };
         let to = self.first_unpassed_edge();
         for (b, owed) in self.owed.iter().enumerate() {
-            view.head(&mut matrix, b, owed.head, to);
-            view.waits(&mut matrix, b, owed.waits, to);
+            if let Some(head) = &self.plan.heads[b] {
+                view.head(&mut matrix, b, head, owed.head, to);
+                let waits = &self.plan.banks[b].waits;
+                view.waits(&mut matrix, head, waits, owed.waits, to);
+            }
         }
         matrix.report()
     }
@@ -893,35 +996,51 @@ impl MemoryController {
         }
     }
 
-    /// Pays the stall charges owed up to bus edge `to` by every bank head
-    /// (with `heads`) and by the queue waits of the banks in `waits`,
-    /// before a change that moves them.
-    fn pay(&mut self, to: Cycle, heads: bool, waits: Range<usize>) {
+    /// The plan, the device, and a payer of the stall charges owed up to
+    /// bus edge `to`.
+    fn split(&mut self, to: Cycle) -> (&mut Plan, &DramDevice, Payer<'_>) {
         let Self {
             plan,
+            device,
             leak,
             stalls,
             owed,
             refresh_pending,
             ..
         } = self;
-        let view = Stalls {
-            plan,
-            leak,
-            refresh_pending: *refresh_pending,
+        let payer = Payer {
+            stalls: Stalls {
+                leak,
+                refresh_pending: *refresh_pending,
+            },
+            matrix: stalls,
+            owed,
+            to,
         };
-        if heads {
-            for b in bits(plan.pending) {
-                debug_assert!(owed[b].head <= to, "stalls paid past {to}");
-                view.head(stalls, b, owed[b].head, to);
-                owed[b].head = to;
-            }
+        (plan, device, payer)
+    }
+
+    /// Pays the stall charges owed up to bus edge `to` by the heads of the
+    /// banks in `heads` (one bit each) and by the queue waits of the banks
+    /// in `waits`, before a change that moves them.
+    fn pay(&mut self, to: Cycle, heads: u64, waits: Range<usize>) {
+        let (plan, _, mut payer) = self.split(to);
+        for b in bits(heads & plan.pending) {
+            let head = plan.heads[b].as_ref().expect("a pending bank has a head");
+            payer.head(b, head);
         }
         for b in waits {
-            debug_assert!(owed[b].waits <= to, "stalls paid past {to}");
-            view.waits(stalls, b, owed[b].waits, to);
-            owed[b].waits = to;
+            payer.waits(b, plan.heads[b].as_ref(), &plan.banks[b].waits);
         }
+    }
+
+    /// Refolds the plan after `device` issued a command to `bank` that
+    /// served queued transaction `served` (column commands) or not (ACT,
+    /// PRE), paying every pending head's charge owed before `now` in the
+    /// same walk, and returns the served transaction.
+    fn replan(&mut self, bank: u32, served: Option<u64>, now: Cycle) -> Option<Pending> {
+        let (plan, device, mut payer) = self.split(now);
+        plan.update(bank, served, device, &mut payer)
     }
 
     /// Counts the tFAW stalls of the bus edges in `[from, to)` (both
@@ -944,12 +1063,12 @@ impl MemoryController {
 
     /// Free entries in the transaction queue.
     pub fn free_space(&self) -> usize {
-        self.capacity - self.txq.len()
+        self.capacity - self.queued
     }
 
     /// Current transaction queue occupancy.
     pub fn occupancy(&self) -> usize {
-        self.txq.len()
+        self.queued
     }
 
     /// The row-buffer policy this controller runs.
@@ -959,12 +1078,15 @@ impl MemoryController {
 
     /// Issues at most one DRAM command at `now` (must be a bus edge), then
     /// updates the plan if one issued. Stall charges owed before `now` are
-    /// paid before anything they are resolved against moves.
+    /// paid before anything they are resolved against moves: the issuing
+    /// bank's before the command, every other head's in the walk that
+    /// replans, and all of them before the command moves the resource
+    /// owners ([`MemoryController::note_cmd`]).
     fn schedule(&mut self, now: Cycle) {
         // Refresh has priority: drain open banks, then REF.
         if self.device.refresh_due(now) && !self.refresh_pending {
             // A pending drain charges legal heads to refresh.
-            self.pay(now, true, 0..0);
+            self.pay(now, self.plan.pending, 0..0);
             self.refresh_pending = true;
         }
         if self.refresh_pending {
@@ -972,18 +1094,20 @@ impl MemoryController {
             let Some(cmd) = self.refresh_cmd(now) else {
                 return;
             };
-            self.pay(now, true, 0..self.owed.len());
+            self.pay(now, self.plan.pending, 0..self.owed.len());
             self.device.issue(cmd, now);
-            self.note_cmd(cmd, now, None);
             match cmd.bank() {
-                Some(bank) => self.plan.update(bank, None, &self.device),
+                Some(bank) => {
+                    self.replan(bank, None, now);
+                }
                 None => {
                     self.refresh_pending = false;
                     self.stats.refreshes = self.device.refreshes();
                     self.stats.energy.record_refresh();
-                    self.plan.rebuild(&self.txq, &self.device);
+                    self.plan.rebuild(&self.device);
                 }
             }
+            self.note_cmd(cmd, now, None);
             return;
         }
         if now < self.plan.pick_from() {
@@ -994,15 +1118,13 @@ impl MemoryController {
             .pick(now)
             .expect("a command is legal from the plan's pick horizon");
         let b = p.bank as usize;
-        self.pay(now, true, b..b + 1);
-        if is_column(p.cmd) {
-            self.issue_column(&p, now);
-            self.plan.update(p.bank, Some(p.seq), &self.device);
-        } else {
-            self.device.issue(p.cmd, now);
-            self.note_cmd(p.cmd, now, Some(p.domain));
-            self.plan.update(p.bank, None, &self.device);
+        self.pay(now, 1 << b, b..b + 1);
+        let done = self.device.issue(p.cmd, now);
+        let served = is_column(p.cmd).then_some(p.seq);
+        if let Some(txn) = self.replan(p.bank, served, now) {
+            self.issued(b, txn, done.expect("column returns data time"));
         }
+        self.note_cmd(p.cmd, now, Some(p.domain));
         debug_assert!(
             self.plan.heads.iter().flatten().all(|h| h.horizon > now),
             "the command bus holds every head past the issue edge"
@@ -1023,27 +1145,28 @@ impl MemoryController {
             .find(legal)
     }
 
-    fn issue_column(&mut self, p: &Pick, now: Cycle) {
-        let idx = self
-            .txq
-            .binary_search_by_key(&p.seq, |t| t.seq)
-            .expect("a planned transaction is queued");
-        let txn = &self.txq[idx];
-        let (bank, arrived) = (txn.loc.bank as usize, txn.arrived);
+    /// Moves `txn`, whose column command to bank `b` just issued, to the
+    /// in-flight list, to complete at `done`. Called before the command is
+    /// noted, so an auto-precharged row still counts as open.
+    fn issued(&mut self, b: usize, txn: Pending, done: Cycle) {
         // A row hit means the row was already open when this transaction
         // arrived; otherwise the transaction paid for (at least) its own
-        // activation. Classify before note_cmd clears auto-precharged rows.
-        if self.bank_open_since[bank].is_some_and(|opened| opened < arrived) {
-            self.stats.banks[bank].row_hits += 1;
+        // activation.
+        if self.bank_open_since[b].is_some_and(|opened| opened < txn.arrived) {
+            self.stats.banks[b].row_hits += 1;
         } else {
-            self.stats.banks[bank].row_misses += 1;
+            self.stats.banks[b].row_misses += 1;
         }
-        let done = self
-            .device
-            .issue(p.cmd, now)
-            .expect("column returns data time");
-        self.note_cmd(p.cmd, now, Some(p.domain));
-        self.txq[idx].state = TxnState::Issued { done };
+        // Reads and writes complete at different spacings, so a command
+        // may finish before ones issued earlier: the list stays sorted.
+        let key = (done, txn.seq);
+        let later = |(d, t): &(Cycle, Pending)| (*d, t.seq) > key;
+        if self.in_flight.back().is_none_or(|last| !later(last)) {
+            self.in_flight.push_back((done, txn));
+        } else {
+            let at = self.in_flight.iter().rposition(|f| !later(f));
+            self.in_flight.insert(at.map_or(0, |i| i + 1), (done, txn));
+        }
         self.next_done = self.next_done.min(done);
     }
 
@@ -1055,7 +1178,10 @@ impl MemoryController {
             let modes = (self.plan.policy, self.plan.row_policy);
             Plan::new(self.capacity, self.plan.heads.len(), modes, &self.device)
         });
-        fresh.rebuild(&self.txq, &self.device);
+        for (bank, mine) in fresh.banks.iter_mut().zip(&self.plan.banks) {
+            bank.queue.clone_from(&mine.queue);
+        }
+        fresh.rebuild(&self.device);
         assert_eq!(self.plan, *fresh, "stale scheduler plan");
     }
 
@@ -1063,38 +1189,31 @@ impl MemoryController {
         if now < self.next_done {
             return;
         }
-        let (mut i, mut next_done) = (0, Cycle::MAX);
-        while i < self.txq.len() {
-            if let TxnState::Issued { done: d } = self.txq[i].state {
-                if d <= now {
-                    let txn = self.txq.remove(i).expect("index in range");
-                    let resp = MemResponse {
-                        id: txn.req.id,
-                        domain: txn.req.domain,
-                        addr: txn.req.addr,
-                        req_type: txn.req.req_type,
-                        kind: txn.req.kind,
-                        arrived_at: txn.arrived,
-                        completed_at: d,
-                    };
-                    self.stats.record(&resp);
-                    self.tracer.record(now, || EventKind::Response {
-                        id: resp.id,
-                        domain: resp.domain,
-                        latency: resp.latency(),
-                        fake: resp.kind.is_fake(),
-                    });
-                    self.tracer.record(now, || EventKind::TxqOccupancy {
-                        count: self.txq.len() as u32,
-                    });
-                    out.push(resp);
-                    continue;
-                }
-                next_done = next_done.min(d);
-            }
-            i += 1;
+        while let Some(&(done, txn)) = self.in_flight.front().filter(|(d, _)| *d <= now) {
+            self.in_flight.pop_front();
+            self.queued -= 1;
+            let resp = MemResponse {
+                id: txn.req.id,
+                domain: txn.req.domain,
+                addr: txn.req.addr,
+                req_type: txn.req.req_type,
+                kind: txn.req.kind,
+                arrived_at: txn.arrived,
+                completed_at: done,
+            };
+            self.stats.record(&resp);
+            self.tracer.record(now, || EventKind::Response {
+                id: resp.id,
+                domain: resp.domain,
+                latency: resp.latency(),
+                fake: resp.kind.is_fake(),
+            });
+            self.tracer.record(now, || EventKind::TxqOccupancy {
+                count: self.queued as u32,
+            });
+            out.push(resp);
         }
-        self.next_done = next_done;
+        self.next_done = self.in_flight.front().map_or(Cycle::MAX, |&(d, _)| d);
     }
 }
 
@@ -1122,11 +1241,11 @@ fn column_cmd(bank: u32, write: bool, auto_precharge: bool) -> DramCommand {
 fn required_cmd(
     bank: u32,
     open_row: Option<RowId>,
-    p: Pending,
+    p: &Pending,
     auto_precharge: bool,
 ) -> DramCommand {
     match open_row {
-        Some(row) if row == p.row => column_cmd(bank, p.write, auto_precharge),
+        Some(row) if row == p.row => column_cmd(bank, p.write(), auto_precharge),
         Some(_) => DramCommand::Precharge { bank },
         None => DramCommand::Activate { bank, row: p.row },
     }
@@ -1134,7 +1253,7 @@ fn required_cmd(
 
 impl MemorySubsystem for MemoryController {
     fn try_send(&mut self, req: MemRequest, now: Cycle) -> Result<(), MemRequest> {
-        if self.txq.len() >= self.capacity {
+        if self.queued >= self.capacity {
             return Err(req);
         }
         if self.settled_until < now {
@@ -1150,23 +1269,22 @@ impl MemorySubsystem for MemoryController {
         // passed, as a new head or as one more wait behind its bank's, and
         // no command for it issues before that edge.
         let (b, from) = (loc.bank as usize, self.first_unpassed_edge());
-        let txn = Txn {
+        let txn = Pending {
             seq: self.next_seq,
             req,
-            loc,
+            row: loc.row,
             arrived: now,
             edge: from,
-            state: TxnState::Pending,
         };
         self.next_seq += 1;
         if self.plan.heads[b].is_none() {
             self.owed[b].head = from;
         }
-        self.pay(from, false, b..b + 1);
-        self.plan.push(&txn);
-        self.txq.push_back(txn);
+        self.pay(from, 0, b..b + 1);
+        self.plan.push(b, txn);
+        self.queued += 1;
         self.tracer.record(now, || EventKind::TxqOccupancy {
-            count: self.txq.len() as u32,
+            count: self.queued as u32,
         });
         Ok(())
     }
@@ -1236,6 +1354,7 @@ impl MemorySubsystem for MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dg_dram::PhysLoc;
     use dg_sim::types::{DomainId, ReqId};
     use proptest::prelude::*;
 
@@ -1557,15 +1676,35 @@ mod tests {
         skipping: bool,
         mut observe: impl FnMut(&MemoryController),
     ) -> (Vec<(Cycle, u64)>, u64) {
+        drive_steps(mc, sends, horizon, skipping, |mc, _| observe(mc))
+    }
+
+    /// What one step of [`drive_steps`] did: a tick and its responses, or
+    /// a send of a request and whether it was accepted.
+    enum Step<'a> {
+        Tick(&'a [MemResponse]),
+        Send(&'a MemRequest, bool),
+    }
+
+    /// [`drive`], with `observe` also told what each step did.
+    fn drive_steps(
+        mc: &mut MemoryController,
+        sends: &[(Cycle, MemRequest)],
+        horizon: Cycle,
+        skipping: bool,
+        mut observe: impl FnMut(&MemoryController, Step),
+    ) -> (Vec<(Cycle, u64)>, u64) {
         let (mut out, mut ticks, mut next_send) = (Vec::new(), 0, 0);
         let mut now = 0;
         while now < horizon {
-            out.extend(mc.tick(now).iter().map(|r| (now, r.id.0)));
-            observe(mc);
+            let responses = mc.tick(now);
+            out.extend(responses.iter().map(|r| (now, r.id.0)));
+            observe(mc, Step::Tick(&responses));
             ticks += 1;
             while next_send < sends.len() && sends[next_send].0 == now {
-                let _ = mc.try_send(sends[next_send].1, now);
-                observe(mc);
+                let req = &sends[next_send].1;
+                let accepted = mc.try_send(*req, now).is_ok();
+                observe(mc, Step::Send(req, accepted));
                 next_send += 1;
             }
             let mut next = now + 1;
@@ -1580,6 +1719,57 @@ mod tests {
             now = next;
         }
         (out, ticks)
+    }
+
+    #[test]
+    fn stall_charges_resolve_against_the_owners_before_the_command() {
+        // Closed rows. Domain 0 activates bank 0; domain 1's heads in banks
+        // 3 and 4 wait on tRRD behind that ACT, and bank 3's issues first.
+        // Later domain 0's read to bank 0 issues while domain 1's heads in
+        // banks 1 and 2 wait only on the command bus behind it, and bank
+        // 1's ACT issues first. Each time the other head is paid in the walk
+        // that replans, against the owners before domain 1's command:
+        // domain 0 held the activation window and the command bus.
+        let c = SystemConfig::two_core().with_row_policy(RowPolicy::Closed);
+        let mapper = *MemoryController::new(&c, SchedPolicy::FrFcfs).mapper();
+        let read = |id: u64, domain: u16, bank: u32, at: Cycle| {
+            let addr = mapper.encode(PhysLoc {
+                bank,
+                row: 0,
+                col: 0,
+            });
+            let req = MemRequest::read(DomainId(domain), addr, at);
+            (at, req.with_id(ReqId(id)))
+        };
+        let sends = [
+            read(0, 0, 0, 0),
+            read(1, 1, 3, 0),
+            read(2, 1, 4, 0),
+            read(3, 0, 5, 600),
+            read(4, 1, 1, 634),
+            read(5, 1, 2, 634),
+        ];
+        let mut reports = Vec::new();
+        for skipping in [false, true] {
+            let mut mc = MemoryController::new(&c, SchedPolicy::FrFcfs);
+            let (out, _) = drive(&mut mc, &sends, 1_000, skipping, |_| {});
+            assert_eq!(out.len(), sends.len(), "skipping={skipping}: all served");
+            reports.push(mc.interference_report());
+        }
+        assert_eq!(reports[0], reports[1], "every-cycle vs event-driven");
+        let report = &reports[0];
+        let cycles = |cause: StallCause| {
+            let c = report.by_cause.iter().find(|c| c.cause == cause.name());
+            c.expect("every cause is reported").cycles
+        };
+        // tRRD: banks 3 and 4 for the 15 cycles to the first edge it
+        // allows. The command bus: banks 1 and 2 for one 3-cycle edge.
+        assert_eq!(cycles(StallCause::ActWindow), 60, "{report:?}");
+        assert_eq!(cycles(StallCause::BusConflict), 6, "{report:?}");
+        assert_eq!(report.matrix[1][0], 15 + 15 + 3 + 3, "{report:?}");
+        // Domain 1's own: bank 4's and bank 2's tRRD behind its own ACTs,
+        // and tRCD to its four reads.
+        assert_eq!(report.matrix[1][1], 15 + 15 + 4 * 33, "{report:?}");
     }
 
     #[test]
@@ -1872,6 +2062,61 @@ mod tests {
         assert!(drains > 0, "no refresh drain with transactions pending");
         assert!(conflicts > 0, "no row conflict");
         assert!(queued_hits > 0, "no row hit behind its bank head");
+    }
+
+    #[test]
+    fn occupancy_counts_accepted_minus_collected() {
+        // The bank queues and the in-flight list are the only record of a
+        // transaction, and the plan oracle rebuilds from the former, so a
+        // transaction lost between them shows only here: the occupancy
+        // count drifts from the sends accepted minus the responses
+        // collected, or a response goes missing or comes twice.
+        let check = |c: &SystemConfig, policy, sends: &[(Cycle, MemRequest)], horizon| {
+            for skipping in [false, true] {
+                let what = format!("{policy:?}/{:?}/skipping={skipping}", c.row_policy);
+                let mut mc = MemoryController::new(c, policy);
+                let mut outstanding = std::collections::BTreeSet::new();
+                let (mut accepted, mut collected) = (0, 0);
+                drive_steps(&mut mc, sends, horizon, skipping, |mc, step| {
+                    match step {
+                        Step::Send(req, true) => {
+                            assert!(outstanding.insert(req.id), "{what}: {:?} twice", req.id);
+                            accepted += 1;
+                        }
+                        Step::Send(_, false) => {}
+                        Step::Tick(responses) => {
+                            for r in responses {
+                                let id = r.id;
+                                assert!(outstanding.remove(&id), "{what}: {id:?} not accepted");
+                                collected += 1;
+                            }
+                        }
+                    }
+                    assert_eq!(mc.occupancy(), accepted - collected, "{what}");
+                    assert_eq!(mc.occupancy(), outstanding.len(), "{what}");
+                });
+                assert!(collected > 0, "{what}: nothing served");
+            }
+        };
+        let modes = [
+            (SchedPolicy::FrFcfs, RowPolicy::Closed),
+            (SchedPolicy::FrFcfs, RowPolicy::Open),
+            (SchedPolicy::Fcfs, RowPolicy::Open),
+            (SchedPolicy::Fcfs, RowPolicy::Closed),
+        ];
+        let sends = stress_sends();
+        for (policy, row) in modes {
+            let c = SystemConfig::two_core().with_row_policy(row);
+            check(&c, policy, &sends, STRESS_HORIZON);
+        }
+        for seed in 0..64u64 {
+            for (policy, row) in modes {
+                let mut c = SystemConfig::two_core().with_row_policy(row);
+                (c.timing.tREFI, c.timing.tRFC) = (200, 40);
+                let mapper = *MemoryController::new(&c, policy).mapper();
+                check(&c, policy, &random_sends(seed, &mapper), 1_500);
+            }
+        }
     }
 
     /// Whether `answer` is no earlier than `promise` (`None`: never).
